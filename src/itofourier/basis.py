@@ -2,9 +2,14 @@
 
 Four interchangeable systems are supported: scaled Legendre polynomials,
 the trigonometric system, Haar wavelets, and Rademacher-Walsh functions.
-The discontinuous systems (Haar, Walsh) evaluate right-continuously at
-their jump points, and :func:`breakpoints` exposes those jumps so that
-quadrature panels and simulation grids can be aligned with them.
+One vectorised evaluator serves all of them: :func:`eval_basis` and
+:func:`basis_matrix` return rows of it, so both agree bit for bit.  The
+discontinuous systems (Haar, Walsh) evaluate right-continuously at their
+jump points, and :func:`breakpoints` exposes those jumps so that quadrature
+panels and simulation grids can be aligned with them.  Integrals are closed
+form: every system's phi_0 is constant, so phi_j integrates to sqrt(T-t)
+for j = 0 and to zero otherwise.  Walsh factors are capped at 20, which
+bounds a jump search at 2**20 dyadic points.
 
 Index conventions
 -----------------
@@ -30,13 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisIndexError, DomainError
-from .quadrature import gauss_rule, panel_grid
+from .quadrature import _legendre_rows, gauss_rule, panel_grid
 
 # Index guards: Legendre recurrence is well behaved far beyond practical
-# truncation orders; Haar/Walsh caps keep 2**level arithmetic in range.
+# truncation orders; the Haar cap keeps 2**level arithmetic in range; the
+# Walsh cap bounds the 2**factor dyadic points a jump search visits.
 LEGENDRE_MAX_DEGREE = 1000
 HAAR_MAX_LEVEL = 48
-WALSH_MAX_FACTOR = 48
+WALSH_MAX_FACTOR = 20
 
 
 @dataclass(frozen=True)
@@ -146,31 +152,49 @@ def _unit_coord(s: np.ndarray, iv: Interval) -> np.ndarray:
     return np.clip(u, 0.0, 1.0)
 
 
-def _legendre_values(j: int, x: np.ndarray) -> np.ndarray:
-    p_prev = np.ones_like(x)
-    if j == 0:
-        return p_prev
-    p_cur = x.copy()
-    for n in range(1, j):
-        p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
-    return p_cur
+def _walsh_mask(j: int, depth: int) -> int:
+    """Bit ``depth - m`` set for each Rademacher factor m of Walsh function j."""
+    return sum(1 << (depth - m) for m in walsh_subset(j)) if j else 0
 
 
-def _haar_unit(j: int, u: np.ndarray) -> np.ndarray:
-    n, pos = haar_unflatten(j)
-    left = (pos - 1) / 2.0**n
-    mid = left + 1.0 / 2.0 ** (n + 1)
-    right = pos / 2.0**n
-    amp = 2.0 ** (n / 2.0)
-    return np.where((u >= left) & (u < mid), amp,
-                    np.where((u >= mid) & (u < right), -amp, 0.0))
+def _rows(system: BasisSystem, j: np.ndarray, s: np.ndarray, iv: Interval) -> np.ndarray:
+    """Values of the basis functions with (checked) indices j at the points s.
 
-
-def _walsh_unit(j: int, u: np.ndarray) -> np.ndarray:
-    out = np.ones_like(u)
-    for m in walsh_subset(j):
-        out = out * np.where(np.floor(2.0**m * u).astype(np.int64) % 2 == 0, 1.0, -1.0)
-    return out
+    Shape (len(j), len(s)).  This is the one evaluator behind eval_basis and
+    basis_matrix, so a single function and a row of the matrix agree bit for
+    bit.
+    """
+    u = _unit_coord(s, iv)
+    root = math.sqrt(iv.length)
+    if system is BasisSystem.LEGENDRE:
+        scale = np.sqrt((2.0 * j + 1.0) / iv.length)
+        return scale[:, None] * _legendre_rows(2.0 * u - 1.0, int(j.max()))[j]
+    if system is BasisSystem.WALSH:
+        # bit depth - m of floor(2**depth u) is the parity of floor(2**m u)
+        depth = int(j.max()).bit_length()
+        masks = np.array([_walsh_mask(int(i), depth) for i in j])
+        keys = np.floor(2.0**depth * u).astype(np.int64)
+        parity = np.bitwise_count(masks[:, None] & keys) % 2
+        return (1.0 - 2.0 * parity) / root
+    if system is BasisSystem.TRIGONOMETRIC:
+        phase = 2.0 * math.pi * ((j[:, None] + 1) // 2) * u
+        odd = j % 2 == 1
+        amp = math.sqrt(2.0) / root
+        rows = np.empty_like(phase)
+        rows[odd] = amp * np.sin(phase[odd])
+        rows[~odd] = amp * np.cos(phase[~odd])
+    else:
+        # Haar level floor(log2 j), exact below 2**53
+        n = np.frexp(np.maximum(j, 1))[1][:, None].astype(np.int64) - 1
+        pos = j[:, None] - 2**n + 1
+        left = (pos - 1) / 2.0**n
+        mid = left + 1.0 / 2.0 ** (n + 1)
+        right = pos / 2.0**n
+        amp = 2.0 ** (n / 2.0)
+        rows = np.where((u >= left) & (u < mid), amp,
+                        np.where((u >= mid) & (u < right), -amp, 0.0)) / root
+    rows[j == 0] = 1.0 / root
+    return rows
 
 
 def eval_basis(system: BasisSystem, j: int, s, iv: Interval):
@@ -181,48 +205,14 @@ def eval_basis(system: BasisSystem, j: int, s, iv: Interval):
     """
     _check_index(system, j)
     s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    root = math.sqrt(iv.length)
-    if system is BasisSystem.LEGENDRE:
-        x = 2.0 * _unit_coord(s_arr, iv) - 1.0
-        vals = math.sqrt(2 * j + 1) / root * _legendre_values(j, x)
-    elif system is BasisSystem.TRIGONOMETRIC:
-        u = _unit_coord(s_arr, iv)
-        if j == 0:
-            vals = np.full_like(u, 1.0 / root)
-        else:
-            r = (j + 1) // 2
-            phase = 2.0 * math.pi * r * u
-            vals = math.sqrt(2.0) / root * (np.sin(phase) if j % 2 == 1 else np.cos(phase))
-    elif system is BasisSystem.HAAR:
-        u = _unit_coord(s_arr, iv)
-        vals = np.full_like(u, 1.0 / root) if j == 0 else _haar_unit(j, u) / root
-    else:
-        u = _unit_coord(s_arr, iv)
-        vals = np.full_like(u, 1.0 / root) if j == 0 else _walsh_unit(j, u) / root
-    return float(vals[0]) if scalar else vals
+    vals = _rows(system, np.array([j]), s_arr.ravel(), iv)[0].reshape(s_arr.shape)
+    return float(vals) if s_arr.ndim == 0 else vals
 
 
 def basis_matrix(system: BasisSystem, jmax: int, s: np.ndarray, iv: Interval) -> np.ndarray:
-    """Stack eval_basis for j = 0..jmax over an array of points.
-
-    Shape (jmax+1, len(s)).  The Legendre rows share one recurrence sweep.
-    """
+    """Values of phi_0..phi_jmax over an array of points, shape (jmax+1, len(s))."""
     _check_index(system, jmax)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if system is BasisSystem.LEGENDRE:
-        x = 2.0 * _unit_coord(s_arr, iv) - 1.0
-        rows = np.empty((jmax + 1, s_arr.size))
-        rows[0] = 1.0
-        if jmax >= 1:
-            rows[1] = x
-        for n in range(1, jmax):
-            rows[n + 1] = ((2 * n + 1) * x * rows[n] - n * rows[n - 1]) / (n + 1)
-        scale = np.sqrt((2.0 * np.arange(jmax + 1) + 1.0) / iv.length)
-        return scale[:, None] * rows
-    return np.stack([np.atleast_1d(eval_basis(system, j, s_arr, iv))
-                     for j in range(jmax + 1)])
+    return _rows(system, np.arange(jmax + 1), np.atleast_1d(np.asarray(s, dtype=float)), iv)
 
 
 def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
@@ -236,37 +226,29 @@ def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
         return []
     if system is BasisSystem.HAAR:
         n, pos = haar_unflatten(j)
-        unit = [(pos - 1) / 2.0**n, (pos - 1) / 2.0**n + 1.0 / 2.0 ** (n + 1), pos / 2.0**n]
+        left = (pos - 1) / 2.0**n
+        unit = np.array([left, left + 1.0 / 2.0 ** (n + 1), pos / 2.0**n])
+        unit = unit[(unit > 0.0) & (unit < 1.0)]
     else:
-        subset = walsh_subset(j)
-        m_max = subset[-1]
-        unit = []
-        for i in range(1, 2**m_max):
-            # the product jumps where an odd number of factors jump
-            flips = sum(1 for m in subset if i % (1 << (m_max - m)) == 0)
-            if flips % 2 == 1:
-                unit.append(i / 2.0**m_max)
-    return [iv.t + u * iv.length for u in unit if 0.0 < u < 1.0]
+        depth = j.bit_length()
+        i = np.arange(1, 1 << depth)
+        # at i / 2**depth the factors m >= depth - ctz(i) jump, i.e. those whose
+        # mask bit is at or below the lowest set bit of i; the product jumps
+        # where an odd number of them do
+        low = i & -i
+        flips = np.bitwise_count(_walsh_mask(j, depth) & (2 * low - 1))
+        unit = i[flips % 2 == 1] / 2.0**depth
+    return (iv.t + unit * iv.length).tolist()
 
 
 def integrate_basis(system: BasisSystem, j: int, iv: Interval) -> float:
     """Integral of the j-th basis function over [t, T].
 
-    Closed forms for Legendre/trigonometric/Haar (sqrt(T-t) for j = 0, zero
-    otherwise); Walsh is summed over its dyadic panels, which is exact for a
-    piecewise-constant function.
+    Every system has the constant phi_0 = 1/sqrt(T-t), so orthonormality
+    gives sqrt(T-t) for j = 0 and zero otherwise.
     """
     _check_index(system, j)
-    root = math.sqrt(iv.length)
-    if j == 0:
-        return root
-    if system is BasisSystem.WALSH:
-        m_max = walsh_subset(j)[-1]
-        panels = 1 << m_max
-        mids = (np.arange(panels) + 0.5) / panels
-        signs = _walsh_unit(j, mids)
-        return float(signs.sum()) * iv.length / panels / root
-    return 0.0
+    return math.sqrt(iv.length) if j == 0 else 0.0
 
 
 def _gram_piecewise_constant(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
@@ -285,14 +267,7 @@ def _gram_piecewise_constant(system: BasisSystem, p: int, iv: Interval) -> np.nd
         depth = max(factors)
     panels = 1 << depth
     mids = (np.arange(panels) + 0.5) / panels
-    signs = np.empty((p + 1, panels))
-    signs[0] = 1.0
-    for j in range(1, p + 1):
-        if system is BasisSystem.HAAR:
-            n, _ = haar_unflatten(j)
-            signs[j] = _haar_unit(j, mids) / 2.0 ** (n / 2.0)
-        else:
-            signs[j] = _walsh_unit(j, mids)
+    signs = np.sign(_rows(system, np.arange(p + 1), mids, Interval(0.0, 1.0)))
     counts = signs @ signs.T
     if system is BasisSystem.HAAR:
         half_sum = np.add.outer(levels, levels)

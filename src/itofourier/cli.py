@@ -187,7 +187,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="store_true",
                         help="print package and file format versions")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap; outputs are thread-count invariant")
+                        help="validate worker threads (>= 1, capped at the CPU count); "
+                             "outputs are thread-count invariant")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("coeffs", help="tabulate Fourier coefficients to a file")
@@ -232,6 +233,8 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if args.threads < 1:
+            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         if args.version:
             sys.stdout.write(f"itofourier {__version__} format {FORMAT_VERSION}\n")
             return 0

@@ -77,10 +77,6 @@ class WienerPath:
         return self.iv.length / self.N
 
 
-def _deterministic_row(iv: Interval, basis: BasisSystem, jmax: int) -> np.ndarray:
-    return np.array([integrate_basis(basis, j, iv) for j in range(jmax + 1)])
-
-
 def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
                   seed: int) -> GaussianPool:
     """Pool of independent standard normals for components 1..m, with the
@@ -92,7 +88,7 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     if m < 1 or jmax < 0:
         raise DomainError("need m >= 1 and jmax >= 0")
     values = np.empty((m + 1, jmax + 1))
-    values[0] = _deterministic_row(iv, basis, jmax)
+    values[0] = [integrate_basis(basis, j, iv) for j in range(jmax + 1)]
     for i in range(1, m + 1):
         values[i] = _stream(seed, _POOL_DOMAIN, i).standard_normal(jmax + 1)
     values.setflags(write=False)
@@ -117,17 +113,11 @@ def brownian_path(iv: Interval, m: int, N: int, seed: int) -> WienerPath:
 
 
 @lru_cache(maxsize=16)
-def _grid_basis(basis: BasisSystem, t: float, big_t: float, n_steps: int,
-                jmax: int) -> np.ndarray:
-    iv = Interval(t, big_t)
-    left = t + np.arange(n_steps) * (iv.length / n_steps)
-    phi = basis_matrix(basis, jmax, left, iv)
-    phi.setflags(write=False)
-    return phi
-
-
-def _require_breakpoints_on_grid(basis: BasisSystem, iv: Interval, n_steps: int,
-                                 jmax: int) -> None:
+def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
+               jmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis rows at the left grid points and the exact row 0, both fixed for
+    a whole run.  Raises (and so caches nothing) if a basis jump is off the
+    grid."""
     dt = iv.length / n_steps
     for j in range(jmax + 1):
         for b in breakpoints(basis, j, iv):
@@ -136,6 +126,12 @@ def _require_breakpoints_on_grid(basis: BasisSystem, iv: Interval, n_steps: int,
                 raise GridCompatibilityError(
                     f"basis jump at {b} not on the N={n_steps} grid "
                     f"(use a power-of-two N for Haar/Walsh)")
+    left = iv.t + np.arange(n_steps) * dt
+    phi = basis_matrix(basis, jmax, left, iv)
+    row0 = np.array([integrate_basis(basis, j, iv) for j in range(jmax + 1)])
+    phi.setflags(write=False)
+    row0.setflags(write=False)
+    return phi, row0
 
 
 def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianPool:
@@ -146,14 +142,12 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     """
     if jmax < 0:
         raise DomainError("jmax must be >= 0")
-    iv = path.iv
-    _require_breakpoints_on_grid(basis, iv, path.N, jmax)
-    phi = _grid_basis(basis, iv.t, iv.T, path.N, jmax)
+    phi, row0 = _grid_plan(basis, path.iv, path.N, jmax)
     values = np.empty((path.m + 1, jmax + 1))
-    values[0] = _deterministic_row(iv, basis, jmax)
+    values[0] = row0
     values[1:] = path.increments @ phi.T
     values.setflags(write=False)
-    return GaussianPool(iv=iv, basis=basis, m=path.m, jmax=jmax, values=values)
+    return GaussianPool(iv=path.iv, basis=basis, m=path.m, jmax=jmax, values=values)
 
 
 def path_iterated_integral(spec: IntegralSpec, path: WienerPath) -> float:

@@ -13,6 +13,7 @@ bit-identical for any thread count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -106,9 +107,13 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     """Per-path differences D = pathwise integral - truncated expansion.
 
     Each path gets its own derived seed; results land in an index-addressed
-    array, making the sample independent of the thread count.
+    array, making the sample independent of the thread count.  At most
+    os.cpu_count() worker threads are started.
     """
     _check_inputs(spec, n_paths)
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
     orders_t = tuple(int(p) for p in orders)
     if tensor is None:
         tensor = coefficient_tensor(spec, basis, orders_t)
@@ -122,11 +127,11 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
         approx = truncated_expansion(tensor, pool).value
         diffs[i] = path_iterated_integral(spec, path) - approx
 
-    if threads <= 1:
+    if workers == 1:
         for i in range(n_paths):
             run_path(i)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
+        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             list(pool_exec.map(run_path, range(n_paths)))
     return diffs, tensor
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itofourier.basis import (BasisSystem, Interval, basis_matrix, breakpoints,
                               eval_basis, gram_matrix, haar_unflatten, integrate_basis,
@@ -11,6 +13,25 @@ from itofourier.errors import BasisIndexError, DomainError
 ALL_SYSTEMS = list(BasisSystem)
 UNIT = Interval(0.0, 1.0)
 SHIFTED = Interval(2.5, 7.5)
+PIECEWISE = (BasisSystem.HAAR, BasisSystem.WALSH)
+
+
+def oracle_unit(system: BasisSystem, j: int, u: np.ndarray) -> np.ndarray:
+    """Haar by its support intervals and Walsh as a product of Rademacher
+    factors r_m(u) = (-1)**floor(2**m u), on [0, 1]."""
+    out = np.ones_like(u)
+    if j == 0:
+        return out
+    if system is BasisSystem.HAAR:
+        n, pos = haar_unflatten(j)
+        left, right = (pos - 1) / 2.0**n, pos / 2.0**n
+        mid = (left + right) / 2.0
+        amp = 2.0 ** (n / 2.0)
+        return np.where((u >= left) & (u < mid), amp,
+                        np.where((u >= mid) & (u < right), -amp, 0.0))
+    for m in walsh_subset(j):
+        out = out * np.where(np.floor(2.0**m * u).astype(np.int64) % 2 == 0, 1.0, -1.0)
+    return out
 
 
 class TestInterval:
@@ -53,6 +74,21 @@ class TestIndexMaps:
         with pytest.raises(BasisIndexError):
             breakpoints(BasisSystem.HAAR, 2**60, UNIT)
 
+    def test_walsh_cap_is_twenty_factors(self):
+        top = 2**20 - 1
+        for call in (lambda j: breakpoints(BasisSystem.WALSH, j, UNIT),
+                     lambda j: eval_basis(BasisSystem.WALSH, j, 0.3, UNIT),
+                     lambda j: integrate_basis(BasisSystem.WALSH, j, UNIT)):
+            with pytest.raises(BasisIndexError):
+                call(top + 1)
+        assert eval_basis(BasisSystem.WALSH, top, 0.3, UNIT) == float(oracle_unit(
+            BasisSystem.WALSH, top, np.array([0.3]))[0])
+        assert integrate_basis(BasisSystem.WALSH, top, UNIT) == 0.0
+        # the last index of the block is the single factor r_20, which jumps at
+        # every interior multiple of 2**-20
+        assert walsh_subset(top) == (20,)
+        assert len(breakpoints(BasisSystem.WALSH, top, UNIT)) == top
+
 
 class TestEval:
     def test_constant_members(self):
@@ -90,8 +126,27 @@ class TestEval:
         for system in ALL_SYSTEMS:
             mat = basis_matrix(system, 6, s, UNIT)
             for j in range(7):
-                np.testing.assert_allclose(mat[j], eval_basis(system, j, s, UNIT),
-                                           rtol=1e-14, atol=1e-14)
+                assert np.array_equal(mat[j], eval_basis(system, j, s, UNIT))
+
+    def test_piecewise_constant_oracle_at_breakpoints(self):
+        # every jump point of every j < 256, where right-continuity decides
+        pts = np.unique(np.concatenate(
+            [breakpoints(system, j, UNIT) for system in PIECEWISE for j in range(256)]))
+        pts = np.concatenate([[0.0, 1.0], pts])
+        for system in PIECEWISE:
+            mat = basis_matrix(system, 255, pts, UNIT)
+            for j in range(256):
+                want = oracle_unit(system, j, pts)
+                assert np.array_equal(eval_basis(system, j, pts, UNIT), want)
+                assert np.array_equal(mat[j], want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=st.sampled_from(PIECEWISE), j=st.integers(0, 255),
+           u=st.floats(0.0, 1.0))
+    def test_piecewise_constant_oracle(self, system, j, u):
+        want = oracle_unit(system, j, np.array([u]))
+        assert np.array_equal(eval_basis(system, j, np.array([u]), UNIT), want)
+        assert np.array_equal(basis_matrix(system, 255, [u], UNIT)[j], want)
 
 
 class TestBreakpoints:

@@ -198,6 +198,16 @@ class TestErrors:
                         "--out", str(tmp_path / "c.csv")]) == 2
         assert "numeric" in capsys.readouterr().err
 
+    def test_threads_below_one_rejected(self, config_path, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        for value in ("0", "-3"):
+            code = run_cli(["--threads", value, "validate", "--config", config_path,
+                            "--orders", "0,0", "--paths", "100", "--steps", "16",
+                            "--seed", "1", "--out", str(out)])
+            assert code == 1
+            assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand(self, capsys):
         assert run_cli([]) == 1
         assert "subcommand" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from itofourier import stochastic
 from itofourier.basis import BasisSystem, Interval, eval_basis, integrate_basis
 from itofourier.errors import CompatibilityError, DomainError, GridCompatibilityError
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
@@ -104,10 +105,24 @@ class TestZetaFromPath:
 
     def test_grid_must_contain_jumps(self):
         path = brownian_path(UNIT, 1, 3, seed=5)
-        with pytest.raises(GridCompatibilityError):
-            zeta_from_path(path, BasisSystem.HAAR, 2)
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(GridCompatibilityError):
+                zeta_from_path(path, BasisSystem.HAAR, 2)
         ok = brownian_path(UNIT, 1, 8, seed=5)
         zeta_from_path(ok, BasisSystem.HAAR, 2)
+
+    def test_run_constant_basis_work_done_once(self, monkeypatch):
+        calls = []
+        for name in ("breakpoints", "integrate_basis"):
+            original = getattr(stochastic, name)
+            monkeypatch.setattr(stochastic, name,
+                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        stochastic._grid_plan.cache_clear()
+        zeta_from_path(brownian_path(UNIT, 2, 64, seed=8), BasisSystem.WALSH, 7)
+        assert set(calls) == {"breakpoints", "integrate_basis"}
+        calls.clear()
+        zeta_from_path(brownian_path(UNIT, 2, 64, seed=9), BasisSystem.WALSH, 7)
+        assert calls == []
 
     def test_refinement_consistency_slope(self):
         # coarse pools are derived from one fine path by block-summing

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from itofourier import validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor
 from itofourier.errors import DomainError
@@ -82,6 +83,34 @@ class TestStrongErrorEstimate:
         a = strong_error_estimate(spec, LEG, (1, 1), 300, 128, seed=5, threads=1)
         b = strong_error_estimate(spec, LEG, (1, 1), 300, 128, seed=5, threads=4)
         assert a == b
+
+    def test_threads_validated_and_capped_at_cpu_count(self, monkeypatch):
+        spec = constant_spec(UNIT, (1, 2))
+        with pytest.raises(DomainError):
+            sample_differences(spec, LEG, (0, 0), 100, 16, seed=1, threads=0)
+        started = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(validation, "ThreadPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(validation.os, "cpu_count", lambda: 2)
+        capped, _ = sample_differences(spec, LEG, (0, 0), 100, 16, seed=1, threads=64)
+        assert started == [2]
+        monkeypatch.setattr(validation.os, "cpu_count", lambda: 1)
+        serial, _ = sample_differences(spec, LEG, (0, 0), 100, 16, seed=1, threads=64)
+        assert started == [2]
+        assert np.array_equal(capped, serial)
 
     def test_accepts_prebuilt_tensor(self):
         spec = constant_spec(UNIT, (1, 2))
