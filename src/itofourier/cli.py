@@ -24,7 +24,7 @@ from .expansion import truncated_expansion
 from .kernel import IntegralSpec
 from .partitions import pair_partitions, partition_count
 from .stochastic import gaussian_pool
-from .validation import moment_check, strong_error_estimate
+from .validation import moment_check, sample_differences, strong_error_estimate
 
 _CONFIG_FIELDS = {"spec", "basis", "orders", "seed", "n_paths", "N", "n", "out"}
 
@@ -156,12 +156,11 @@ def _cmd_validate(args) -> int:
         "N": n_steps,
         "n": n,
     }
-    report = strong_error_estimate(spec, basis, orders, n_paths, n_steps, seed,
-                                   threads=args.threads)
-    payload = report.to_json(config=echo)
+    diffs, tensor = sample_differences(spec, basis, orders, n_paths, n_steps, seed,
+                                       threads=args.threads)
+    payload = strong_error_estimate(diffs, tensor, n_steps).to_json(config=echo)
     if n is not None:
-        moment = moment_check(spec, basis, orders, n, n_paths, n_steps, seed,
-                              threads=args.threads)
+        moment = moment_check(diffs, tensor, n_steps, n)
         payload["bound_2n"] = moment.bound_2n
         payload["moment"] = moment.to_json()
     _write_output(out, json.dumps(payload, sort_keys=True) + "\n")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, basis_matrix, breakpoints, eval_basis, parse_basis
+from .basis import BasisSystem, Interval, basis_matrix, breakpoints, eval_basis, parse_basis
 from .errors import BasisIndexError, CapacityError, DomainError, NumericError
 from .kernel import IntegralSpec, eval_weight, kernel_l2_norm_sq
 from .quadrature import PanelGrid, gauss_rule, panel_grid
@@ -59,17 +59,24 @@ class CoefficientTensor:
             yield rev[::-1]
 
 
+def _cuts(basis: BasisSystem, jmax: int, iv: Interval) -> list[float]:
+    """Every jump point of phi_0..phi_jmax, ascending."""
+    if basis is BasisSystem.HAAR:
+        return sorted({b for j in range(jmax + 1) for b in breakpoints(basis, j, iv)})
+    if basis is BasisSystem.WALSH:
+        # phi_0..phi_jmax jump at the interior multiples of 2**-M, M the
+        # bit length of jmax: exactly the jumps of the single factor r_M,
+        # which is index 2**M - 1
+        return breakpoints(basis, (1 << jmax.bit_length()) - 1, iv)
+    return []
+
+
 def _quad_plan(spec: IntegralSpec, basis: BasisSystem, level_max_j) -> PanelGrid:
     """Panel grid + node count for iterated integrals with basis indices up
     to level_max_j[l] at level l."""
     iv = spec.iv
     deg_weights = sum(w.degree for w in spec.weights)
     k = spec.k
-    cuts: set[float] = set()
-    if basis in (BasisSystem.HAAR, BasisSystem.WALSH):
-        for jm in level_max_j:
-            for j in range(jm + 1):
-                cuts.update(breakpoints(basis, j, iv))
     if basis is BasisSystem.LEGENDRE:
         nodes = max(16, sum(level_max_j) + deg_weights + k + 1)
         return panel_grid(iv.t, iv.T, [], nodes=nodes)
@@ -78,7 +85,7 @@ def _quad_plan(spec: IntegralSpec, basis: BasisSystem, level_max_j) -> PanelGrid
         return panel_grid(iv.t, iv.T, [], nodes=max(24, deg_weights + k + 8),
                           min_panels=max(2, 2 * periods + 2))
     nodes = max(16, deg_weights + k + 1)
-    return panel_grid(iv.t, iv.T, sorted(cuts), nodes=nodes)
+    return panel_grid(iv.t, iv.T, _cuts(basis, max(level_max_j), iv), nodes=nodes)
 
 
 def _refine(spec: IntegralSpec, basis: BasisSystem, grid: PanelGrid) -> PanelGrid:

@@ -1,206 +1,31 @@
 """Truncated expansions of the iterated integral from coefficients and pools.
 
-Two independent evaluation routes are provided.  The general route sums,
-for every index tuple, the product of pooled variables plus the
-sign-alternating pair-partition corrections (pairs must carry equal nonzero
-components and equal basis indices).  The explicit route evaluates the same
-bracket for k <= 7 from tables frozen below, constructing the bracket tensor
-term by term; it shares no enumeration or contraction code with the general
-route and serves as its oracle.
+For every index tuple the coefficient multiplies the bracket of Theorem 1:
+the product of pooled variables plus the sign-alternating pair-partition
+corrections, where a pair must carry equal nonzero components and equal
+basis indices.  That bracket is the Wick product of the pooled variables
+under the covariance 1{i_a = i_b != 0, j_a = j_b}, so the expansion is
+contracted by the Wick recursion
+
+    :x_1 ... x_k: = x_k :x_1 ... x_{k-1}: - sum_a E[x_a x_k] :x_1 ..^a.. x_{k-1}:
+
+one tensor axis at a time, without enumerating partitions.
 
 The reference polynomials in (delta, variance) reproduce the equal-weight,
-equal-component integral in closed form and double as a third route.
+equal-component integral in closed form and serve as an independent check.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .coefficients import CoefficientTensor
 from .errors import CompatibilityError, DomainError, UnsupportedMultiplicityError
-from .partitions import pair_partitions
 from .stochastic import GaussianPool
 
 MAX_MULTIPLICITY = 10
-
-# Frozen pair/singleton term tables for the explicit k <= 7 formulas; the
-# r-pair terms enter with sign (-1)**r on top of the plain product term.
-_EXPLICIT_TERMS: dict[int, tuple] = {
-    1: (
-    ),
-    2: (
-        (((1, 2),), ()),
-    ),
-    3: (
-        (((1, 2),), (3,)), (((1, 3),), (2,)), (((2, 3),), (1,)),
-    ),
-    4: (
-        (((1, 2),), (3, 4)), (((1, 2), (3, 4)), ()), (((1, 3),), (2, 4)), (((1, 3), (2, 4)), ()),
-        (((1, 4),), (2, 3)), (((1, 4), (2, 3)), ()), (((2, 3),), (1, 4)), (((2, 4),), (1, 3)),
-        (((3, 4),), (1, 2)),
-    ),
-    5: (
-        (((1, 2),), (3, 4, 5)), (((1, 2), (3, 4)), (5,)), (((1, 2), (3, 5)), (4,)),
-        (((1, 2), (4, 5)), (3,)), (((1, 3),), (2, 4, 5)), (((1, 3), (2, 4)), (5,)),
-        (((1, 3), (2, 5)), (4,)), (((1, 3), (4, 5)), (2,)), (((1, 4),), (2, 3, 5)),
-        (((1, 4), (2, 3)), (5,)), (((1, 4), (2, 5)), (3,)), (((1, 4), (3, 5)), (2,)),
-        (((1, 5),), (2, 3, 4)), (((1, 5), (2, 3)), (4,)), (((1, 5), (2, 4)), (3,)),
-        (((1, 5), (3, 4)), (2,)), (((2, 3),), (1, 4, 5)), (((2, 3), (4, 5)), (1,)),
-        (((2, 4),), (1, 3, 5)), (((2, 4), (3, 5)), (1,)), (((2, 5),), (1, 3, 4)),
-        (((2, 5), (3, 4)), (1,)), (((3, 4),), (1, 2, 5)), (((3, 5),), (1, 2, 4)),
-        (((4, 5),), (1, 2, 3)),
-    ),
-    6: (
-        (((1, 2),), (3, 4, 5, 6)), (((1, 2), (3, 4)), (5, 6)), (((1, 2), (3, 4), (5, 6)), ()),
-        (((1, 2), (3, 5)), (4, 6)), (((1, 2), (3, 5), (4, 6)), ()), (((1, 2), (3, 6)), (4, 5)),
-        (((1, 2), (3, 6), (4, 5)), ()), (((1, 2), (4, 5)), (3, 6)), (((1, 2), (4, 6)), (3, 5)),
-        (((1, 2), (5, 6)), (3, 4)), (((1, 3),), (2, 4, 5, 6)), (((1, 3), (2, 4)), (5, 6)),
-        (((1, 3), (2, 4), (5, 6)), ()), (((1, 3), (2, 5)), (4, 6)),
-        (((1, 3), (2, 5), (4, 6)), ()), (((1, 3), (2, 6)), (4, 5)),
-        (((1, 3), (2, 6), (4, 5)), ()), (((1, 3), (4, 5)), (2, 6)), (((1, 3), (4, 6)), (2, 5)),
-        (((1, 3), (5, 6)), (2, 4)), (((1, 4),), (2, 3, 5, 6)), (((1, 4), (2, 3)), (5, 6)),
-        (((1, 4), (2, 3), (5, 6)), ()), (((1, 4), (2, 5)), (3, 6)),
-        (((1, 4), (2, 5), (3, 6)), ()), (((1, 4), (2, 6)), (3, 5)),
-        (((1, 4), (2, 6), (3, 5)), ()), (((1, 4), (3, 5)), (2, 6)), (((1, 4), (3, 6)), (2, 5)),
-        (((1, 4), (5, 6)), (2, 3)), (((1, 5),), (2, 3, 4, 6)), (((1, 5), (2, 3)), (4, 6)),
-        (((1, 5), (2, 3), (4, 6)), ()), (((1, 5), (2, 4)), (3, 6)),
-        (((1, 5), (2, 4), (3, 6)), ()), (((1, 5), (2, 6)), (3, 4)),
-        (((1, 5), (2, 6), (3, 4)), ()), (((1, 5), (3, 4)), (2, 6)), (((1, 5), (3, 6)), (2, 4)),
-        (((1, 5), (4, 6)), (2, 3)), (((1, 6),), (2, 3, 4, 5)), (((1, 6), (2, 3)), (4, 5)),
-        (((1, 6), (2, 3), (4, 5)), ()), (((1, 6), (2, 4)), (3, 5)),
-        (((1, 6), (2, 4), (3, 5)), ()), (((1, 6), (2, 5)), (3, 4)),
-        (((1, 6), (2, 5), (3, 4)), ()), (((1, 6), (3, 4)), (2, 5)), (((1, 6), (3, 5)), (2, 4)),
-        (((1, 6), (4, 5)), (2, 3)), (((2, 3),), (1, 4, 5, 6)), (((2, 3), (4, 5)), (1, 6)),
-        (((2, 3), (4, 6)), (1, 5)), (((2, 3), (5, 6)), (1, 4)), (((2, 4),), (1, 3, 5, 6)),
-        (((2, 4), (3, 5)), (1, 6)), (((2, 4), (3, 6)), (1, 5)), (((2, 4), (5, 6)), (1, 3)),
-        (((2, 5),), (1, 3, 4, 6)), (((2, 5), (3, 4)), (1, 6)), (((2, 5), (3, 6)), (1, 4)),
-        (((2, 5), (4, 6)), (1, 3)), (((2, 6),), (1, 3, 4, 5)), (((2, 6), (3, 4)), (1, 5)),
-        (((2, 6), (3, 5)), (1, 4)), (((2, 6), (4, 5)), (1, 3)), (((3, 4),), (1, 2, 5, 6)),
-        (((3, 4), (5, 6)), (1, 2)), (((3, 5),), (1, 2, 4, 6)), (((3, 5), (4, 6)), (1, 2)),
-        (((3, 6),), (1, 2, 4, 5)), (((3, 6), (4, 5)), (1, 2)), (((4, 5),), (1, 2, 3, 6)),
-        (((4, 6),), (1, 2, 3, 5)), (((5, 6),), (1, 2, 3, 4)),
-    ),
-    7: (
-        (((1, 2),), (3, 4, 5, 6, 7)), (((1, 2), (3, 4)), (5, 6, 7)),
-        (((1, 2), (3, 4), (5, 6)), (7,)), (((1, 2), (3, 4), (5, 7)), (6,)),
-        (((1, 2), (3, 4), (6, 7)), (5,)), (((1, 2), (3, 5)), (4, 6, 7)),
-        (((1, 2), (3, 5), (4, 6)), (7,)), (((1, 2), (3, 5), (4, 7)), (6,)),
-        (((1, 2), (3, 5), (6, 7)), (4,)), (((1, 2), (3, 6)), (4, 5, 7)),
-        (((1, 2), (3, 6), (4, 5)), (7,)), (((1, 2), (3, 6), (4, 7)), (5,)),
-        (((1, 2), (3, 6), (5, 7)), (4,)), (((1, 2), (3, 7)), (4, 5, 6)),
-        (((1, 2), (3, 7), (4, 5)), (6,)), (((1, 2), (3, 7), (4, 6)), (5,)),
-        (((1, 2), (3, 7), (5, 6)), (4,)), (((1, 2), (4, 5)), (3, 6, 7)),
-        (((1, 2), (4, 5), (6, 7)), (3,)), (((1, 2), (4, 6)), (3, 5, 7)),
-        (((1, 2), (4, 6), (5, 7)), (3,)), (((1, 2), (4, 7)), (3, 5, 6)),
-        (((1, 2), (4, 7), (5, 6)), (3,)), (((1, 2), (5, 6)), (3, 4, 7)),
-        (((1, 2), (5, 7)), (3, 4, 6)), (((1, 2), (6, 7)), (3, 4, 5)),
-        (((1, 3),), (2, 4, 5, 6, 7)), (((1, 3), (2, 4)), (5, 6, 7)),
-        (((1, 3), (2, 4), (5, 6)), (7,)), (((1, 3), (2, 4), (5, 7)), (6,)),
-        (((1, 3), (2, 4), (6, 7)), (5,)), (((1, 3), (2, 5)), (4, 6, 7)),
-        (((1, 3), (2, 5), (4, 6)), (7,)), (((1, 3), (2, 5), (4, 7)), (6,)),
-        (((1, 3), (2, 5), (6, 7)), (4,)), (((1, 3), (2, 6)), (4, 5, 7)),
-        (((1, 3), (2, 6), (4, 5)), (7,)), (((1, 3), (2, 6), (4, 7)), (5,)),
-        (((1, 3), (2, 6), (5, 7)), (4,)), (((1, 3), (2, 7)), (4, 5, 6)),
-        (((1, 3), (2, 7), (4, 5)), (6,)), (((1, 3), (2, 7), (4, 6)), (5,)),
-        (((1, 3), (2, 7), (5, 6)), (4,)), (((1, 3), (4, 5)), (2, 6, 7)),
-        (((1, 3), (4, 5), (6, 7)), (2,)), (((1, 3), (4, 6)), (2, 5, 7)),
-        (((1, 3), (4, 6), (5, 7)), (2,)), (((1, 3), (4, 7)), (2, 5, 6)),
-        (((1, 3), (4, 7), (5, 6)), (2,)), (((1, 3), (5, 6)), (2, 4, 7)),
-        (((1, 3), (5, 7)), (2, 4, 6)), (((1, 3), (6, 7)), (2, 4, 5)),
-        (((1, 4),), (2, 3, 5, 6, 7)), (((1, 4), (2, 3)), (5, 6, 7)),
-        (((1, 4), (2, 3), (5, 6)), (7,)), (((1, 4), (2, 3), (5, 7)), (6,)),
-        (((1, 4), (2, 3), (6, 7)), (5,)), (((1, 4), (2, 5)), (3, 6, 7)),
-        (((1, 4), (2, 5), (3, 6)), (7,)), (((1, 4), (2, 5), (3, 7)), (6,)),
-        (((1, 4), (2, 5), (6, 7)), (3,)), (((1, 4), (2, 6)), (3, 5, 7)),
-        (((1, 4), (2, 6), (3, 5)), (7,)), (((1, 4), (2, 6), (3, 7)), (5,)),
-        (((1, 4), (2, 6), (5, 7)), (3,)), (((1, 4), (2, 7)), (3, 5, 6)),
-        (((1, 4), (2, 7), (3, 5)), (6,)), (((1, 4), (2, 7), (3, 6)), (5,)),
-        (((1, 4), (2, 7), (5, 6)), (3,)), (((1, 4), (3, 5)), (2, 6, 7)),
-        (((1, 4), (3, 5), (6, 7)), (2,)), (((1, 4), (3, 6)), (2, 5, 7)),
-        (((1, 4), (3, 6), (5, 7)), (2,)), (((1, 4), (3, 7)), (2, 5, 6)),
-        (((1, 4), (3, 7), (5, 6)), (2,)), (((1, 4), (5, 6)), (2, 3, 7)),
-        (((1, 4), (5, 7)), (2, 3, 6)), (((1, 4), (6, 7)), (2, 3, 5)),
-        (((1, 5),), (2, 3, 4, 6, 7)), (((1, 5), (2, 3)), (4, 6, 7)),
-        (((1, 5), (2, 3), (4, 6)), (7,)), (((1, 5), (2, 3), (4, 7)), (6,)),
-        (((1, 5), (2, 3), (6, 7)), (4,)), (((1, 5), (2, 4)), (3, 6, 7)),
-        (((1, 5), (2, 4), (3, 6)), (7,)), (((1, 5), (2, 4), (3, 7)), (6,)),
-        (((1, 5), (2, 4), (6, 7)), (3,)), (((1, 5), (2, 6)), (3, 4, 7)),
-        (((1, 5), (2, 6), (3, 4)), (7,)), (((1, 5), (2, 6), (3, 7)), (4,)),
-        (((1, 5), (2, 6), (4, 7)), (3,)), (((1, 5), (2, 7)), (3, 4, 6)),
-        (((1, 5), (2, 7), (3, 4)), (6,)), (((1, 5), (2, 7), (3, 6)), (4,)),
-        (((1, 5), (2, 7), (4, 6)), (3,)), (((1, 5), (3, 4)), (2, 6, 7)),
-        (((1, 5), (3, 4), (6, 7)), (2,)), (((1, 5), (3, 6)), (2, 4, 7)),
-        (((1, 5), (3, 6), (4, 7)), (2,)), (((1, 5), (3, 7)), (2, 4, 6)),
-        (((1, 5), (3, 7), (4, 6)), (2,)), (((1, 5), (4, 6)), (2, 3, 7)),
-        (((1, 5), (4, 7)), (2, 3, 6)), (((1, 5), (6, 7)), (2, 3, 4)),
-        (((1, 6),), (2, 3, 4, 5, 7)), (((1, 6), (2, 3)), (4, 5, 7)),
-        (((1, 6), (2, 3), (4, 5)), (7,)), (((1, 6), (2, 3), (4, 7)), (5,)),
-        (((1, 6), (2, 3), (5, 7)), (4,)), (((1, 6), (2, 4)), (3, 5, 7)),
-        (((1, 6), (2, 4), (3, 5)), (7,)), (((1, 6), (2, 4), (3, 7)), (5,)),
-        (((1, 6), (2, 4), (5, 7)), (3,)), (((1, 6), (2, 5)), (3, 4, 7)),
-        (((1, 6), (2, 5), (3, 4)), (7,)), (((1, 6), (2, 5), (3, 7)), (4,)),
-        (((1, 6), (2, 5), (4, 7)), (3,)), (((1, 6), (2, 7)), (3, 4, 5)),
-        (((1, 6), (2, 7), (3, 4)), (5,)), (((1, 6), (2, 7), (3, 5)), (4,)),
-        (((1, 6), (2, 7), (4, 5)), (3,)), (((1, 6), (3, 4)), (2, 5, 7)),
-        (((1, 6), (3, 4), (5, 7)), (2,)), (((1, 6), (3, 5)), (2, 4, 7)),
-        (((1, 6), (3, 5), (4, 7)), (2,)), (((1, 6), (3, 7)), (2, 4, 5)),
-        (((1, 6), (3, 7), (4, 5)), (2,)), (((1, 6), (4, 5)), (2, 3, 7)),
-        (((1, 6), (4, 7)), (2, 3, 5)), (((1, 6), (5, 7)), (2, 3, 4)),
-        (((1, 7),), (2, 3, 4, 5, 6)), (((1, 7), (2, 3)), (4, 5, 6)),
-        (((1, 7), (2, 3), (4, 5)), (6,)), (((1, 7), (2, 3), (4, 6)), (5,)),
-        (((1, 7), (2, 3), (5, 6)), (4,)), (((1, 7), (2, 4)), (3, 5, 6)),
-        (((1, 7), (2, 4), (3, 5)), (6,)), (((1, 7), (2, 4), (3, 6)), (5,)),
-        (((1, 7), (2, 4), (5, 6)), (3,)), (((1, 7), (2, 5)), (3, 4, 6)),
-        (((1, 7), (2, 5), (3, 4)), (6,)), (((1, 7), (2, 5), (3, 6)), (4,)),
-        (((1, 7), (2, 5), (4, 6)), (3,)), (((1, 7), (2, 6)), (3, 4, 5)),
-        (((1, 7), (2, 6), (3, 4)), (5,)), (((1, 7), (2, 6), (3, 5)), (4,)),
-        (((1, 7), (2, 6), (4, 5)), (3,)), (((1, 7), (3, 4)), (2, 5, 6)),
-        (((1, 7), (3, 4), (5, 6)), (2,)), (((1, 7), (3, 5)), (2, 4, 6)),
-        (((1, 7), (3, 5), (4, 6)), (2,)), (((1, 7), (3, 6)), (2, 4, 5)),
-        (((1, 7), (3, 6), (4, 5)), (2,)), (((1, 7), (4, 5)), (2, 3, 6)),
-        (((1, 7), (4, 6)), (2, 3, 5)), (((1, 7), (5, 6)), (2, 3, 4)),
-        (((2, 3),), (1, 4, 5, 6, 7)), (((2, 3), (4, 5)), (1, 6, 7)),
-        (((2, 3), (4, 5), (6, 7)), (1,)), (((2, 3), (4, 6)), (1, 5, 7)),
-        (((2, 3), (4, 6), (5, 7)), (1,)), (((2, 3), (4, 7)), (1, 5, 6)),
-        (((2, 3), (4, 7), (5, 6)), (1,)), (((2, 3), (5, 6)), (1, 4, 7)),
-        (((2, 3), (5, 7)), (1, 4, 6)), (((2, 3), (6, 7)), (1, 4, 5)),
-        (((2, 4),), (1, 3, 5, 6, 7)), (((2, 4), (3, 5)), (1, 6, 7)),
-        (((2, 4), (3, 5), (6, 7)), (1,)), (((2, 4), (3, 6)), (1, 5, 7)),
-        (((2, 4), (3, 6), (5, 7)), (1,)), (((2, 4), (3, 7)), (1, 5, 6)),
-        (((2, 4), (3, 7), (5, 6)), (1,)), (((2, 4), (5, 6)), (1, 3, 7)),
-        (((2, 4), (5, 7)), (1, 3, 6)), (((2, 4), (6, 7)), (1, 3, 5)),
-        (((2, 5),), (1, 3, 4, 6, 7)), (((2, 5), (3, 4)), (1, 6, 7)),
-        (((2, 5), (3, 4), (6, 7)), (1,)), (((2, 5), (3, 6)), (1, 4, 7)),
-        (((2, 5), (3, 6), (4, 7)), (1,)), (((2, 5), (3, 7)), (1, 4, 6)),
-        (((2, 5), (3, 7), (4, 6)), (1,)), (((2, 5), (4, 6)), (1, 3, 7)),
-        (((2, 5), (4, 7)), (1, 3, 6)), (((2, 5), (6, 7)), (1, 3, 4)),
-        (((2, 6),), (1, 3, 4, 5, 7)), (((2, 6), (3, 4)), (1, 5, 7)),
-        (((2, 6), (3, 4), (5, 7)), (1,)), (((2, 6), (3, 5)), (1, 4, 7)),
-        (((2, 6), (3, 5), (4, 7)), (1,)), (((2, 6), (3, 7)), (1, 4, 5)),
-        (((2, 6), (3, 7), (4, 5)), (1,)), (((2, 6), (4, 5)), (1, 3, 7)),
-        (((2, 6), (4, 7)), (1, 3, 5)), (((2, 6), (5, 7)), (1, 3, 4)),
-        (((2, 7),), (1, 3, 4, 5, 6)), (((2, 7), (3, 4)), (1, 5, 6)),
-        (((2, 7), (3, 4), (5, 6)), (1,)), (((2, 7), (3, 5)), (1, 4, 6)),
-        (((2, 7), (3, 5), (4, 6)), (1,)), (((2, 7), (3, 6)), (1, 4, 5)),
-        (((2, 7), (3, 6), (4, 5)), (1,)), (((2, 7), (4, 5)), (1, 3, 6)),
-        (((2, 7), (4, 6)), (1, 3, 5)), (((2, 7), (5, 6)), (1, 3, 4)),
-        (((3, 4),), (1, 2, 5, 6, 7)), (((3, 4), (5, 6)), (1, 2, 7)),
-        (((3, 4), (5, 7)), (1, 2, 6)), (((3, 4), (6, 7)), (1, 2, 5)),
-        (((3, 5),), (1, 2, 4, 6, 7)), (((3, 5), (4, 6)), (1, 2, 7)),
-        (((3, 5), (4, 7)), (1, 2, 6)), (((3, 5), (6, 7)), (1, 2, 4)),
-        (((3, 6),), (1, 2, 4, 5, 7)), (((3, 6), (4, 5)), (1, 2, 7)),
-        (((3, 6), (4, 7)), (1, 2, 5)), (((3, 6), (5, 7)), (1, 2, 4)),
-        (((3, 7),), (1, 2, 4, 5, 6)), (((3, 7), (4, 5)), (1, 2, 6)),
-        (((3, 7), (4, 6)), (1, 2, 5)), (((3, 7), (5, 6)), (1, 2, 4)),
-        (((4, 5),), (1, 2, 3, 6, 7)), (((4, 5), (6, 7)), (1, 2, 3)),
-        (((4, 6),), (1, 2, 3, 5, 7)), (((4, 6), (5, 7)), (1, 2, 3)),
-        (((4, 7),), (1, 2, 3, 5, 6)), (((4, 7), (5, 6)), (1, 2, 3)),
-        (((5, 6),), (1, 2, 3, 4, 7)), (((5, 7),), (1, 2, 3, 4, 6)), (((6, 7),), (1, 2, 3, 4, 5)),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -233,86 +58,34 @@ def _pool_rows(tensor: CoefficientTensor, pool: GaussianPool) -> list[np.ndarray
             for level in range(tensor.spec.k)]
 
 
+def _wick(values: np.ndarray, rows: list[np.ndarray], idx: tuple[int, ...]) -> float:
+    """Contraction of values with the Wick product of the pooled rows."""
+    if not rows:
+        return float(values)
+    last = len(rows) - 1
+    total = _wick(values @ rows[last], rows[:last], idx[:last])
+    if idx[last] != 0:
+        for a in range(last):
+            if idx[a] == idx[last]:
+                # E[x_a x_last] joins the axes on their common index range
+                traced = np.trace(values, axis1=a, axis2=last)
+                total -= _wick(traced, rows[:a] + rows[a + 1:last],
+                               idx[:a] + idx[a + 1:last])
+    return total
+
+
 def truncated_expansion(tensor: CoefficientTensor, pool: GaussianPool) -> ExpansionResult:
-    """General expansion: for every index tuple, the coefficient multiplies
-    the product of pooled variables minus/plus the pair-partition correction
-    terms.  Terms are evaluated as fixed-order contractions (one per
-    partition) and accumulated with exact summation, so the result does not
-    depend on evaluation parallelism."""
+    """The truncated expansion: the full contraction of the coefficient
+    tensor with the bracket, by the Wick recursion over its axes.  The
+    evaluation order is fixed, so the result is reproducible bit for bit."""
     spec = tensor.spec
     k = spec.k
     if k > MAX_MULTIPLICITY:
         raise UnsupportedMultiplicityError(
             f"multiplicity {k} exceeds supported cap {MAX_MULTIPLICITY}")
     _check_compatible(tensor, pool)
-    shape = tensor.values.shape
-    idx = spec.indices
-    zeta = _pool_rows(tensor, pool)
-    terms: list[float] = []
-    for r in range(k // 2 + 1):
-        sign = -1.0 if r % 2 else 1.0
-        for part in pair_partitions(k, r):
-            if not all(idx[a - 1] == idx[b - 1] and idx[a - 1] != 0
-                       for a, b in part.pairs):
-                continue
-            slices = [slice(None)] * k
-            labels = [0] * k
-            for s, (a, b) in enumerate(part.pairs):
-                d = min(shape[a - 1], shape[b - 1])
-                slices[a - 1] = slices[b - 1] = slice(0, d)
-                labels[a - 1] = labels[b - 1] = s
-            operands = [tensor.values[tuple(slices)], labels]
-            for w, q in enumerate(part.singles):
-                labels[q - 1] = len(part.pairs) + w
-                operands.extend([zeta[q - 1], [labels[q - 1]]])
-            operands.append([])
-            terms.append(sign * float(np.einsum(*operands)))
-    return ExpansionResult(value=math.fsum(terms),
-                           terms_evaluated=int(np.prod(shape)),
-                           orders=tensor.orders)
-
-
-def explicit_expansion(tensor: CoefficientTensor, pool: GaussianPool) -> ExpansionResult:
-    """Hard-coded k <= 7 formulas evaluated via an explicit bracket tensor.
-
-    The bracket starts as the outer product of the pooled rows; every frozen
-    term whose component indicators hold adds its signed singleton product
-    on the diagonal slice where the paired basis indices agree.  The value
-    is the full contraction of the coefficient tensor with the bracket.
-    """
-    spec = tensor.spec
-    k = spec.k
-    if k > 7:
-        raise UnsupportedMultiplicityError(
-            f"explicit formulas cover k <= 7, got k = {k}")
-    _check_compatible(tensor, pool)
-    shape = tensor.values.shape
-    idx = spec.indices
-    zeta = _pool_rows(tensor, pool)
-    bracket = reduce(np.multiply.outer, zeta).reshape(shape).copy()
-    for pairs, singles in _EXPLICIT_TERMS[k]:
-        if not all(idx[a - 1] == idx[b - 1] and idx[a - 1] != 0 for a, b in pairs):
-            continue
-        sign = -1.0 if len(pairs) % 2 else 1.0
-        ndim = len(pairs) + len(singles)
-        index: list[np.ndarray] = [np.empty(0, dtype=int)] * k
-        for s, (a, b) in enumerate(pairs):
-            d = min(shape[a - 1], shape[b - 1])
-            diag = np.arange(d).reshape((1,) * s + (d,) + (1,) * (ndim - s - 1))
-            index[a - 1] = diag
-            index[b - 1] = diag
-        term = np.full((1,) * ndim, sign)
-        for w, q in enumerate(singles):
-            pos = len(pairs) + w
-            axis_shape = (1,) * pos + (shape[q - 1],) + (1,) * (ndim - pos - 1)
-            index[q - 1] = np.arange(shape[q - 1]).reshape(axis_shape)
-            term = term * zeta[q - 1].reshape(axis_shape)
-        bracket[tuple(index)] += np.broadcast_to(
-            term, np.broadcast_shapes(*(ix.shape for ix in index)))
-    labels = list(range(k))
-    value = float(np.einsum(tensor.values, labels, bracket, labels, []))
-    return ExpansionResult(value=value,
-                           terms_evaluated=int(np.prod(shape)),
+    return ExpansionResult(value=_wick(tensor.values, _pool_rows(tensor, pool), spec.indices),
+                           terms_evaluated=int(tensor.values.size),
                            orders=tensor.orders)
 
 

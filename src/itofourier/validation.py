@@ -5,6 +5,8 @@ that same path, so the difference D isolates truncation error (captured
 exactly by the Parseval residual) plus a grid bias of order 1/N.  The grid
 allowance uses the documented constant c = k**2, i.e.
 allowance = k**2 (T-t)**2 / N; it is reported, never silently absorbed.
+The reports are built from a sample drawn once by sample_differences, so
+the strong-error and the moment report of one run share their paths.
 
 Per-path seeds are counter-derived from the master seed and all aggregates
 use exact summation over an index-addressed sample array, so reports are
@@ -145,18 +147,17 @@ def _moment_stats(diffs: np.ndarray, degree: int) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def strong_error_estimate(spec: IntegralSpec, basis: BasisSystem, orders,
-                          n_paths: int, n_steps: int, seed: int,
-                          tensor: CoefficientTensor | None = None,
-                          threads: int = 1) -> ValidationReport:
-    """Sample E[D^2] and compare with the Parseval residual window."""
-    diffs, tensor = sample_differences(spec, basis, orders, n_paths, n_steps, seed,
-                                       tensor=tensor, threads=threads)
+def strong_error_estimate(diffs: np.ndarray, tensor: CoefficientTensor,
+                          n_steps: int) -> ValidationReport:
+    """Sampled E[D^2] of differences drawn by :func:`sample_differences`
+    for this tensor on n_steps-step paths, against the Parseval residual
+    window."""
+    spec = tensor.spec
     mean_sq, se = _moment_stats(diffs, 2)
     residual = parseval_residual(spec, tensor)
     allowance = grid_allowance(spec.k, spec.iv.length, n_steps)
     return ValidationReport(
-        samples=n_paths,
+        samples=diffs.size,
         mean_sq_diff=mean_sq,
         std_error=se,
         parseval=residual,
@@ -167,25 +168,23 @@ def strong_error_estimate(spec: IntegralSpec, basis: BasisSystem, orders,
     )
 
 
-def moment_check(spec: IntegralSpec, basis: BasisSystem, orders, n: int,
-                 n_paths: int, n_steps: int, seed: int,
-                 tensor: CoefficientTensor | None = None,
-                 threads: int = 1) -> MomentReport:
-    """Sample E[D^{2n}] (n in {1, 2}) against the degree-2n bound.
+def moment_check(diffs: np.ndarray, tensor: CoefficientTensor, n_steps: int,
+                 n: int) -> MomentReport:
+    """Sampled E[D^{2n}] (n in {1, 2}) of the same differences against the
+    degree-2n bound.
 
     The grid bias is folded in by inflating the residual with the grid
     allowance before applying the bound formula.
     """
     if n not in (1, 2):
         raise DomainError(f"moment degree parameter must be 1 or 2, got {n}")
-    diffs, tensor = sample_differences(spec, basis, orders, n_paths, n_steps, seed,
-                                       tensor=tensor, threads=threads)
+    spec = tensor.spec
     sample_moment, se = _moment_stats(diffs, 2 * n)
     residual = parseval_residual(spec, tensor)
     allowance = grid_allowance(spec.k, spec.iv.length, n_steps)
     bound = moment_bound_2n(n, spec.k, residual + allowance)
     return MomentReport(
-        samples=n_paths,
+        samples=diffs.size,
         moment_degree=2 * n,
         sample_moment=sample_moment,
         std_error=se,

@@ -8,17 +8,18 @@ import time
 import numpy as np
 import pytest
 
+import itofourier
 from itofourier.basis import BasisSystem, Interval, gram_matrix
 from itofourier.cli import run_cli
 from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
                                      moment_bound_2n, ms_error_bound, parseval_residual)
-from itofourier.expansion import (explicit_expansion, hermite_reference,
-                                  truncated_expansion)
+from itofourier.expansion import hermite_reference, truncated_expansion
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.partitions import pair_partitions, partition_count
 from itofourier.stochastic import gaussian_pool
 from itofourier.validation import (grid_allowance, moment_check, sample_differences,
                                    strong_error_estimate)
+from oracles import explicit_expansion
 
 UNIT = Interval(0.0, 1.0)
 LEG = BasisSystem.LEGENDRE
@@ -146,12 +147,13 @@ def test_criterion_6_parseval_residuals():
 def criterion7_report():
     spec = constant_spec(UNIT, (1, 2))
     start = time.perf_counter()
-    report = strong_error_estimate(spec, LEG, (0, 0), 10_000, 2**12, seed=20240809)
-    return report, time.perf_counter() - start
+    diffs, tensor = sample_differences(spec, LEG, (0, 0), 10_000, 2**12, seed=20240809)
+    report = strong_error_estimate(diffs, tensor, 2**12)
+    return report, time.perf_counter() - start, diffs, tensor
 
 
 def test_criterion_7_strong_mc_validation(criterion7_report):
-    report, elapsed = criterion7_report
+    report, elapsed, _, _ = criterion7_report
     assert elapsed < 120.0
     window = 3.0 * report.std_error
     assert report.parseval == pytest.approx(0.25, abs=1e-12)
@@ -163,12 +165,12 @@ def test_criterion_7_strong_mc_validation(criterion7_report):
 
 
 def test_criterion_8_moment_bounds(criterion7_report):
-    report, _ = criterion7_report
-    spec = constant_spec(UNIT, (1, 2))
+    report, _, diffs, tensor = criterion7_report
     allowance = grid_allowance(2, 1.0, 2**12)
     assert report.mean_sq_diff <= ms_error_bound(2, report.parseval) \
         + 3.0 * report.std_error + allowance
-    moment = moment_check(spec, LEG, (0, 0), 2, 10_000, 2**12, seed=20240809)
+    # the same 10 000 paths as criterion 7, as in one `validate --n 2` run
+    moment = moment_check(diffs, tensor, 2**12, 2)
     literal_bound = moment_bound_2n(2, 2, moment.parseval) + allowance
     assert moment.sample_moment <= literal_bound
     assert moment.passed
@@ -211,14 +213,19 @@ def test_criterion_9_cli_determinism(tmp_path):
                         str(table), "--seed", "7", "--out", str(out)]) == 0
         vals.append(out.read_bytes())
     assert vals[0] == vals[1]
+    import os
     import subprocess
     import sys
+    # the subprocess imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(itofourier.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for argv in (["partitions", "--k", "6", "--r", "2"], ["bases"]):
         outs = []
         for threads in (1, 8):
             proc = subprocess.run(
                 [sys.executable, "-m", "itofourier", "--threads", str(threads)] + argv,
-                capture_output=True, check=True)
+                capture_output=True, check=True, env=env)
             outs.append(proc.stdout)
         assert outs[0] == outs[1], argv
     _report("criterion 9: all five subcommands byte-identical at --threads 1 and 8")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from itofourier import cli, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
 from itofourier.coefficients import coefficient_tensor, read_coefficient_table
@@ -115,6 +116,22 @@ class TestValidate:
         doc = json.loads(out.read_text())
         assert doc["bound_2n"] is not None
         assert doc["moment"]["moment_degree"] == 4
+
+    def test_one_simulation_feeds_both_reports(self, config_path, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validation.sample_differences(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_differences", counting)
+        out = tmp_path / "report.json"
+        assert run_cli(["validate", "--config", config_path, "--orders", "0,0",
+                        "--paths", "150", "--steps", "128", "--seed", "7",
+                        "--n", "2", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        doc = json.loads(out.read_text())
+        assert doc["moment"]["samples"] == doc["samples"] == 150
 
     def test_threads_do_not_change_bytes(self, config_path, tmp_path):
         outs = []

@@ -1,12 +1,18 @@
 import itertools
+import tempfile
 import warnings
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from itofourier.basis import BasisSystem, Interval, eval_basis
-from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
+from itofourier import coefficients
+from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis
+from itofourier.coefficients import (CoefficientTensor, _cuts, coefficient_tensor,
                                      fourier_coefficient, moment_bound_2n,
                                      ms_error_bound, parseval_residual,
                                      read_coefficient_table, sum_squared,
@@ -108,6 +114,22 @@ class TestCoefficientTensor:
             coefficient_tensor(spec, BasisSystem.LEGENDRE, (1,))
         with pytest.raises(DomainError):
             coefficient_tensor(spec, BasisSystem.LEGENDRE, (1, -1))
+
+
+class TestQuadraturePlan:
+    @pytest.mark.parametrize("iv", [UNIT, Interval(2.5, 7.5)], ids=["unit", "shifted"])
+    def test_walsh_cuts_are_the_union_of_jumps(self, iv):
+        union: set[float] = set()
+        for order in range(600):
+            union.update(breakpoints(BasisSystem.WALSH, order, iv))
+            assert set(_cuts(BasisSystem.WALSH, order, iv)) == union, order
+
+    def test_walsh_plan_asks_for_one_jump_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(coefficients, "breakpoints",
+                            lambda *a: calls.append(a) or breakpoints(*a))
+        coefficient_tensor(constant_spec(UNIT, (1, 2)), BasisSystem.WALSH, (255, 3))
+        assert calls == [(BasisSystem.WALSH, 255, UNIT)]
 
 
 class TestSymmetryRelations:
@@ -253,6 +275,32 @@ class TestTableFormat:
         assert back.basis is t.basis
         assert back.orders == t.orders
         assert np.array_equal(back.values, t.values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        # any finite values (signed zeros and subnormals included) under
+        # random specs, orders and bases come back with the same bytes
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        k = data.draw(st.integers(1, 3), "k")
+        t = data.draw(st.floats(-1e6, 1e6), "t")
+        iv = Interval(t, t + data.draw(st.floats(1e-3, 1e3), "length"))
+        weights = tuple(Weight(tuple(data.draw(st.lists(finite, min_size=1, max_size=3))))
+                        for _ in range(k))
+        indices = tuple(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
+        orders = tuple(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+        basis = data.draw(st.sampled_from(list(BasisSystem)), "basis")
+        values = data.draw(arrays(np.float64, tuple(p + 1 for p in orders), elements=finite))
+        spec = IntegralSpec(iv=iv, k=k, indices=indices, weights=weights)
+        tensor = CoefficientTensor(spec=spec, basis=basis, orders=orders, values=values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_coefficient_table(path, tensor)
+            back = read_coefficient_table(path)
+        assert back.spec == spec
+        assert back.basis is basis
+        assert back.orders == orders
+        assert back.values.tobytes() == values.tobytes()
 
     def test_row_order_j1_fastest(self, tmp_path):
         spec = constant_spec(UNIT, (1, 2))

@@ -1,60 +1,23 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itofourier.basis import BasisSystem, Interval
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor
 from itofourier.errors import (CompatibilityError, DomainError,
                                UnsupportedMultiplicityError)
-from itofourier.expansion import (ExpansionResult, explicit_expansion,
-                                  hermite_reference, truncated_expansion)
+from itofourier.expansion import ExpansionResult, hermite_reference, truncated_expansion
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.stochastic import gaussian_pool
+from oracles import brute_expansion, explicit_expansion
 
 UNIT = Interval(0.0, 1.0)
 HALF_ROOT3 = 1.0 / (2.0 * math.sqrt(3.0))
-
-
-def brute_expansion(tensor, pool):
-    """Self-contained oracle: literal tuple-by-tuple bracket evaluation with
-    partitions enumerated inline via combinations + recursive matching."""
-    spec = tensor.spec
-    k, idx = spec.k, spec.indices
-
-    def matchings(elems):
-        if not elems:
-            yield ()
-            return
-        head, rest = elems[0], elems[1:]
-        for i in range(len(rest)):
-            for tail in matchings(rest[:i] + rest[i + 1:]):
-                yield ((head, rest[i]),) + tail
-
-    corrections = []
-    universe = tuple(range(k))
-    for r in range(1, k // 2 + 1):
-        for paired in itertools.combinations(universe, 2 * r):
-            singles = tuple(x for x in universe if x not in paired)
-            for pairs in matchings(paired):
-                corrections.append((r, pairs, singles))
-
-    total = 0.0
-    for jt in tensor.index_tuples():
-        bracket = 1.0
-        for level in range(k):
-            bracket *= pool.values[idx[level], jt[level]]
-        for r, pairs, singles in corrections:
-            ok = all(idx[a] == idx[b] != 0 and jt[a] == jt[b] for a, b in pairs)
-            if not ok:
-                continue
-            term = (-1.0) ** r
-            for q in singles:
-                term *= pool.values[idx[q], jt[q]]
-            bracket += term
-        total += float(tensor.values[jt]) * bracket
-    return total
 
 
 def random_instance(rng, k, allow_zero=True):
@@ -124,6 +87,22 @@ class TestTruncatedExpansion:
         # both layers deterministic: value = zeta_0^{(0)} ** 2, no -1 correction
         assert truncated_expansion(tensor, pool).value == pytest.approx(UNIT.length)
 
+    @pytest.mark.parametrize("k, p", [(10, 2), (6, 5)])
+    def test_contraction_never_copies_the_tensor(self, k, p):
+        # traces are views and every contraction shrinks the tensor, so the
+        # peak allocation stays below the size of the coefficient tensor
+        values = np.random.default_rng(k).standard_normal((p + 1,) * k)
+        tensor = CoefficientTensor(spec=constant_spec(UNIT, (1,) * k),
+                                   basis=BasisSystem.LEGENDRE, orders=(p,) * k, values=values)
+        pool = gaussian_pool(UNIT, BasisSystem.LEGENDRE, 1, p, seed=k)
+        tracemalloc.start()
+        try:
+            truncated_expansion(tensor, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes
+
     def test_multiplicity_cap(self):
         spec = constant_spec(UNIT, (1,) * 11)
         tensor = CoefficientTensor(spec=spec, basis=BasisSystem.LEGENDRE,
@@ -189,6 +168,26 @@ class TestOracleAgreement:
                 t = truncated_expansion(tensor, pool).value
                 e = explicit_expansion(tensor, pool).value
                 assert abs(t - e) <= 1e-12 * max(abs(t), abs(e), 1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pattern=st.integers(1, 7).flatmap(lambda k: st.tuples(
+               st.lists(st.integers(0, 3), min_size=k, max_size=k),
+               st.lists(st.integers(0, 3), min_size=k, max_size=k))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_route_matches_oracles(self, pattern, seed):
+        # random component patterns (zeros and repeats) and orders 0..3; the
+        # tuple-by-tuple brute oracle is run up to 256 index tuples
+        idx, orders = (tuple(x) for x in pattern)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(tuple(p + 1 for p in orders))
+        tensor = CoefficientTensor(spec=constant_spec(UNIT, idx), basis=BasisSystem.LEGENDRE,
+                                   orders=orders, values=values)
+        pool = gaussian_pool(UNIT, BasisSystem.LEGENDRE, 3, max(orders), seed=seed)
+        t = truncated_expansion(tensor, pool).value
+        e = explicit_expansion(tensor, pool).value
+        assert abs(t - e) <= 1e-12 * max(abs(t), abs(e), 1e-12)
+        if values.size <= 256:
+            assert t == pytest.approx(brute_expansion(tensor, pool), rel=1e-11, abs=1e-11)
 
     def test_linearity(self):
         rng = np.random.default_rng(14)

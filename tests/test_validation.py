@@ -23,7 +23,8 @@ class TestStrongErrorEstimate:
 
     def test_k2_distinct_components_matches_residual(self):
         spec = constant_spec(UNIT, (1, 2))
-        report = strong_error_estimate(spec, LEG, (0, 0), 2000, 1024, seed=42)
+        report = strong_error_estimate(
+            *sample_differences(spec, LEG, (0, 0), 2000, 1024, seed=42), 1024)
         assert report.parseval == pytest.approx(0.25, abs=1e-12)
         assert report.bound_ms == pytest.approx(0.5, abs=1e-12)
         assert report.bound_2n is None
@@ -67,22 +68,24 @@ class TestStrongErrorEstimate:
     def test_pathwise_error_within_residual_window_high_p(self):
         w = Weight((0.0, 1.0))
         spec = IntegralSpec(iv=UNIT, k=2, indices=(1, 1), weights=(w, w))
-        report = strong_error_estimate(spec, LEG, (12, 12), 500, 4096, seed=23)
+        report = strong_error_estimate(
+            *sample_differences(spec, LEG, (12, 12), 500, 4096, seed=23), 4096)
         assert report.passed
         assert report.mean_sq_diff <= 10.0 * (report.parseval + report.grid_allowance)
 
     def test_preconditions(self):
         spec = constant_spec(UNIT, (0, 1))
         with pytest.raises(DomainError):
-            strong_error_estimate(spec, LEG, (0, 0), 200, 64, seed=1)
+            sample_differences(spec, LEG, (0, 0), 200, 64, seed=1)
         with pytest.raises(DomainError):
-            strong_error_estimate(constant_spec(UNIT, (1, 2)), LEG, (0, 0), 99, 64, seed=1)
+            sample_differences(constant_spec(UNIT, (1, 2)), LEG, (0, 0), 99, 64, seed=1)
 
     def test_reproducible_and_thread_invariant(self):
         spec = constant_spec(UNIT, (1, 2))
-        a = strong_error_estimate(spec, LEG, (1, 1), 300, 128, seed=5, threads=1)
-        b = strong_error_estimate(spec, LEG, (1, 1), 300, 128, seed=5, threads=4)
-        assert a == b
+        a, _ = sample_differences(spec, LEG, (1, 1), 300, 128, seed=5, threads=1)
+        b, tensor = sample_differences(spec, LEG, (1, 1), 300, 128, seed=5, threads=4)
+        assert np.array_equal(a, b)
+        assert strong_error_estimate(a, tensor, 128) == strong_error_estimate(b, tensor, 128)
 
     def test_threads_validated_and_capped_at_cpu_count(self, monkeypatch):
         spec = constant_spec(UNIT, (1, 2))
@@ -115,16 +118,19 @@ class TestStrongErrorEstimate:
     def test_accepts_prebuilt_tensor(self):
         spec = constant_spec(UNIT, (1, 2))
         tensor = coefficient_tensor(spec, LEG, (0, 0))
-        a = strong_error_estimate(spec, LEG, (0, 0), 150, 128, seed=2, tensor=tensor)
-        b = strong_error_estimate(spec, LEG, (0, 0), 150, 128, seed=2)
-        assert a == b
+        a, same = sample_differences(spec, LEG, (0, 0), 150, 128, seed=2, tensor=tensor)
+        b, built = sample_differences(spec, LEG, (0, 0), 150, 128, seed=2)
+        assert same is tensor
+        assert np.array_equal(a, b)
+        assert strong_error_estimate(a, same, 128) == strong_error_estimate(b, built, 128)
 
 
 class TestMomentCheck:
     def test_n1_matches_strong_error_statistic(self):
         spec = constant_spec(UNIT, (1, 2))
-        rep = strong_error_estimate(spec, LEG, (0, 0), 400, 256, seed=8)
-        mom = moment_check(spec, LEG, (0, 0), 1, 400, 256, seed=8)
+        diffs, tensor = sample_differences(spec, LEG, (0, 0), 400, 256, seed=8)
+        rep = strong_error_estimate(diffs, tensor, 256)
+        mom = moment_check(diffs, tensor, 256, 1)
         assert mom.sample_moment == rep.mean_sq_diff
         assert mom.std_error == rep.std_error
         assert mom.moment_degree == 2
@@ -132,7 +138,8 @@ class TestMomentCheck:
 
     def test_n2_bound_holds(self):
         spec = constant_spec(UNIT, (1, 2))
-        mom = moment_check(spec, LEG, (0, 0), 2, 1000, 1024, seed=13)
+        mom = moment_check(*sample_differences(spec, LEG, (0, 0), 1000, 1024, seed=13),
+                           1024, 2)
         assert mom.moment_degree == 4
         assert mom.passed
         # Gaussian-product heuristic: the sampled fourth moment sits far
@@ -143,16 +150,18 @@ class TestMomentCheck:
         spec = constant_spec(UNIT, (1,))
         zero = CoefficientTensor(spec=spec, basis=LEG, orders=(0,),
                                  values=np.zeros((1,)))
-        mom = moment_check(spec, LEG, (0,), 1, 2000, 512, seed=21, tensor=zero)
+        mom = moment_check(*sample_differences(spec, LEG, (0,), 2000, 512, seed=21,
+                                               tensor=zero), 512, 1)
         total = kernel_l2_norm_sq(spec)
         assert abs(mom.sample_moment - total) <= 3.0 * mom.std_error
         assert mom.parseval == pytest.approx(total)
         assert mom.passed
 
     def test_rejects_bad_degree(self):
-        spec = constant_spec(UNIT, (1, 2))
+        diffs, tensor = sample_differences(constant_spec(UNIT, (1, 2)), LEG, (0, 0), 200, 64,
+                                           seed=1)
         with pytest.raises(DomainError):
-            moment_check(spec, LEG, (0, 0), 3, 200, 64, seed=1)
+            moment_check(diffs, tensor, 64, 3)
 
 
 def test_grid_allowance_constant():
