@@ -2,14 +2,15 @@
 
 Four interchangeable systems are supported: scaled Legendre polynomials,
 the trigonometric system, Haar wavelets, and Rademacher-Walsh functions.
-One vectorised evaluator serves all of them: :func:`eval_basis` and
-:func:`basis_matrix` return rows of it, so both agree bit for bit.  The
-discontinuous systems (Haar, Walsh) evaluate right-continuously at their
-jump points, and :func:`breakpoints` exposes those jumps so that quadrature
-panels and simulation grids can be aligned with them.  Integrals are closed
-form: every system's phi_0 is constant, so phi_j integrates to sqrt(T-t)
-for j = 0 and to zero otherwise.  Walsh factors are capped at 20, which
-bounds a jump search at 2**20 dyadic points.
+One vectorised evaluator, :func:`basis_rows`, serves all of them:
+:func:`eval_basis` and :func:`basis_matrix` return rows of it, so both agree
+bit for bit.  The discontinuous systems (Haar, Walsh) evaluate
+right-continuously at their jump points; :func:`breakpoints` exposes the
+jumps of one function and :func:`jumps` those of phi_0..phi_jmax, so that
+quadrature panels and simulation grids can be aligned with them.
+Integrals are closed form: every system's phi_0 is constant, so phi_j
+integrates to sqrt(T-t) for j = 0 and to zero otherwise.  Walsh factors are
+capped at 20, which bounds a jump search at 2**20 dyadic points.
 
 Index conventions
 -----------------
@@ -106,32 +107,17 @@ def walsh_subset(j: int) -> tuple[int, ...]:
     """Map flat Walsh index j >= 1 to its Rademacher factor set.
 
     Blocks of fixed ``M = max(subset)`` occupy ``j in [2**(M-1), 2**M - 1]``;
-    within a block subsets are in lexicographic order of ascending tuples.
+    within a block subsets are in lexicographic order of ascending tuples,
+    which counts the other factors m < M down in binary: m is in the subset
+    exactly when bit M - 1 - m of 2**M - 1 - j is set.
     """
     if j < 1:
         raise BasisIndexError("flat Walsh index must be >= 1 for non-constant functions")
     m_max = j.bit_length()
     if m_max > WALSH_MAX_FACTOR:
         raise BasisIndexError(f"Walsh factor {m_max} exceeds cap {WALSH_MAX_FACTOR}")
-    rank = j - (1 << (m_max - 1))
-    subset: list[int] = []
-    lo = 1
-    while True:
-        if lo == m_max:
-            subset.append(m_max)
-            break
-        a = lo
-        while True:
-            block = 1 if a == m_max else (1 << (m_max - 1 - a))
-            if rank < block:
-                break
-            rank -= block
-            a += 1
-        subset.append(a)
-        if a == m_max:
-            break
-        lo = a + 1
-    return tuple(subset)
+    rest = (1 << m_max) - 1 - j
+    return tuple(m for m in range(1, m_max) if rest >> (m_max - 1 - m) & 1) + (m_max,)
 
 
 def _check_index(system: BasisSystem, j: int) -> None:
@@ -152,19 +138,23 @@ def _unit_coord(s: np.ndarray, iv: Interval) -> np.ndarray:
     return np.clip(u, 0.0, 1.0)
 
 
-def _walsh_mask(j: int, depth: int) -> int:
-    """Bit ``depth - m`` set for each Rademacher factor m of Walsh function j."""
-    return sum(1 << (depth - m) for m in walsh_subset(j)) if j else 0
+def _walsh_mask(j, depth: int) -> np.ndarray:
+    """Bit ``depth - m`` set for each Rademacher factor m of the Walsh
+    function j (an index or an index array): the bits of 2**M - 1 - j moved
+    above the bit of M, the bit length of j (see walsh_subset)."""
+    j = np.asarray(j, dtype=np.int64)
+    top = np.frexp(j)[1]
+    return np.where(j > 0, ((2**top - 1 - j) << (depth + 1 - top)) | (1 << (depth - top)), 0)
 
 
-def _rows(system: BasisSystem, j: np.ndarray, s: np.ndarray, iv: Interval) -> np.ndarray:
-    """Values of the basis functions with (checked) indices j at the points s.
-
-    Shape (len(j), len(s)).  This is the one evaluator behind eval_basis and
-    basis_matrix, so a single function and a row of the matrix agree bit for
-    bit.
-    """
-    u = _unit_coord(s, iv)
+def basis_rows(system: BasisSystem, j, s, iv: Interval) -> np.ndarray:
+    """Values of the basis functions with the indices in the vector j at the
+    points s, shape (len(j), len(s)): the one evaluator behind eval_basis and
+    basis_matrix, so a single function and a matrix row agree bit for bit."""
+    j = np.asarray(j, dtype=np.int64)
+    _check_index(system, int(j.min()))
+    _check_index(system, int(j.max()))
+    u = _unit_coord(np.atleast_1d(np.asarray(s, dtype=float)), iv)
     root = math.sqrt(iv.length)
     if system is BasisSystem.LEGENDRE:
         scale = np.sqrt((2.0 * j + 1.0) / iv.length)
@@ -172,10 +162,11 @@ def _rows(system: BasisSystem, j: np.ndarray, s: np.ndarray, iv: Interval) -> np
     if system is BasisSystem.WALSH:
         # bit depth - m of floor(2**depth u) is the parity of floor(2**m u)
         depth = int(j.max()).bit_length()
-        masks = np.array([_walsh_mask(int(i), depth) for i in j])
-        keys = np.floor(2.0**depth * u).astype(np.int64)
-        parity = np.bitwise_count(masks[:, None] & keys) % 2
-        return (1.0 - 2.0 * parity) / root
+        kind = np.int16 if depth < 16 else np.int32
+        masks = _walsh_mask(j, depth).astype(kind)
+        keys = np.floor(2.0**depth * u).astype(kind)
+        odd = np.bitwise_count(masks[:, None] & keys) & 1
+        return np.copysign(1.0 / root, -odd.view(np.int8))
     if system is BasisSystem.TRIGONOMETRIC:
         phase = 2.0 * math.pi * ((j[:, None] + 1) // 2) * u
         odd = j % 2 == 1
@@ -205,14 +196,14 @@ def eval_basis(system: BasisSystem, j: int, s, iv: Interval):
     """
     _check_index(system, j)
     s_arr = np.asarray(s, dtype=float)
-    vals = _rows(system, np.array([j]), s_arr.ravel(), iv)[0].reshape(s_arr.shape)
+    vals = basis_rows(system, [j], s_arr.ravel(), iv)[0].reshape(s_arr.shape)
     return float(vals) if s_arr.ndim == 0 else vals
 
 
 def basis_matrix(system: BasisSystem, jmax: int, s: np.ndarray, iv: Interval) -> np.ndarray:
     """Values of phi_0..phi_jmax over an array of points, shape (jmax+1, len(s))."""
     _check_index(system, jmax)
-    return _rows(system, np.arange(jmax + 1), np.atleast_1d(np.asarray(s, dtype=float)), iv)
+    return basis_rows(system, np.arange(jmax + 1), s, iv)
 
 
 def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
@@ -241,6 +232,19 @@ def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
     return (iv.t + unit * iv.length).tolist()
 
 
+def jumps(system: BasisSystem, jmax: int, iv: Interval) -> list[float]:
+    """Every interior jump point of phi_0..phi_jmax, ascending: the cuts
+    that quadrature panels and simulation grids are aligned with."""
+    _check_index(system, jmax)
+    if system in (BasisSystem.LEGENDRE, BasisSystem.TRIGONOMETRIC) or jmax == 0:
+        return []
+    if system is BasisSystem.HAAR:
+        return sorted({b for i in range(1, jmax + 1) for b in breakpoints(system, i, iv)})
+    # Walsh: the interior multiples of 2**-M, M the bit length of jmax, are
+    # exactly the jumps of the single factor r_M, which is index 2**M - 1
+    return breakpoints(system, (1 << jmax.bit_length()) - 1, iv)
+
+
 def integrate_basis(system: BasisSystem, j: int, iv: Interval) -> float:
     """Integral of the j-th basis function over [t, T].
 
@@ -267,7 +271,7 @@ def _gram_piecewise_constant(system: BasisSystem, p: int, iv: Interval) -> np.nd
         depth = max(factors)
     panels = 1 << depth
     mids = (np.arange(panels) + 0.5) / panels
-    signs = np.sign(_rows(system, np.arange(p + 1), mids, Interval(0.0, 1.0)))
+    signs = np.sign(basis_rows(system, np.arange(p + 1), mids, Interval(0.0, 1.0)))
     counts = signs @ signs.T
     if system is BasisSystem.HAAR:
         half_sum = np.add.outer(levels, levels)

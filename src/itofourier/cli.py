@@ -147,6 +147,8 @@ def _cmd_validate(args) -> int:
     out = _resolve(doc, args, "out", args.out, required=False, convert=str)
     if len(orders) != spec.k:
         raise ConfigError(f"config.orders: need {spec.k} entries, got {len(orders)}")
+    if n not in (None, 1, 2):
+        raise ConfigError(f"config.n: moment degree parameter must be 1 or 2, got {n}")
     echo = {
         "spec": spec.to_json(),
         "basis": basis.value,
@@ -186,8 +188,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="store_true",
                         help="print package and file format versions")
     parser.add_argument("--threads", type=int, default=1,
-                        help="validate worker threads (>= 1, capped at the CPU count); "
-                             "outputs are thread-count invariant")
+                        help="validate workers over chunks of paths (>= 1, capped at the "
+                             "CPU count); outputs are thread-count invariant")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("coeffs", help="tabulate Fourier coefficients to a file")

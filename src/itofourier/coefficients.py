@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, Interval, basis_matrix, breakpoints, eval_basis, parse_basis
+from .basis import BasisSystem, basis_rows, jumps, parse_basis
 from .errors import BasisIndexError, CapacityError, DomainError, NumericError
 from .kernel import IntegralSpec, eval_weight, kernel_l2_norm_sq
 from .quadrature import PanelGrid, gauss_rule, panel_grid
@@ -59,24 +59,16 @@ class CoefficientTensor:
             yield rev[::-1]
 
 
-def _cuts(basis: BasisSystem, jmax: int, iv: Interval) -> list[float]:
-    """Every jump point of phi_0..phi_jmax, ascending."""
-    if basis is BasisSystem.HAAR:
-        return sorted({b for j in range(jmax + 1) for b in breakpoints(basis, j, iv)})
-    if basis is BasisSystem.WALSH:
-        # phi_0..phi_jmax jump at the interior multiples of 2**-M, M the
-        # bit length of jmax: exactly the jumps of the single factor r_M,
-        # which is index 2**M - 1
-        return breakpoints(basis, (1 << jmax.bit_length()) - 1, iv)
-    return []
-
-
-def _quad_plan(spec: IntegralSpec, basis: BasisSystem, level_max_j) -> PanelGrid:
-    """Panel grid + node count for iterated integrals with basis indices up
-    to level_max_j[l] at level l."""
+def _quad_plan(spec: IntegralSpec, basis: BasisSystem, indices,
+               max_entries: int) -> PanelGrid:
+    """Panel grid + node count for iterated integrals with the basis index
+    vector indices[l] at level l.  For Haar/Walsh the largest sweep array
+    (earlier levels' index counts, or the largest level, times panels, at
+    most 2 (jmax + 1), times nodes) is capped before any jump is placed."""
     iv = spec.iv
     deg_weights = sum(w.degree for w in spec.weights)
     k = spec.k
+    level_max_j = [int(j.max()) for j in indices]
     if basis is BasisSystem.LEGENDRE:
         nodes = max(16, sum(level_max_j) + deg_weights + k + 1)
         return panel_grid(iv.t, iv.T, [], nodes=nodes)
@@ -85,7 +77,13 @@ def _quad_plan(spec: IntegralSpec, basis: BasisSystem, level_max_j) -> PanelGrid
         return panel_grid(iv.t, iv.T, [], nodes=max(24, deg_weights + k + 8),
                           min_panels=max(2, 2 * periods + 2))
     nodes = max(16, deg_weights + k + 1)
-    return panel_grid(iv.t, iv.T, _cuts(basis, max(level_max_j), iv), nodes=nodes)
+    sizes = [j.size for j in indices]
+    panels = 2 * (max(level_max_j) + 1)
+    largest = max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes
+    if largest > max_entries:
+        raise CapacityError(f"{basis.value} quadrature would hold up to {largest} "
+                            f"entries in one array > cap {max_entries}")
+    return panel_grid(iv.t, iv.T, jumps(basis, max(level_max_j), iv), nodes=nodes)
 
 
 def _refine(spec: IntegralSpec, basis: BasisSystem, grid: PanelGrid) -> PanelGrid:
@@ -94,9 +92,9 @@ def _refine(spec: IntegralSpec, basis: BasisSystem, grid: PanelGrid) -> PanelGri
     return panel_grid(iv.t, iv.T, cuts, nodes=grid.nodes, min_panels=2 * grid.n_panels)
 
 
-def _sweep(spec: IntegralSpec, basis: BasisSystem, orders: tuple[int, ...],
-           grid: PanelGrid) -> np.ndarray:
-    """All coefficients for the given truncation orders in one pass."""
+def _sweep(spec: IntegralSpec, basis: BasisSystem, indices, grid: PanelGrid) -> np.ndarray:
+    """The coefficients of every index tuple with j_l in indices[l], in one
+    pass over the grid; shape (len(indices[0]), ..., len(indices[k-1]))."""
     iv = spec.iv
     flat = grid.nodes_x.ravel()
     shape2 = grid.nodes_x.shape
@@ -105,28 +103,28 @@ def _sweep(spec: IntegralSpec, basis: BasisSystem, orders: tuple[int, ...],
     state = np.ones((1,) + shape2)
     k = spec.k
     for level in range(k):
-        p = orders[level]
-        factor = basis_matrix(basis, p, flat, iv).reshape((p + 1,) + shape2)
+        factor = basis_rows(basis, indices[level], flat, iv).reshape((-1,) + shape2)
         factor = factor * np.asarray(eval_weight(spec.weights[level], flat, iv)).reshape(shape2)
         if level == k - 1:
             totals = np.tensordot(state, factor * node_w, axes=([1, 2], [1, 2]))
-            return totals.reshape(tuple(q + 1 for q in orders))
+            return totals.reshape(tuple(j.size for j in indices))
         prod = state[:, None, :, :] * factor[None, :, :, :]
         cum, _ = grid.cumulative(prod)
         state = cum.reshape((-1,) + shape2)
     raise AssertionError("unreachable")
 
 
-def _with_refinement(spec: IntegralSpec, basis: BasisSystem, orders, compute):
-    """Run `compute(grid)`; for the trigonometric system confirm against a
-    panel-doubled grid, refining until agreement or the cap."""
-    grid = _quad_plan(spec, basis, orders)
-    result = compute(grid)
+def _coefficients(spec: IntegralSpec, basis: BasisSystem, indices,
+                  max_entries: int = DEFAULT_MAX_ENTRIES) -> np.ndarray:
+    """:func:`_sweep` on the planned grid; the trigonometric system is
+    confirmed on panel-doubled grids until they agree or the cap is hit."""
+    grid = _quad_plan(spec, basis, indices, max_entries)
+    result = _sweep(spec, basis, indices, grid)
     if basis is not BasisSystem.TRIGONOMETRIC:
         return result
     for _ in range(5):
         finer_grid = _refine(spec, basis, grid)
-        finer = compute(finer_grid)
+        finer = _sweep(spec, basis, indices, finer_grid)
         scale = max(1.0, float(np.max(np.abs(finer))))
         if float(np.max(np.abs(result - finer))) <= 1e-12 * scale:
             return finer
@@ -142,24 +140,7 @@ def fourier_coefficient(spec: IntegralSpec, basis: BasisSystem, jtuple) -> float
         raise DomainError(f"need {spec.k} basis indices, got {len(jt)}")
     if any(j < 0 for j in jt):
         raise BasisIndexError("basis indices must be >= 0")
-
-    def compute(grid: PanelGrid) -> np.ndarray:
-        flat = grid.nodes_x.ravel()
-        shape2 = grid.nodes_x.shape
-        _, w = gauss_rule(grid.nodes)
-        node_w = grid.half[:, None] * w[None, :]
-        state = np.ones(shape2)
-        for level, j in enumerate(jt):
-            psi = np.asarray(eval_weight(spec.weights[level], flat, spec.iv)).reshape(shape2)
-            phi = np.asarray(eval_basis(basis, j, flat, spec.iv)).reshape(shape2)
-            integrand = state * psi * phi
-            if level == spec.k - 1:
-                return np.asarray(float(np.sum(integrand * node_w)))
-            cum, _ = grid.cumulative(integrand)
-            state = cum
-        raise AssertionError("unreachable")
-
-    return float(_with_refinement(spec, basis, jt, compute))
+    return _coefficients(spec, basis, [np.array([j]) for j in jt]).item()
 
 
 def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders,
@@ -178,8 +159,7 @@ def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders,
     entries = math.prod(p + 1 for p in orders_t)
     if entries > max_entries:
         raise CapacityError(f"tensor would hold {entries} entries > cap {max_entries}")
-    values = _with_refinement(spec, basis, orders_t,
-                              lambda grid: _sweep(spec, basis, orders_t, grid))
+    values = _coefficients(spec, basis, [np.arange(p + 1) for p in orders_t], max_entries)
     values = np.ascontiguousarray(values)
     values.setflags(write=False)
     return CoefficientTensor(spec=spec, basis=basis, orders=orders_t, values=values)

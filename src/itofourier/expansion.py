@@ -30,9 +30,10 @@ MAX_MULTIPLICITY = 10
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """Value of one truncated expansion plus bookkeeping."""
+    """Value of one truncated expansion (a float, or a (B,) array for a
+    batch of pools) plus bookkeeping."""
 
-    value: float
+    value: float | np.ndarray
     terms_evaluated: int
     orders: tuple[int, ...]
 
@@ -52,23 +53,25 @@ def _check_compatible(tensor: CoefficientTensor, pool: GaussianPool) -> None:
             f"tensor order {max(tensor.orders)} exceeds pool jmax = {pool.jmax}")
 
 
-def _pool_rows(tensor: CoefficientTensor, pool: GaussianPool) -> list[np.ndarray]:
-    shape = tensor.values.shape
-    return [pool.values[tensor.spec.indices[level], :shape[level]]
-            for level in range(tensor.spec.k)]
-
-
-def _wick(values: np.ndarray, rows: list[np.ndarray], idx: tuple[int, ...]) -> float:
-    """Contraction of values with the Wick product of the pooled rows."""
+def _wick(values: np.ndarray, rows: list[np.ndarray], idx: tuple[int, ...]) -> np.ndarray:
+    """Contraction of values with the Wick product of the pooled rows, one
+    entry per pool.  rows[l] has shape (B, n_l); values gains the batch axis
+    in front when its first axis is contracted."""
     if not rows:
-        return float(values)
+        return values
+    batched = values.ndim - len(rows)
     last = len(rows) - 1
-    total = _wick(values @ rows[last], rows[:last], idx[:last])
+    b, n = rows[last].shape
+    if batched:
+        head = np.matmul(values.reshape(b, -1, n), rows[last][:, :, None])
+    else:
+        head = rows[last] @ values.reshape(-1, n).T
+    total = _wick(head.reshape((b,) + values.shape[batched:-1]), rows[:last], idx[:last])
     if idx[last] != 0:
         for a in range(last):
             if idx[a] == idx[last]:
                 # E[x_a x_last] joins the axes on their common index range
-                traced = np.trace(values, axis1=a, axis2=last)
+                traced = values.trace(axis1=a + batched, axis2=last + batched)
                 total -= _wick(traced, rows[:a] + rows[a + 1:last],
                                idx[:a] + idx[a + 1:last])
     return total
@@ -76,15 +79,19 @@ def _wick(values: np.ndarray, rows: list[np.ndarray], idx: tuple[int, ...]) -> f
 
 def truncated_expansion(tensor: CoefficientTensor, pool: GaussianPool) -> ExpansionResult:
     """The truncated expansion: the full contraction of the coefficient
-    tensor with the bracket, by the Wick recursion over its axes.  The
-    evaluation order is fixed, so the result is reproducible bit for bit."""
+    tensor with the bracket, by the Wick recursion over its axes, for one
+    pool or for each pool of a batch.  The evaluation order is fixed, so the
+    result is reproducible bit for bit."""
     spec = tensor.spec
     k = spec.k
     if k > MAX_MULTIPLICITY:
         raise UnsupportedMultiplicityError(
             f"multiplicity {k} exceeds supported cap {MAX_MULTIPLICITY}")
     _check_compatible(tensor, pool)
-    return ExpansionResult(value=_wick(tensor.values, _pool_rows(tensor, pool), spec.indices),
+    pools = pool.values if pool.values.ndim == 3 else pool.values[None]
+    rows = [pools[:, spec.indices[level], :n] for level, n in enumerate(tensor.values.shape)]
+    value = _wick(tensor.values, rows, spec.indices)
+    return ExpansionResult(value=value if pool.values.ndim == 3 else float(value[0]),
                            terms_evaluated=int(tensor.values.size),
                            orders=tensor.orders)
 

@@ -9,7 +9,6 @@ coefficients.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +99,6 @@ class IntegralSpec:
             indices=tuple(int(i) for i in obj["indices"]),
             weights=tuple(Weight.from_json(w) for w in obj["weights"]),
         )
-
-
-def spec_from_json_text(text: str) -> IntegralSpec:
-    return IntegralSpec.from_json(json.loads(text))
 
 
 def eval_weight(w: Weight, s, iv: Interval):

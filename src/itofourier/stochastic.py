@@ -4,7 +4,9 @@ All randomness is counter-derived: every stream is keyed by the user seed
 plus a (domain, index) spawn key, so any entry depends only on the seed and
 its own coordinates.  Pools can be enlarged and paths generated in parallel
 without perturbing existing values, and identical seeds give bit-identical
-results regardless of thread count.
+results regardless of thread count.  Paths, pools and the oracle take an
+optional leading batch axis, so one call handles a chunk of paths through
+the same code as one path.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .basis import BasisSystem, Interval, basis_matrix, breakpoints, integrate_basis
+from .basis import BasisSystem, Interval, basis_matrix, integrate_basis, jumps
 from .errors import CompatibilityError, DomainError, GridCompatibilityError
 from .kernel import IntegralSpec, eval_weight
 
@@ -41,7 +43,8 @@ class GaussianPool:
 
     Row 0 holds the deterministic time-component values (plain integrals of
     the basis functions); rows 1..m hold the Gaussian coefficients of the
-    Wiener components.
+    Wiener components.  values has shape (m + 1, jmax + 1) for one pool and
+    (B, m + 1, jmax + 1) for a batch of B pools.
     """
 
     iv: Interval
@@ -51,15 +54,17 @@ class GaussianPool:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.m + 1, self.jmax + 1):
-            raise DomainError(f"pool values must have shape {(self.m + 1, self.jmax + 1)}")
+        shape = (self.m + 1, self.jmax + 1)
+        if self.values.ndim not in (2, 3) or self.values.shape[-2:] != shape:
+            raise DomainError(f"pool values must have shape {shape} after an optional batch axis")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("pool contains non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
 class WienerPath:
-    """Increments of an m-dimensional Wiener process on a uniform grid."""
+    """Increments of an m-dimensional Wiener process on a uniform grid,
+    shape (m, N) for one path and (B, m, N) for a batch of B paths."""
 
     iv: Interval
     m: int
@@ -69,8 +74,9 @@ class WienerPath:
     def __post_init__(self):
         if self.m < 1 or self.N < 1:
             raise DomainError("path needs m >= 1 and N >= 1")
-        if self.increments.shape != (self.m, self.N):
-            raise DomainError(f"increments must have shape {(self.m, self.N)}")
+        shape = (self.m, self.N)
+        if self.increments.ndim not in (2, 3) or self.increments.shape[-2:] != shape:
+            raise DomainError(f"increments must have shape {shape} after an optional batch axis")
 
     @property
     def dt(self) -> float:
@@ -95,21 +101,23 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     return GaussianPool(iv=iv, basis=basis, m=m, jmax=jmax, values=values)
 
 
-def brownian_path(iv: Interval, m: int, N: int, seed: int) -> WienerPath:
+def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
     """Uniform-grid Wiener increments, Normal(0, (T-t)/N) i.i.d. per entry.
 
     Component rows come from per-component streams, so entry (i, l) depends
-    only on (seed, i, l).
+    only on (seed, i, l).  A sequence of seeds gives a batch whose row b is
+    bit-identical to the path of seeds[b].
     """
     if m < 1 or N < 1:
         raise DomainError("need m >= 1 and N >= 1")
-    dt = iv.length / N
-    root = math.sqrt(dt)
-    increments = np.empty((m, N))
-    for i in range(1, m + 1):
-        increments[i - 1] = root * _stream(seed, _PATH_DOMAIN, i).standard_normal(N)
+    single = np.ndim(seed) == 0
+    increments = np.empty((1 if single else len(seed), m, N))
+    for b, path_key in enumerate([seed] if single else seed):
+        for i in range(1, m + 1):
+            _stream(path_key, _PATH_DOMAIN, i).standard_normal(out=increments[b, i - 1])
+    increments *= math.sqrt(iv.length / N)
     increments.setflags(write=False)
-    return WienerPath(iv=iv, m=m, N=N, increments=increments)
+    return WienerPath(iv=iv, m=m, N=N, increments=increments[0] if single else increments)
 
 
 @lru_cache(maxsize=16)
@@ -119,23 +127,25 @@ def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
     a whole run.  Raises (and so caches nothing) if a basis jump is off the
     grid."""
     dt = iv.length / n_steps
-    for j in range(jmax + 1):
-        for b in breakpoints(basis, j, iv):
-            steps = (b - iv.t) / dt
-            if abs(steps - round(steps)) * dt > 1e-9 * iv.length:
-                raise GridCompatibilityError(
-                    f"basis jump at {b} not on the N={n_steps} grid "
-                    f"(use a power-of-two N for Haar/Walsh)")
+    cuts = np.array(jumps(basis, jmax, iv))
+    steps = (cuts - iv.t) / dt
+    off = np.abs(steps - np.round(steps)) * dt > 1e-9 * iv.length
+    if np.any(off):
+        raise GridCompatibilityError(
+            f"basis jump at {cuts[off][0]} not on the N={n_steps} grid "
+            f"(use a power-of-two N for Haar/Walsh)")
     left = iv.t + np.arange(n_steps) * dt
     phi = basis_matrix(basis, jmax, left, iv)
-    row0 = np.array([integrate_basis(basis, j, iv) for j in range(jmax + 1)])
+    row0 = np.zeros(jmax + 1)  # phi_j integrates to zero for every j >= 1
+    row0[0] = integrate_basis(basis, 0, iv)
     phi.setflags(write=False)
     row0.setflags(write=False)
     return phi, row0
 
 
 def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianPool:
-    """Left-point discretization of the basis-integral variables along a path.
+    """Left-point discretization of the basis-integral variables along a path,
+    or one pool per path of a batch.
 
     Row 0 is exact (plain basis integrals); rows i >= 1 are the Ito sums
     sum_l phi_j(tau_l) dW_l.  The grid must contain all basis jump points.
@@ -143,15 +153,16 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     if jmax < 0:
         raise DomainError("jmax must be >= 0")
     phi, row0 = _grid_plan(basis, path.iv, path.N, jmax)
-    values = np.empty((path.m + 1, jmax + 1))
-    values[0] = row0
-    values[1:] = path.increments @ phi.T
+    values = np.empty(path.increments.shape[:-2] + (path.m + 1, jmax + 1))
+    values[..., 0, :] = row0
+    values[..., 1:, :] = path.increments @ phi.T
     values.setflags(write=False)
     return GaussianPool(iv=path.iv, basis=basis, m=path.m, jmax=jmax, values=values)
 
 
-def path_iterated_integral(spec: IntegralSpec, path: WienerPath) -> float:
-    """Ordered grid sum approximating the iterated integral along the path.
+def path_iterated_integral(spec: IntegralSpec, path: WienerPath):
+    """Ordered grid sum approximating the iterated integral along the path:
+    a float, or a (B,) array for a batch of paths.
 
     Computes sum over l_k > ... > l_1 of prod psi_l(tau_{l_l}) dW^{(i_l)}
     by cumulative prefix recursion in O(k N); time components use dt in
@@ -164,16 +175,18 @@ def path_iterated_integral(spec: IntegralSpec, path: WienerPath) -> float:
             f"spec uses component {spec.max_index} but path has m = {path.m}")
     iv = spec.iv
     left = iv.t + np.arange(path.N) * path.dt
+    batch = path.increments.shape[:-2]
     running = None
     for level in range(spec.k):
         i_l = spec.indices[level]
-        dw = np.full(path.N, path.dt) if i_l == 0 else path.increments[i_l - 1]
+        dw = (np.full(batch + (path.N,), path.dt) if i_l == 0
+              else path.increments[..., i_l - 1, :])
         factor = np.asarray(eval_weight(spec.weights[level], left, iv)) * dw
         if running is None:
             running = factor
         else:
-            prefix = np.empty(path.N)
-            prefix[0] = 0.0
-            np.cumsum(running[:-1], out=prefix[1:])
+            prefix = np.empty(running.shape)
+            prefix[..., 0] = 0.0
+            np.cumsum(running[..., :-1], axis=-1, out=prefix[..., 1:])
             running = factor * prefix
-    return float(np.sum(running))
+    return np.sum(running, axis=-1) if batch else float(np.sum(running))

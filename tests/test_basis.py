@@ -16,6 +16,31 @@ SHIFTED = Interval(2.5, 7.5)
 PIECEWISE = (BasisSystem.HAAR, BasisSystem.WALSH)
 
 
+def lex_walsh_subset(j):
+    """Reference enumeration: the rank-th subset with maximum M = bit length
+    of j, walking the lexicographic order of ascending tuples block by block."""
+    m_max = j.bit_length()
+    rank = j - (1 << (m_max - 1))
+    subset = []
+    lo = 1
+    while True:
+        if lo == m_max:
+            subset.append(m_max)
+            break
+        a = lo
+        while True:
+            block = 1 if a == m_max else (1 << (m_max - 1 - a))
+            if rank < block:
+                break
+            rank -= block
+            a += 1
+        subset.append(a)
+        if a == m_max:
+            break
+        lo = a + 1
+    return tuple(subset)
+
+
 def oracle_unit(system: BasisSystem, j: int, u: np.ndarray) -> np.ndarray:
     """Haar by its support intervals and Walsh as a product of Rademacher
     factors r_m(u) = (-1)**floor(2**m u), on [0, 1]."""
@@ -29,7 +54,7 @@ def oracle_unit(system: BasisSystem, j: int, u: np.ndarray) -> np.ndarray:
         amp = 2.0 ** (n / 2.0)
         return np.where((u >= left) & (u < mid), amp,
                         np.where((u >= mid) & (u < right), -amp, 0.0))
-    for m in walsh_subset(j):
+    for m in lex_walsh_subset(j):
         out = out * np.where(np.floor(2.0**m * u).astype(np.int64) % 2 == 0, 1.0, -1.0)
     return out
 
@@ -61,6 +86,12 @@ class TestIndexMaps:
         # block of max m occupies indices [2**(m-1), 2**m - 1]
         for j in range(1, 64):
             assert walsh_subset(j)[-1] == j.bit_length()
+
+    def test_walsh_subset_matches_the_lexicographic_walk(self):
+        rng = np.random.default_rng(5)
+        high = [int(j) for j in rng.integers(1 << 12, 1 << 20, size=200)]
+        for j in list(range(1, 1 << 12)) + high + [2**19, 2**20 - 1]:
+            assert walsh_subset(j) == lex_walsh_subset(j), j
 
     def test_walsh_enumeration_is_a_bijection(self):
         seen = {walsh_subset(j) for j in range(1, 256)}

@@ -133,6 +133,19 @@ class TestValidate:
         doc = json.loads(out.read_text())
         assert doc["moment"]["samples"] == doc["samples"] == 150
 
+    def test_bad_moment_degree_fails_before_simulating(self, config_path, tmp_path,
+                                                       capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "sample_differences", lambda *a, **k: calls.append(a))
+        out = tmp_path / "report.json"
+        for value in ("3", "0"):
+            assert run_cli(["validate", "--config", config_path, "--orders", "0,0",
+                            "--paths", "2000", "--steps", "4096", "--seed", "7",
+                            "--n", value, "--out", str(out)]) == 1
+            assert "config.n" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_threads_do_not_change_bytes(self, config_path, tmp_path):
         outs = []
         for threads, name in ((1, "a.json"), (8, "b.json")):

@@ -2,6 +2,7 @@ import itertools
 import tempfile
 import warnings
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from itofourier import coefficients
-from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis
-from itofourier.coefficients import (CoefficientTensor, _cuts, coefficient_tensor,
+import itofourier.basis
+from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis, jumps
+from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
                                      fourier_coefficient, moment_bound_2n,
                                      ms_error_bound, parseval_residual,
                                      read_coefficient_table, sum_squared,
@@ -122,14 +123,28 @@ class TestQuadraturePlan:
         union: set[float] = set()
         for order in range(600):
             union.update(breakpoints(BasisSystem.WALSH, order, iv))
-            assert set(_cuts(BasisSystem.WALSH, order, iv)) == union, order
+            assert jumps(BasisSystem.WALSH, order, iv) == sorted(union), order
 
     def test_walsh_plan_asks_for_one_jump_set(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(coefficients, "breakpoints",
+        monkeypatch.setattr(itofourier.basis, "breakpoints",
                             lambda *a: calls.append(a) or breakpoints(*a))
         coefficient_tensor(constant_spec(UNIT, (1, 2)), BasisSystem.WALSH, (255, 3))
         assert calls == [(BasisSystem.WALSH, 255, UNIT)]
+
+    @pytest.mark.parametrize("basis, order", [(BasisSystem.WALSH, 2**20 - 1),
+                                              (BasisSystem.HAAR, 2**20)],
+                             ids=["walsh", "haar"])
+    def test_piecewise_constant_sweep_is_capped_before_it_allocates(self, basis, order):
+        spec = constant_spec(UNIT, (1,))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            coefficient_tensor(spec, basis, (order,))
+        assert time.perf_counter() - start < 1.0
+        # the sweep of the tabulated orders stays far below the cap
+        spec3 = IntegralSpec(iv=UNIT, k=3, indices=(1, 2, 1),
+                             weights=(Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))
+        assert coefficient_tensor(spec3, basis, (31, 31, 31)).values.shape == (32, 32, 32)
 
 
 class TestSymmetryRelations:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from itofourier.errors import (CompatibilityError, DomainError,
                                UnsupportedMultiplicityError)
 from itofourier.expansion import ExpansionResult, hermite_reference, truncated_expansion
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
-from itofourier.stochastic import gaussian_pool
+from itofourier.stochastic import GaussianPool, gaussian_pool
 from oracles import brute_expansion, explicit_expansion
 
 UNIT = Interval(0.0, 1.0)
@@ -31,6 +32,14 @@ def random_instance(rng, k, allow_zero=True):
     pool = gaussian_pool(UNIT, BasisSystem.LEGENDRE, 3, max(orders),
                          seed=int(rng.integers(1 << 30)))
     return tensor, pool
+
+
+def pool_batch(m, jmax, seeds):
+    """One GaussianPool holding the pools of the given seeds along a batch axis."""
+    pools = [gaussian_pool(UNIT, BasisSystem.LEGENDRE, m, jmax, seed=s) for s in seeds]
+    values = np.stack([p.values for p in pools])
+    return pools, GaussianPool(iv=UNIT, basis=BasisSystem.LEGENDRE, m=m, jmax=jmax,
+                               values=values)
 
 
 class TestTruncatedExpansion:
@@ -188,6 +197,49 @@ class TestOracleAgreement:
         assert abs(t - e) <= 1e-12 * max(abs(t), abs(e), 1e-12)
         if values.size <= 256:
             assert t == pytest.approx(brute_expansion(tensor, pool), rel=1e-11, abs=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pattern=st.integers(1, 7).flatmap(lambda k: st.tuples(
+               st.lists(st.integers(0, 3), min_size=k, max_size=k),
+               st.lists(st.integers(0, 3), min_size=k, max_size=k))),
+           seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9))
+    def test_batched_route_matches_oracle_per_pool(self, pattern, seed, batch):
+        # every entry of a batched contraction against the explicit oracle on
+        # its own pool, and against the one-pool route.  Values that cancel
+        # far below their terms are compared on the scale of the terms: the
+        # tensor contracted with prod max(1, |zeta|) bounds every Wick term.
+        idx, orders = (tuple(x) for x in pattern)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(tuple(p + 1 for p in orders))
+        tensor = CoefficientTensor(spec=constant_spec(UNIT, idx), basis=BasisSystem.LEGENDRE,
+                                   orders=orders, values=values)
+        pools, stacked = pool_batch(3, max(orders), [seed + b for b in range(batch)])
+        result = truncated_expansion(tensor, stacked)
+        assert result.value.shape == (batch,)
+        assert result.terms_evaluated == values.size
+        for got, pool in zip(result.value, pools):
+            factors = [np.maximum(1.0, np.abs(pool.values[i, :n]))
+                       for i, n in zip(idx, values.shape)]
+            terms = float(np.sum(np.abs(values) * functools.reduce(np.multiply.outer, factors)))
+            e = explicit_expansion(tensor, pool).value
+            assert abs(got - e) <= 1e-12 * max(abs(e), terms)
+            one = truncated_expansion(tensor, pool).value
+            assert abs(got - one) <= 1e-13 * max(abs(one), terms)
+
+    def test_batched_values_at_larger_orders(self):
+        # k = 7 and k = 3 at orders a Monte-Carlo chunk meets: within 1e-13 of
+        # one call per pool
+        rng = np.random.default_rng(21)
+        for idx, p in (((1, 2, 1), 31), ((1, 1, 2, 1, 1, 2, 1), 4)):
+            values = rng.standard_normal((p + 1,) * len(idx))
+            tensor = CoefficientTensor(spec=constant_spec(UNIT, idx),
+                                       basis=BasisSystem.LEGENDRE, orders=(p,) * len(idx),
+                                       values=values)
+            pools, stacked = pool_batch(2, p, range(8))
+            batched = truncated_expansion(tensor, stacked).value
+            single = np.array([truncated_expansion(tensor, pool).value for pool in pools])
+            scale = np.max(np.abs(single))
+            assert np.max(np.abs(batched - single)) <= 1e-13 * scale
 
     def test_linearity(self):
         rng = np.random.default_rng(14)

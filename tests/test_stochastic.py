@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import itofourier.basis
+
 from itofourier import stochastic
-from itofourier.basis import BasisSystem, Interval, eval_basis, integrate_basis
+from itofourier.basis import (BasisSystem, Interval, breakpoints, eval_basis,
+                              integrate_basis)
 from itofourier.errors import CompatibilityError, DomainError, GridCompatibilityError
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool,
@@ -113,16 +116,24 @@ class TestZetaFromPath:
 
     def test_run_constant_basis_work_done_once(self, monkeypatch):
         calls = []
-        for name in ("breakpoints", "integrate_basis"):
+        for name in ("jumps", "integrate_basis"):
             original = getattr(stochastic, name)
             monkeypatch.setattr(stochastic, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
         stochastic._grid_plan.cache_clear()
         zeta_from_path(brownian_path(UNIT, 2, 64, seed=8), BasisSystem.WALSH, 7)
-        assert set(calls) == {"breakpoints", "integrate_basis"}
+        assert set(calls) == {"jumps", "integrate_basis"}
         calls.clear()
         zeta_from_path(brownian_path(UNIT, 2, 64, seed=9), BasisSystem.WALSH, 7)
         assert calls == []
+
+    def test_walsh_grid_plan_asks_for_one_jump_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(itofourier.basis, "breakpoints",
+                            lambda *a: calls.append(a) or breakpoints(*a))
+        stochastic._grid_plan.cache_clear()
+        zeta_from_path(brownian_path(UNIT, 1, 1024, seed=2), BasisSystem.WALSH, 300)
+        assert calls == [(BasisSystem.WALSH, 511, UNIT)]
 
     def test_refinement_consistency_slope(self):
         # coarse pools are derived from one fine path by block-summing
@@ -200,3 +211,49 @@ class TestPathIteratedIntegral:
             path_iterated_integral(constant_spec(Interval(0, 2), (1,)), path)
         with pytest.raises(CompatibilityError):
             path_iterated_integral(constant_spec(UNIT, (1, 2)), path)
+
+
+class TestBatchAxis:
+    """A batch of paths or pools runs through the same code as one of them."""
+
+    SEEDS = (3, 2**64 - 5, 17, 3)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_path_rows_are_the_single_paths(self, m):
+        batch = brownian_path(UNIT, m, 256, self.SEEDS)
+        assert batch.increments.shape == (len(self.SEEDS), m, 256)
+        for row, seed in zip(batch.increments, self.SEEDS):
+            assert np.array_equal(row, brownian_path(UNIT, m, 256, seed).increments)
+        assert not batch.increments.flags.writeable
+
+    @pytest.mark.parametrize("basis, jmax", [(BasisSystem.LEGENDRE, 6), (BasisSystem.WALSH, 31),
+                                             (BasisSystem.HAAR, 17)], ids=lambda v: str(v))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_pool_rows_are_the_single_pools(self, basis, jmax, m):
+        batch = zeta_from_path(brownian_path(UNIT, m, 512, self.SEEDS), basis, jmax)
+        assert batch.values.shape == (len(self.SEEDS), m + 1, jmax + 1)
+        for row, seed in zip(batch.values, self.SEEDS):
+            single = zeta_from_path(brownian_path(UNIT, m, 512, seed), basis, jmax)
+            assert np.array_equal(row, single.values)
+
+    @pytest.mark.parametrize("indices", [(1,), (2, 1), (1, 0, 2), (0, 1), (0, 0), (2, 2, 1, 2)],
+                             ids=str)
+    def test_oracle_entries_are_the_single_sums(self, indices):
+        weights = tuple(Weight((1.0, 0.5 * level, -0.25)) for level in range(len(indices)))
+        spec = IntegralSpec(iv=Interval(0.5, 2.0), k=len(indices), indices=indices,
+                            weights=weights)
+        batch = path_iterated_integral(spec, brownian_path(spec.iv, 2, 300, self.SEEDS))
+        assert batch.shape == (len(self.SEEDS),)
+        for value, seed in zip(batch, self.SEEDS):
+            single = path_iterated_integral(spec, brownian_path(spec.iv, 2, 300, seed))
+            assert isinstance(single, float)
+            assert value == single
+
+    def test_shapes_checked(self):
+        with pytest.raises(DomainError):
+            WienerPath(iv=UNIT, m=1, N=4, increments=np.zeros((2, 1, 1, 4)))
+        with pytest.raises(DomainError):
+            WienerPath(iv=UNIT, m=1, N=4, increments=np.zeros((2, 2, 4)))
+        with pytest.raises(DomainError):
+            stochastic.GaussianPool(iv=UNIT, basis=BasisSystem.LEGENDRE, m=1, jmax=2,
+                                    values=np.zeros((3, 2, 2)))

@@ -1,11 +1,18 @@
+import sys
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itofourier import validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor
 from itofourier.errors import DomainError
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, kernel_l2_norm_sq
+from itofourier.stochastic import brownian_path, path_iterated_integral, path_seed
 from itofourier.validation import (grid_allowance, moment_check, sample_differences,
                                    strong_error_estimate)
 
@@ -167,3 +174,100 @@ class TestMomentCheck:
 def test_grid_allowance_constant():
     assert grid_allowance(2, 1.0, 4096) == pytest.approx(4.0 / 4096.0)
     assert grid_allowance(3, 2.0, 64) == pytest.approx(9.0 * 4.0 / 64.0)
+
+
+class TestChunkedEngine:
+    def test_one_call_per_chunk(self, monkeypatch):
+        # 100 paths at m = 2, N = 4096 are 13 chunks: 12 of 8 paths and one of 4
+        calls = {}
+        for name in ("brownian_path", "zeta_from_path", "path_iterated_integral",
+                     "truncated_expansion", "path_seed"):
+            original = getattr(validation, name)
+            calls[name] = []
+            monkeypatch.setattr(validation, name, lambda *a, _f=original, _n=name:
+                                calls[_n].append(a) or _f(*a))
+        spec = constant_spec(UNIT, (1, 2))
+        diffs, _ = sample_differences(spec, LEG, (0, 0), 100, 4096, seed=4)
+        assert [len(a[3]) for a in calls["brownian_path"]] == [8] * 12 + [4]
+        for name in ("zeta_from_path", "path_iterated_integral", "truncated_expansion"):
+            assert len(calls[name]) == 13, name
+        assert len(calls["path_seed"]) == 100
+        assert diffs.shape == (100,)
+
+
+def _spec_strategy():
+    weight = st.lists(st.sampled_from([-1.0, 0.5, 1.0, 2.0]), min_size=1, max_size=2)
+    return st.integers(1, 3).flatmap(lambda k: st.tuples(
+        st.lists(st.integers(1, 2), min_size=k, max_size=k),
+        st.lists(weight, min_size=k, max_size=k),
+        st.lists(st.integers(0, 5), min_size=k, max_size=k)))
+
+
+def _sample(spec, basis, orders, tensor, seed, chunk_paths, threads=1):
+    """The differences of 100 paths of 64 steps, chunk_paths paths per chunk
+    (None: the module default)."""
+    normals = validation.CHUNK_NORMALS if chunk_paths is None \
+        else chunk_paths * spec.max_index * 64
+    with mock.patch.object(validation, "CHUNK_NORMALS", normals):
+        return sample_differences(spec, basis, orders, 100, 64, seed, tensor=tensor,
+                                  threads=threads)[0]
+
+
+class TestSampleProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=_spec_strategy(), basis=st.sampled_from(list(BasisSystem)),
+           seed=st.integers(0, 2**63), chunk_paths=st.sampled_from([1, 3, 8]))
+    def test_bit_identical_across_thread_counts(self, drawn, basis, seed, chunk_paths):
+        indices, weights, orders = drawn
+        spec = IntegralSpec(iv=UNIT, k=len(indices), indices=tuple(indices),
+                            weights=tuple(Weight(tuple(w)) for w in weights))
+        tensor = coefficient_tensor(spec, basis, orders)
+        one = _sample(spec, basis, orders, tensor, seed, chunk_paths, threads=1)
+        two = _sample(spec, basis, orders, tensor, seed, chunk_paths, threads=2)
+        assert np.array_equal(one, two)
+
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=_spec_strategy(), basis=st.sampled_from(list(BasisSystem)),
+           seed=st.integers(0, 2**63))
+    def test_chunk_size_changes_the_sample_by_rounding_only(self, drawn, basis, seed):
+        # paths, pools and oracle values are the same bits in any chunk; only
+        # the batched contraction may round differently, relative 1e-13 of
+        # the size of the integral itself
+        indices, weights, orders = drawn
+        spec = IntegralSpec(iv=UNIT, k=len(indices), indices=tuple(indices),
+                            weights=tuple(Weight(tuple(w)) for w in weights))
+        tensor = coefficient_tensor(spec, basis, orders)
+        paths = brownian_path(UNIT, spec.max_index, 64,
+                              [path_seed(seed, i) for i in range(100)])
+        scale = float(np.max(np.abs(path_iterated_integral(spec, paths))))
+        default = _sample(spec, basis, orders, tensor, seed, None)
+        for chunk_paths in (1, 3):
+            other = _sample(spec, basis, orders, tensor, seed, chunk_paths)
+            assert np.max(np.abs(other - default)) <= 1e-13 * scale
+
+    def test_more_workers_than_cores_write_disjoint_chunks(self, monkeypatch):
+        # eight workers on one-path chunks with a short switch interval: a
+        # lost or misplaced chunk would change the sample
+        spec = IntegralSpec(iv=UNIT, k=3, indices=(1, 2, 1),
+                            weights=(Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))
+        tensor = coefficient_tensor(spec, BasisSystem.WALSH, (7, 7, 7))
+        serial = _sample(spec, BasisSystem.WALSH, (7, 7, 7), tensor, 12, 1)
+        monkeypatch.setattr(validation.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            for _ in range(3):
+                eight = _sample(spec, BasisSystem.WALSH, (7, 7, 7), tensor, 12, 1, threads=8)
+                assert np.array_equal(eight, serial)
+            assert time.perf_counter() - start < 60.0
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("indices", [(1, 2), (1, 1)], ids=str)
+    def test_legendre_order_zero_is_bit_identical_in_any_chunk(self, indices):
+        spec = constant_spec(UNIT, indices)
+        tensor = coefficient_tensor(spec, LEG, (0, 0))
+        default = _sample(spec, LEG, (0, 0), tensor, 99, None)
+        for chunk_paths in (1, 3, 7):
+            assert np.array_equal(_sample(spec, LEG, (0, 0), tensor, 99, chunk_paths), default)
