@@ -86,6 +86,8 @@ _BASIS_ALIASES = {
 
 def parse_basis(name: str) -> BasisSystem:
     """Resolve a config/CLI basis name (case-insensitive)."""
+    if not isinstance(name, str):
+        raise DomainError(f"basis name must be a string, got {name!r}")
     try:
         return _BASIS_ALIASES[name.strip().lower()]
     except KeyError:

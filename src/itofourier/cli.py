@@ -4,7 +4,7 @@ partition listings, and Monte-Carlo validation runs.
 Configs are single JSON documents with the fields spec / basis / orders /
 seed / n_paths / N / n / out; unknown fields are rejected and flags override
 file values.  All randomness is seed-mandatory and outputs are byte-stable
-for a fixed seed regardless of --threads.
+for a fixed seed.
 
 Exit codes: 0 success, 1 domain/config error (diagnostic on stderr with the
 offending field path), 2 numeric failure.
@@ -84,7 +84,7 @@ def _resolve(doc: dict, args, field: str, flag_value, required: bool,
         return convert(value)
     except ItoFourierError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config.{field}: {exc}") from exc
 
 
@@ -158,8 +158,7 @@ def _cmd_validate(args) -> int:
         "N": n_steps,
         "n": n,
     }
-    diffs, tensor = sample_differences(spec, basis, orders, n_paths, n_steps, seed,
-                                       threads=args.threads)
+    diffs, tensor = sample_differences(spec, basis, orders, n_paths, n_steps, seed)
     payload = strong_error_estimate(diffs, tensor, n_steps).to_json(config=echo)
     if n is not None:
         moment = moment_check(diffs, tensor, n_steps, n)
@@ -188,8 +187,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="store_true",
                         help="print package and file format versions")
     parser.add_argument("--threads", type=int, default=1,
-                        help="validate workers over chunks of paths (>= 1, capped at the "
-                             "CPU count); outputs are thread-count invariant")
+                        help="accepted (>= 1) for compatibility and otherwise ignored: "
+                             "validate runs on one thread")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("coeffs", help="tabulate Fourier coefficients to a file")

@@ -59,31 +59,38 @@ class CoefficientTensor:
             yield rev[::-1]
 
 
+def _require_sweep_fits(basis: BasisSystem, indices, panels: int, nodes: int,
+                        max_entries: int) -> None:
+    """Hold the largest sweep array (earlier levels' index counts, or the
+    largest level, times panels times nodes) to max_entries."""
+    sizes = [j.size for j in indices]
+    largest = max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes
+    if largest > max_entries:
+        raise CapacityError(f"{basis.value} quadrature would hold up to {largest} "
+                            f"entries in one array > cap {max_entries}")
+
+
 def _quad_plan(spec: IntegralSpec, basis: BasisSystem, indices,
                max_entries: int) -> PanelGrid:
     """Panel grid + node count for iterated integrals with the basis index
-    vector indices[l] at level l.  For Haar/Walsh the largest sweep array
-    (earlier levels' index counts, or the largest level, times panels, at
-    most 2 (jmax + 1), times nodes) is capped before any jump is placed."""
+    vector indices[l] at level l.  The sweep on it is held to max_entries
+    before the grid is built; for Haar/Walsh at most 2 (jmax + 1) panels
+    are counted, so no jump is placed beyond the cap."""
     iv = spec.iv
     deg_weights = sum(w.degree for w in spec.weights)
     k = spec.k
     level_max_j = [int(j.max()) for j in indices]
     if basis is BasisSystem.LEGENDRE:
-        nodes = max(16, sum(level_max_j) + deg_weights + k + 1)
-        return panel_grid(iv.t, iv.T, [], nodes=nodes)
-    if basis is BasisSystem.TRIGONOMETRIC:
+        nodes, panels = max(16, sum(level_max_j) + deg_weights + k + 1), 1
+    elif basis is BasisSystem.TRIGONOMETRIC:
         periods = sum((j + 1) // 2 for j in level_max_j)
-        return panel_grid(iv.t, iv.T, [], nodes=max(24, deg_weights + k + 8),
-                          min_panels=max(2, 2 * periods + 2))
-    nodes = max(16, deg_weights + k + 1)
-    sizes = [j.size for j in indices]
-    panels = 2 * (max(level_max_j) + 1)
-    largest = max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes
-    if largest > max_entries:
-        raise CapacityError(f"{basis.value} quadrature would hold up to {largest} "
-                            f"entries in one array > cap {max_entries}")
-    return panel_grid(iv.t, iv.T, jumps(basis, max(level_max_j), iv), nodes=nodes)
+        nodes, panels = max(24, deg_weights + k + 8), max(2, 2 * periods + 2)
+    else:
+        nodes, panels = max(16, deg_weights + k + 1), 2 * (max(level_max_j) + 1)
+    _require_sweep_fits(basis, indices, panels, nodes, max_entries)
+    if basis in (BasisSystem.HAAR, BasisSystem.WALSH):
+        return panel_grid(iv.t, iv.T, jumps(basis, max(level_max_j), iv), nodes=nodes)
+    return panel_grid(iv.t, iv.T, [], nodes=nodes, min_panels=panels)
 
 
 def _refine(spec: IntegralSpec, basis: BasisSystem, grid: PanelGrid) -> PanelGrid:
@@ -124,6 +131,8 @@ def _coefficients(spec: IntegralSpec, basis: BasisSystem, indices,
         return result
     for _ in range(5):
         finer_grid = _refine(spec, basis, grid)
+        _require_sweep_fits(basis, indices, finer_grid.n_panels, finer_grid.nodes,
+                            max_entries)
         finer = _sweep(spec, basis, indices, finer_grid)
         scale = max(1.0, float(np.max(np.abs(finer))))
         if float(np.max(np.abs(result - finer))) <= 1e-12 * scale:
@@ -169,7 +178,7 @@ def sum_squared(tensor: CoefficientTensor) -> float:
     """Exact-order-independent sum of squared coefficients."""
     flat = tensor.values.ravel()
     if flat.size <= 1 << 20:
-        return math.fsum(float(v) * float(v) for v in flat)
+        return math.fsum((flat * flat).tolist())
     return float(np.sum(flat * flat))
 
 
@@ -248,6 +257,8 @@ def read_coefficient_table(path) -> CoefficientTensor:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
             raise DomainError(f"coefficient table header is not valid JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DomainError("coefficient table header must be a JSON object")
         for field in ("format_version", "spec", "basis", "orders"):
             if field not in header:
                 raise DomainError(f"coefficient table header missing {field!r}")
@@ -255,8 +266,18 @@ def read_coefficient_table(path) -> CoefficientTensor:
             raise DomainError(f"unsupported table format version {header['format_version']!r}")
         spec = IntegralSpec.from_json(header["spec"])
         basis = parse_basis(header["basis"])
-        orders = tuple(int(p) for p in header["orders"])
+        try:
+            orders = tuple(int(p) for p in header["orders"])
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"coefficient table orders must be integers, "
+                              f"got {header['orders']!r}") from None
+        if any(p < 0 for p in orders):
+            raise DomainError(f"coefficient table orders must be >= 0, got {list(orders)}")
         shape = tuple(p + 1 for p in orders)
+        entries = math.prod(shape)
+        if entries > DEFAULT_MAX_ENTRIES:
+            raise CapacityError(f"coefficient table would hold {entries} entries "
+                                f"> cap {DEFAULT_MAX_ENTRIES}")
         values = np.full(shape, np.nan)
         fh.readline()  # column header
         count = 0
@@ -267,12 +288,16 @@ def read_coefficient_table(path) -> CoefficientTensor:
             parts = line.split(",")
             if len(parts) != spec.k + 1:
                 raise DomainError(f"bad coefficient row: {line!r}")
-            jt = tuple(int(p) for p in parts[:-1])
+            try:
+                jt = tuple(int(p) for p in parts[:-1])
+                value = float(parts[-1])
+            except ValueError:
+                raise DomainError(f"bad coefficient row: {line!r}") from None
             if any(not 0 <= j < dim for j, dim in zip(jt, shape)):
                 raise DomainError(f"coefficient row index out of range: {line!r}")
-            values[jt] = float(parts[-1])
+            values[jt] = value
             count += 1
-    if count != math.prod(shape) or np.any(np.isnan(values)):
+    if count != entries or np.any(np.isnan(values)):
         raise DomainError("coefficient table does not cover every index tuple")
     values.setflags(write=False)
     return CoefficientTensor(spec=spec, basis=basis, orders=orders, values=values)

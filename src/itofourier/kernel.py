@@ -17,6 +17,14 @@ from .basis import Interval
 from .errors import ArityError, DomainError
 
 
+def _field(obj: dict, name: str, convert):
+    """convert(obj[name]), any failure raised as a DomainError naming the field."""
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Weight:
     """Polynomial weight psi(s) = sum_q coeffs[q] * (s - t)**q on [t, T]."""
@@ -39,7 +47,7 @@ class Weight:
     def from_json(cls, obj) -> "Weight":
         if not isinstance(obj, dict) or set(obj) != {"poly"}:
             raise DomainError(f'weight JSON must be {{"poly": [...]}}, got {obj!r}')
-        return cls(tuple(obj["poly"]))
+        return cls(_field(obj, "poly", lambda poly: tuple(float(c) for c in poly)))
 
 
 CONSTANT_ONE = Weight((1.0,))
@@ -94,10 +102,11 @@ class IntegralSpec:
         if missing:
             raise DomainError(f"integral spec missing fields: {sorted(missing)}")
         return cls(
-            iv=Interval(obj["t"], obj["T"]),
-            k=int(obj["k"]),
-            indices=tuple(int(i) for i in obj["indices"]),
-            weights=tuple(Weight.from_json(w) for w in obj["weights"]),
+            iv=Interval(_field(obj, "t", float), _field(obj, "T", float)),
+            k=_field(obj, "k", int),
+            indices=_field(obj, "indices", lambda ids: tuple(int(i) for i in ids)),
+            weights=_field(obj, "weights",
+                           lambda ws: tuple(Weight.from_json(w) for w in ws)),
         )
 
 

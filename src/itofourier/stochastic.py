@@ -2,9 +2,9 @@
 
 All randomness is counter-derived: every stream is keyed by the user seed
 plus a (domain, index) spawn key, so any entry depends only on the seed and
-its own coordinates.  Pools can be enlarged and paths generated in parallel
-without perturbing existing values, and identical seeds give bit-identical
-results regardless of thread count.  Paths, pools and the oracle take an
+its own coordinates.  Pools can be enlarged and paths generated in any
+order or grouping without perturbing existing values, and identical seeds
+give bit-identical results.  Paths, pools and the oracle take an
 optional leading batch axis, so one call handles a chunk of paths through
 the same code as one path.
 """
@@ -18,8 +18,12 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .basis import BasisSystem, Interval, basis_matrix, integrate_basis, jumps
-from .errors import CompatibilityError, DomainError, GridCompatibilityError
+from .errors import CapacityError, CompatibilityError, DomainError, GridCompatibilityError
 from .kernel import IntegralSpec, eval_weight
+
+# Entries one batch of paths (B m N increments) or one simulation grid
+# (N (jmax + 1) basis values) may hold: the coefficient tensors' cap
+MAX_GRID_ENTRIES = 10**8
 
 _POOL_DOMAIN = 0
 _PATH_DOMAIN = 1
@@ -111,7 +115,11 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
     if m < 1 or N < 1:
         raise DomainError("need m >= 1 and N >= 1")
     single = np.ndim(seed) == 0
-    increments = np.empty((1 if single else len(seed), m, N))
+    batch = 1 if single else len(seed)
+    if batch * m * N > MAX_GRID_ENTRIES:
+        raise CapacityError(f"paths would hold {batch * m * N} increments "
+                            f"> cap {MAX_GRID_ENTRIES}")
+    increments = np.empty((batch, m, N))
     for b, path_key in enumerate([seed] if single else seed):
         for i in range(1, m + 1):
             _stream(path_key, _PATH_DOMAIN, i).standard_normal(out=increments[b, i - 1])
@@ -152,6 +160,9 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     """
     if jmax < 0:
         raise DomainError("jmax must be >= 0")
+    if path.N * (jmax + 1) > MAX_GRID_ENTRIES:
+        raise CapacityError(f"simulation grid would hold {path.N * (jmax + 1)} basis "
+                            f"values > cap {MAX_GRID_ENTRIES}")
     phi, row0 = _grid_plan(basis, path.iv, path.N, jmax)
     values = np.empty(path.increments.shape[:-2] + (path.m + 1, jmax + 1))
     values[..., 0, :] = row0

@@ -10,13 +10,12 @@ the strong-error and the moment report of one run share their paths.
 
 Per-path seeds are counter-derived from the master seed and all aggregates
 use exact summation over an index-addressed sample array, so reports are
-bit-identical for any thread count.
+bit-identical for a fixed seed.  Chunks of paths run one after another on
+the calling thread.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -81,23 +80,20 @@ def grid_allowance(k: int, length: float, n_steps: int) -> float:
 
 
 def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: int,
-                       n_steps: int, seed: int, tensor: CoefficientTensor | None = None,
-                       threads: int = 1) -> tuple[np.ndarray, CoefficientTensor]:
+                       n_steps: int, seed: int, tensor: CoefficientTensor | None = None
+                       ) -> tuple[np.ndarray, CoefficientTensor]:
     """Per-path differences D = pathwise integral - truncated expansion.
 
     Chunks of max(1, CHUNK_NORMALS // (m N)) paths are one batched call each
     of brownian_path, zeta_from_path, path_iterated_integral and
-    truncated_expansion.  Each path keeps its own derived seed and lands in
-    an index-addressed array, so the sample does not depend on the chunk
-    workers (at most os.cpu_count(); one worker starts no thread).
+    truncated_expansion.  Each path keeps its own derived seed, so the
+    sample does not depend on how paths are grouped into chunks beyond the
+    rounding of the batched contraction.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")
     if n_paths < 100:
         raise DomainError(f"need n_paths >= 100, got {n_paths}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, os.cpu_count() or 1)
     orders_t = tuple(int(p) for p in orders)
     if tensor is None:
         tensor = coefficient_tensor(spec, basis, orders_t)
@@ -105,21 +101,12 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     m = spec.max_index
     chunk = max(1, CHUNK_NORMALS // (m * n_steps))
     diffs = np.empty(n_paths)
-
-    def run_chunk(start: int) -> None:
+    for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
         path = brownian_path(spec.iv, m, n_steps,
                              [path_seed(seed, i) for i in range(start, stop)])
         approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
         diffs[start:stop] = path_iterated_integral(spec, path) - approx
-
-    starts = range(0, n_paths, chunk)
-    if workers == 1:
-        for start in starts:
-            run_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            list(pool_exec.map(run_chunk, starts))
     return diffs, tensor
 
 

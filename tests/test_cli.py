@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from itofourier import cli, validation
+from itofourier import cli, stochastic, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
 from itofourier.coefficients import coefficient_tensor, read_coefficient_table
@@ -236,6 +236,78 @@ class TestErrors:
                             "--seed", "1", "--out", str(out)])
             assert code == 1
             assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["coeffs", "validate"])
+    @pytest.mark.parametrize("field, value, named", [
+        ("k", "x", "k"),
+        ("k", float("inf"), "k"),
+        ("t", "a", "t"),
+        ("indices", ["a", 2], "indices"),
+        ("weights", 3, "weights"),
+        ("weights", [{"poly": 1}, {"poly": [1]}], "weights: poly"),
+        ("weights", [{"poly": ["z"]}, {"poly": [1]}], "weights: poly"),
+    ], ids=["k-str", "k-inf", "t-str", "indices-str", "weights-int", "poly-int", "poly-str"])
+    def test_spec_field_of_wrong_type_named(self, tmp_path, capsys, command, field, value,
+                                            named):
+        spec = {"t": 0.0, "T": 1.0, "k": 2, "indices": [1, 2],
+                "weights": [{"poly": [1]}, {"poly": [1]}], field: value}
+        doc = {"spec": spec, "basis": "legendre", "orders": [0, 0], "seed": 1,
+               "n_paths": 100, "N": 16, "out": str(tmp_path / "out")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        assert f"config.spec: {named}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [("basis", 3), ("seed", float("inf")),
+                                              ("n_paths", float("inf"))])
+    def test_run_field_of_wrong_type_named(self, config_path, tmp_path, capsys, field, value):
+        with open(config_path) as fh:
+            doc = json.load(fh)
+        doc.update({"orders": [0, 0], "seed": 1, "n_paths": 100, "N": 16, field: value})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["validate", "--config", str(cfg)]) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda lines: lines[:2] + ["1.5,0,0.25"] + lines[3:], "'1.5,0,0.25'"),
+        (lambda lines: lines[:2] + ["1,0,abc"] + lines[3:], "'1,0,abc'"),
+        (lambda lines: ["1"] + lines[1:], "header must be a JSON object"),
+        (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": ["a", 1]')]
+         + lines[1:], "orders must be integers"),
+        (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": 3')] + lines[1:],
+         "orders must be integers"),
+        (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [-3, 1]')]
+         + lines[1:], "orders must be >= 0"),
+        (lambda lines: [lines[0].replace('"basis": "legendre"', '"basis": 3')] + lines[1:],
+         "basis name must be a string"),
+    ], ids=["row-index", "row-value", "header-not-object", "orders-str", "orders-int",
+            "orders-negative", "basis-int"])
+    def test_malformed_table_named(self, config_path, tmp_path, capsys, edit, named):
+        table = tmp_path / "c.csv"
+        assert run_cli(["coeffs", "--config", config_path, "--orders", "1,1",
+                        "--out", str(table)]) == 0
+        lines = edit(table.read_text().splitlines())
+        table.write_text("\n".join(lines) + "\n")
+        assert run_cli(["approximate", "--table", str(table), "--seed", "7"]) == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orders, steps, what", [("0,0", 2**16, "increments"),
+                                                     ("16,16", 4096, "basis values")],
+                             ids=["steps", "grid"])
+    def test_simulation_over_cap_rejected(self, config_path, tmp_path, capsys, monkeypatch,
+                                          orders, steps, what):
+        # 2**16 entries: one 8-path chunk at m = 2, N = 4096 fits, while one
+        # path of 2**16 steps, or a grid of 4096 steps by 17 basis rows, does not
+        monkeypatch.setattr(stochastic, "MAX_GRID_ENTRIES", 2**16)
+        out = tmp_path / "r.json"
+        assert run_cli(["validate", "--config", config_path, "--orders", orders,
+                        "--paths", "100", "--steps", str(steps), "--seed", "1",
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert what in err and "cap 65536" in err
         assert not out.exists()
 
     def test_missing_subcommand(self, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import itofourier.basis
+from itofourier import coefficients
 from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis, jumps
 from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
                                      fourier_coefficient, moment_bound_2n,
@@ -146,6 +147,20 @@ class TestQuadraturePlan:
                              weights=(Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))
         assert coefficient_tensor(spec3, basis, (31, 31, 31)).values.shape == (32, 32, 32)
 
+    @pytest.mark.parametrize("basis, orders, max_entries", [
+        # trigonometric (60,) plans 62 panels of 24 nodes for 61 rows:
+        # 90 768 entries, over 10**4 on the planned grid and over 10**5 only
+        # on the first panel-doubling grid
+        (BasisSystem.TRIGONOMETRIC, (60,), 10**4),
+        (BasisSystem.TRIGONOMETRIC, (60,), 10**5),
+        # Legendre (40, 40, 40): 41**2 earlier-level rows times 124 nodes
+        (BasisSystem.LEGENDRE, (40, 40, 40), 10**5),
+    ], ids=["trigonometric-plan", "trigonometric-doubling", "legendre"])
+    def test_continuous_sweep_is_capped(self, basis, orders, max_entries):
+        spec = constant_spec(UNIT, (1,) * len(orders))
+        with pytest.raises(CapacityError, match="quadrature"):
+            coefficient_tensor(spec, basis, orders, max_entries=max_entries)
+
 
 class TestSymmetryRelations:
     """Equal-weight coefficient identities relating orders 1, 2, and 3."""
@@ -228,6 +243,30 @@ class TestParseval:
                     # round-off, legitimately tripping the clamp
                     warnings.simplefilter("ignore", RuntimeWarning)
                     assert parseval_residual(spec, t) >= 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_residual_is_nonnegative_and_nonincreasing_in_each_order(self, data):
+        k = data.draw(st.integers(1, 3), "k")
+        coeff = st.integers(-8, 8).map(lambda n: n / 4.0)
+        weights = tuple(Weight(tuple(data.draw(st.lists(coeff, min_size=1, max_size=3))))
+                        for _ in range(k))
+        indices = tuple(data.draw(st.lists(st.integers(1, 2), min_size=k, max_size=k)))
+        orders = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k), "orders")
+        basis = data.draw(st.sampled_from(list(BasisSystem)), "basis")
+        spec = IntegralSpec(iv=UNIT, k=k, indices=indices, weights=weights)
+        total = kernel_l2_norm_sq(spec)
+        tol = 1e-12 * total
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # round-off clamps
+            tensor = coefficient_tensor(spec, basis, orders)
+            assert total - sum_squared(tensor) >= -tol
+            base = parseval_residual(spec, tensor)
+            assert 0.0 <= base <= total + tol
+            for level in range(k):
+                raised = orders[:level] + [orders[level] + 1] + orders[level + 1:]
+                finer = parseval_residual(spec, coefficient_tensor(spec, basis, raised))
+                assert 0.0 <= finer <= base + tol, level
 
     def test_clamps_roundoff_with_warning(self):
         spec = constant_spec(UNIT, (1,))
@@ -331,6 +370,14 @@ class TestTableFormat:
         with pytest.raises(DomainError):
             read_coefficient_table(path)
 
+    def test_read_caps_the_header_orders(self, tmp_path, monkeypatch):
+        spec = constant_spec(UNIT, (1, 2))
+        path = tmp_path / "table.csv"
+        write_coefficient_table(path, coefficient_tensor(spec, BasisSystem.LEGENDRE, (9, 9)))
+        monkeypatch.setattr(coefficients, "DEFAULT_MAX_ENTRIES", 99)
+        with pytest.raises(CapacityError):
+            read_coefficient_table(path)
+
     def test_read_rejects_missing_rows(self, tmp_path):
         spec = constant_spec(UNIT, (1, 2))
         t = coefficient_tensor(spec, BasisSystem.LEGENDRE, (1, 1))
@@ -348,3 +395,4 @@ def test_sum_squared_matches_numpy():
     vals = rng.standard_normal((4, 4))
     t = CoefficientTensor(spec=spec, basis=BasisSystem.LEGENDRE, orders=(3, 3), values=vals)
     assert sum_squared(t) == pytest.approx(float(np.sum(vals**2)), rel=1e-14)
+    assert sum_squared(t) == math.fsum(float(v) * float(v) for v in vals.ravel())

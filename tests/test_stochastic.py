@@ -8,7 +8,8 @@ import itofourier.basis
 from itofourier import stochastic
 from itofourier.basis import (BasisSystem, Interval, breakpoints, eval_basis,
                               integrate_basis)
-from itofourier.errors import CompatibilityError, DomainError, GridCompatibilityError
+from itofourier.errors import (CapacityError, CompatibilityError, DomainError,
+                               GridCompatibilityError)
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool,
                                    path_iterated_integral, path_seed, zeta_from_path)
@@ -84,6 +85,15 @@ class TestBrownianPath:
         assert path_seed(5, 3) == path_seed(5, 3)
 
 
+    def test_increments_are_capped_before_they_are_drawn(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "MAX_GRID_ENTRIES", 1000)
+        with pytest.raises(CapacityError, match="cap 1000"):
+            brownian_path(UNIT, 2, 501, seed=1)
+        with pytest.raises(CapacityError):
+            brownian_path(UNIT, 1, 100, [path_seed(1, i) for i in range(11)])
+        assert brownian_path(UNIT, 2, 500, seed=1).increments.shape == (2, 500)
+
+
 class TestZetaFromPath:
     def test_constant_member_telescopes(self):
         path = brownian_path(UNIT, 2, 256, seed=3)
@@ -113,6 +123,13 @@ class TestZetaFromPath:
                 zeta_from_path(path, BasisSystem.HAAR, 2)
         ok = brownian_path(UNIT, 1, 8, seed=5)
         zeta_from_path(ok, BasisSystem.HAAR, 2)
+
+    def test_grid_is_capped_before_it_is_planned(self, monkeypatch):
+        path = brownian_path(UNIT, 1, 100, seed=5)
+        monkeypatch.setattr(stochastic, "MAX_GRID_ENTRIES", 1000)
+        monkeypatch.setattr(stochastic, "jumps", None)  # planning would fail
+        with pytest.raises(CapacityError, match="cap 1000"):
+            zeta_from_path(path, BasisSystem.WALSH, 10)
 
     def test_run_constant_basis_work_done_once(self, monkeypatch):
         calls = []

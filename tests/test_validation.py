@@ -1,5 +1,3 @@
-import sys
-import time
 from unittest import mock
 
 import numpy as np
@@ -89,38 +87,10 @@ class TestStrongErrorEstimate:
 
     def test_reproducible_and_thread_invariant(self):
         spec = constant_spec(UNIT, (1, 2))
-        a, _ = sample_differences(spec, LEG, (1, 1), 300, 128, seed=5, threads=1)
-        b, tensor = sample_differences(spec, LEG, (1, 1), 300, 128, seed=5, threads=4)
+        a, _ = sample_differences(spec, LEG, (1, 1), 300, 128, seed=5)
+        b, tensor = sample_differences(spec, LEG, (1, 1), 300, 128, seed=5)
         assert np.array_equal(a, b)
         assert strong_error_estimate(a, tensor, 128) == strong_error_estimate(b, tensor, 128)
-
-    def test_threads_validated_and_capped_at_cpu_count(self, monkeypatch):
-        spec = constant_spec(UNIT, (1, 2))
-        with pytest.raises(DomainError):
-            sample_differences(spec, LEG, (0, 0), 100, 16, seed=1, threads=0)
-        started = []
-
-        class SerialExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(validation, "ThreadPoolExecutor", SerialExecutor)
-        monkeypatch.setattr(validation.os, "cpu_count", lambda: 2)
-        capped, _ = sample_differences(spec, LEG, (0, 0), 100, 16, seed=1, threads=64)
-        assert started == [2]
-        monkeypatch.setattr(validation.os, "cpu_count", lambda: 1)
-        serial, _ = sample_differences(spec, LEG, (0, 0), 100, 16, seed=1, threads=64)
-        assert started == [2]
-        assert np.array_equal(capped, serial)
 
     def test_accepts_prebuilt_tensor(self):
         spec = constant_spec(UNIT, (1, 2))
@@ -203,29 +173,16 @@ def _spec_strategy():
         st.lists(st.integers(0, 5), min_size=k, max_size=k)))
 
 
-def _sample(spec, basis, orders, tensor, seed, chunk_paths, threads=1):
+def _sample(spec, basis, orders, tensor, seed, chunk_paths):
     """The differences of 100 paths of 64 steps, chunk_paths paths per chunk
     (None: the module default)."""
     normals = validation.CHUNK_NORMALS if chunk_paths is None \
         else chunk_paths * spec.max_index * 64
     with mock.patch.object(validation, "CHUNK_NORMALS", normals):
-        return sample_differences(spec, basis, orders, 100, 64, seed, tensor=tensor,
-                                  threads=threads)[0]
+        return sample_differences(spec, basis, orders, 100, 64, seed, tensor=tensor)[0]
 
 
 class TestSampleProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(drawn=_spec_strategy(), basis=st.sampled_from(list(BasisSystem)),
-           seed=st.integers(0, 2**63), chunk_paths=st.sampled_from([1, 3, 8]))
-    def test_bit_identical_across_thread_counts(self, drawn, basis, seed, chunk_paths):
-        indices, weights, orders = drawn
-        spec = IntegralSpec(iv=UNIT, k=len(indices), indices=tuple(indices),
-                            weights=tuple(Weight(tuple(w)) for w in weights))
-        tensor = coefficient_tensor(spec, basis, orders)
-        one = _sample(spec, basis, orders, tensor, seed, chunk_paths, threads=1)
-        two = _sample(spec, basis, orders, tensor, seed, chunk_paths, threads=2)
-        assert np.array_equal(one, two)
-
     @settings(max_examples=25, deadline=None)
     @given(drawn=_spec_strategy(), basis=st.sampled_from(list(BasisSystem)),
            seed=st.integers(0, 2**63))
@@ -244,25 +201,6 @@ class TestSampleProperties:
         for chunk_paths in (1, 3):
             other = _sample(spec, basis, orders, tensor, seed, chunk_paths)
             assert np.max(np.abs(other - default)) <= 1e-13 * scale
-
-    def test_more_workers_than_cores_write_disjoint_chunks(self, monkeypatch):
-        # eight workers on one-path chunks with a short switch interval: a
-        # lost or misplaced chunk would change the sample
-        spec = IntegralSpec(iv=UNIT, k=3, indices=(1, 2, 1),
-                            weights=(Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))
-        tensor = coefficient_tensor(spec, BasisSystem.WALSH, (7, 7, 7))
-        serial = _sample(spec, BasisSystem.WALSH, (7, 7, 7), tensor, 12, 1)
-        monkeypatch.setattr(validation.os, "cpu_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            start = time.perf_counter()
-            for _ in range(3):
-                eight = _sample(spec, BasisSystem.WALSH, (7, 7, 7), tensor, 12, 1, threads=8)
-                assert np.array_equal(eight, serial)
-            assert time.perf_counter() - start < 60.0
-        finally:
-            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("indices", [(1, 2), (1, 1)], ids=str)
     def test_legendre_order_zero_is_bit_identical_in_any_chunk(self, indices):
