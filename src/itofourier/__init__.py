@@ -18,9 +18,8 @@ from .coefficients import (CoefficientTensor, coefficient_tensor, fourier_coeffi
 from .errors import (ArityError, BasisIndexError, CapacityError, CompatibilityError,
                      ConfigError, DomainError, GridCompatibilityError, ItoFourierError,
                      NumericError, UnsupportedMultiplicityError)
-from .expansion import ExpansionResult, hermite_reference, truncated_expansion
-from .kernel import (IntegralSpec, Weight, constant_spec, eval_kernel, eval_weight,
-                     kernel_l2_norm_sq)
+from .expansion import ExpansionResult, truncated_expansion
+from .kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_norm_sq
 from .partitions import PairPartition, pair_partitions, partition_count
 from .stochastic import (GaussianPool, WienerPath, brownian_path, gaussian_pool,
                          path_iterated_integral, path_seed, zeta_from_path)
@@ -34,8 +33,7 @@ __all__ = [
     "Interval", "ItoFourierError", "MomentReport", "NumericError", "PairPartition",
     "UnsupportedMultiplicityError", "ValidationReport", "Weight", "WienerPath",
     "breakpoints", "brownian_path", "coefficient_tensor", "constant_spec",
-    "eval_basis", "eval_kernel", "eval_weight",
-    "fourier_coefficient", "gaussian_pool", "gram_matrix", "hermite_reference",
+    "eval_basis", "eval_weight", "fourier_coefficient", "gaussian_pool", "gram_matrix",
     "integrate_basis", "kernel_l2_norm_sq", "moment_bound_2n", "moment_check",
     "ms_error_bound", "pair_partitions", "parse_basis", "parseval_residual",
     "partition_count", "path_iterated_integral", "path_seed",

@@ -298,10 +298,10 @@ def gram_matrix(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
         return _gram_piecewise_constant(system, p, iv)
     if system is BasisSystem.LEGENDRE:
         # product degree up to 2p; n nodes integrate degree 2n-1 exactly
-        grid = panel_grid(iv.t, iv.T, [], nodes=max(16, p + 1))
+        grid = panel_grid([iv.t, iv.T], max(16, p + 1))
     else:
         r_max = (p + 1) // 2
-        grid = panel_grid(iv.t, iv.T, [], nodes=24, min_panels=max(2, 4 * r_max + 2))
+        grid = panel_grid(np.linspace(iv.t, iv.T, max(2, 4 * r_max + 2) + 1), 24)
     pts = grid.nodes_x.ravel()
     phi = basis_matrix(system, p, pts, iv)
     _, w = gauss_rule(grid.nodes)

@@ -21,7 +21,7 @@ from .coefficients import (FORMAT_VERSION, coefficient_tensor, read_coefficient_
                            write_coefficient_table)
 from .errors import ConfigError, ItoFourierError, NumericError
 from .expansion import truncated_expansion
-from .kernel import IntegralSpec
+from .kernel import IntegralSpec, exact_int
 from .partitions import pair_partitions, partition_count
 from .stochastic import gaussian_pool
 from .validation import moment_check, sample_differences, strong_error_estimate
@@ -51,14 +51,8 @@ def _load_config(path: str) -> dict:
 
 
 def _parse_orders(text) -> tuple[int, ...]:
-    if isinstance(text, str):
-        parts = [p for p in text.replace(",", " ").split() if p]
-    else:
-        parts = list(text)
-    try:
-        orders = tuple(int(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"orders: expected integers, got {text!r}") from None
+    parts = text.replace(",", " ").split() if isinstance(text, str) else text
+    orders = tuple(map(exact_int, parts))
     if not orders:
         raise ConfigError("orders: at least one truncation order is required")
     return orders
@@ -128,9 +122,8 @@ def _cmd_approximate(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    count = partition_count(args.k, args.r)
     lines = [part.format() for part in pair_partitions(args.k, args.r)]
-    assert len(lines) == count
+    assert len(lines) == partition_count(args.k, args.r)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -140,10 +133,10 @@ def _cmd_validate(args) -> int:
     spec = _spec_from_config(doc)
     basis = _resolve(doc, args, "basis", args.basis, required=True, convert=parse_basis)
     orders = _resolve(doc, args, "orders", args.orders, required=True, convert=_parse_orders)
-    seed = _resolve(doc, args, "seed", args.seed, required=True, convert=int)
-    n_paths = _resolve(doc, args, "n_paths", args.paths, required=True, convert=int)
-    n_steps = _resolve(doc, args, "N", args.steps, required=True, convert=int)
-    n = _resolve(doc, args, "n", args.n, required=False, convert=int)
+    seed = _resolve(doc, args, "seed", args.seed, required=True, convert=exact_int)
+    n_paths = _resolve(doc, args, "n_paths", args.paths, required=True, convert=exact_int)
+    n_steps = _resolve(doc, args, "N", args.steps, required=True, convert=exact_int)
+    n = _resolve(doc, args, "n", args.n, required=False, convert=exact_int)
     out = _resolve(doc, args, "out", args.out, required=False, convert=str)
     if len(orders) != spec.k:
         raise ConfigError(f"config.orders: need {spec.k} entries, got {len(orders)}")

@@ -9,8 +9,8 @@ breakpoint-aligned panel grid: each level multiplies the running
 antiderivative by its weight/basis factor and integrates again, which is
 exact whenever the per-panel integrands are polynomials of degree below the
 node count (always true for Legendre/Haar/Walsh with polynomial weights).
-The trigonometric system gets oscillation-matched panels plus a panel
-doubling check.
+The trigonometric system gets oscillation-matched equal panels, confirmed
+on grids that split each panel exactly in two.
 
 Tensors are indexed ``values[j_1, ..., j_k]``; serialized rows iterate with
 j_1 fastest-varying.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import BasisSystem, basis_rows, jumps, parse_basis
 from .errors import BasisIndexError, CapacityError, DomainError, NumericError
-from .kernel import IntegralSpec, eval_weight, kernel_l2_norm_sq
+from .kernel import IntegralSpec, eval_weight, exact_int, kernel_l2_norm_sq
 from .quadrature import PanelGrid, gauss_rule, panel_grid
 
 DEFAULT_MAX_ENTRIES = 10**8
@@ -89,14 +89,8 @@ def _quad_plan(spec: IntegralSpec, basis: BasisSystem, indices,
         nodes, panels = max(16, deg_weights + k + 1), 2 * (max(level_max_j) + 1)
     _require_sweep_fits(basis, indices, panels, nodes, max_entries)
     if basis in (BasisSystem.HAAR, BasisSystem.WALSH):
-        return panel_grid(iv.t, iv.T, jumps(basis, max(level_max_j), iv), nodes=nodes)
-    return panel_grid(iv.t, iv.T, [], nodes=nodes, min_panels=panels)
-
-
-def _refine(spec: IntegralSpec, basis: BasisSystem, grid: PanelGrid) -> PanelGrid:
-    iv = spec.iv
-    cuts = [float(x) for x in grid.ends[:-1]]
-    return panel_grid(iv.t, iv.T, cuts, nodes=grid.nodes, min_panels=2 * grid.n_panels)
+        return panel_grid([iv.t, *jumps(basis, max(level_max_j), iv), iv.T], nodes)
+    return panel_grid(np.linspace(iv.t, iv.T, panels + 1), nodes)
 
 
 def _sweep(spec: IntegralSpec, basis: BasisSystem, indices, grid: PanelGrid) -> np.ndarray:
@@ -124,20 +118,22 @@ def _sweep(spec: IntegralSpec, basis: BasisSystem, indices, grid: PanelGrid) -> 
 def _coefficients(spec: IntegralSpec, basis: BasisSystem, indices,
                   max_entries: int = DEFAULT_MAX_ENTRIES) -> np.ndarray:
     """:func:`_sweep` on the planned grid; the trigonometric system is
-    confirmed on panel-doubled grids until they agree or the cap is hit."""
+    confirmed on grids that split each panel in two until they agree or the
+    cap is hit."""
     grid = _quad_plan(spec, basis, indices, max_entries)
     result = _sweep(spec, basis, indices, grid)
     if basis is not BasisSystem.TRIGONOMETRIC:
         return result
+    iv, panels = spec.iv, grid.n_panels
     for _ in range(5):
-        finer_grid = _refine(spec, basis, grid)
-        _require_sweep_fits(basis, indices, finer_grid.n_panels, finer_grid.nodes,
-                            max_entries)
+        panels *= 2
+        _require_sweep_fits(basis, indices, panels, grid.nodes, max_entries)
+        finer_grid = panel_grid(np.linspace(iv.t, iv.T, panels + 1), grid.nodes)
         finer = _sweep(spec, basis, indices, finer_grid)
         scale = max(1.0, float(np.max(np.abs(finer))))
         if float(np.max(np.abs(result - finer))) <= 1e-12 * scale:
             return finer
-        grid, result = finer_grid, finer
+        result = finer
     raise NumericError("coefficient quadrature did not converge under panel refinement")
 
 
@@ -267,7 +263,7 @@ def read_coefficient_table(path) -> CoefficientTensor:
         spec = IntegralSpec.from_json(header["spec"])
         basis = parse_basis(header["basis"])
         try:
-            orders = tuple(int(p) for p in header["orders"])
+            orders = tuple(map(exact_int, header["orders"]))
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"coefficient table orders must be integers, "
                               f"got {header['orders']!r}") from None

@@ -10,19 +10,15 @@ contracted by the Wick recursion
     :x_1 ... x_k: = x_k :x_1 ... x_{k-1}: - sum_a E[x_a x_k] :x_1 ..^a.. x_{k-1}:
 
 one tensor axis at a time, without enumerating partitions.
-
-The reference polynomials in (delta, variance) reproduce the equal-weight,
-equal-component integral in closed form and serve as an independent check.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientTensor
-from .errors import CompatibilityError, DomainError, UnsupportedMultiplicityError
+from .errors import CompatibilityError, UnsupportedMultiplicityError
 from .stochastic import GaussianPool
 
 MAX_MULTIPLICITY = 10
@@ -94,31 +90,3 @@ def truncated_expansion(tensor: CoefficientTensor, pool: GaussianPool) -> Expans
     return ExpansionResult(value=value if pool.values.ndim == 3 else float(value[0]),
                            terms_evaluated=int(tensor.values.size),
                            orders=tensor.orders)
-
-
-def hermite_reference(k: int, delta: float, variance: float) -> float:
-    """Closed-form equal-weight, equal-component integral value.
-
-    delta is the (possibly truncated) weighted Wiener integral and variance
-    the corresponding quadratic mass; k ranges over 1..7.
-    """
-    if not 1 <= k <= 7:
-        raise UnsupportedMultiplicityError(f"reference polynomials cover k in 1..7, got {k}")
-    if variance < 0.0:
-        raise DomainError("variance must be >= 0")
-    d, v = float(delta), float(variance)
-    if k == 1:
-        poly = d
-    elif k == 2:
-        poly = d**2 - v
-    elif k == 3:
-        poly = d**3 - 3 * d * v
-    elif k == 4:
-        poly = d**4 - 6 * d**2 * v + 3 * v**2
-    elif k == 5:
-        poly = d**5 - 10 * d**3 * v + 15 * d * v**2
-    elif k == 6:
-        poly = d**6 - 15 * d**4 * v + 45 * d**2 * v**2 - 15 * v**3
-    else:
-        poly = d**7 - 21 * d**5 * v + 105 * d**3 * v**2 - 105 * d * v**3
-    return poly / math.factorial(k)

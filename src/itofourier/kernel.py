@@ -17,6 +17,15 @@ from .basis import Interval
 from .errors import ArityError, DomainError
 
 
+def exact_int(value) -> int:
+    """value converted as int() converts it, except that booleans and
+    non-integral numbers raise ValueError instead of being truncated."""
+    out = int(value)
+    if isinstance(value, bool) or (not isinstance(value, str) and out != value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return out
+
+
 def _field(obj: dict, name: str, convert):
     """convert(obj[name]), any failure raised as a DomainError naming the field."""
     try:
@@ -103,8 +112,8 @@ class IntegralSpec:
             raise DomainError(f"integral spec missing fields: {sorted(missing)}")
         return cls(
             iv=Interval(_field(obj, "t", float), _field(obj, "T", float)),
-            k=_field(obj, "k", int),
-            indices=_field(obj, "indices", lambda ids: tuple(int(i) for i in ids)),
+            k=_field(obj, "k", exact_int),
+            indices=_field(obj, "indices", lambda ids: tuple(map(exact_int, ids))),
             weights=_field(obj, "weights",
                            lambda ws: tuple(Weight.from_json(w) for w in ws)),
         )
@@ -120,24 +129,6 @@ def eval_weight(w: Weight, s, iv: Interval):
     for c in reversed(w.coeffs[:-1]):
         acc = acc * u + c
     return float(acc) if acc.ndim == 0 else acc
-
-
-def eval_kernel(spec: IntegralSpec, point) -> float:
-    """Kernel value at a point of [t, T]^k: product of weights if the
-    coordinates are strictly increasing, zero otherwise (k = 1 has no
-    ordering constraint)."""
-    pt = [float(x) for x in point]
-    if len(pt) != spec.k:
-        raise ArityError(f"kernel point needs {spec.k} coordinates, got {len(pt)}")
-    for x in pt:
-        if x < spec.iv.t or x > spec.iv.T:
-            raise DomainError(f"kernel coordinate {x} outside [{spec.iv.t}, {spec.iv.T}]")
-    if any(a >= b for a, b in zip(pt[:-1], pt[1:])):
-        return 0.0
-    out = 1.0
-    for w, x in zip(spec.weights, pt):
-        out *= eval_weight(w, x, spec.iv)
-    return out
 
 
 def kernel_l2_norm_sq(spec: IntegralSpec) -> float:

@@ -12,7 +12,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+
+# Entries (partitions times k) one enumeration may hold; the largest of
+# acceptance criterion 1 (k <= 10) holds 47 250
+MAX_PARTITION_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class PairPartition:
 def partition_count(k: int, r: int) -> int:
     """Number of partitions of {1..k} into r pairs and k-2r singletons."""
     _check_kr(k, r)
-    return math.factorial(k) // (2**r * math.factorial(r) * math.factorial(k - 2 * r))
+    return math.comb(k, 2 * r) * math.prod(range(1, 2 * r, 2))
 
 
 def _check_kr(k: int, r: int) -> None:
@@ -71,8 +75,18 @@ def _matchings(elements: tuple[int, ...]):
 @lru_cache(maxsize=None)
 def pair_partitions(k: int, r: int) -> tuple[PairPartition, ...]:
     """All partitions of {1..k} into r pairs plus singletons, each exactly
-    once in canonical form, ordered lexicographically by pair list."""
+    once in canonical form, ordered lexicographically by pair list.  Raises
+    CapacityError before enumerating when they would hold more than
+    MAX_PARTITION_ENTRIES entries; a log-gamma estimate screens out counts
+    too large to form exactly."""
     _check_kr(k, r)
+    cap = MAX_PARTITION_ENTRIES
+    if (k > cap
+            or math.lgamma(k + 1) - math.lgamma(k - 2 * r + 1) - math.lgamma(r + 1)
+            - r * math.log(2.0) + math.log(k) > math.log(cap) + 1.0
+            or partition_count(k, r) * k > cap):
+        raise CapacityError(f"partitions of 1..{k} into {r} pairs would hold more "
+                            f"than {cap} entries")
     out = []
     universe = tuple(range(1, k + 1))
     for paired in itertools.combinations(universe, 2 * r):

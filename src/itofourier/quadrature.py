@@ -1,12 +1,13 @@
 """Composite Gauss-Legendre panel quadrature with in-panel antiderivatives.
 
-The panel grid splits [t, T] at prescribed interior points (basis jumps) and
-optionally refines each segment until a minimum panel count is reached.  On
-every panel the integrand is sampled at the same Gauss nodes; the cumulative
-matrix turns those samples into values of the antiderivative at the nodes,
-which is what the iterated (simplex) integrals need.  Both operations are
-exact whenever the integrand restricted to a panel is a polynomial of degree
-at most ``nodes - 1``.
+A panel grid is built from the edges its caller chooses: t, the basis jumps
+and T for Haar and Walsh, t and T alone for Legendre, and equal panels for
+the trigonometric system, whose confirmation grid has twice as many, so it
+splits each panel exactly in two.  On every panel the integrand is sampled
+at the same Gauss nodes; the cumulative matrix turns those samples into
+values of the antiderivative at the nodes, which is what the iterated
+(simplex) integrals need.  Both operations are exact whenever the integrand
+restricted to a panel is a polynomial of degree at most ``nodes - 1``.
 """
 from __future__ import annotations
 
@@ -69,15 +70,13 @@ class PanelGrid:
     nodes_x has shape (n_panels, nodes); half holds the panel half-widths.
     """
 
-    starts: np.ndarray
-    ends: np.ndarray
     half: np.ndarray
     nodes_x: np.ndarray
     nodes: int
 
     @property
     def n_panels(self) -> int:
-        return self.starts.size
+        return self.half.size
 
     def integrate_samples(self, samples: np.ndarray) -> np.ndarray:
         """Per-panel integrals from samples of shape (..., n_panels, nodes)."""
@@ -101,33 +100,14 @@ class PanelGrid:
         return shifted[..., None] + in_panel, per_panel.sum(axis=-1)
 
 
-def panel_grid(t: float, big_t: float, breakpoints, nodes: int = 16,
-               min_panels: int = 1) -> PanelGrid:
-    """Build a panel grid split at the given interior points.
-
-    Segments between consecutive split points are subdivided further until
-    the whole interval holds at least ``min_panels`` panels of roughly equal
-    width.
-    """
-    cuts = [t]
-    for b in sorted(set(float(b) for b in breakpoints)):
-        if t < b < big_t:
-            cuts.append(b)
-    cuts.append(big_t)
-    starts: list[float] = []
-    ends: list[float] = []
-    length = big_t - t
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        pieces = max(1, int(np.ceil((b - a) / length * min_panels)))
-        edges = np.linspace(a, b, pieces + 1)
-        starts.extend(edges[:-1])
-        ends.extend(edges[1:])
-    starts_a = np.asarray(starts)
-    ends_a = np.asarray(ends)
-    half = (ends_a - starts_a) / 2.0
-    mid = (ends_a + starts_a) / 2.0
+def panel_grid(edges, nodes: int) -> PanelGrid:
+    """One panel between each pair of consecutive edges (ascending, from t
+    to T), with the same ``nodes`` Gauss nodes on every panel."""
+    edges = np.asarray(edges, dtype=float)
+    half = (edges[1:] - edges[:-1]) / 2.0
+    mid = (edges[1:] + edges[:-1]) / 2.0
     x, _ = gauss_rule(nodes)
     nodes_x = mid[:, None] + half[:, None] * x[None, :]
-    for arr in (starts_a, ends_a, half, nodes_x):
-        arr.setflags(write=False)
-    return PanelGrid(starts_a, ends_a, half, nodes_x, nodes)
+    half.setflags(write=False)
+    nodes_x.setflags(write=False)
+    return PanelGrid(half, nodes_x, nodes)

@@ -17,12 +17,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .basis import BasisSystem, Interval, basis_matrix, integrate_basis, jumps
+from .basis import BasisSystem, Interval, basis_matrix, jumps
 from .errors import CapacityError, CompatibilityError, DomainError, GridCompatibilityError
 from .kernel import IntegralSpec, eval_weight
 
-# Entries one batch of paths (B m N increments) or one simulation grid
-# (N (jmax + 1) basis values) may hold: the coefficient tensors' cap
+# Entries one batch of paths (B m N increments), one simulation grid
+# (N (jmax + 1) basis values) or one validation sample (n_paths
+# differences) may hold: the coefficient tensors' cap
 MAX_GRID_ENTRIES = 10**8
 
 _POOL_DOMAIN = 0
@@ -87,6 +88,14 @@ class WienerPath:
         return self.iv.length / self.N
 
 
+def _time_row(iv: Interval, jmax: int) -> np.ndarray:
+    """Integrals of phi_0..phi_jmax over [t, T]: sqrt(T - t), then zeros
+    (every system's phi_0 is constant, see basis.integrate_basis)."""
+    row = np.zeros(jmax + 1)
+    row[0] = math.sqrt(iv.length)
+    return row
+
+
 def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
                   seed: int) -> GaussianPool:
     """Pool of independent standard normals for components 1..m, with the
@@ -98,7 +107,7 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     if m < 1 or jmax < 0:
         raise DomainError("need m >= 1 and jmax >= 0")
     values = np.empty((m + 1, jmax + 1))
-    values[0] = [integrate_basis(basis, j, iv) for j in range(jmax + 1)]
+    values[0] = _time_row(iv, jmax)
     for i in range(1, m + 1):
         values[i] = _stream(seed, _POOL_DOMAIN, i).standard_normal(jmax + 1)
     values.setflags(write=False)
@@ -144,8 +153,7 @@ def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
             f"(use a power-of-two N for Haar/Walsh)")
     left = iv.t + np.arange(n_steps) * dt
     phi = basis_matrix(basis, jmax, left, iv)
-    row0 = np.zeros(jmax + 1)  # phi_j integrates to zero for every j >= 1
-    row0[0] = integrate_basis(basis, 0, iv)
+    row0 = _time_row(iv, jmax)
     phi.setflags(write=False)
     row0.setflags(write=False)
     return phi, row0

@@ -13,13 +13,13 @@ from itofourier.basis import BasisSystem, Interval, gram_matrix
 from itofourier.cli import run_cli
 from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
                                      moment_bound_2n, ms_error_bound, parseval_residual)
-from itofourier.expansion import hermite_reference, truncated_expansion
+from itofourier.expansion import truncated_expansion
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.partitions import pair_partitions, partition_count
 from itofourier.stochastic import gaussian_pool
 from itofourier.validation import (grid_allowance, moment_check, sample_differences,
                                    strong_error_estimate)
-from oracles import explicit_expansion
+from oracles import explicit_expansion, hermite_reference
 
 UNIT = Interval(0.0, 1.0)
 LEG = BasisSystem.LEGENDRE

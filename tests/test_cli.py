@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import itofourier
 from itofourier import cli, stochastic, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
@@ -91,6 +95,19 @@ class TestPartitions:
     def test_domain_error_exit(self, capsys):
         assert run_cli(["partitions", "--k", "3", "--r", "2"]) == 1
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, r", [(40, 20), (14, 7), (10**9, 0)])
+    def test_too_many_partitions_rejected_fast(self, k, r):
+        # a subprocess with a timeout, so that an unbounded enumeration fails
+        # the test instead of hanging the suite
+        src = os.path.dirname(os.path.dirname(itofourier.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "itofourier", "partitions", "--k", str(k),
+                               "--r", str(r)], capture_output=True, text=True, env=env,
+                              timeout=20)
+        assert proc.returncode == 1
+        assert "than 1000000 entries" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestValidate:
@@ -242,12 +259,17 @@ class TestErrors:
     @pytest.mark.parametrize("field, value, named", [
         ("k", "x", "k"),
         ("k", float("inf"), "k"),
+        ("k", 2.9, "k"),
+        ("k", True, "k"),
         ("t", "a", "t"),
         ("indices", ["a", 2], "indices"),
+        ("indices", [1.7, 2.2], "indices"),
+        ("indices", [True, 2], "indices"),
         ("weights", 3, "weights"),
         ("weights", [{"poly": 1}, {"poly": [1]}], "weights: poly"),
         ("weights", [{"poly": ["z"]}, {"poly": [1]}], "weights: poly"),
-    ], ids=["k-str", "k-inf", "t-str", "indices-str", "weights-int", "poly-int", "poly-str"])
+    ], ids=["k-str", "k-inf", "k-float", "k-bool", "t-str", "indices-str", "indices-float",
+            "indices-bool", "weights-int", "poly-int", "poly-str"])
     def test_spec_field_of_wrong_type_named(self, tmp_path, capsys, command, field, value,
                                             named):
         spec = {"t": 0.0, "T": 1.0, "k": 2, "indices": [1, 2],
@@ -261,7 +283,9 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [("basis", 3), ("seed", float("inf")),
-                                              ("n_paths", float("inf"))])
+                                              ("n_paths", float("inf")), ("seed", True),
+                                              ("n_paths", 100.9), ("N", 64.7), ("N", 0),
+                                              ("n", 1.5), ("orders", [1.9, 0.5])])
     def test_run_field_of_wrong_type_named(self, config_path, tmp_path, capsys, field, value):
         with open(config_path) as fh:
             doc = json.load(fh)
@@ -279,12 +303,14 @@ class TestErrors:
          + lines[1:], "orders must be integers"),
         (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": 3')] + lines[1:],
          "orders must be integers"),
+        (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [1.5, 1]')]
+         + lines[1:], "orders must be integers"),
         (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [-3, 1]')]
          + lines[1:], "orders must be >= 0"),
         (lambda lines: [lines[0].replace('"basis": "legendre"', '"basis": 3')] + lines[1:],
          "basis name must be a string"),
     ], ids=["row-index", "row-value", "header-not-object", "orders-str", "orders-int",
-            "orders-negative", "basis-int"])
+            "orders-float", "orders-negative", "basis-int"])
     def test_malformed_table_named(self, config_path, tmp_path, capsys, edit, named):
         table = tmp_path / "c.csv"
         assert run_cli(["coeffs", "--config", config_path, "--orders", "1,1",
@@ -294,17 +320,20 @@ class TestErrors:
         assert run_cli(["approximate", "--table", str(table), "--seed", "7"]) == 1
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("orders, steps, what", [("0,0", 2**16, "increments"),
-                                                     ("16,16", 4096, "basis values")],
-                             ids=["steps", "grid"])
+    @pytest.mark.parametrize("orders, paths, steps, what", [
+        ("0,0", 100, 2**16, "increments"),
+        ("16,16", 100, 4096, "basis values"),
+        ("0,0", 10**12, 4096, "paths"),
+    ], ids=["steps", "grid", "paths"])
     def test_simulation_over_cap_rejected(self, config_path, tmp_path, capsys, monkeypatch,
-                                          orders, steps, what):
+                                          orders, paths, steps, what):
         # 2**16 entries: one 8-path chunk at m = 2, N = 4096 fits, while one
-        # path of 2**16 steps, or a grid of 4096 steps by 17 basis rows, does not
+        # path of 2**16 steps, a grid of 4096 steps by 17 basis rows, or a
+        # sample of 10**12 differences does not
         monkeypatch.setattr(stochastic, "MAX_GRID_ENTRIES", 2**16)
         out = tmp_path / "r.json"
         assert run_cli(["validate", "--config", config_path, "--orders", orders,
-                        "--paths", "100", "--steps", str(steps), "--seed", "1",
+                        "--paths", str(paths), "--steps", str(steps), "--seed", "1",
                         "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert what in err and "cap 65536" in err

@@ -147,6 +147,27 @@ class TestQuadraturePlan:
                              weights=(Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))
         assert coefficient_tensor(spec3, basis, (31, 31, 31)).values.shape == (32, 32, 32)
 
+    @pytest.mark.parametrize("iv", [UNIT, Interval(2.5, 7.5), Interval(0.1, 0.7)],
+                             ids=["unit", "shifted", "short"])
+    def test_trigonometric_confirmation_grids_double_the_panels(self, iv, monkeypatch):
+        panels = []
+        real = coefficients.panel_grid
+
+        def recording(*args, **kwargs):
+            grid = real(*args, **kwargs)
+            panels.append(grid.n_panels)
+            return grid
+
+        monkeypatch.setattr(coefficients, "panel_grid", recording)
+        weights = (Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,)))
+        for indices, orders in (((1,), (60,)), ((1, 2), (5, 8)), ((1, 2, 1), (16, 16, 16))):
+            spec = IntegralSpec(iv=iv, k=len(indices), indices=indices,
+                                weights=weights[:len(indices)])
+            panels.clear()
+            coefficient_tensor(spec, BasisSystem.TRIGONOMETRIC, orders)
+            assert len(panels) >= 2
+            assert panels[1:] == [2 * n for n in panels[:-1]], (orders, panels)
+
     @pytest.mark.parametrize("basis, orders, max_entries", [
         # trigonometric (60,) plans 62 panels of 24 nodes for 61 rows:
         # 90 768 entries, over 10**4 on the planned grid and over 10**5 only

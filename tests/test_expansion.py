@@ -12,10 +12,10 @@ from itofourier.basis import BasisSystem, Interval
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor
 from itofourier.errors import (CompatibilityError, DomainError,
                                UnsupportedMultiplicityError)
-from itofourier.expansion import ExpansionResult, hermite_reference, truncated_expansion
+from itofourier.expansion import ExpansionResult, truncated_expansion
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.stochastic import GaussianPool, gaussian_pool
-from oracles import brute_expansion, explicit_expansion
+from oracles import brute_expansion, explicit_expansion, hermite_reference
 
 UNIT = Interval(0.0, 1.0)
 HALF_ROOT3 = 1.0 / (2.0 * math.sqrt(3.0))

@@ -133,13 +133,13 @@ class TestZetaFromPath:
 
     def test_run_constant_basis_work_done_once(self, monkeypatch):
         calls = []
-        for name in ("jumps", "integrate_basis"):
+        for name in ("jumps", "basis_matrix"):
             original = getattr(stochastic, name)
             monkeypatch.setattr(stochastic, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
         stochastic._grid_plan.cache_clear()
         zeta_from_path(brownian_path(UNIT, 2, 64, seed=8), BasisSystem.WALSH, 7)
-        assert set(calls) == {"jumps", "integrate_basis"}
+        assert set(calls) == {"jumps", "basis_matrix"}
         calls.clear()
         zeta_from_path(brownian_path(UNIT, 2, 64, seed=9), BasisSystem.WALSH, 7)
         assert calls == []
