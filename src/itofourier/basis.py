@@ -5,12 +5,14 @@ the trigonometric system, Haar wavelets, and Rademacher-Walsh functions.
 One vectorised evaluator, :func:`basis_rows`, serves all of them:
 :func:`eval_basis` and :func:`basis_matrix` return rows of it, so both agree
 bit for bit.  The discontinuous systems (Haar, Walsh) evaluate
-right-continuously at their jump points; :func:`breakpoints` exposes the
-jumps of one function and :func:`jumps` those of phi_0..phi_jmax, so that
-quadrature panels and simulation grids can be aligned with them.
+right-continuously at their jump points.  Every jump of phi_0..phi_jmax is
+a multiple of (T-t)/2**D, D = :func:`jump_depth` (the bit length of jmax),
+so a simulation grid of N steps holds them all exactly when 2**D divides N;
+:func:`jumps` lists them in closed form for quadrature panels, and
+:func:`breakpoints` lists those of one function.
 Integrals are closed form: every system's phi_0 is constant, so phi_j
 integrates to sqrt(T-t) for j = 0 and to zero otherwise.  Walsh factors are
-capped at 20, which bounds a jump search at 2**20 dyadic points.
+capped at 20, which bounds the jump grid at 2**20 dyadic points.
 
 Index conventions
 -----------------
@@ -25,18 +27,19 @@ Every system is addressed by a single flat index ``j >= 0``:
 * Walsh: ``j = 0`` is the constant; ``j >= 1`` maps to a nonempty set
   ``{m_1 < ... < m_q}`` of Rademacher factors.  Index blocks are ordered
   by increasing ``max m``, and within a block subsets are ordered
-  lexicographically as ascending tuples.
+  lexicographically as ascending tuples (decoded by ``_walsh_mask``).
 """
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BasisIndexError, DomainError
-from .quadrature import _legendre_rows, gauss_rule, panel_grid
+from .quadrature import _legendre_rows, panel_grid
 
 # Index guards: Legendre recurrence is well behaved far beyond practical
 # truncation orders; the Haar cap keeps 2**level arithmetic in range; the
@@ -74,6 +77,8 @@ class BasisSystem(enum.Enum):
     WALSH = "walsh"
 
 
+_PIECEWISE_CONSTANT = (BasisSystem.HAAR, BasisSystem.WALSH)
+
 _BASIS_ALIASES = {
     "legendre": BasisSystem.LEGENDRE,
     "trigonometric": BasisSystem.TRIGONOMETRIC,
@@ -95,42 +100,16 @@ def parse_basis(name: str) -> BasisSystem:
         raise DomainError(f"unknown basis {name!r}; expected one of: {known}") from None
 
 
-def haar_unflatten(j: int) -> tuple[int, int]:
-    """Map flat Haar index j >= 1 to (level n, in-level position 1..2**n)."""
-    if j < 1:
-        raise BasisIndexError("flat Haar index must be >= 1 for wavelet levels")
-    n = j.bit_length() - 1
-    if n > HAAR_MAX_LEVEL:
-        raise BasisIndexError(f"Haar level {n} exceeds cap {HAAR_MAX_LEVEL}")
-    return n, j - (1 << n) + 1
-
-
-def walsh_subset(j: int) -> tuple[int, ...]:
-    """Map flat Walsh index j >= 1 to its Rademacher factor set.
-
-    Blocks of fixed ``M = max(subset)`` occupy ``j in [2**(M-1), 2**M - 1]``;
-    within a block subsets are in lexicographic order of ascending tuples,
-    which counts the other factors m < M down in binary: m is in the subset
-    exactly when bit M - 1 - m of 2**M - 1 - j is set.
-    """
-    if j < 1:
-        raise BasisIndexError("flat Walsh index must be >= 1 for non-constant functions")
-    m_max = j.bit_length()
-    if m_max > WALSH_MAX_FACTOR:
-        raise BasisIndexError(f"Walsh factor {m_max} exceeds cap {WALSH_MAX_FACTOR}")
-    rest = (1 << m_max) - 1 - j
-    return tuple(m for m in range(1, m_max) if rest >> (m_max - 1 - m) & 1) + (m_max,)
-
-
 def _check_index(system: BasisSystem, j: int) -> None:
     if j < 0:
         raise BasisIndexError(f"basis index must be >= 0, got {j}")
     if system is BasisSystem.LEGENDRE and j > LEGENDRE_MAX_DEGREE:
         raise BasisIndexError(f"Legendre degree {j} exceeds cap {LEGENDRE_MAX_DEGREE}")
-    if system is BasisSystem.HAAR and j >= 1:
-        haar_unflatten(j)
-    if system is BasisSystem.WALSH and j >= 1:
-        walsh_subset(j)
+    bits = operator.index(j).bit_length() if system in _PIECEWISE_CONSTANT else 0
+    if system is BasisSystem.HAAR and bits - 1 > HAAR_MAX_LEVEL:
+        raise BasisIndexError(f"Haar level {bits - 1} exceeds cap {HAAR_MAX_LEVEL}")
+    if system is BasisSystem.WALSH and bits > WALSH_MAX_FACTOR:
+        raise BasisIndexError(f"Walsh factor {bits} exceeds cap {WALSH_MAX_FACTOR}")
 
 
 def _unit_coord(s: np.ndarray, iv: Interval) -> np.ndarray:
@@ -142,8 +121,14 @@ def _unit_coord(s: np.ndarray, iv: Interval) -> np.ndarray:
 
 def _walsh_mask(j, depth: int) -> np.ndarray:
     """Bit ``depth - m`` set for each Rademacher factor m of the Walsh
-    function j (an index or an index array): the bits of 2**M - 1 - j moved
-    above the bit of M, the bit length of j (see walsh_subset)."""
+    function j (an index or an index array).
+
+    Blocks of fixed ``M = max(subset)`` occupy ``j in [2**(M-1), 2**M - 1]``;
+    within a block subsets are in lexicographic order of ascending tuples,
+    which counts the other factors m < M down in binary: m is in the subset
+    exactly when bit M - 1 - m of 2**M - 1 - j is set.  The mask is those
+    bits moved above the bit of M, the bit length of j.
+    """
     j = np.asarray(j, dtype=np.int64)
     top = np.frexp(j)[1]
     return np.where(j > 0, ((2**top - 1 - j) << (depth + 1 - top)) | (1 << (depth - top)), 0)
@@ -215,10 +200,11 @@ def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
     return an empty list.
     """
     _check_index(system, j)
-    if system in (BasisSystem.LEGENDRE, BasisSystem.TRIGONOMETRIC) or j == 0:
+    if system not in _PIECEWISE_CONSTANT or j == 0:
         return []
     if system is BasisSystem.HAAR:
-        n, pos = haar_unflatten(j)
+        n = j.bit_length() - 1
+        pos = j - (1 << n) + 1
         left = (pos - 1) / 2.0**n
         unit = np.array([left, left + 1.0 / 2.0 ** (n + 1), pos / 2.0**n])
         unit = unit[(unit > 0.0) & (unit < 1.0)]
@@ -234,17 +220,28 @@ def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
     return (iv.t + unit * iv.length).tolist()
 
 
+def jump_depth(system: BasisSystem, jmax: int) -> int:
+    """The D for which every jump of phi_0..phi_jmax is a multiple of
+    (T - t) / 2**D and (T - t) / 2**D is itself one of them: the bit length
+    of jmax for Haar and Walsh, 0 for the continuous systems."""
+    _check_index(system, jmax)
+    return operator.index(jmax).bit_length() if system in _PIECEWISE_CONSTANT else 0
+
+
 def jumps(system: BasisSystem, jmax: int, iv: Interval) -> list[float]:
     """Every interior jump point of phi_0..phi_jmax, ascending: the cuts
-    that quadrature panels and simulation grids are aligned with."""
-    _check_index(system, jmax)
-    if system in (BasisSystem.LEGENDRE, BasisSystem.TRIGONOMETRIC) or jmax == 0:
-        return []
+    that quadrature panels are aligned with.
+
+    With D = jump_depth(system, jmax), Walsh jumps at every t + i (T - t) / 2**D
+    (the single factor r_D, index 2**D - 1, already does).  The complete Haar
+    levels below D - 1 jump at the even i; the wavelets 2**(D-1)..jmax of
+    level D - 1 add their midpoints, the odd i < 2 (jmax - 2**(D-1) + 1).
+    """
+    depth = jump_depth(system, jmax)
+    i = np.arange(1, 1 << depth)
     if system is BasisSystem.HAAR:
-        return sorted({b for i in range(1, jmax + 1) for b in breakpoints(system, i, iv)})
-    # Walsh: the interior multiples of 2**-M, M the bit length of jmax, are
-    # exactly the jumps of the single factor r_M, which is index 2**M - 1
-    return breakpoints(system, (1 << jmax.bit_length()) - 1, iv)
+        i = i[(i % 2 == 0) | (i < 2 * jmax + 2 - (1 << depth))]
+    return (iv.t + i / 2.0**depth * iv.length).tolist()
 
 
 def integrate_basis(system: BasisSystem, j: int, iv: Interval) -> float:
@@ -265,17 +262,14 @@ def _gram_piecewise_constant(system: BasisSystem, p: int, iv: Interval) -> np.nd
     amplitude product is an exact power of two on the diagonal and the signed
     count cancels exactly off it, giving a bitwise-exact identity.
     """
-    if system is BasisSystem.HAAR:
-        levels = [0] + [haar_unflatten(j)[0] for j in range(1, p + 1)]
-        depth = max(levels) + 1
-    else:
-        factors = [0] + [walsh_subset(j)[-1] for j in range(1, p + 1)]
-        depth = max(factors)
-    panels = 1 << depth
+    panels = 1 << jump_depth(system, p)
     mids = (np.arange(panels) + 0.5) / panels
-    signs = np.sign(basis_rows(system, np.arange(p + 1), mids, Interval(0.0, 1.0)))
+    j = np.arange(p + 1)
+    signs = np.sign(basis_rows(system, j, mids, Interval(0.0, 1.0)))
     counts = signs @ signs.T
     if system is BasisSystem.HAAR:
+        # level floor(log2 j), and 0 for the constant
+        levels = np.maximum(np.frexp(j)[1] - 1, 0)
         half_sum = np.add.outer(levels, levels)
         amp = np.where(half_sum % 2 == 0, 1.0, math.sqrt(2.0)) * 2.0 ** (half_sum // 2)
     else:
@@ -294,7 +288,7 @@ def gram_matrix(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
     if p < 0:
         raise DomainError("gram_matrix requires p >= 0")
     _check_index(system, p)
-    if system in (BasisSystem.HAAR, BasisSystem.WALSH):
+    if system in _PIECEWISE_CONSTANT:
         return _gram_piecewise_constant(system, p, iv)
     if system is BasisSystem.LEGENDRE:
         # product degree up to 2p; n nodes integrate degree 2n-1 exactly
@@ -302,8 +296,5 @@ def gram_matrix(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
     else:
         r_max = (p + 1) // 2
         grid = panel_grid(np.linspace(iv.t, iv.T, max(2, 4 * r_max + 2) + 1), 24)
-    pts = grid.nodes_x.ravel()
-    phi = basis_matrix(system, p, pts, iv)
-    _, w = gauss_rule(grid.nodes)
-    node_w = (grid.half[:, None] * w[None, :]).ravel()
-    return (phi * node_w) @ phi.T
+    phi = basis_matrix(system, p, grid.nodes_x.ravel(), iv)
+    return (phi * grid.weights.ravel()) @ phi.T

@@ -17,6 +17,7 @@ j_1 fastest-varying.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -26,8 +27,8 @@ import numpy as np
 
 from .basis import BasisSystem, basis_rows, jumps, parse_basis
 from .errors import BasisIndexError, CapacityError, DomainError, NumericError
-from .kernel import IntegralSpec, eval_weight, exact_int, kernel_l2_norm_sq
-from .quadrature import PanelGrid, gauss_rule, panel_grid
+from .kernel import IntegralSpec, eval_weight, exact_int, exact_ints, kernel_l2_norm_sq
+from .quadrature import PanelGrid, panel_grid
 
 DEFAULT_MAX_ENTRIES = 10**8
 FORMAT_VERSION = "1"
@@ -43,10 +44,7 @@ class CoefficientTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.orders) != self.spec.k:
-            raise DomainError(f"need {self.spec.k} truncation orders, got {len(self.orders)}")
-        if any(p < 0 for p in self.orders):
-            raise DomainError("truncation orders must be >= 0")
+        object.__setattr__(self, "orders", _read_orders(self.spec, self.orders))
         shape = tuple(p + 1 for p in self.orders)
         if self.values.shape != shape:
             raise DomainError(f"values shape {self.values.shape} != {shape}")
@@ -57,6 +55,16 @@ class CoefficientTensor:
         """All index tuples in serialization order (j_1 fastest-varying)."""
         for rev in np.ndindex(*self.values.shape[::-1]):
             yield rev[::-1]
+
+
+def _read_orders(spec: IntegralSpec, orders) -> tuple[int, ...]:
+    """orders read through exact_int: one per level of spec, each >= 0."""
+    orders = exact_ints("orders", orders)
+    if len(orders) != spec.k:
+        raise DomainError(f"need {spec.k} truncation orders, got {len(orders)}")
+    if any(p < 0 for p in orders):
+        raise DomainError("truncation orders must be >= 0")
+    return orders
 
 
 def _require_sweep_fits(basis: BasisSystem, indices, panels: int, nodes: int,
@@ -99,19 +107,16 @@ def _sweep(spec: IntegralSpec, basis: BasisSystem, indices, grid: PanelGrid) -> 
     iv = spec.iv
     flat = grid.nodes_x.ravel()
     shape2 = grid.nodes_x.shape
-    _, w = gauss_rule(grid.nodes)
-    node_w = grid.half[:, None] * w[None, :]
     state = np.ones((1,) + shape2)
     k = spec.k
     for level in range(k):
         factor = basis_rows(basis, indices[level], flat, iv).reshape((-1,) + shape2)
         factor = factor * np.asarray(eval_weight(spec.weights[level], flat, iv)).reshape(shape2)
         if level == k - 1:
-            totals = np.tensordot(state, factor * node_w, axes=([1, 2], [1, 2]))
+            totals = np.tensordot(state, factor * grid.weights, axes=([1, 2], [1, 2]))
             return totals.reshape(tuple(j.size for j in indices))
         prod = state[:, None, :, :] * factor[None, :, :, :]
-        cum, _ = grid.cumulative(prod)
-        state = cum.reshape((-1,) + shape2)
+        state = grid.cumulative(prod).reshape((-1,) + shape2)
     raise AssertionError("unreachable")
 
 
@@ -140,7 +145,7 @@ def _coefficients(spec: IntegralSpec, basis: BasisSystem, indices,
 def fourier_coefficient(spec: IntegralSpec, basis: BasisSystem, jtuple) -> float:
     """Single generalized Fourier coefficient for the index tuple
     (j_1, ..., j_k), j_1 innermost."""
-    jt = tuple(int(j) for j in jtuple)
+    jt = exact_ints("jtuple", jtuple)
     if len(jt) != spec.k:
         raise DomainError(f"need {spec.k} basis indices, got {len(jt)}")
     if any(j < 0 for j in jt):
@@ -156,11 +161,7 @@ def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders,
     computed in one shared-grid pass; the result does not depend on
     evaluation order or parallelism.
     """
-    orders_t = tuple(int(p) for p in orders)
-    if len(orders_t) != spec.k:
-        raise DomainError(f"need {spec.k} truncation orders, got {len(orders_t)}")
-    if any(p < 0 for p in orders_t):
-        raise DomainError("truncation orders must be >= 0")
+    orders_t = _read_orders(spec, orders)
     entries = math.prod(p + 1 for p in orders_t)
     if entries > max_entries:
         raise CapacityError(f"tensor would hold {entries} entries > cap {max_entries}")
@@ -171,11 +172,11 @@ def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders,
 
 
 def sum_squared(tensor: CoefficientTensor) -> float:
-    """Exact-order-independent sum of squared coefficients."""
+    """Exact-order-independent sum of squared coefficients: one math.fsum
+    over blocks of 2**20 squares, so memory stays bounded at every size."""
     flat = tensor.values.ravel()
-    if flat.size <= 1 << 20:
-        return math.fsum((flat * flat).tolist())
-    return float(np.sum(flat * flat))
+    blocks = (flat[i:i + 2**20] for i in range(0, flat.size, 2**20))
+    return math.fsum(itertools.chain.from_iterable((b * b).tolist() for b in blocks))
 
 
 def parseval_residual(spec: IntegralSpec, tensor: CoefficientTensor) -> float:

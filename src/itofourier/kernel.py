@@ -26,12 +26,18 @@ def exact_int(value) -> int:
     return out
 
 
-def _field(obj: dict, name: str, convert):
-    """convert(obj[name]), any failure raised as a DomainError naming the field."""
+def _named(name: str, convert, value):
+    """convert(value), any failure raised as a DomainError naming the argument."""
     try:
-        return convert(obj[name])
+        return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name}: {exc}") from None
+
+
+def exact_ints(name: str, values) -> tuple[int, ...]:
+    """values as a tuple read through exact_int; a failure is raised as a
+    DomainError naming the argument."""
+    return _named(name, lambda vs: tuple(map(exact_int, vs)), values)
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class Weight:
     def from_json(cls, obj) -> "Weight":
         if not isinstance(obj, dict) or set(obj) != {"poly"}:
             raise DomainError(f'weight JSON must be {{"poly": [...]}}, got {obj!r}')
-        return cls(_field(obj, "poly", lambda poly: tuple(float(c) for c in poly)))
+        return cls(_named("poly", lambda poly: tuple(float(c) for c in poly), obj["poly"]))
 
 
 CONSTANT_ONE = Weight((1.0,))
@@ -76,14 +82,17 @@ class IntegralSpec:
     weights: tuple[Weight, ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"multiplicity must be >= 1, got {self.k}")
-        if len(self.indices) != self.k or len(self.weights) != self.k:
+        k = _named("k", exact_int, self.k)
+        indices = exact_ints("indices", self.indices)
+        if k < 1:
+            raise DomainError(f"multiplicity must be >= 1, got {k}")
+        if len(indices) != k or len(self.weights) != k:
             raise ArityError(
-                f"need {self.k} indices and weights, got {len(self.indices)}/{len(self.weights)}")
-        if any(i < 0 for i in self.indices):
+                f"need {k} indices and weights, got {len(indices)}/{len(self.weights)}")
+        if any(i < 0 for i in indices):
             raise DomainError("component indices must be >= 0")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "weights", tuple(self.weights))
 
     @property
@@ -111,11 +120,11 @@ class IntegralSpec:
         if missing:
             raise DomainError(f"integral spec missing fields: {sorted(missing)}")
         return cls(
-            iv=Interval(_field(obj, "t", float), _field(obj, "T", float)),
-            k=_field(obj, "k", exact_int),
-            indices=_field(obj, "indices", lambda ids: tuple(map(exact_int, ids))),
-            weights=_field(obj, "weights",
-                           lambda ws: tuple(Weight.from_json(w) for w in ws)),
+            iv=Interval(_named("t", float, obj["t"]), _named("T", float, obj["T"])),
+            k=obj["k"],
+            indices=obj["indices"],
+            weights=_named("weights", lambda ws: tuple(Weight.from_json(w) for w in ws),
+                           obj["weights"]),
         )
 
 
@@ -146,6 +155,6 @@ def kernel_l2_norm_sq(spec: IntegralSpec) -> float:
 
 def constant_spec(iv: Interval, indices) -> IntegralSpec:
     """Spec with unit weights for the given component indices."""
-    indices = tuple(int(i) for i in indices)
+    indices = tuple(indices)
     return IntegralSpec(iv=iv, k=len(indices), indices=indices,
                         weights=(CONSTANT_ONE,) * len(indices))

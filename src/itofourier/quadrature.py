@@ -67,37 +67,30 @@ def cumulative_matrix(nodes: int) -> np.ndarray:
 class PanelGrid:
     """Panelization of [t, T] with shared Gauss nodes on every panel.
 
-    nodes_x has shape (n_panels, nodes); half holds the panel half-widths.
+    nodes_x and weights have shape (n_panels, nodes): the nodes and their
+    quadrature weights on [t, T]; half holds the panel half-widths.
     """
 
     half: np.ndarray
     nodes_x: np.ndarray
+    weights: np.ndarray
     nodes: int
 
     @property
     def n_panels(self) -> int:
         return self.half.size
 
-    def integrate_samples(self, samples: np.ndarray) -> np.ndarray:
-        """Per-panel integrals from samples of shape (..., n_panels, nodes)."""
+    def cumulative(self, samples: np.ndarray) -> np.ndarray:
+        """Antiderivative values (from t) at every node, from samples of
+        shape (..., n_panels, nodes); the result has the shape of samples."""
         _, w = gauss_rule(self.nodes)
         flat = samples.reshape(-1, self.nodes)
-        return self.half * (flat @ w).reshape(samples.shape[:-1])
-
-    def cumulative(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Antiderivative values (from t) at every node, plus the total.
-
-        Returns (cum_nodes, total) where cum_nodes has the shape of samples
-        and total the shape of samples without the last two axes.
-        """
-        per_panel = self.integrate_samples(samples)
+        per_panel = self.half * (flat @ w).reshape(samples.shape[:-1])
         shifted = np.zeros_like(per_panel)
         shifted[..., 1:] = np.cumsum(per_panel, axis=-1)[..., :-1]
-        kmat = cumulative_matrix(self.nodes)
-        flat = samples.reshape(-1, self.nodes)
-        in_panel = (flat @ kmat.T).reshape(samples.shape)
+        in_panel = (flat @ cumulative_matrix(self.nodes).T).reshape(samples.shape)
         in_panel *= self.half[:, None]
-        return shifted[..., None] + in_panel, per_panel.sum(axis=-1)
+        return shifted[..., None] + in_panel
 
 
 def panel_grid(edges, nodes: int) -> PanelGrid:
@@ -106,8 +99,9 @@ def panel_grid(edges, nodes: int) -> PanelGrid:
     edges = np.asarray(edges, dtype=float)
     half = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[1:] + edges[:-1]) / 2.0
-    x, _ = gauss_rule(nodes)
+    x, w = gauss_rule(nodes)
     nodes_x = mid[:, None] + half[:, None] * x[None, :]
-    half.setflags(write=False)
-    nodes_x.setflags(write=False)
-    return PanelGrid(half, nodes_x, nodes)
+    weights = half[:, None] * w[None, :]
+    for arr in (half, nodes_x, weights):
+        arr.setflags(write=False)
+    return PanelGrid(half, nodes_x, weights, nodes)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .basis import BasisSystem, Interval, basis_matrix, jumps
+from .basis import BasisSystem, Interval, basis_matrix, jump_depth
 from .errors import CapacityError, CompatibilityError, DomainError, GridCompatibilityError
 from .kernel import IntegralSpec, eval_weight
 
@@ -142,16 +142,14 @@ def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
                jmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis rows at the left grid points and the exact row 0, both fixed for
     a whole run.  Raises (and so caches nothing) if a basis jump is off the
-    grid."""
-    dt = iv.length / n_steps
-    cuts = np.array(jumps(basis, jmax, iv))
-    steps = (cuts - iv.t) / dt
-    off = np.abs(steps - np.round(steps)) * dt > 1e-9 * iv.length
-    if np.any(off):
+    grid: the jumps are the multiples of (T - t) / 2**D that include
+    (T - t) / 2**D itself, so all lie on the grid exactly when 2**D divides N."""
+    depth = jump_depth(basis, jmax)
+    if n_steps % 2**depth:
         raise GridCompatibilityError(
-            f"basis jump at {cuts[off][0]} not on the N={n_steps} grid "
-            f"(use a power-of-two N for Haar/Walsh)")
-    left = iv.t + np.arange(n_steps) * dt
+            f"{basis.value} basis up to index {jmax} jumps on the 2**{depth} grid; "
+            f"N={n_steps} is not a multiple of 2**{depth}")
+    left = iv.t + np.arange(n_steps) * (iv.length / n_steps)
     phi = basis_matrix(basis, jmax, left, iv)
     row0 = _time_row(iv, jmax)
     phi.setflags(write=False)

@@ -26,7 +26,7 @@ from .coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2
                            ms_error_bound, parseval_residual)
 from .errors import CapacityError, DomainError
 from .expansion import truncated_expansion
-from .kernel import IntegralSpec
+from .kernel import IntegralSpec, exact_ints
 from .stochastic import brownian_path, path_iterated_integral, path_seed, zeta_from_path
 
 
@@ -101,7 +101,7 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
         raise CapacityError(f"n_paths = {n_paths} paths > cap {stochastic.MAX_GRID_ENTRIES}")
     if n_steps < 1:
         raise DomainError(f"need N >= 1 steps, got {n_steps}")
-    orders_t = tuple(int(p) for p in orders)
+    orders_t = exact_ints("orders", orders)
     if tensor is None:
         tensor = coefficient_tensor(spec, basis, orders_t)
     jmax = max(orders_t)

@@ -5,15 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itofourier.basis import (BasisSystem, Interval, basis_matrix, breakpoints,
-                              eval_basis, gram_matrix, haar_unflatten, integrate_basis,
-                              parse_basis, walsh_subset)
+from itofourier.basis import (BasisSystem, Interval, _walsh_mask, basis_matrix, breakpoints,
+                              eval_basis, gram_matrix, integrate_basis, jump_depth,
+                              parse_basis)
 from itofourier.errors import BasisIndexError, DomainError
 
 ALL_SYSTEMS = list(BasisSystem)
 UNIT = Interval(0.0, 1.0)
 SHIFTED = Interval(2.5, 7.5)
 PIECEWISE = (BasisSystem.HAAR, BasisSystem.WALSH)
+
+
+def haar_level_position(j):
+    """Reference decode of a flat Haar index j >= 1: levels are enumerated
+    in blocks of 2**n indices, n = 0, 1, ..., and the position counts 1..2**n
+    within the block."""
+    n, first = 0, 1
+    while j >= first + 2**n:
+        first += 2**n
+        n += 1
+    return n, j - first + 1
+
+
+def walsh_reference_mask(j, depth):
+    """Bit depth - m set for each factor m of lex_walsh_subset(j)."""
+    return sum(1 << (depth - m) for m in lex_walsh_subset(j))
 
 
 def lex_walsh_subset(j):
@@ -48,7 +64,7 @@ def oracle_unit(system: BasisSystem, j: int, u: np.ndarray) -> np.ndarray:
     if j == 0:
         return out
     if system is BasisSystem.HAAR:
-        n, pos = haar_unflatten(j)
+        n, pos = haar_level_position(j)
         left, right = (pos - 1) / 2.0**n, pos / 2.0**n
         mid = (left + right) / 2.0
         amp = 2.0 ** (n / 2.0)
@@ -74,28 +90,32 @@ class TestInterval:
 
 class TestIndexMaps:
     def test_haar_levels(self):
-        assert haar_unflatten(1) == (0, 1)
-        assert haar_unflatten(2) == (1, 1)
-        assert haar_unflatten(3) == (1, 2)
-        assert haar_unflatten(4) == (2, 1)
-        assert haar_unflatten(7) == (2, 4)
+        assert [haar_level_position(j) for j in (1, 2, 3, 4, 7)] == [
+            (0, 1), (1, 1), (1, 2), (2, 1), (2, 4)]
+        # the wavelet of level n and position pos is supported on
+        # [(pos - 1) / 2**n, pos / 2**n] and jumps at its ends and midpoint
+        for j in range(1, 1024):
+            n, pos = haar_level_position(j)
+            cuts = [(pos - 1) / 2**n, (2 * pos - 1) / 2 ** (n + 1), pos / 2**n]
+            assert breakpoints(BasisSystem.HAAR, j, UNIT) == [c for c in cuts if 0 < c < 1]
+            assert jump_depth(BasisSystem.HAAR, j) == n + 1
 
     def test_walsh_blocks_are_lex_within_increasing_max(self):
-        subsets = [walsh_subset(j) for j in range(1, 8)]
+        subsets = [lex_walsh_subset(j) for j in range(1, 8)]
         assert subsets == [(1,), (1, 2), (2,), (1, 2, 3), (1, 3), (2, 3), (3,)]
         # block of max m occupies indices [2**(m-1), 2**m - 1]
         for j in range(1, 64):
-            assert walsh_subset(j)[-1] == j.bit_length()
+            assert jump_depth(BasisSystem.WALSH, j) == lex_walsh_subset(j)[-1] == j.bit_length()
 
     def test_walsh_subset_matches_the_lexicographic_walk(self):
         rng = np.random.default_rng(5)
         high = [int(j) for j in rng.integers(1 << 12, 1 << 20, size=200)]
-        for j in list(range(1, 1 << 12)) + high + [2**19, 2**20 - 1]:
-            assert walsh_subset(j) == lex_walsh_subset(j), j
+        js = list(range(1, 1 << 12)) + high + [2**19, 2**20 - 1]
+        masks = _walsh_mask(np.array(js), 20).tolist()
+        assert masks == [walsh_reference_mask(j, 20) for j in js]
 
     def test_walsh_enumeration_is_a_bijection(self):
-        seen = {walsh_subset(j) for j in range(1, 256)}
-        assert len(seen) == 255
+        assert len(set(_walsh_mask(np.arange(1, 256), 8).tolist())) == 255
 
     def test_index_caps(self):
         with pytest.raises(BasisIndexError):
@@ -108,6 +128,7 @@ class TestIndexMaps:
     def test_walsh_cap_is_twenty_factors(self):
         top = 2**20 - 1
         for call in (lambda j: breakpoints(BasisSystem.WALSH, j, UNIT),
+                     lambda j: jump_depth(BasisSystem.WALSH, j),
                      lambda j: eval_basis(BasisSystem.WALSH, j, 0.3, UNIT),
                      lambda j: integrate_basis(BasisSystem.WALSH, j, UNIT)):
             with pytest.raises(BasisIndexError):
@@ -117,7 +138,8 @@ class TestIndexMaps:
         assert integrate_basis(BasisSystem.WALSH, top, UNIT) == 0.0
         # the last index of the block is the single factor r_20, which jumps at
         # every interior multiple of 2**-20
-        assert walsh_subset(top) == (20,)
+        assert lex_walsh_subset(top) == (20,)
+        assert _walsh_mask(top, 20) == walsh_reference_mask(top, 20) == 1
         assert len(breakpoints(BasisSystem.WALSH, top, UNIT)) == top
 
 
@@ -151,6 +173,13 @@ class TestEval:
             vals = eval_basis(system, 3, s, UNIT)
             scalars = [eval_basis(system, 3, float(x), UNIT) for x in s]
             np.testing.assert_allclose(vals, scalars, rtol=0, atol=0)
+
+    def test_numpy_integer_index(self):
+        for system in ALL_SYSTEMS:
+            for j in (0, 3):
+                want = eval_basis(system, j, 0.3, UNIT)
+                assert eval_basis(system, np.int64(j), 0.3, UNIT) == want
+            assert jump_depth(system, np.int64(3)) == jump_depth(system, 3)
 
     def test_basis_matrix_rows(self):
         s = np.linspace(0.1, 0.9, 9)
@@ -196,7 +225,7 @@ class TestBreakpoints:
         # brute-force oracle: compare values on both sides of every dyadic
         # candidate; listed breakpoints must be exactly the sign changes
         for j in range(1, 32):
-            m_max = walsh_subset(j)[-1]
+            m_max = lex_walsh_subset(j)[-1]
             eps = 1.0 / 2.0 ** (m_max + 3)
             jumps = []
             for i in range(1, 2**m_max):

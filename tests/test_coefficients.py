@@ -119,19 +119,27 @@ class TestCoefficientTensor:
 
 
 class TestQuadraturePlan:
-    @pytest.mark.parametrize("iv", [UNIT, Interval(2.5, 7.5)], ids=["unit", "shifted"])
-    def test_walsh_cuts_are_the_union_of_jumps(self, iv):
+    @pytest.mark.parametrize("basis, iv", [
+        pytest.param(BasisSystem.WALSH, UNIT, id="unit"),
+        pytest.param(BasisSystem.WALSH, Interval(2.5, 7.5), id="shifted"),
+        pytest.param(BasisSystem.HAAR, UNIT, id="haar-unit"),
+        pytest.param(BasisSystem.HAAR, Interval(2.5, 7.5), id="haar-shifted"),
+    ])
+    def test_walsh_cuts_are_the_union_of_jumps(self, basis, iv):
+        # the closed form of jumps against the jumps of one function at a time
         union: set[float] = set()
         for order in range(600):
-            union.update(breakpoints(BasisSystem.WALSH, order, iv))
-            assert jumps(BasisSystem.WALSH, order, iv) == sorted(union), order
+            union.update(breakpoints(basis, order, iv))
+            assert jumps(basis, order, iv) == sorted(union), order
 
     def test_walsh_plan_asks_for_one_jump_set(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(itofourier.basis, "breakpoints",
-                            lambda *a: calls.append(a) or breakpoints(*a))
+        for module, name in ((coefficients, "jumps"), (itofourier.basis, "breakpoints")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _f=original, _n=name: calls.append((_n,) + a) or _f(*a))
         coefficient_tensor(constant_spec(UNIT, (1, 2)), BasisSystem.WALSH, (255, 3))
-        assert calls == [(BasisSystem.WALSH, 255, UNIT)]
+        assert calls == [("jumps", BasisSystem.WALSH, 255, UNIT)]
 
     @pytest.mark.parametrize("basis, order", [(BasisSystem.WALSH, 2**20 - 1),
                                               (BasisSystem.HAAR, 2**20)],
@@ -417,3 +425,9 @@ def test_sum_squared_matches_numpy():
     t = CoefficientTensor(spec=spec, basis=BasisSystem.LEGENDRE, orders=(3, 3), values=vals)
     assert sum_squared(t) == pytest.approx(float(np.sum(vals**2)), rel=1e-14)
     assert sum_squared(t) == math.fsum(float(v) * float(v) for v in vals.ravel())
+    # above 2**20 entries the sum stays exact (np.sum differs for seeds 3, 7, 9)
+    for seed in (3, 7, 9):
+        vals = np.random.default_rng(seed).standard_normal(2**20 + 1)
+        big = CoefficientTensor(spec=constant_spec(UNIT, (1,)), basis=BasisSystem.LEGENDRE,
+                                orders=(2**20,), values=vals)
+        assert sum_squared(big) == math.fsum(float(v) * float(v) for v in vals), seed

@@ -1,13 +1,18 @@
 import math
+import time
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import itofourier.basis
 
 from itofourier import stochastic
-from itofourier.basis import (BasisSystem, Interval, breakpoints, eval_basis,
-                              integrate_basis)
+from itofourier.basis import (LEGENDRE_MAX_DEGREE, BasisSystem, Interval, breakpoints,
+                              eval_basis, integrate_basis, jumps)
 from itofourier.errors import (CapacityError, CompatibilityError, DomainError,
                                GridCompatibilityError)
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
@@ -127,30 +132,68 @@ class TestZetaFromPath:
     def test_grid_is_capped_before_it_is_planned(self, monkeypatch):
         path = brownian_path(UNIT, 1, 100, seed=5)
         monkeypatch.setattr(stochastic, "MAX_GRID_ENTRIES", 1000)
-        monkeypatch.setattr(stochastic, "jumps", None)  # planning would fail
+        monkeypatch.setattr(stochastic, "jump_depth", None)  # planning would fail
         with pytest.raises(CapacityError, match="cap 1000"):
             zeta_from_path(path, BasisSystem.WALSH, 10)
 
     def test_run_constant_basis_work_done_once(self, monkeypatch):
         calls = []
-        for name in ("jumps", "basis_matrix"):
+        for name in ("jump_depth", "basis_matrix"):
             original = getattr(stochastic, name)
             monkeypatch.setattr(stochastic, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
         stochastic._grid_plan.cache_clear()
         zeta_from_path(brownian_path(UNIT, 2, 64, seed=8), BasisSystem.WALSH, 7)
-        assert set(calls) == {"jumps", "basis_matrix"}
+        assert sorted(calls) == ["basis_matrix", "jump_depth"]
         calls.clear()
         zeta_from_path(brownian_path(UNIT, 2, 64, seed=9), BasisSystem.WALSH, 7)
         assert calls == []
 
     def test_walsh_grid_plan_asks_for_one_jump_set(self, monkeypatch):
         calls = []
+        for module, name in ((stochastic, "jump_depth"), (itofourier.basis, "breakpoints")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _f=original, _n=name: calls.append((_n,) + a) or _f(*a))
+        stochastic._grid_plan.cache_clear()
+        zeta_from_path(brownian_path(UNIT, 1, 1024, seed=2), BasisSystem.WALSH, 300)
+        assert calls == [("jump_depth", BasisSystem.WALSH, 300)]
+
+    def test_off_grid_haar_fails_before_any_jump_is_listed(self, monkeypatch):
+        # 64 (10**6 + 1) basis values pass the cap; the 2**20 jump grid does not
+        # divide N = 64, which is found without listing a million wavelets' jumps
+        calls = []
         monkeypatch.setattr(itofourier.basis, "breakpoints",
                             lambda *a: calls.append(a) or breakpoints(*a))
         stochastic._grid_plan.cache_clear()
-        zeta_from_path(brownian_path(UNIT, 1, 1024, seed=2), BasisSystem.WALSH, 300)
-        assert calls == [(BasisSystem.WALSH, 511, UNIT)]
+        path = brownian_path(UNIT, 1, 64, seed=3)
+        start = time.perf_counter()
+        with pytest.raises(GridCompatibilityError, match=r"2\*\*20"):
+            zeta_from_path(path, BasisSystem.HAAR, 10**6)
+        assert time.perf_counter() - start < 1.0
+        assert calls == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(basis=st.sampled_from(list(BasisSystem)),
+           jmax=st.integers(0, 12).flatmap(lambda d: st.integers(0, 2**d)),
+           n_steps=st.integers(1, 2**13) | st.integers(0, 13).flatmap(
+               lambda e: st.integers(1, 2 ** (13 - e)).map(lambda a: a << e)),
+           iv=st.sampled_from([UNIT, Interval(0.0, 4.0), Interval(0.0, 0.25)]))
+    def test_grid_plan_accepts_exactly_when_every_jump_is_a_grid_point(self, basis, jmax,
+                                                                      n_steps, iv):
+        assume(basis is not BasisSystem.LEGENDRE or jmax <= LEGENDRE_MAX_DEGREE)
+        scale = Fraction(n_steps) / Fraction(iv.length)
+        on_grid = all(((Fraction(x) - Fraction(iv.t)) * scale).denominator == 1
+                      for x in jumps(basis, jmax, iv))
+        # only the decision is under test: a stub stands in for the basis rows,
+        # and the uncached plan keeps it out of the cache
+        with mock.patch.object(stochastic, "basis_matrix", lambda *a: np.zeros((1, 1))):
+            try:
+                stochastic._grid_plan.__wrapped__(basis, iv, n_steps, jmax)
+                accepted = True
+            except GridCompatibilityError:
+                accepted = False
+        assert accepted == on_grid
 
     def test_refinement_consistency_slope(self):
         # coarse pools are derived from one fine path by block-summing
