@@ -100,16 +100,20 @@ def parse_basis(name: str) -> BasisSystem:
         raise DomainError(f"unknown basis {name!r}; expected one of: {known}") from None
 
 
-def _check_index(system: BasisSystem, j: int) -> None:
+def _check_index(system: BasisSystem, j) -> int:
+    """j as operator.index reads it (booleans refused), held to the system's range."""
+    if isinstance(j, bool) or not hasattr(j, "__index__"):  # numpy bools have none
+        raise BasisIndexError(f"basis index must be an integer, got {j!r}")
+    j = operator.index(j)
     if j < 0:
         raise BasisIndexError(f"basis index must be >= 0, got {j}")
     if system is BasisSystem.LEGENDRE and j > LEGENDRE_MAX_DEGREE:
         raise BasisIndexError(f"Legendre degree {j} exceeds cap {LEGENDRE_MAX_DEGREE}")
-    bits = operator.index(j).bit_length() if system in _PIECEWISE_CONSTANT else 0
-    if system is BasisSystem.HAAR and bits - 1 > HAAR_MAX_LEVEL:
-        raise BasisIndexError(f"Haar level {bits - 1} exceeds cap {HAAR_MAX_LEVEL}")
-    if system is BasisSystem.WALSH and bits > WALSH_MAX_FACTOR:
-        raise BasisIndexError(f"Walsh factor {bits} exceeds cap {WALSH_MAX_FACTOR}")
+    if system is BasisSystem.HAAR and j.bit_length() - 1 > HAAR_MAX_LEVEL:
+        raise BasisIndexError(f"Haar level {j.bit_length() - 1} exceeds cap {HAAR_MAX_LEVEL}")
+    if system is BasisSystem.WALSH and j.bit_length() > WALSH_MAX_FACTOR:
+        raise BasisIndexError(f"Walsh factor {j.bit_length()} exceeds cap {WALSH_MAX_FACTOR}")
+    return j
 
 
 def _unit_coord(s: np.ndarray, iv: Interval) -> np.ndarray:
@@ -138,9 +142,10 @@ def basis_rows(system: BasisSystem, j, s, iv: Interval) -> np.ndarray:
     """Values of the basis functions with the indices in the vector j at the
     points s, shape (len(j), len(s)): the one evaluator behind eval_basis and
     basis_matrix, so a single function and a matrix row agree bit for bit."""
-    j = np.asarray(j, dtype=np.int64)
-    _check_index(system, int(j.min()))
-    _check_index(system, int(j.max()))
+    j = np.asarray(j)
+    _check_index(system, j.min())  # a float or bool array fails here, before the cast
+    _check_index(system, j.max())
+    j = j.astype(np.int64)
     u = _unit_coord(np.atleast_1d(np.asarray(s, dtype=float)), iv)
     root = math.sqrt(iv.length)
     if system is BasisSystem.LEGENDRE:
@@ -181,7 +186,7 @@ def eval_basis(system: BasisSystem, j: int, s, iv: Interval):
     Accepts a scalar or an ndarray of points; at jump points of Haar/Walsh
     the right-continuous value is returned.
     """
-    _check_index(system, j)
+    j = _check_index(system, j)
     s_arr = np.asarray(s, dtype=float)
     vals = basis_rows(system, [j], s_arr.ravel(), iv)[0].reshape(s_arr.shape)
     return float(vals) if s_arr.ndim == 0 else vals
@@ -189,8 +194,7 @@ def eval_basis(system: BasisSystem, j: int, s, iv: Interval):
 
 def basis_matrix(system: BasisSystem, jmax: int, s: np.ndarray, iv: Interval) -> np.ndarray:
     """Values of phi_0..phi_jmax over an array of points, shape (jmax+1, len(s))."""
-    _check_index(system, jmax)
-    return basis_rows(system, np.arange(jmax + 1), s, iv)
+    return basis_rows(system, np.arange(_check_index(system, jmax) + 1), s, iv)
 
 
 def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
@@ -199,7 +203,7 @@ def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
     Continuous systems (Legendre, trigonometric) and the constant j = 0
     return an empty list.
     """
-    _check_index(system, j)
+    j = _check_index(system, j)
     if system not in _PIECEWISE_CONSTANT or j == 0:
         return []
     if system is BasisSystem.HAAR:
@@ -224,8 +228,7 @@ def jump_depth(system: BasisSystem, jmax: int) -> int:
     """The D for which every jump of phi_0..phi_jmax is a multiple of
     (T - t) / 2**D and (T - t) / 2**D is itself one of them: the bit length
     of jmax for Haar and Walsh, 0 for the continuous systems."""
-    _check_index(system, jmax)
-    return operator.index(jmax).bit_length() if system in _PIECEWISE_CONSTANT else 0
+    return _check_index(system, jmax).bit_length() if system in _PIECEWISE_CONSTANT else 0
 
 
 def jumps(system: BasisSystem, jmax: int, iv: Interval) -> list[float]:
@@ -250,8 +253,7 @@ def integrate_basis(system: BasisSystem, j: int, iv: Interval) -> float:
     Every system has the constant phi_0 = 1/sqrt(T-t), so orthonormality
     gives sqrt(T-t) for j = 0 and zero otherwise.
     """
-    _check_index(system, j)
-    return math.sqrt(iv.length) if j == 0 else 0.0
+    return math.sqrt(iv.length) if _check_index(system, j) == 0 else 0.0
 
 
 def _gram_piecewise_constant(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
@@ -287,7 +289,7 @@ def gram_matrix(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
     """
     if p < 0:
         raise DomainError("gram_matrix requires p >= 0")
-    _check_index(system, p)
+    p = _check_index(system, p)
     if system in _PIECEWISE_CONSTANT:
         return _gram_piecewise_constant(system, p, iv)
     if system is BasisSystem.LEGENDRE:

@@ -13,7 +13,8 @@ The trigonometric system gets oscillation-matched equal panels, confirmed
 on grids that split each panel exactly in two.
 
 Tensors are indexed ``values[j_1, ..., j_k]``; serialized rows iterate with
-j_1 fastest-varying.
+j_1 fastest-varying.  :func:`_row_prefixes` is the one statement of that row
+order: the table writer and reader both walk it.
 """
 from __future__ import annotations
 
@@ -51,19 +52,18 @@ class CoefficientTensor:
         if not np.all(np.isfinite(self.values)):
             raise NumericError("coefficient tensor contains non-finite entries")
 
-    def index_tuples(self):
-        """All index tuples in serialization order (j_1 fastest-varying)."""
-        for rev in np.ndindex(*self.values.shape[::-1]):
-            yield rev[::-1]
 
-
-def _read_orders(spec: IntegralSpec, orders) -> tuple[int, ...]:
-    """orders read through exact_int: one per level of spec, each >= 0."""
+def _read_orders(spec: IntegralSpec, orders, max_entries=math.inf) -> tuple[int, ...]:
+    """orders read through exact_int: one per level of spec, each >= 0, for
+    at most max_entries index tuples."""
     orders = exact_ints("orders", orders)
-    if len(orders) != spec.k:
-        raise DomainError(f"need {spec.k} truncation orders, got {len(orders)}")
     if any(p < 0 for p in orders):
-        raise DomainError("truncation orders must be >= 0")
+        raise DomainError(f"orders must be >= 0, got {list(orders)}")
+    if len(orders) != spec.k:
+        raise DomainError(f"orders must have {spec.k} entries, got {list(orders)}")
+    entries = math.prod(p + 1 for p in orders)
+    if entries > max_entries:
+        raise CapacityError(f"tensor would hold {entries} entries > cap {max_entries}")
     return orders
 
 
@@ -161,10 +161,7 @@ def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders,
     computed in one shared-grid pass; the result does not depend on
     evaluation order or parallelism.
     """
-    orders_t = _read_orders(spec, orders)
-    entries = math.prod(p + 1 for p in orders_t)
-    if entries > max_entries:
-        raise CapacityError(f"tensor would hold {entries} entries > cap {max_entries}")
+    orders_t = _read_orders(spec, orders, max_entries)
     values = _coefficients(spec, basis, [np.arange(p + 1) for p in orders_t], max_entries)
     values = np.ascontiguousarray(values)
     values.setflags(write=False)
@@ -229,26 +226,48 @@ def moment_bound_2n(n: int, k: int, residual: float) -> float:
     return bound
 
 
+def _row_prefixes(orders):
+    """The index columns "j_1,...,j_k," of every table row, j_1 fastest.
+    Levels 1..k-1 are listed once and paired lazily with level k, so a large
+    table never holds every row at once."""
+    inner = [""]
+    for p in orders[:-1]:
+        inner = [f"{head}{j}," for j in range(p + 1) for head in inner]
+    return (f"{head}{j}," for j in range(orders[-1] + 1) for head in inner)
+
+
+def _row_values(rows, orders):
+    """The value of each row, checked against its index columns in order;
+    a row out of place, missing, extra or with a non-finite value is named."""
+    for prefix, row in itertools.zip_longest(_row_prefixes(orders), rows):
+        if row is None:
+            raise DomainError(f"coefficient table ends before row '{prefix}...'")
+        try:
+            value = float(row[len(prefix):]) if prefix and row.startswith(prefix) else math.nan
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DomainError(f"bad coefficient row: {row!r}")
+        yield value
+
+
 def write_coefficient_table(path, tensor: CoefficientTensor) -> None:
     """Write the documented table format: one JSON header line, a CSV column
     header, then one row per tuple (j_1 fastest) with 17-significant-digit
     values (binary round-trip exact)."""
-    header = {
-        "format_version": FORMAT_VERSION,
-        "spec": tensor.spec.to_json(),
-        "basis": tensor.basis.value,
-        "orders": list(tensor.orders),
-    }
-    k = tensor.spec.k
+    header = {"format_version": FORMAT_VERSION, "spec": tensor.spec.to_json(),
+              "basis": tensor.basis.value, "orders": list(tensor.orders)}
+    values = tensor.values.ravel(order="F").tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(",".join(f"j{l + 1}" for l in range(k)) + ",value\n")
-        for jt in tensor.index_tuples():
-            fh.write(",".join(str(j) for j in jt) + f",{tensor.values[jt]:.17g}\n")
+        fh.write(",".join(f"j{l + 1}" for l in range(tensor.spec.k)) + ",value\n")
+        for prefix, v in zip(_row_prefixes(tensor.orders), values):
+            fh.write(f"{prefix}{v:.17g}\n")
 
 
 def read_coefficient_table(path) -> CoefficientTensor:
-    """Read a table produced by :func:`write_coefficient_table`."""
+    """Read a table produced by :func:`write_coefficient_table`: rows must
+    come in the order it writes them, blank lines aside."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
@@ -265,36 +284,15 @@ def read_coefficient_table(path) -> CoefficientTensor:
         basis = parse_basis(header["basis"])
         try:
             orders = tuple(map(exact_int, header["orders"]))
+            orders = _read_orders(spec, orders, DEFAULT_MAX_ENTRIES)
+        except DomainError as exc:
+            raise DomainError(f"coefficient table {exc}") from None
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"coefficient table orders must be integers, "
                               f"got {header['orders']!r}") from None
-        if any(p < 0 for p in orders):
-            raise DomainError(f"coefficient table orders must be >= 0, got {list(orders)}")
-        shape = tuple(p + 1 for p in orders)
-        entries = math.prod(shape)
-        if entries > DEFAULT_MAX_ENTRIES:
-            raise CapacityError(f"coefficient table would hold {entries} entries "
-                                f"> cap {DEFAULT_MAX_ENTRIES}")
-        values = np.full(shape, np.nan)
         fh.readline()  # column header
-        count = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != spec.k + 1:
-                raise DomainError(f"bad coefficient row: {line!r}")
-            try:
-                jt = tuple(int(p) for p in parts[:-1])
-                value = float(parts[-1])
-            except ValueError:
-                raise DomainError(f"bad coefficient row: {line!r}") from None
-            if any(not 0 <= j < dim for j, dim in zip(jt, shape)):
-                raise DomainError(f"coefficient row index out of range: {line!r}")
-            values[jt] = value
-            count += 1
-    if count != entries or np.any(np.isnan(values)):
-        raise DomainError("coefficient table does not cover every index tuple")
+        rows = filter(None, map(str.strip, fh))
+        values = np.fromiter(_row_values(rows, orders), dtype=float)
+    values = np.ascontiguousarray(values.reshape([p + 1 for p in orders], order="F"))
     values.setflags(write=False)
     return CoefficientTensor(spec=spec, basis=basis, orders=orders, values=values)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itofourier.basis import (BasisSystem, Interval, _walsh_mask, basis_matrix, breakpoints,
-                              eval_basis, gram_matrix, integrate_basis, jump_depth,
-                              parse_basis)
+from itofourier.basis import (BasisSystem, Interval, _walsh_mask, basis_matrix, basis_rows,
+                              breakpoints, eval_basis, gram_matrix, integrate_basis,
+                              jump_depth, parse_basis)
 from itofourier.errors import BasisIndexError, DomainError
 
 ALL_SYSTEMS = list(BasisSystem)
@@ -180,6 +180,24 @@ class TestEval:
                 want = eval_basis(system, j, 0.3, UNIT)
                 assert eval_basis(system, np.int64(j), 0.3, UNIT) == want
             assert jump_depth(system, np.int64(3)) == jump_depth(system, 3)
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: basis_matrix(BasisSystem.TRIGONOMETRIC, 2.5, [0.3], UNIT), "2.5"),
+        (lambda: eval_basis(BasisSystem.LEGENDRE, 2.7, 0.3, UNIT), "2.7"),
+        (lambda: integrate_basis(BasisSystem.LEGENDRE, 0.5, UNIT), "0.5"),
+        (lambda: basis_rows(BasisSystem.LEGENDRE, [0.5, 1.9], [0.3], UNIT), "0.5"),
+        (lambda: basis_rows(BasisSystem.WALSH, np.array([1, 0], dtype=bool), [0.3], UNIT),
+         "False"),
+        (lambda: gram_matrix(BasisSystem.LEGENDRE, 1.5, UNIT), "1.5"),
+        (lambda: eval_basis(BasisSystem.HAAR, 2.5, 0.3, UNIT), "2.5"),
+        (lambda: breakpoints(BasisSystem.HAAR, 2.5, UNIT), "2.5"),
+        (lambda: eval_basis(BasisSystem.LEGENDRE, True, 0.3, UNIT), "True"),
+    ], ids=["matrix-float", "eval-float", "integrate-float", "rows-float", "rows-bool",
+            "gram-float", "haar-float", "breakpoints-float", "eval-bool"])
+    def test_non_integer_index_rejected(self, call, named):
+        # read as operator.index reads it: no truncation, no booleans
+        with pytest.raises(BasisIndexError, match=f"must be an integer, got .*{named}"):
+            call()
 
     def test_basis_matrix_rows(self):
         s = np.linspace(0.1, 0.9, 9)

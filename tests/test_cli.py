@@ -309,8 +309,22 @@ class TestErrors:
          + lines[1:], "orders must be >= 0"),
         (lambda lines: [lines[0].replace('"basis": "legendre"', '"basis": 3')] + lines[1:],
          "basis name must be a string"),
+        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
+         "bad coefficient row: '1,0,"),
+        (lambda lines: lines[:3] + [lines[2]] + lines[4:], "bad coefficient row: '0,0,"),
+        (lambda lines: lines[:5] + ["2" + lines[5][1:]], "bad coefficient row: '2,1,"),
+        (lambda lines: lines[:3] + ["0" + lines[3]] + lines[4:],
+         "bad coefficient row: '01,0,"),
+        (lambda lines: lines + ["0,0,0.5"], "bad coefficient row: '0,0,0.5'"),
+        (lambda lines: lines[:-1], "coefficient table ends before row '1,1,...'"),
+        (lambda lines: lines[:2] + ["0,0,nan"] + lines[3:], "bad coefficient row: '0,0,nan'"),
+        (lambda lines: lines[:2] + ["0,0,inf"] + lines[3:], "bad coefficient row: '0,0,inf'"),
+        (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [1, 1, 1]')]
+         + lines[1:], "orders must have 2 entries"),
     ], ids=["row-index", "row-value", "header-not-object", "orders-str", "orders-int",
-            "orders-float", "orders-negative", "basis-int"])
+            "orders-float", "orders-negative", "basis-int", "rows-swapped",
+            "row-duplicated", "index-out-of-range", "index-zero-padded", "row-extra",
+            "row-missing", "value-nan", "value-inf", "orders-length"])
     def test_malformed_table_named(self, config_path, tmp_path, capsys, edit, named):
         table = tmp_path / "c.csv"
         assert run_cli(["coeffs", "--config", config_path, "--orders", "1,1",

@@ -99,7 +99,7 @@ class TestCoefficientTensor:
         spec = IntegralSpec(iv=Interval(0.5, 2.0), k=2, indices=(1, 2), weights=(w, w))
         for basis in BasisSystem:
             t = coefficient_tensor(spec, basis, (3, 2))
-            for jt in t.index_tuples():
+            for jt in np.ndindex(t.values.shape):
                 single = fourier_coefficient(spec, basis, jt)
                 assert t.values[jt] == pytest.approx(single, rel=1e-11, abs=1e-13)
 
@@ -392,6 +392,19 @@ class TestTableFormat:
         write_coefficient_table(path, t)
         rows = [line.split(",")[:2] for line in path.read_text().splitlines()[2:]]
         assert rows == [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
+
+    def test_blank_lines_between_rows_read_back(self, tmp_path):
+        spec = constant_spec(UNIT, (1, 2))
+        t = coefficient_tensor(spec, BasisSystem.HAAR, (3, 2))
+        path = tmp_path / "table.csv"
+        write_coefficient_table(path, t)
+        text = path.read_text()
+        lines = text.splitlines()
+        path.write_text("\n".join(lines[:2] + [f"\n  {row}\t\n" for row in lines[2:]]) + "\n\n")
+        back = read_coefficient_table(path)
+        assert back.values.tobytes() == t.values.tobytes()
+        write_coefficient_table(path, back)
+        assert path.read_text() == text
 
     def test_read_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
