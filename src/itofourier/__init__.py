@@ -3,18 +3,17 @@
 The package expands iterated Ito integrals of arbitrary multiplicity into
 series of products of Gaussian basis-integral variables with coefficients
 from multiple Fourier series over interchangeable orthonormal systems
-(Legendre, trigonometric, Haar, Rademacher-Walsh), quantifies the exact
-mean-square truncation error, and validates approximations against a
-discretized pathwise oracle.
+(Legendre, trigonometric, Haar, Rademacher-Walsh), quantifies the
+mean-square truncation error by the Parseval residual, and validates
+approximations against a discretized pathwise oracle.
 """
 
 __version__ = "0.1.0"
 
-from .basis import (BasisSystem, Interval, breakpoints, eval_basis, gram_matrix,
-                    integrate_basis, parse_basis)
-from .coefficients import (CoefficientTensor, coefficient_tensor, fourier_coefficient,
-                           moment_bound_2n, ms_error_bound, parseval_residual,
-                           read_coefficient_table, write_coefficient_table)
+from .basis import BasisSystem, Interval, breakpoints, eval_basis, integrate_basis, parse_basis
+from .coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
+                           ms_error_bound, parseval_residual, read_coefficient_table,
+                           write_coefficient_table)
 from .errors import (ArityError, BasisIndexError, CapacityError, CompatibilityError,
                      ConfigError, DomainError, GridCompatibilityError, ItoFourierError,
                      NumericError, UnsupportedMultiplicityError)
@@ -33,10 +32,9 @@ __all__ = [
     "Interval", "ItoFourierError", "MomentReport", "NumericError", "PairPartition",
     "UnsupportedMultiplicityError", "ValidationReport", "Weight", "WienerPath",
     "breakpoints", "brownian_path", "coefficient_tensor", "constant_spec",
-    "eval_basis", "eval_weight", "fourier_coefficient", "gaussian_pool", "gram_matrix",
-    "integrate_basis", "kernel_l2_norm_sq", "moment_bound_2n", "moment_check",
-    "ms_error_bound", "pair_partitions", "parse_basis", "parseval_residual",
-    "partition_count", "path_iterated_integral", "path_seed",
+    "eval_basis", "eval_weight", "gaussian_pool", "integrate_basis", "kernel_l2_norm_sq",
+    "moment_bound_2n", "moment_check", "ms_error_bound", "pair_partitions", "parse_basis",
+    "parseval_residual", "partition_count", "path_iterated_integral", "path_seed",
     "read_coefficient_table", "strong_error_estimate", "truncated_expansion",
     "write_coefficient_table", "zeta_from_path",
 ]

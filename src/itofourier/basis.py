@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisIndexError, DomainError
-from .quadrature import _legendre_rows, panel_grid
+from .quadrature import _legendre_rows
 
 # Index guards: Legendre recurrence is well behaved far beyond practical
 # truncation orders; the Haar cap keeps 2**level arithmetic in range; the
@@ -254,49 +254,3 @@ def integrate_basis(system: BasisSystem, j: int, iv: Interval) -> float:
     gives sqrt(T-t) for j = 0 and zero otherwise.
     """
     return math.sqrt(iv.length) if _check_index(system, j) == 0 else 0.0
-
-
-def _gram_piecewise_constant(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
-    """Gram matrix for Haar/Walsh via exact sign patterns.
-
-    Every product phi_i phi_j is constant on the unified dyadic grid, so each
-    entry is (amplitude product) * (signed panel count) * (panel width).  The
-    amplitude product is an exact power of two on the diagonal and the signed
-    count cancels exactly off it, giving a bitwise-exact identity.
-    """
-    panels = 1 << jump_depth(system, p)
-    mids = (np.arange(panels) + 0.5) / panels
-    j = np.arange(p + 1)
-    signs = np.sign(basis_rows(system, j, mids, Interval(0.0, 1.0)))
-    counts = signs @ signs.T
-    if system is BasisSystem.HAAR:
-        # level floor(log2 j), and 0 for the constant
-        levels = np.maximum(np.frexp(j)[1] - 1, 0)
-        half_sum = np.add.outer(levels, levels)
-        amp = np.where(half_sum % 2 == 0, 1.0, math.sqrt(2.0)) * 2.0 ** (half_sum // 2)
-    else:
-        amp = np.ones_like(counts)
-    width = iv.length / panels
-    return amp * counts * width / iv.length
-
-
-def gram_matrix(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
-    """Matrix of inner products <phi_i, phi_j> for i, j = 0..p.
-
-    Piecewise-constant systems reduce to exact dyadic panel sums; the other
-    systems use composite Gauss panels with enough nodes for the product
-    degree (Legendre) or enough panels per period (trigonometric).
-    """
-    if p < 0:
-        raise DomainError("gram_matrix requires p >= 0")
-    p = _check_index(system, p)
-    if system in _PIECEWISE_CONSTANT:
-        return _gram_piecewise_constant(system, p, iv)
-    if system is BasisSystem.LEGENDRE:
-        # product degree up to 2p; n nodes integrate degree 2n-1 exactly
-        grid = panel_grid([iv.t, iv.T], max(16, p + 1))
-    else:
-        r_max = (p + 1) // 2
-        grid = panel_grid(np.linspace(iv.t, iv.T, max(2, 4 * r_max + 2) + 1), 24)
-    phi = basis_matrix(system, p, grid.nodes_x.ravel(), iv)
-    return (phi * grid.weights.ravel()) @ phi.T

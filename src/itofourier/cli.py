@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .basis import BasisSystem, Interval, eval_basis, parse_basis
+from .basis import parse_basis
 from .coefficients import (FORMAT_VERSION, coefficient_tensor, read_coefficient_table,
                            write_coefficient_table)
 from .errors import ConfigError, ItoFourierError, NumericError
@@ -161,19 +161,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_bases(args) -> int:
-    iv = Interval(0.0, 1.0)
-    lines = ["name        phi_j(s) on [0,1] at s = 0.125, 0.625 for j = 0..3"]
-    for system in BasisSystem:
-        samples = []
-        for j in range(4):
-            vals = ", ".join(f"{eval_basis(system, j, s, iv):.12g}" for s in (0.125, 0.625))
-            samples.append(f"j{j}: [{vals}]")
-        lines.append(f"{system.value:<13s} " + "  ".join(samples))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="itofourier",
                      description="Iterated Ito integral expansion toolkit")
@@ -208,8 +195,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--out")
-
-    sub.add_parser("bases", help="list basis systems with sample values")
     return parser
 
 
@@ -218,7 +203,6 @@ _COMMANDS = {
     "approximate": _cmd_approximate,
     "partitions": _cmd_partitions,
     "validate": _cmd_validate,
-    "bases": _cmd_bases,
 }
 
 
@@ -233,7 +217,7 @@ def run_cli(argv) -> int:
             return 0
         if args.command is None:
             raise ConfigError("a subcommand is required "
-                              "(coeffs, approximate, partitions, validate, bases)")
+                              "(coeffs, approximate, partitions, validate)")
         return _COMMANDS[args.command](args)
     except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")

@@ -26,12 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, basis_rows, jumps, parse_basis
-from .errors import BasisIndexError, CapacityError, DomainError, NumericError
+from .basis import BasisSystem, basis_matrix, jumps, parse_basis
+from .errors import CapacityError, DomainError, NumericError
 from .kernel import IntegralSpec, eval_weight, exact_int, exact_ints, kernel_l2_norm_sq
 from .quadrature import PanelGrid, panel_grid
 
 DEFAULT_MAX_ENTRIES = 10**8
+# Gauss nodes per panel: the rule and the cumulative matrix cost O(n**3)
+# time and O(n**2) memory; Legendre (1000, 1000) at k = 2 needs 2003
+MAX_NODES = 4096
 FORMAT_VERSION = "1"
 
 
@@ -67,74 +70,76 @@ def _read_orders(spec: IntegralSpec, orders, max_entries=math.inf) -> tuple[int,
     return orders
 
 
-def _require_sweep_fits(basis: BasisSystem, indices, panels: int, nodes: int,
+def _require_sweep_fits(basis: BasisSystem, orders, panels: int, nodes: int,
                         max_entries: int) -> None:
     """Hold the largest sweep array (earlier levels' index counts, or the
     largest level, times panels times nodes) to max_entries."""
-    sizes = [j.size for j in indices]
+    sizes = [p + 1 for p in orders]
     largest = max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes
     if largest > max_entries:
         raise CapacityError(f"{basis.value} quadrature would hold up to {largest} "
                             f"entries in one array > cap {max_entries}")
 
 
-def _quad_plan(spec: IntegralSpec, basis: BasisSystem, indices,
+def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders,
                max_entries: int) -> PanelGrid:
-    """Panel grid + node count for iterated integrals with the basis index
-    vector indices[l] at level l.  The sweep on it is held to max_entries
-    before the grid is built; for Haar/Walsh at most 2 (jmax + 1) panels
-    are counted, so no jump is placed beyond the cap."""
+    """Panel grid + node count for iterated integrals up to the truncation
+    orders.  The node count is held to MAX_NODES and the sweep on the grid
+    to max_entries before any rule or grid is built; for Haar/Walsh at most
+    2 (jmax + 1) panels are counted, so no jump is placed beyond the cap."""
     iv = spec.iv
-    deg_weights = sum(w.degree for w in spec.weights)
+    degrees = [w.degree for w in spec.weights]
     k = spec.k
-    level_max_j = [int(j.max()) for j in indices]
     if basis is BasisSystem.LEGENDRE:
-        nodes, panels = max(16, sum(level_max_j) + deg_weights + k + 1), 1
+        nodes, panels = max(16, sum(orders) + sum(degrees) + k + 1), 1
     elif basis is BasisSystem.TRIGONOMETRIC:
-        periods = sum((j + 1) // 2 for j in level_max_j)
-        nodes, panels = max(24, deg_weights + k + 8), max(2, 2 * periods + 2)
+        periods = sum((p + 1) // 2 for p in orders)
+        nodes, panels = max(24, sum(degrees) + k + 8), max(2, 2 * periods + 2)
     else:
-        nodes, panels = max(16, deg_weights + k + 1), 2 * (max(level_max_j) + 1)
-    _require_sweep_fits(basis, indices, panels, nodes, max_entries)
+        nodes, panels = max(16, sum(degrees) + k + 1), 2 * (max(orders) + 1)
+    if nodes > MAX_NODES:
+        raise CapacityError(f"{basis.value} quadrature for weight degrees {degrees} and "
+                            f"orders {list(orders)} needs {nodes} nodes > cap {MAX_NODES}")
+    _require_sweep_fits(basis, orders, panels, nodes, max_entries)
     if basis in (BasisSystem.HAAR, BasisSystem.WALSH):
-        return panel_grid([iv.t, *jumps(basis, max(level_max_j), iv), iv.T], nodes)
+        return panel_grid([iv.t, *jumps(basis, max(orders), iv), iv.T], nodes)
     return panel_grid(np.linspace(iv.t, iv.T, panels + 1), nodes)
 
 
-def _sweep(spec: IntegralSpec, basis: BasisSystem, indices, grid: PanelGrid) -> np.ndarray:
-    """The coefficients of every index tuple with j_l in indices[l], in one
-    pass over the grid; shape (len(indices[0]), ..., len(indices[k-1]))."""
+def _sweep(spec: IntegralSpec, basis: BasisSystem, orders, grid: PanelGrid) -> np.ndarray:
+    """The coefficients of every index tuple up to the orders, in one pass
+    over the grid; shape (orders[0] + 1, ..., orders[k-1] + 1)."""
     iv = spec.iv
     flat = grid.nodes_x.ravel()
     shape2 = grid.nodes_x.shape
     state = np.ones((1,) + shape2)
     k = spec.k
     for level in range(k):
-        factor = basis_rows(basis, indices[level], flat, iv).reshape((-1,) + shape2)
+        factor = basis_matrix(basis, orders[level], flat, iv).reshape((-1,) + shape2)
         factor = factor * np.asarray(eval_weight(spec.weights[level], flat, iv)).reshape(shape2)
         if level == k - 1:
             totals = np.tensordot(state, factor * grid.weights, axes=([1, 2], [1, 2]))
-            return totals.reshape(tuple(j.size for j in indices))
+            return totals.reshape(tuple(p + 1 for p in orders))
         prod = state[:, None, :, :] * factor[None, :, :, :]
         state = grid.cumulative(prod).reshape((-1,) + shape2)
     raise AssertionError("unreachable")
 
 
-def _coefficients(spec: IntegralSpec, basis: BasisSystem, indices,
-                  max_entries: int = DEFAULT_MAX_ENTRIES) -> np.ndarray:
+def _coefficients(spec: IntegralSpec, basis: BasisSystem, orders,
+                  max_entries: int) -> np.ndarray:
     """:func:`_sweep` on the planned grid; the trigonometric system is
     confirmed on grids that split each panel in two until they agree or the
     cap is hit."""
-    grid = _quad_plan(spec, basis, indices, max_entries)
-    result = _sweep(spec, basis, indices, grid)
+    grid = _quad_plan(spec, basis, orders, max_entries)
+    result = _sweep(spec, basis, orders, grid)
     if basis is not BasisSystem.TRIGONOMETRIC:
         return result
     iv, panels = spec.iv, grid.n_panels
     for _ in range(5):
         panels *= 2
-        _require_sweep_fits(basis, indices, panels, grid.nodes, max_entries)
+        _require_sweep_fits(basis, orders, panels, grid.nodes, max_entries)
         finer_grid = panel_grid(np.linspace(iv.t, iv.T, panels + 1), grid.nodes)
-        finer = _sweep(spec, basis, indices, finer_grid)
+        finer = _sweep(spec, basis, orders, finer_grid)
         scale = max(1.0, float(np.max(np.abs(finer))))
         if float(np.max(np.abs(result - finer))) <= 1e-12 * scale:
             return finer
@@ -142,27 +147,12 @@ def _coefficients(spec: IntegralSpec, basis: BasisSystem, indices,
     raise NumericError("coefficient quadrature did not converge under panel refinement")
 
 
-def fourier_coefficient(spec: IntegralSpec, basis: BasisSystem, jtuple) -> float:
-    """Single generalized Fourier coefficient for the index tuple
-    (j_1, ..., j_k), j_1 innermost."""
-    jt = exact_ints("jtuple", jtuple)
-    if len(jt) != spec.k:
-        raise DomainError(f"need {spec.k} basis indices, got {len(jt)}")
-    if any(j < 0 for j in jt):
-        raise BasisIndexError("basis indices must be >= 0")
-    return _coefficients(spec, basis, [np.array([j]) for j in jt]).item()
-
-
 def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders,
                        max_entries: int = DEFAULT_MAX_ENTRIES) -> CoefficientTensor:
-    """All coefficients up to the given truncation orders.
-
-    Equivalent to calling :func:`fourier_coefficient` tuple by tuple, but
-    computed in one shared-grid pass; the result does not depend on
-    evaluation order or parallelism.
-    """
+    """All coefficients up to the given truncation orders, computed in one
+    shared-grid pass; the result does not depend on evaluation order."""
     orders_t = _read_orders(spec, orders, max_entries)
-    values = _coefficients(spec, basis, [np.arange(p + 1) for p in orders_t], max_entries)
+    values = _coefficients(spec, basis, orders_t, max_entries)
     values = np.ascontiguousarray(values)
     values.setflags(write=False)
     return CoefficientTensor(spec=spec, basis=basis, orders=orders_t, values=values)
@@ -198,7 +188,8 @@ def parseval_residual(spec: IntegralSpec, tensor: CoefficientTensor) -> float:
 
 
 def ms_error_bound(k: int, residual: float) -> float:
-    """Mean-square truncation bound k! * residual (Wiener components only)."""
+    """Mean-square truncation bound k! * residual; the paper proves it for
+    nonzero component indices only."""
     if residual < 0.0:
         raise DomainError("residual must be >= 0")
     if k < 1:

@@ -17,6 +17,8 @@ from .errors import CapacityError, DomainError
 # Entries (partitions times k) one enumeration may hold; the largest of
 # acceptance criterion 1 (k <= 10) holds 47 250
 MAX_PARTITION_ENTRIES = 10**6
+# Largest count partition_count forms (near it, a few ms of big-integer work)
+MAX_PARTITION_COUNT = 10**10_000
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,20 @@ class PairPartition:
 
 
 def partition_count(k: int, r: int) -> int:
-    """Number of partitions of {1..k} into r pairs and k-2r singletons."""
+    """Number of partitions of {1..k} into r pairs and k-2r singletons,
+    C(k, 2r) (2r - 1)!!.  Raises CapacityError when it exceeds
+    MAX_PARTITION_COUNT.  Its logarithm screens first, without big-integer
+    work: (2r - 1)!! by log-gamma, then C(k, 2r) as a sum over its 2r factors,
+    which stays short and, unlike a log-gamma difference, exact at any k."""
     _check_kr(k, r)
-    return math.comb(k, 2 * r) * math.prod(range(1, 2 * r, 2))
+    log_cap = math.log(MAX_PARTITION_COUNT) + 1.0
+    log_count = math.lgamma(2 * r + 1) - math.lgamma(r + 1) - r * math.log(2.0)
+    if log_count <= log_cap:
+        log_count += math.fsum(math.log(k - i) - math.log(i + 1) for i in range(2 * r))
+    if (log_count > log_cap or (count := math.comb(k, 2 * r) * math.prod(range(1, 2 * r, 2)))
+            > MAX_PARTITION_COUNT):
+        raise CapacityError(f"partitions of 1..{k} into {r} pairs number more than 10**10000")
+    return count
 
 
 def _check_kr(k: int, r: int) -> None:

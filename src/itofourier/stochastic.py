@@ -137,13 +137,14 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
     return WienerPath(iv=iv, m=m, N=N, increments=increments[0] if single else increments)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
                jmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis rows at the left grid points and the exact row 0, both fixed for
-    a whole run.  Raises (and so caches nothing) if a basis jump is off the
-    grid: the jumps are the multiples of (T - t) / 2**D that include
-    (T - t) / 2**D itself, so all lie on the grid exactly when 2**D divides N."""
+    a whole run (only the latest plan is kept: one may hold MAX_GRID_ENTRIES
+    values).  Raises (and so caches nothing) if a basis jump is off the grid:
+    the jumps are the multiples of (T - t) / 2**D that include (T - t) / 2**D
+    itself, so all lie on the grid exactly when 2**D divides N."""
     depth = jump_depth(basis, jmax)
     if n_steps % 2**depth:
         raise GridCompatibilityError(

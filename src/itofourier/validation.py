@@ -1,8 +1,9 @@
 """Monte-Carlo harness: truncated expansion vs the pathwise grid oracle.
 
 For every sampled path the expansion is evaluated on the pool derived from
-that same path, so the difference D isolates truncation error (captured
-exactly by the Parseval residual) plus a grid bias of order 1/N.  The grid
+that same path, so the difference D isolates truncation error plus a grid
+bias of order 1/N.  The Parseval residual is the truncation error's exact
+mean square only when all component indices are distinct.  The grid
 allowance uses the documented constant c = k**2, i.e.
 allowance = k**2 (T-t)**2 / N; it is reported, never silently absorbed.
 The reports are built from a sample drawn once by sample_differences, so

@@ -6,7 +6,9 @@ shares no enumeration or contraction code with ``truncated_expansion``.
 ``brute_expansion`` evaluates the bracket tuple by tuple, enumerating the
 pair partitions inline.  ``hermite_reference`` gives the equal-weight,
 equal-component integral in closed form, and ``eval_kernel`` the pointwise
-ordered-simplex kernel.
+ordered-simplex kernel.  ``gram_matrix`` gives the inner products of the
+library's basis functions, evaluated by ``basis_rows`` and ``basis_matrix``
+on ``panel_grid`` panels.
 """
 from __future__ import annotations
 
@@ -16,10 +18,12 @@ from functools import reduce
 
 import numpy as np
 
+from itofourier.basis import BasisSystem, Interval, basis_matrix, basis_rows, jump_depth
 from itofourier.coefficients import CoefficientTensor
 from itofourier.errors import ArityError, DomainError, UnsupportedMultiplicityError
 from itofourier.expansion import ExpansionResult, _check_compatible
 from itofourier.kernel import IntegralSpec, eval_weight
+from itofourier.quadrature import panel_grid
 from itofourier.stochastic import GaussianPool
 
 # Frozen pair/singleton term tables for the explicit k <= 7 formulas; the
@@ -328,3 +332,50 @@ def eval_kernel(spec: IntegralSpec, point) -> float:
     for w, x in zip(spec.weights, pt):
         out *= eval_weight(w, x, spec.iv)
     return out
+
+
+def _gram_piecewise_constant(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
+    """Gram matrix for Haar/Walsh via exact sign patterns.
+
+    Every product phi_i phi_j is constant on the unified dyadic grid, so each
+    entry is (amplitude product) * (signed panel count) * (panel width).  The
+    amplitude product is an exact power of two on the diagonal and the signed
+    count cancels exactly off it, giving a bitwise-exact identity.
+    """
+    panels = 1 << jump_depth(system, p)
+    mids = (np.arange(panels) + 0.5) / panels
+    j = np.arange(p + 1)
+    signs = np.sign(basis_rows(system, j, mids, Interval(0.0, 1.0)))
+    counts = signs @ signs.T
+    if system is BasisSystem.HAAR:
+        # level floor(log2 j), and 0 for the constant
+        levels = np.maximum(np.frexp(j)[1] - 1, 0)
+        half_sum = np.add.outer(levels, levels)
+        amp = np.where(half_sum % 2 == 0, 1.0, math.sqrt(2.0)) * 2.0 ** (half_sum // 2)
+    else:
+        amp = np.ones_like(counts)
+    width = iv.length / panels
+    return amp * counts * width / iv.length
+
+
+def gram_matrix(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
+    """Matrix of inner products <phi_i, phi_j> for i, j = 0..p.
+
+    Piecewise-constant systems reduce to exact dyadic panel sums; the other
+    systems use composite Gauss panels with enough nodes for the product
+    degree (Legendre) or enough panels per period (trigonometric).  p is read
+    as the library reads a basis index, and p < 0 is refused rather than
+    giving an empty matrix that every identity bound would pass.
+    """
+    if p < 0:
+        raise DomainError("gram_matrix requires p >= 0")
+    if system in (BasisSystem.HAAR, BasisSystem.WALSH):
+        return _gram_piecewise_constant(system, p, iv)
+    if system is BasisSystem.LEGENDRE:
+        # product degree up to 2p; n nodes integrate degree 2n-1 exactly
+        grid = panel_grid([iv.t, iv.T], max(16, p + 1))
+    else:
+        r_max = (p + 1) // 2
+        grid = panel_grid(np.linspace(iv.t, iv.T, max(2, 4 * r_max + 2) + 1), 24)
+    phi = basis_matrix(system, p, grid.nodes_x.ravel(), iv)
+    return (phi * grid.weights.ravel()) @ phi.T

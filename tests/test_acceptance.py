@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import itofourier
-from itofourier.basis import BasisSystem, Interval, gram_matrix
+from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
 from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
                                      moment_bound_2n, ms_error_bound, parseval_residual)
@@ -19,7 +19,7 @@ from itofourier.partitions import pair_partitions, partition_count
 from itofourier.stochastic import gaussian_pool
 from itofourier.validation import (grid_allowance, moment_check, sample_differences,
                                    strong_error_estimate)
-from oracles import explicit_expansion, hermite_reference
+from oracles import explicit_expansion, gram_matrix, hermite_reference
 
 UNIT = Interval(0.0, 1.0)
 LEG = BasisSystem.LEGENDRE
@@ -204,7 +204,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], name
-    # approximate consumes the coeffs output; partitions/bases write to stdout
+    # approximate consumes the coeffs output; partitions writes to stdout
     table = tmp_path / "coeffs-t1.out"
     vals = []
     for threads in (1, 8):
@@ -220,12 +220,11 @@ def test_criterion_9_cli_determinism(tmp_path):
     src = os.path.dirname(os.path.dirname(itofourier.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for argv in (["partitions", "--k", "6", "--r", "2"], ["bases"]):
-        outs = []
-        for threads in (1, 8):
-            proc = subprocess.run(
-                [sys.executable, "-m", "itofourier", "--threads", str(threads)] + argv,
-                capture_output=True, check=True, env=env)
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1], argv
-    _report("criterion 9: all five subcommands byte-identical at --threads 1 and 8")
+    outs = []
+    for threads in (1, 8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "itofourier", "--threads", str(threads), "partitions",
+             "--k", "6", "--r", "2"], capture_output=True, check=True, env=env)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    _report("criterion 9: all four subcommands byte-identical at --threads 1 and 8")

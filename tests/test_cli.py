@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import itofourier
-from itofourier import cli, stochastic, validation
+from itofourier import cli, quadrature, stochastic, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
 from itofourier.coefficients import coefficient_tensor, read_coefficient_table
@@ -232,6 +233,22 @@ class TestErrors:
                         "--out", str(tmp_path / "c.csv")]) == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_weight_degree_over_node_cap_fails_fast(self, tmp_path, capsys, monkeypatch):
+        # a regression must fail here, not build the 80 GB rule of 100 002 nodes
+        real = quadrature.gauss_rule
+        monkeypatch.setattr(quadrature, "gauss_rule",
+                            lambda n: pytest.fail(f"{n}-node rule built") if n > 4096 else real(n))
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"spec": {
+            "t": 0.0, "T": 1.0, "k": 1, "indices": [1],
+            "weights": [{"poly": [0.0] * 10**5 + [1.0]}]}, "basis": "legendre"}))
+        start = time.perf_counter()
+        assert run_cli(["coeffs", "--config", str(config), "--orders", "0",
+                        "--out", str(tmp_path / "c.csv")]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "weight degrees [100000]" in err and "100002 nodes > cap 4096" in err
+
     def test_numeric_failure_exits_two(self, config_path, tmp_path, capsys,
                                         monkeypatch):
         from itofourier import cli
@@ -368,11 +385,9 @@ class TestMisc:
         out = capsys.readouterr().out
         assert "itofourier" in out and "format 1" in out
 
-    def test_bases_listing(self, capsys):
-        assert run_cli(["bases"]) == 0
-        out = capsys.readouterr().out
-        for name in ("legendre", "trigonometric", "haar", "walsh"):
-            assert name in out
+    def test_bases_subcommand_is_gone(self, capsys):
+        assert run_cli(["bases"]) == 1
+        assert "invalid choice: 'bases'" in capsys.readouterr().err
 
     def test_identical_argv_identical_output(self, config_path, tmp_path):
         argv = ["coeffs", "--config", config_path, "--orders", "2,2"]

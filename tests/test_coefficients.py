@@ -14,8 +14,7 @@ from hypothesis.extra.numpy import arrays
 import itofourier.basis
 from itofourier import coefficients
 from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis, jumps
-from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
-                                     fourier_coefficient, moment_bound_2n,
+from itofourier.coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
                                      ms_error_bound, parseval_residual,
                                      read_coefficient_table, sum_squared,
                                      write_coefficient_table)
@@ -42,17 +41,23 @@ def brute_coefficient(spec, basis, jtuple, n=8000):
     raise AssertionError
 
 
+def single_coefficient(spec, basis, jtuple):
+    """The coefficient of one index tuple: the last entry of the tensor
+    whose orders are that tuple."""
+    return coefficient_tensor(spec, basis, jtuple).values[tuple(jtuple)]
+
+
 class TestFourierCoefficient:
     def test_k1_projections(self):
         spec = constant_spec(UNIT, (1,))
-        assert fourier_coefficient(spec, BasisSystem.LEGENDRE, (0,)) == pytest.approx(1.0)
-        assert fourier_coefficient(spec, BasisSystem.LEGENDRE, (1,)) == pytest.approx(0.0, abs=1e-14)
+        assert single_coefficient(spec, BasisSystem.LEGENDRE, (0,)) == pytest.approx(1.0)
+        assert single_coefficient(spec, BasisSystem.LEGENDRE, (1,)) == pytest.approx(0.0, abs=1e-14)
 
     def test_k2_closed_forms(self):
         spec = constant_spec(UNIT, (1, 2))
-        assert fourier_coefficient(spec, BasisSystem.LEGENDRE, (0, 0)) == pytest.approx(0.5, rel=1e-12)
-        assert fourier_coefficient(spec, BasisSystem.LEGENDRE, (0, 1)) == pytest.approx(HALF_ROOT3, rel=1e-12)
-        assert fourier_coefficient(spec, BasisSystem.LEGENDRE, (1, 0)) == pytest.approx(-HALF_ROOT3, rel=1e-12)
+        assert single_coefficient(spec, BasisSystem.LEGENDRE, (0, 0)) == pytest.approx(0.5, rel=1e-12)
+        assert single_coefficient(spec, BasisSystem.LEGENDRE, (0, 1)) == pytest.approx(HALF_ROOT3, rel=1e-12)
+        assert single_coefficient(spec, BasisSystem.LEGENDRE, (1, 0)) == pytest.approx(-HALF_ROOT3, rel=1e-12)
 
     @pytest.mark.parametrize("basis", [BasisSystem.LEGENDRE, BasisSystem.TRIGONOMETRIC,
                                        BasisSystem.HAAR], ids=lambda b: b.value)
@@ -60,20 +65,20 @@ class TestFourierCoefficient:
         w = Weight((1.0, 2.0))
         spec = IntegralSpec(iv=UNIT, k=2, indices=(1, 1), weights=(w, w))
         for jt in ((0, 0), (1, 2), (3, 1), (2, 3)):
-            exact = fourier_coefficient(spec, basis, jt)
+            exact = single_coefficient(spec, basis, jt)
             assert exact == pytest.approx(brute_coefficient(spec, basis, jt), abs=2e-7)
 
     def test_k3_brute_oracle(self):
         spec = constant_spec(UNIT, (1, 1, 1))
         for basis in (BasisSystem.LEGENDRE, BasisSystem.WALSH):
             for jt in ((0, 1, 2), (2, 0, 1)):
-                exact = fourier_coefficient(spec, basis, jt)
+                exact = single_coefficient(spec, basis, jt)
                 assert exact == pytest.approx(brute_coefficient(spec, basis, jt), abs=2e-7)
 
     def test_index_arity(self):
         spec = constant_spec(UNIT, (1, 2))
         with pytest.raises(DomainError):
-            fourier_coefficient(spec, BasisSystem.LEGENDRE, (0,))
+            single_coefficient(spec, BasisSystem.LEGENDRE, (0,))
 
 
 class TestCoefficientTensor:
@@ -100,7 +105,7 @@ class TestCoefficientTensor:
         for basis in BasisSystem:
             t = coefficient_tensor(spec, basis, (3, 2))
             for jt in np.ndindex(t.values.shape):
-                single = fourier_coefficient(spec, basis, jt)
+                single = single_coefficient(spec, basis, jt)
                 assert t.values[jt] == pytest.approx(single, rel=1e-11, abs=1e-13)
 
     def test_memory_cap(self):
@@ -154,6 +159,24 @@ class TestQuadraturePlan:
         spec3 = IntegralSpec(iv=UNIT, k=3, indices=(1, 2, 1),
                              weights=(Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))
         assert coefficient_tensor(spec3, basis, (31, 31, 31)).values.shape == (32, 32, 32)
+
+    def test_node_count_is_capped_before_any_rule_is_built(self, monkeypatch):
+        # a degree-10**5 weight would need a 100 002-node rule: O(n**3) time,
+        # 80 GB for its companion matrix
+        monkeypatch.setattr(coefficients, "panel_grid", None)  # building a grid fails
+        spec = IntegralSpec(iv=UNIT, k=1, indices=(1,),
+                            weights=(Weight((0.0,) * 10**5 + (1.0,)),))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"weight degrees \[100000\] and orders \[0\] "
+                                                r"needs 100002 nodes > cap 4096"):
+            coefficient_tensor(spec, BasisSystem.LEGENDRE, (0,))
+        assert time.perf_counter() - start < 1.0
+
+    def test_node_cap_admits_the_largest_legendre_orders(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "panel_grid", lambda edges, nodes: nodes)
+        spec = constant_spec(UNIT, (1, 2))
+        plan = coefficients._quad_plan(spec, BasisSystem.LEGENDRE, (1000, 1000), 10**8)
+        assert plan == 2003 <= coefficients.MAX_NODES
 
     @pytest.mark.parametrize("iv", [UNIT, Interval(2.5, 7.5), Interval(0.1, 0.7)],
                              ids=["unit", "shifted", "short"])

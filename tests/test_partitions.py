@@ -1,8 +1,10 @@
 import itertools
+import math
+import time
 
 import pytest
 
-from itofourier.errors import DomainError
+from itofourier.errors import CapacityError, DomainError
 from itofourier.partitions import PairPartition, pair_partitions, partition_count
 
 
@@ -34,6 +36,29 @@ class TestCounts:
             assert brute_involution_count(k) == expected
             total = sum(partition_count(k, r) for r in range(k // 2 + 1))
             assert total == expected
+
+    def test_huge_count_refused_before_big_integer_work(self):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"more than 10\*\*10000"):
+            partition_count(10**6, 250000)
+        assert time.perf_counter() - start < 1.0
+
+    def test_count_cap_is_exact(self):
+        # all-pairs counts (2r - 1)!! on either side of 10**10000
+        below, above = math.prod(range(1, 2 * 2991, 2)), math.prod(range(1, 2 * 2992, 2))
+        assert below <= 10**10000 < above
+        assert partition_count(2 * 2991, 2991) == below
+        with pytest.raises(CapacityError):
+            partition_count(2 * 2992, 2992)
+
+    def test_large_k_is_counted_exactly(self):
+        # where log-gamma differences cancel, the screen must not misfire
+        assert partition_count(10**30, 2) == math.comb(10**30, 4) * 3
+        assert partition_count(10**30, 0) == 1
+
+    def test_enumeration_screen_unchanged(self):
+        parts = pair_partitions.__wrapped__(10**6, 0)  # uncached: 10**6 singles
+        assert len(parts) == 1 and len(parts[0].singles) == 10**6
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

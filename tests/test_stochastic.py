@@ -149,6 +149,15 @@ class TestZetaFromPath:
         zeta_from_path(brownian_path(UNIT, 2, 64, seed=9), BasisSystem.WALSH, 7)
         assert calls == []
 
+    def test_only_the_latest_grid_plan_is_kept(self):
+        # one plan may hold MAX_GRID_ENTRIES values (800 MB)
+        stochastic._grid_plan.cache_clear()
+        zeta_from_path(brownian_path(UNIT, 1, 64, seed=1), BasisSystem.LEGENDRE, 3)
+        zeta_from_path(brownian_path(UNIT, 1, 128, seed=1), BasisSystem.LEGENDRE, 5)
+        assert stochastic._grid_plan.cache_info().currsize == 1
+        zeta_from_path(brownian_path(UNIT, 1, 128, seed=2), BasisSystem.LEGENDRE, 5)
+        assert stochastic._grid_plan.cache_info().hits == 1
+
     def test_walsh_grid_plan_asks_for_one_jump_set(self, monkeypatch):
         calls = []
         for module, name in ((stochastic, "jump_depth"), (itofourier.basis, "breakpoints")):
