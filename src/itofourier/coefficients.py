@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, basis_matrix, jumps, parse_basis
+from .basis import BasisSystem, _check_index, basis_matrix, jumps, parse_basis
 from .errors import CapacityError, DomainError, NumericError
 from .kernel import IntegralSpec, eval_weight, exact_int, exact_ints, kernel_l2_norm_sq
 from .quadrature import PanelGrid, panel_grid
@@ -84,9 +84,12 @@ def _require_sweep_fits(basis: BasisSystem, orders, panels: int, nodes: int,
 def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders,
                max_entries: int) -> PanelGrid:
     """Panel grid + node count for iterated integrals up to the truncation
-    orders.  The node count is held to MAX_NODES and the sweep on the grid
-    to max_entries before any rule or grid is built; for Haar/Walsh at most
+    orders.  Every order is held to the basis index cap (as basis_matrix
+    holds it), the node count to MAX_NODES and the sweep on the grid to
+    max_entries before any rule or grid is built; for Haar/Walsh at most
     2 (jmax + 1) panels are counted, so no jump is placed beyond the cap."""
+    for p in orders:
+        _check_index(basis, p)
     iv = spec.iv
     degrees = [w.degree for w in spec.weights]
     k = spec.k

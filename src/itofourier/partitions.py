@@ -53,10 +53,13 @@ def partition_count(k: int, r: int) -> int:
     C(k, 2r) (2r - 1)!!.  Raises CapacityError when it exceeds
     MAX_PARTITION_COUNT.  Its logarithm screens first, without big-integer
     work: (2r - 1)!! by log-gamma, then C(k, 2r) as a sum over its 2r factors,
-    which stays short and, unlike a log-gamma difference, exact at any k."""
+    which stays short and, unlike a log-gamma difference, exact at any k.
+    An r beyond the cap's bit length skips the float step, which overflows
+    on a huge r: there (2r - 1)!! >= 2**(r - 1) already exceeds the cap."""
     _check_kr(k, r)
     log_cap = math.log(MAX_PARTITION_COUNT) + 1.0
-    log_count = math.lgamma(2 * r + 1) - math.lgamma(r + 1) - r * math.log(2.0)
+    log_count = (math.inf if r > MAX_PARTITION_COUNT.bit_length()
+                 else math.lgamma(2 * r + 1) - math.lgamma(r + 1) - r * math.log(2.0))
     if log_count <= log_cap:
         log_count += math.fsum(math.log(k - i) - math.log(i + 1) for i in range(2 * r))
     if (log_count > log_cap or (count := math.comb(k, 2 * r) * math.prod(range(1, 2 * r, 2)))

@@ -178,33 +178,66 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     return GaussianPool(iv=path.iv, basis=basis, m=path.m, jmax=jmax, values=values)
 
 
+def _work_array(work: list, shape: tuple, busy) -> np.ndarray:
+    """A work array of the given shape that is not busy, made on first need;
+    work never holds more than two."""
+    for arr in work:
+        if arr is not busy:
+            return arr
+    work.append(np.empty(shape))
+    return work[-1]
+
+
 def path_iterated_integral(spec: IntegralSpec, path: WienerPath):
     """Ordered grid sum approximating the iterated integral along the path:
     a float, or a (B,) array for a batch of paths.
 
     Computes sum over l_k > ... > l_1 of prod psi_l(tau_{l_l}) dW^{(i_l)}
     by cumulative prefix recursion in O(k N); time components use dt in
-    place of the Wiener increment.
+    place of the Wiener increment.  Each level forms (psi dW) * prefix, the
+    same floating-point operations as building every factor in full, but a
+    unit weight is neither evaluated nor multiplied (1.0 * x is exact), a
+    time component multiplies by the scalar dt, and a non-unit weight is
+    evaluated once on the left grid: no batch-sized factor array is made
+    for a unit weight or a time component, and a call uses at most two
+    batch-sized work arrays.  A first-level unit-weight Wiener factor is the
+    increment row itself.
     """
     if spec.iv != path.iv:
         raise CompatibilityError("spec and path are on different intervals")
     if spec.max_index > path.m:
         raise CompatibilityError(
             f"spec uses component {spec.max_index} but path has m = {path.m}")
-    iv = spec.iv
-    left = iv.t + np.arange(path.N) * path.dt
-    batch = path.increments.shape[:-2]
+    iv, dt = spec.iv, path.dt
+    shape = path.increments.shape[:-2] + (path.N,)
+    left = None
+    work: list[np.ndarray] = []
     running = None
-    for level in range(spec.k):
-        i_l = spec.indices[level]
-        dw = (np.full(batch + (path.N,), path.dt) if i_l == 0
-              else path.increments[..., i_l - 1, :])
-        factor = np.asarray(eval_weight(spec.weights[level], left, iv)) * dw
-        if running is None:
-            running = factor
+    for i_l, w in zip(spec.indices, spec.weights):
+        if w.coeffs == (1.0,):
+            weight = None  # 1.0 * x is exact: nothing to evaluate or multiply
         else:
-            prefix = np.empty(running.shape)
+            if left is None:
+                left = iv.t + np.arange(path.N) * dt
+            weight = eval_weight(w, left, iv)
+        dw = dt if i_l == 0 else path.increments[..., i_l - 1, :]
+        prefix = None
+        if running is not None:
+            prefix = _work_array(work, shape, running)
             prefix[..., 0] = 0.0
             np.cumsum(running[..., :-1], axis=-1, out=prefix[..., 1:])
-            running = factor * prefix
-    return np.sum(running, axis=-1) if batch else float(np.sum(running))
+        if weight is not None and i_l > 0:
+            # psi dW needs an array of its own; the prefix product goes into it
+            running = np.multiply(weight, dw, out=_work_array(work, shape, prefix))
+            if prefix is not None:
+                np.multiply(running, prefix, out=running)
+        else:
+            factor = dw if weight is None else weight * dt
+            if prefix is not None:
+                running = np.multiply(prefix, factor, out=prefix)
+            elif i_l > 0:
+                running = dw
+            else:
+                running = _work_array(work, shape, None)
+                running[...] = factor
+    return np.sum(running, axis=-1) if shape[:-1] else float(np.sum(running))

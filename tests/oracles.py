@@ -8,7 +8,9 @@ pair partitions inline.  ``hermite_reference`` gives the equal-weight,
 equal-component integral in closed form, and ``eval_kernel`` the pointwise
 ordered-simplex kernel.  ``gram_matrix`` gives the inner products of the
 library's basis functions, evaluated by ``basis_rows`` and ``basis_matrix``
-on ``panel_grid`` panels.
+on ``panel_grid`` panels.  ``grid_sum_reference`` is the plain level loop of
+the pathwise oracle, one factor array per level, that
+``path_iterated_integral`` must match bit for bit.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from itofourier.errors import ArityError, DomainError, UnsupportedMultiplicityEr
 from itofourier.expansion import ExpansionResult, _check_compatible
 from itofourier.kernel import IntegralSpec, eval_weight
 from itofourier.quadrature import panel_grid
-from itofourier.stochastic import GaussianPool
+from itofourier.stochastic import GaussianPool, WienerPath
 
 # Frozen pair/singleton term tables for the explicit k <= 7 formulas; the
 # r-pair terms enter with sign (-1)**r on top of the plain product term.
@@ -379,3 +381,26 @@ def gram_matrix(system: BasisSystem, p: int, iv: Interval) -> np.ndarray:
         grid = panel_grid(np.linspace(iv.t, iv.T, max(2, 4 * r_max + 2) + 1), 24)
     phi = basis_matrix(system, p, grid.nodes_x.ravel(), iv)
     return (phi * grid.weights.ravel()) @ phi.T
+
+
+def grid_sum_reference(spec: IntegralSpec, path: WienerPath):
+    """The ordered grid sum of ``path_iterated_integral`` by the plain
+    recursion: every level builds its factor psi_l(tau) dW (a full dt array
+    for a time component) and multiplies it into the shifted prefix sum."""
+    iv = spec.iv
+    left = iv.t + np.arange(path.N) * path.dt
+    batch = path.increments.shape[:-2]
+    running = None
+    for level in range(spec.k):
+        i_l = spec.indices[level]
+        dw = (np.full(batch + (path.N,), path.dt) if i_l == 0
+              else path.increments[..., i_l - 1, :])
+        factor = np.asarray(eval_weight(spec.weights[level], left, iv)) * dw
+        if running is None:
+            running = factor
+        else:
+            prefix = np.empty(running.shape)
+            prefix[..., 0] = 0.0
+            np.cumsum(running[..., :-1], axis=-1, out=prefix[..., 1:])
+            running = factor * prefix
+    return np.sum(running, axis=-1) if batch else float(np.sum(running))

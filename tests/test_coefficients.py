@@ -18,7 +18,7 @@ from itofourier.coefficients import (CoefficientTensor, coefficient_tensor, mome
                                      ms_error_bound, parseval_residual,
                                      read_coefficient_table, sum_squared,
                                      write_coefficient_table)
-from itofourier.errors import CapacityError, DomainError, NumericError
+from itofourier.errors import BasisIndexError, CapacityError, DomainError, NumericError
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_norm_sq
 
 UNIT = Interval(0.0, 1.0)
@@ -171,6 +171,14 @@ class TestQuadraturePlan:
                                                 r"needs 100002 nodes > cap 4096"):
             coefficient_tensor(spec, BasisSystem.LEGENDRE, (0,))
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("order", [1001, 3000])
+    def test_legendre_order_is_capped_before_any_rule_is_built(self, order, monkeypatch):
+        monkeypatch.setattr(coefficients, "panel_grid", None)  # building a grid fails
+        start = time.perf_counter()
+        with pytest.raises(BasisIndexError, match=rf"Legendre degree {order} exceeds cap 1000"):
+            coefficient_tensor(constant_spec(UNIT, (1,)), BasisSystem.LEGENDRE, (order,))
+        assert time.perf_counter() - start < 0.1
 
     def test_node_cap_admits_the_largest_legendre_orders(self, monkeypatch):
         monkeypatch.setattr(coefficients, "panel_grid", lambda edges, nodes: nodes)

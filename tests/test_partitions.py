@@ -43,6 +43,11 @@ class TestCounts:
             partition_count(10**6, 250000)
         assert time.perf_counter() - start < 1.0
 
+    def test_huge_r_is_refused_before_the_float_step(self):
+        # lgamma(2r + 1) cannot convert r to a float
+        with pytest.raises(CapacityError, match=r"more than 10\*\*10000"):
+            partition_count(10**400, 10**399)
+
     def test_count_cap_is_exact(self):
         # all-pairs counts (2r - 1)!! on either side of 10**10000
         below, above = math.prod(range(1, 2 * 2991, 2)), math.prod(range(1, 2 * 2992, 2))

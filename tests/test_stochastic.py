@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -18,6 +19,8 @@ from itofourier.errors import (CapacityError, CompatibilityError, DomainError,
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool,
                                    path_iterated_integral, path_seed, zeta_from_path)
+
+from oracles import grid_sum_reference
 
 UNIT = Interval(0.0, 1.0)
 
@@ -273,6 +276,42 @@ class TestPathIteratedIntegral:
                          for s in range(n_paths)])
         se = float(np.std(vals)) / math.sqrt(n_paths)
         assert abs(float(np.mean(vals))) <= 3.0 * se
+
+    @settings(max_examples=200, deadline=None)
+    @given(levels=st.lists(st.tuples(st.integers(0, 2), st.one_of(
+               st.just((1.0,)),
+               st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3).map(tuple))),
+               min_size=1, max_size=4),
+           batch=st.sampled_from([None, 1, 3]), N=st.sampled_from([1, 2, 7, 64]),
+           iv=st.sampled_from([UNIT, Interval(2.5, 7.5)]), seed=st.integers(0, 2**32))
+    def test_bit_identical_to_the_plain_recursion(self, levels, batch, N, iv, seed):
+        spec = IntegralSpec(iv=iv, k=len(levels), indices=tuple(i for i, _ in levels),
+                            weights=tuple(Weight(c) for _, c in levels))
+        path = brownian_path(iv, 2, N, seed if batch is None else
+                             [seed + b for b in range(batch)])
+        got, want = path_iterated_integral(spec, path), grid_sum_reference(spec, path)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("indices, weights", [
+        ((1, 2), ((1.0,), (1.0,))),
+        ((1, 2, 1), ((1.0,), (1.0, 1.0), (1.0,))),
+        ((0, 1), ((1.0,), (1.0,))),
+    ], ids=["12", "121", "01"])
+    def test_batched_call_peaks_within_two_work_arrays(self, indices, weights):
+        B, N = 8, 4096
+        spec = IntegralSpec(iv=UNIT, k=len(indices), indices=indices,
+                            weights=tuple(Weight(c) for c in weights))
+        path = brownian_path(UNIT, 2, N, list(range(B)))
+        path_iterated_integral(spec, path)  # one-time set-up stays out of the trace
+        tracemalloc.start()
+        try:
+            path_iterated_integral(spec, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two batch-sized float64 work arrays, and 128 KB for the N-sized ones
+        assert peak <= 2 * B * N * 8 + 128 * 1024
 
     def test_compatibility_errors(self):
         path = brownian_path(UNIT, 1, 8, seed=1)
