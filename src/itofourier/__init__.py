@@ -5,7 +5,11 @@ series of products of Gaussian basis-integral variables with coefficients
 from multiple Fourier series over interchangeable orthonormal systems
 (Legendre, trigonometric, Haar, Rademacher-Walsh), quantifies the
 mean-square truncation error by the Parseval residual, and validates
-approximations against a discretized pathwise oracle.
+approximations against a discretized pathwise oracle.  The expansion
+contracts without listing pair partitions; ``partitions`` lists them for
+acceptance criterion 1 and the benchmark's tracer.  One cap,
+``errors.MAX_ENTRIES`` (10**8), bounds every tensor, table, quadrature
+array, path batch, simulation grid and sample.
 """
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
-"""Command-line front end: coefficient tables, expansion evaluation,
-partition listings, and Monte-Carlo validation runs.
+"""Command-line front end: coefficient tables, expansion evaluation, and
+Monte-Carlo validation runs (the coeffs, approximate and validate
+subcommands).
 
 Configs are single JSON documents with the fields spec / basis / orders /
 seed / n_paths / N / n / out; unknown fields are rejected and flags override
@@ -22,7 +23,6 @@ from .coefficients import (FORMAT_VERSION, coefficient_tensor, read_coefficient_
 from .errors import ConfigError, ItoFourierError, NumericError
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec, exact_int
-from .partitions import pair_partitions, partition_count
 from .stochastic import gaussian_pool
 from .validation import moment_check, sample_differences, strong_error_estimate
 
@@ -58,17 +58,7 @@ def _parse_orders(text) -> tuple[int, ...]:
     return orders
 
 
-def _spec_from_config(doc: dict) -> IntegralSpec:
-    if "spec" not in doc:
-        raise ConfigError("config.spec: required field is missing")
-    try:
-        return IntegralSpec.from_json(doc["spec"])
-    except ItoFourierError as exc:
-        raise ConfigError(f"config.spec: {exc}") from exc
-
-
-def _resolve(doc: dict, args, field: str, flag_value, required: bool,
-             convert=lambda v: v):
+def _resolve(doc: dict, field: str, flag_value, required: bool, convert=lambda v: v):
     value = flag_value if flag_value is not None else doc.get(field)
     if value is None:
         if required:
@@ -90,14 +80,26 @@ def _write_output(out_path, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_coeffs(args) -> int:
+def _tensor_inputs(args):
+    """The config document, its spec, and the basis and orders (flags first),
+    with one order per level of the spec."""
     doc = _load_config(args.config)
-    spec = _spec_from_config(doc)
-    basis = _resolve(doc, args, "basis", args.basis, required=True, convert=parse_basis)
-    orders = _resolve(doc, args, "orders", args.orders, required=True, convert=_parse_orders)
-    out = _resolve(doc, args, "out", args.out, required=True, convert=str)
+    if "spec" not in doc:
+        raise ConfigError("config.spec: required field is missing")
+    try:
+        spec = IntegralSpec.from_json(doc["spec"])
+    except ItoFourierError as exc:
+        raise ConfigError(f"config.spec: {exc}") from exc
+    basis = _resolve(doc, "basis", args.basis, required=True, convert=parse_basis)
+    orders = _resolve(doc, "orders", args.orders, required=True, convert=_parse_orders)
     if len(orders) != spec.k:
         raise ConfigError(f"config.orders: need {spec.k} entries, got {len(orders)}")
+    return doc, spec, basis, orders
+
+
+def _cmd_coeffs(args) -> int:
+    doc, spec, basis, orders = _tensor_inputs(args)
+    out = _resolve(doc, "out", args.out, required=True, convert=str)
     tensor = coefficient_tensor(spec, basis, orders)
     write_coefficient_table(out, tensor)
     return 0
@@ -121,25 +123,13 @@ def _cmd_approximate(args) -> int:
     return 0
 
 
-def _cmd_partitions(args) -> int:
-    lines = [part.format() for part in pair_partitions(args.k, args.r)]
-    assert len(lines) == partition_count(args.k, args.r)
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
-
-
 def _cmd_validate(args) -> int:
-    doc = _load_config(args.config)
-    spec = _spec_from_config(doc)
-    basis = _resolve(doc, args, "basis", args.basis, required=True, convert=parse_basis)
-    orders = _resolve(doc, args, "orders", args.orders, required=True, convert=_parse_orders)
-    seed = _resolve(doc, args, "seed", args.seed, required=True, convert=exact_int)
-    n_paths = _resolve(doc, args, "n_paths", args.paths, required=True, convert=exact_int)
-    n_steps = _resolve(doc, args, "N", args.steps, required=True, convert=exact_int)
-    n = _resolve(doc, args, "n", args.n, required=False, convert=exact_int)
-    out = _resolve(doc, args, "out", args.out, required=False, convert=str)
-    if len(orders) != spec.k:
-        raise ConfigError(f"config.orders: need {spec.k} entries, got {len(orders)}")
+    doc, spec, basis, orders = _tensor_inputs(args)
+    seed = _resolve(doc, "seed", args.seed, required=True, convert=exact_int)
+    n_paths = _resolve(doc, "n_paths", args.paths, required=True, convert=exact_int)
+    n_steps = _resolve(doc, "N", args.steps, required=True, convert=exact_int)
+    n = _resolve(doc, "n", args.n, required=False, convert=exact_int)
+    out = _resolve(doc, "out", args.out, required=False, convert=str)
     if n not in (None, 1, 2):
         raise ConfigError(f"config.n: moment degree parameter must be 1 or 2, got {n}")
     echo = {
@@ -182,10 +172,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
-    p = sub.add_parser("partitions", help="list pair partitions of {1..k}")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-
     p = sub.add_parser("validate", help="Monte-Carlo strong-error validation")
     p.add_argument("--config", required=True)
     p.add_argument("--orders")
@@ -201,7 +187,6 @@ def _build_parser() -> _Parser:
 _COMMANDS = {
     "coeffs": _cmd_coeffs,
     "approximate": _cmd_approximate,
-    "partitions": _cmd_partitions,
     "validate": _cmd_validate,
 }
 
@@ -217,7 +202,7 @@ def run_cli(argv) -> int:
             return 0
         if args.command is None:
             raise ConfigError("a subcommand is required "
-                              "(coeffs, approximate, partitions, validate)")
+                              "(coeffs, approximate, validate)")
         return _COMMANDS[args.command](args)
     except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .basis import BasisSystem, _check_index, basis_matrix, jumps, parse_basis
-from .errors import CapacityError, DomainError, NumericError
+from .errors import CapacityError, DomainError, NumericError, int_text
 from .kernel import IntegralSpec, eval_weight, exact_int, exact_ints, kernel_l2_norm_sq
 from .quadrature import PanelGrid, panel_grid
 
-DEFAULT_MAX_ENTRIES = 10**8
 # Gauss nodes per panel: the rule and the cumulative matrix cost O(n**3)
 # time and O(n**2) memory; Legendre (1000, 1000) at k = 2 needs 2003
 MAX_NODES = 4096
@@ -56,37 +56,36 @@ class CoefficientTensor:
             raise NumericError("coefficient tensor contains non-finite entries")
 
 
-def _read_orders(spec: IntegralSpec, orders, max_entries=math.inf) -> tuple[int, ...]:
+def _read_orders(spec: IntegralSpec, orders) -> tuple[int, ...]:
     """orders read through exact_int: one per level of spec, each >= 0, for
-    at most max_entries index tuples."""
+    at most errors.MAX_ENTRIES index tuples."""
     orders = exact_ints("orders", orders)
     if any(p < 0 for p in orders):
         raise DomainError(f"orders must be >= 0, got {list(orders)}")
     if len(orders) != spec.k:
         raise DomainError(f"orders must have {spec.k} entries, got {list(orders)}")
     entries = math.prod(p + 1 for p in orders)
-    if entries > max_entries:
-        raise CapacityError(f"tensor would hold {entries} entries > cap {max_entries}")
+    if entries > errors.MAX_ENTRIES:
+        raise CapacityError(f"tensor would hold {int_text(entries)} entries "
+                            f"> cap {errors.MAX_ENTRIES}")
     return orders
 
 
-def _require_sweep_fits(basis: BasisSystem, orders, panels: int, nodes: int,
-                        max_entries: int) -> None:
+def _require_sweep_fits(basis: BasisSystem, orders, panels: int, nodes: int) -> None:
     """Hold the largest sweep array (earlier levels' index counts, or the
-    largest level, times panels times nodes) to max_entries."""
+    largest level, times panels times nodes) to errors.MAX_ENTRIES."""
     sizes = [p + 1 for p in orders]
     largest = max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes
-    if largest > max_entries:
+    if largest > errors.MAX_ENTRIES:
         raise CapacityError(f"{basis.value} quadrature would hold up to {largest} "
-                            f"entries in one array > cap {max_entries}")
+                            f"entries in one array > cap {errors.MAX_ENTRIES}")
 
 
-def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders,
-               max_entries: int) -> PanelGrid:
+def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders) -> PanelGrid:
     """Panel grid + node count for iterated integrals up to the truncation
     orders.  Every order is held to the basis index cap (as basis_matrix
     holds it), the node count to MAX_NODES and the sweep on the grid to
-    max_entries before any rule or grid is built; for Haar/Walsh at most
+    errors.MAX_ENTRIES before any rule or grid is built; for Haar/Walsh at most
     2 (jmax + 1) panels are counted, so no jump is placed beyond the cap."""
     for p in orders:
         _check_index(basis, p)
@@ -103,7 +102,7 @@ def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders,
     if nodes > MAX_NODES:
         raise CapacityError(f"{basis.value} quadrature for weight degrees {degrees} and "
                             f"orders {list(orders)} needs {nodes} nodes > cap {MAX_NODES}")
-    _require_sweep_fits(basis, orders, panels, nodes, max_entries)
+    _require_sweep_fits(basis, orders, panels, nodes)
     if basis in (BasisSystem.HAAR, BasisSystem.WALSH):
         return panel_grid([iv.t, *jumps(basis, max(orders), iv), iv.T], nodes)
     return panel_grid(np.linspace(iv.t, iv.T, panels + 1), nodes)
@@ -128,19 +127,18 @@ def _sweep(spec: IntegralSpec, basis: BasisSystem, orders, grid: PanelGrid) -> n
     raise AssertionError("unreachable")
 
 
-def _coefficients(spec: IntegralSpec, basis: BasisSystem, orders,
-                  max_entries: int) -> np.ndarray:
+def _coefficients(spec: IntegralSpec, basis: BasisSystem, orders) -> np.ndarray:
     """:func:`_sweep` on the planned grid; the trigonometric system is
     confirmed on grids that split each panel in two until they agree or the
     cap is hit."""
-    grid = _quad_plan(spec, basis, orders, max_entries)
+    grid = _quad_plan(spec, basis, orders)
     result = _sweep(spec, basis, orders, grid)
     if basis is not BasisSystem.TRIGONOMETRIC:
         return result
     iv, panels = spec.iv, grid.n_panels
     for _ in range(5):
         panels *= 2
-        _require_sweep_fits(basis, orders, panels, grid.nodes, max_entries)
+        _require_sweep_fits(basis, orders, panels, grid.nodes)
         finer_grid = panel_grid(np.linspace(iv.t, iv.T, panels + 1), grid.nodes)
         finer = _sweep(spec, basis, orders, finer_grid)
         scale = max(1.0, float(np.max(np.abs(finer))))
@@ -150,12 +148,11 @@ def _coefficients(spec: IntegralSpec, basis: BasisSystem, orders,
     raise NumericError("coefficient quadrature did not converge under panel refinement")
 
 
-def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders,
-                       max_entries: int = DEFAULT_MAX_ENTRIES) -> CoefficientTensor:
+def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders) -> CoefficientTensor:
     """All coefficients up to the given truncation orders, computed in one
     shared-grid pass; the result does not depend on evaluation order."""
-    orders_t = _read_orders(spec, orders, max_entries)
-    values = _coefficients(spec, basis, orders_t, max_entries)
+    orders_t = _read_orders(spec, orders)
+    values = _coefficients(spec, basis, orders_t)
     values = np.ascontiguousarray(values)
     values.setflags(write=False)
     return CoefficientTensor(spec=spec, basis=basis, orders=orders_t, values=values)
@@ -208,15 +205,23 @@ def moment_bound_2n(n: int, k: int, residual: float) -> float:
         raise DomainError("need n >= 1 and k >= 1")
     if residual < 0.0:
         raise DomainError("residual must be >= 0")
+    overflows = f"moment bound overflows for n={int_text(n)}, k={int_text(k)}"
+    # k! and (2n - 1)!! below cost big-integer work without bound in k and n.
+    # Their logs at k and n clamped to 10**6 bound them below; one over 710.8
+    # (the float range's 709.78 plus a margin) overflows there, so refuse it now
+    j, m = min(k, 10**6), min(n, 10**6)
+    if max(math.lgamma(j + 1),
+           math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0)) > 710.8:
+        raise CapacityError(overflows)
     double_fact = math.prod(range(1, 2 * n, 2))
     try:
         bound = (float(math.factorial(k)) ** (2 * n)
                  * float(n * (2 * n - 1)) ** (n * (k - 1))
                  * double_fact * residual**n)
     except OverflowError as exc:
-        raise CapacityError(f"moment bound overflows for n={n}, k={k}") from exc
+        raise CapacityError(overflows) from exc
     if math.isinf(bound):
-        raise CapacityError(f"moment bound overflows for n={n}, k={k}")
+        raise CapacityError(overflows)
     return bound
 
 
@@ -278,7 +283,7 @@ def read_coefficient_table(path) -> CoefficientTensor:
         basis = parse_basis(header["basis"])
         try:
             orders = tuple(map(exact_int, header["orders"]))
-            orders = _read_orders(spec, orders, DEFAULT_MAX_ENTRIES)
+            orders = _read_orders(spec, orders)
         except DomainError as exc:
             raise DomainError(f"coefficient table {exc}") from None
         except (TypeError, ValueError, OverflowError):

@@ -1,8 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, the one size cap that
+CapacityError enforces, and how their messages name an integer.
 
 Each class also subclasses the closest builtin so callers can keep using
 idiomatic ``except ValueError`` / ``except IndexError`` handlers.
 """
+
+# Entries one coefficient tensor or table, quadrature sweep array, batch of
+# path increments, simulation grid or validation sample may hold; every check
+# reads errors.MAX_ENTRIES when it runs, so lowering it lowers them all
+MAX_ENTRIES = 10**8
+
+
+def int_text(n: int) -> str:
+    """n in decimal, or past 256 bits by its bit length (str() refuses over 4300 digits)."""
+    bits = abs(n).bit_length()
+    return str(n) if bits <= 256 else f"{'-' if n < 0 else ''}<{bits}-bit integer>"
 
 
 class ItoFourierError(Exception):

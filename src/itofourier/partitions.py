@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, int_text
 
 # Entries (partitions times k) one enumeration may hold; the largest of
 # acceptance criterion 1 (k <= 10) holds 47 250
@@ -39,14 +39,6 @@ class PairPartition:
         if list(self.pairs) != sorted(self.pairs) or list(self.singles) != sorted(self.singles):
             raise DomainError("pairs and singles must be in canonical order")
 
-    @property
-    def k(self) -> int:
-        return 2 * len(self.pairs) + len(self.singles)
-
-    def format(self) -> str:
-        pairs = "".join(f"({a} {b})" for a, b in self.pairs)
-        return pairs + "|" + " ".join(str(q) for q in self.singles)
-
 
 def partition_count(k: int, r: int) -> int:
     """Number of partitions of {1..k} into r pairs and k-2r singletons,
@@ -64,15 +56,16 @@ def partition_count(k: int, r: int) -> int:
         log_count += math.fsum(math.log(k - i) - math.log(i + 1) for i in range(2 * r))
     if (log_count > log_cap or (count := math.comb(k, 2 * r) * math.prod(range(1, 2 * r, 2)))
             > MAX_PARTITION_COUNT):
-        raise CapacityError(f"partitions of 1..{k} into {r} pairs number more than 10**10000")
+        raise CapacityError(f"partitions of 1..{int_text(k)} into {int_text(r)} pairs "
+                            "number more than 10**10000")
     return count
 
 
 def _check_kr(k: int, r: int) -> None:
     if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+        raise DomainError(f"k must be >= 1, got {int_text(k)}")
     if r < 0 or 2 * r > k:
-        raise DomainError(f"need 0 <= 2r <= k, got k={k}, r={r}")
+        raise DomainError(f"need 0 <= 2r <= k, got k={int_text(k)}, r={int_text(r)}")
 
 
 def _matchings(elements: tuple[int, ...]):
@@ -101,8 +94,8 @@ def pair_partitions(k: int, r: int) -> tuple[PairPartition, ...]:
             or math.lgamma(k + 1) - math.lgamma(k - 2 * r + 1) - math.lgamma(r + 1)
             - r * math.log(2.0) + math.log(k) > math.log(cap) + 1.0
             or partition_count(k, r) * k > cap):
-        raise CapacityError(f"partitions of 1..{k} into {r} pairs would hold more "
-                            f"than {cap} entries")
+        raise CapacityError(f"partitions of 1..{int_text(k)} into {int_text(r)} pairs "
+                            f"would hold more than {cap} entries")
     out = []
     universe = tuple(range(1, k + 1))
     for paired in itertools.combinations(universe, 2 * r):

@@ -17,14 +17,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+from . import errors
 from .basis import BasisSystem, Interval, basis_matrix, jump_depth
-from .errors import CapacityError, CompatibilityError, DomainError, GridCompatibilityError
+from .errors import (CapacityError, CompatibilityError, DomainError, GridCompatibilityError,
+                     int_text)
 from .kernel import IntegralSpec, eval_weight
-
-# Entries one batch of paths (B m N increments), one simulation grid
-# (N (jmax + 1) basis values) or one validation sample (n_paths
-# differences) may hold: the coefficient tensors' cap
-MAX_GRID_ENTRIES = 10**8
 
 _POOL_DOMAIN = 0
 _PATH_DOMAIN = 1
@@ -125,9 +122,9 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
         raise DomainError("need m >= 1 and N >= 1")
     single = np.ndim(seed) == 0
     batch = 1 if single else len(seed)
-    if batch * m * N > MAX_GRID_ENTRIES:
-        raise CapacityError(f"paths would hold {batch * m * N} increments "
-                            f"> cap {MAX_GRID_ENTRIES}")
+    if batch * m * N > errors.MAX_ENTRIES:
+        raise CapacityError(f"paths would hold {int_text(batch * m * N)} increments "
+                            f"> cap {errors.MAX_ENTRIES}")
     increments = np.empty((batch, m, N))
     for b, path_key in enumerate([seed] if single else seed):
         for i in range(1, m + 1):
@@ -141,7 +138,7 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
 def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
                jmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis rows at the left grid points and the exact row 0, both fixed for
-    a whole run (only the latest plan is kept: one may hold MAX_GRID_ENTRIES
+    a whole run (only the latest plan is kept: one may hold errors.MAX_ENTRIES
     values).  Raises (and so caches nothing) if a basis jump is off the grid:
     the jumps are the multiples of (T - t) / 2**D that include (T - t) / 2**D
     itself, so all lie on the grid exactly when 2**D divides N."""
@@ -167,9 +164,9 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     """
     if jmax < 0:
         raise DomainError("jmax must be >= 0")
-    if path.N * (jmax + 1) > MAX_GRID_ENTRIES:
-        raise CapacityError(f"simulation grid would hold {path.N * (jmax + 1)} basis "
-                            f"values > cap {MAX_GRID_ENTRIES}")
+    if path.N * (jmax + 1) > errors.MAX_ENTRIES:
+        raise CapacityError(f"simulation grid would hold {int_text(path.N * (jmax + 1))} "
+                            f"basis values > cap {errors.MAX_ENTRIES}")
     phi, row0 = _grid_plan(basis, path.iv, path.N, jmax)
     values = np.empty(path.increments.shape[:-2] + (path.m + 1, jmax + 1))
     values[..., 0, :] = row0

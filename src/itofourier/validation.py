@@ -21,11 +21,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import stochastic
+from . import errors
 from .basis import BasisSystem
 from .coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
                            ms_error_bound, parseval_residual)
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, int_text
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec, exact_ints
 from .stochastic import brownian_path, path_iterated_integral, path_seed, zeta_from_path
@@ -91,15 +91,15 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     truncated_expansion.  Each path keeps its own derived seed, so the
     sample does not depend on how paths are grouped into chunks beyond the
     rounding of the batched contraction.  n_paths is held to
-    stochastic.MAX_GRID_ENTRIES and n_steps to at least 1 before the tensor
+    errors.MAX_ENTRIES and n_steps to at least 1 before the tensor
     is built.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")
     if n_paths < 100:
         raise DomainError(f"need n_paths >= 100, got {n_paths}")
-    if n_paths > stochastic.MAX_GRID_ENTRIES:
-        raise CapacityError(f"n_paths = {n_paths} paths > cap {stochastic.MAX_GRID_ENTRIES}")
+    if n_paths > errors.MAX_ENTRIES:
+        raise CapacityError(f"n_paths = {int_text(n_paths)} paths > cap {errors.MAX_ENTRIES}")
     if n_steps < 1:
         raise DomainError(f"need N >= 1 steps, got {n_steps}")
     orders_t = exact_ints("orders", orders)

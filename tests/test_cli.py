@@ -1,14 +1,11 @@
+import argparse
 import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-import itofourier
-from itofourier import cli, quadrature, stochastic, validation
+from itofourier import cli, errors, quadrature, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
 from itofourier.coefficients import coefficient_tensor, read_coefficient_table
@@ -83,32 +80,6 @@ class TestApproximate:
         code = run_cli(["approximate", "--table", str(table_path)])
         assert code == 1
         assert "seed" in capsys.readouterr().err
-
-
-class TestPartitions:
-    def test_k5_r2_prints_fifteen_lines(self, capsys):
-        assert run_cli(["partitions", "--k", "5", "--r", "2"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 15
-        assert lines[0] == "(1 2)(3 4)|5"
-        assert all("|" in line for line in lines)
-
-    def test_domain_error_exit(self, capsys):
-        assert run_cli(["partitions", "--k", "3", "--r", "2"]) == 1
-        assert capsys.readouterr().err
-
-    @pytest.mark.parametrize("k, r", [(40, 20), (14, 7), (10**9, 0)])
-    def test_too_many_partitions_rejected_fast(self, k, r):
-        # a subprocess with a timeout, so that an unbounded enumeration fails
-        # the test instead of hanging the suite
-        src = os.path.dirname(os.path.dirname(itofourier.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "itofourier", "partitions", "--k", str(k),
-                               "--r", str(r)], capture_output=True, text=True, env=env,
-                              timeout=20)
-        assert proc.returncode == 1
-        assert "than 1000000 entries" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestValidate:
@@ -361,7 +332,7 @@ class TestErrors:
         # 2**16 entries: one 8-path chunk at m = 2, N = 4096 fits, while one
         # path of 2**16 steps, a grid of 4096 steps by 17 basis rows, or a
         # sample of 10**12 differences does not
-        monkeypatch.setattr(stochastic, "MAX_GRID_ENTRIES", 2**16)
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 2**16)
         out = tmp_path / "r.json"
         assert run_cli(["validate", "--config", config_path, "--orders", orders,
                         "--paths", str(paths), "--steps", str(steps), "--seed", "1",
@@ -375,8 +346,8 @@ class TestErrors:
         assert "subcommand" in capsys.readouterr().err
 
     def test_unknown_flag(self, capsys):
-        assert run_cli(["partitions", "--k", "3", "--r", "1", "--bogus"]) == 1
-        capsys.readouterr()
+        assert run_cli(["approximate", "--table", "c.csv", "--bogus"]) == 1
+        assert "--bogus" in capsys.readouterr().err
 
 
 class TestMisc:
@@ -388,6 +359,13 @@ class TestMisc:
     def test_bases_subcommand_is_gone(self, capsys):
         assert run_cli(["bases"]) == 1
         assert "invalid choice: 'bases'" in capsys.readouterr().err
+
+    def test_partitions_subcommand_is_gone(self, capsys):
+        assert run_cli(["partitions", "--k", "5", "--r", "2"]) == 1
+        assert "invalid choice: 'partitions'" in capsys.readouterr().err
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["coeffs", "approximate", "validate"]
 
     def test_identical_argv_identical_output(self, config_path, tmp_path):
         argv = ["coeffs", "--config", config_path, "--orders", "2,2"]

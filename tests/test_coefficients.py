@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import itofourier.basis
-from itofourier import coefficients
+from itofourier import coefficients, errors, quadrature
 from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis, jumps
 from itofourier.coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
                                      ms_error_bound, parseval_residual,
@@ -108,12 +108,13 @@ class TestCoefficientTensor:
                 single = single_coefficient(spec, basis, jt)
                 assert t.values[jt] == pytest.approx(single, rel=1e-11, abs=1e-13)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
         spec = constant_spec(UNIT, (1, 2))
         with pytest.raises(CapacityError):
             coefficient_tensor(spec, BasisSystem.LEGENDRE, (10**5, 10**4))
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 10)
         with pytest.raises(CapacityError):
-            coefficient_tensor(spec, BasisSystem.LEGENDRE, (3, 3), max_entries=10)
+            coefficient_tensor(spec, BasisSystem.LEGENDRE, (3, 3))
 
     def test_orders_validation(self):
         spec = constant_spec(UNIT, (1, 2))
@@ -180,10 +181,25 @@ class TestQuadraturePlan:
             coefficient_tensor(constant_spec(UNIT, (1,)), BasisSystem.LEGENDRE, (order,))
         assert time.perf_counter() - start < 0.1
 
+    def test_rule_caches_are_bounded(self):
+        # one cumulative matrix holds nodes**2 floats: unbounded caches kept
+        # every node count a process ever planned
+        for nodes in range(2, 40):
+            quadrature.cumulative_matrix(nodes)
+        for cache in (quadrature.gauss_rule, quadrature.cumulative_matrix):
+            assert cache.cache_info().currsize <= 4
+        # the node counts of tables over the four bases at k = 3 stay cached
+        for nodes in (16, 24, 41):
+            quadrature.cumulative_matrix(nodes)
+        misses = quadrature.cumulative_matrix.cache_info().misses
+        for nodes in (16, 24, 41, 16, 24, 41):
+            quadrature.cumulative_matrix(nodes)
+        assert quadrature.cumulative_matrix.cache_info().misses == misses
+
     def test_node_cap_admits_the_largest_legendre_orders(self, monkeypatch):
         monkeypatch.setattr(coefficients, "panel_grid", lambda edges, nodes: nodes)
         spec = constant_spec(UNIT, (1, 2))
-        plan = coefficients._quad_plan(spec, BasisSystem.LEGENDRE, (1000, 1000), 10**8)
+        plan = coefficients._quad_plan(spec, BasisSystem.LEGENDRE, (1000, 1000))
         assert plan == 2003 <= coefficients.MAX_NODES
 
     @pytest.mark.parametrize("iv", [UNIT, Interval(2.5, 7.5), Interval(0.1, 0.7)],
@@ -207,7 +223,7 @@ class TestQuadraturePlan:
             assert len(panels) >= 2
             assert panels[1:] == [2 * n for n in panels[:-1]], (orders, panels)
 
-    @pytest.mark.parametrize("basis, orders, max_entries", [
+    @pytest.mark.parametrize("basis, orders, cap", [
         # trigonometric (60,) plans 62 panels of 24 nodes for 61 rows:
         # 90 768 entries, over 10**4 on the planned grid and over 10**5 only
         # on the first panel-doubling grid
@@ -216,10 +232,11 @@ class TestQuadraturePlan:
         # Legendre (40, 40, 40): 41**2 earlier-level rows times 124 nodes
         (BasisSystem.LEGENDRE, (40, 40, 40), 10**5),
     ], ids=["trigonometric-plan", "trigonometric-doubling", "legendre"])
-    def test_continuous_sweep_is_capped(self, basis, orders, max_entries):
+    def test_continuous_sweep_is_capped(self, basis, orders, cap, monkeypatch):
         spec = constant_spec(UNIT, (1,) * len(orders))
+        monkeypatch.setattr(errors, "MAX_ENTRIES", cap)
         with pytest.raises(CapacityError, match="quadrature"):
-            coefficient_tensor(spec, basis, orders, max_entries=max_entries)
+            coefficient_tensor(spec, basis, orders)
 
 
 class TestSymmetryRelations:
@@ -376,6 +393,32 @@ class TestErrorBounds:
         with pytest.raises(CapacityError):
             moment_bound_2n(40, 20, 1e200)
 
+    @pytest.mark.parametrize("n, k", [(10**5, 2), (1, 10**6)])
+    def test_moment_bound_overflow_is_refused_before_big_integer_work(self, n, k):
+        # forming (2n - 1)!! or k! first took 4.9 s and 10.8 s here
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"overflows for n={n}, k={k}"):
+            moment_bound_2n(n, k, 0.1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_moment_bound_screen_refuses_only_overflows(self):
+        # around the float range of k! (k = 171) and (2n - 1)!! (n = 151), a
+        # call returns the bits of the plain formula or overflows in both
+        for n, k, residual in itertools.product(range(1, 161), (1, 2, 3, 169, 170, 171, 172),
+                                                (0.0, 1e-300, 0.1)):
+            try:
+                expected = (float(math.factorial(k)) ** (2 * n)
+                            * float(n * (2 * n - 1)) ** (n * (k - 1))
+                            * math.prod(range(1, 2 * n, 2)) * residual**n)
+            except OverflowError:
+                expected = math.inf
+            if math.isinf(expected):
+                with pytest.raises(CapacityError):
+                    moment_bound_2n(n, k, residual)
+            else:
+                got = moment_bound_2n(n, k, residual)
+                assert got == expected or (math.isnan(got) and math.isnan(expected))
+
 
 class TestTableFormat:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -447,7 +490,7 @@ class TestTableFormat:
         spec = constant_spec(UNIT, (1, 2))
         path = tmp_path / "table.csv"
         write_coefficient_table(path, coefficient_tensor(spec, BasisSystem.LEGENDRE, (9, 9)))
-        monkeypatch.setattr(coefficients, "DEFAULT_MAX_ENTRIES", 99)
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 99)
         with pytest.raises(CapacityError):
             read_coefficient_table(path)
 

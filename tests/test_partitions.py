@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 
 import pytest
@@ -61,6 +62,24 @@ class TestCounts:
         assert partition_count(10**30, 2) == math.comb(10**30, 4) * 3
         assert partition_count(10**30, 0) == 1
 
+    @pytest.mark.parametrize("k, r", [(40, 20), (14, 7), (10**9, 0)])
+    def test_too_many_partitions_rejected_fast(self, k, r):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="than 1000000 entries"):
+            pair_partitions(k, r)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("call, error, named", [
+        (lambda: partition_count(10**5000, 10**4999), CapacityError,
+         "1..<16610-bit integer> into <16607-bit integer> pairs"),
+        (lambda: partition_count(-10**5000, 1), DomainError, "got -<16610-bit integer>"),
+        (lambda: pair_partitions(10**5000, 1), CapacityError, "1..<16610-bit integer> into 1"),
+    ], ids=["count", "negative-k", "enumeration"])
+    def test_huge_integers_are_named_by_bit_length(self, call, error, named):
+        # the decimal of an integer over 4300 digits raises a bare ValueError
+        with pytest.raises(error, match=re.escape(named)):
+            call()
+
     def test_enumeration_screen_unchanged(self):
         parts = pair_partitions.__wrapped__(10**6, 0)  # uncached: 10**6 singles
         assert len(parts) == 1 and len(parts[0].singles) == 10**6
@@ -113,8 +132,3 @@ class TestPairPartitionType:
             PairPartition(pairs=((1, 2),), singles=(2,))
         with pytest.raises(DomainError):
             PairPartition(pairs=((1, 3), (2, 4)), singles=(6,))
-
-    def test_format(self):
-        part = PairPartition(pairs=((1, 2), (3, 4)), singles=(5,))
-        assert part.format() == "(1 2)(3 4)|5"
-        assert PairPartition(pairs=(), singles=(1, 2)).format() == "|1 2"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import itofourier.basis
 
-from itofourier import stochastic
+from itofourier import errors, stochastic
 from itofourier.basis import (LEGENDRE_MAX_DEGREE, BasisSystem, Interval, breakpoints,
                               eval_basis, integrate_basis, jumps)
 from itofourier.errors import (CapacityError, CompatibilityError, DomainError,
@@ -94,7 +94,7 @@ class TestBrownianPath:
 
 
     def test_increments_are_capped_before_they_are_drawn(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "MAX_GRID_ENTRIES", 1000)
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 1000)
         with pytest.raises(CapacityError, match="cap 1000"):
             brownian_path(UNIT, 2, 501, seed=1)
         with pytest.raises(CapacityError):
@@ -134,7 +134,7 @@ class TestZetaFromPath:
 
     def test_grid_is_capped_before_it_is_planned(self, monkeypatch):
         path = brownian_path(UNIT, 1, 100, seed=5)
-        monkeypatch.setattr(stochastic, "MAX_GRID_ENTRIES", 1000)
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 1000)
         monkeypatch.setattr(stochastic, "jump_depth", None)  # planning would fail
         with pytest.raises(CapacityError, match="cap 1000"):
             zeta_from_path(path, BasisSystem.WALSH, 10)
@@ -153,7 +153,7 @@ class TestZetaFromPath:
         assert calls == []
 
     def test_only_the_latest_grid_plan_is_kept(self):
-        # one plan may hold MAX_GRID_ENTRIES values (800 MB)
+        # one plan may hold errors.MAX_ENTRIES values (800 MB)
         stochastic._grid_plan.cache_clear()
         zeta_from_path(brownian_path(UNIT, 1, 64, seed=1), BasisSystem.LEGENDRE, 3)
         zeta_from_path(brownian_path(UNIT, 1, 128, seed=1), BasisSystem.LEGENDRE, 5)
