@@ -9,7 +9,8 @@ approximations against a discretized pathwise oracle.  The expansion
 contracts without listing pair partitions; ``partitions`` lists them for
 acceptance criterion 1 and the benchmark's tracer.  One cap,
 ``errors.MAX_ENTRIES`` (10**8), bounds every tensor, table, quadrature
-array, path batch, simulation grid and sample.
+array, pool, path batch, simulation grid and sample, and one reader,
+``errors.read_int``, reads every integer a caller passes.
 """
 
 __version__ = "0.1.0"

@@ -33,21 +33,13 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisIndexError, DomainError
+from . import errors
+from .errors import BasisIndexError, DomainError, read_int
 from .quadrature import _legendre_rows
-
-# Index guards: Legendre recurrence is well behaved far beyond practical
-# truncation orders; the Haar cap keeps 2**level arithmetic in range; the
-# Walsh cap bounds the 2**factor dyadic points a jump search visits.
-LEGENDRE_MAX_DEGREE = 1000
-HAAR_MAX_LEVEL = 48
-WALSH_MAX_FACTOR = 20
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -100,20 +92,19 @@ def parse_basis(name: str) -> BasisSystem:
         raise DomainError(f"unknown basis {name!r}; expected one of: {known}") from None
 
 
-def _check_index(system: BasisSystem, j) -> int:
-    """j as operator.index reads it (booleans refused), held to the system's range."""
-    if isinstance(j, bool) or not hasattr(j, "__index__"):  # numpy bools have none
-        raise BasisIndexError(f"basis index must be an integer, got {j!r}")
-    j = operator.index(j)
-    if j < 0:
-        raise BasisIndexError(f"basis index must be >= 0, got {j}")
-    if system is BasisSystem.LEGENDRE and j > LEGENDRE_MAX_DEGREE:
-        raise BasisIndexError(f"Legendre degree {j} exceeds cap {LEGENDRE_MAX_DEGREE}")
-    if system is BasisSystem.HAAR and j.bit_length() - 1 > HAAR_MAX_LEVEL:
-        raise BasisIndexError(f"Haar level {j.bit_length() - 1} exceeds cap {HAAR_MAX_LEVEL}")
-    if system is BasisSystem.WALSH and j.bit_length() > WALSH_MAX_FACTOR:
-        raise BasisIndexError(f"Walsh factor {j.bit_length()} exceeds cap {WALSH_MAX_FACTOR}")
-    return j
+# Largest index of each system: the Legendre recurrence is well behaved far
+# beyond practical truncation orders; Haar level 48 keeps 2**level arithmetic
+# in range; Walsh factor 20 bounds the 2**20 dyadic points a jump search
+# visits; trigonometric period counts stay exact in a float.
+LEGENDRE_MAX_DEGREE = 1000
+_MAX_INDEX = {BasisSystem.LEGENDRE: LEGENDRE_MAX_DEGREE, BasisSystem.TRIGONOMETRIC: 2**53 - 1,
+              BasisSystem.HAAR: 2**49 - 1, BasisSystem.WALSH: 2**20 - 1}
+
+
+def _check_index(system: BasisSystem, j, name: str = "j") -> int:
+    """j read as an integer in [0, the system's largest index]."""
+    return read_int(f"{name} ({system.value} basis index)", j, 0, _MAX_INDEX[system],
+                    BasisIndexError)
 
 
 def _unit_coord(s: np.ndarray, iv: Interval) -> np.ndarray:
@@ -194,7 +185,9 @@ def eval_basis(system: BasisSystem, j: int, s, iv: Interval):
 
 def basis_matrix(system: BasisSystem, jmax: int, s: np.ndarray, iv: Interval) -> np.ndarray:
     """Values of phi_0..phi_jmax over an array of points, shape (jmax+1, len(s))."""
-    return basis_rows(system, np.arange(_check_index(system, jmax) + 1), s, iv)
+    jmax = _check_index(system, jmax, "jmax")
+    errors.require_fits("basis matrix", (jmax + 1) * np.size(s), "values ((jmax + 1) len(s))")
+    return basis_rows(system, np.arange(jmax + 1), s, iv)
 
 
 def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
@@ -228,7 +221,8 @@ def jump_depth(system: BasisSystem, jmax: int) -> int:
     """The D for which every jump of phi_0..phi_jmax is a multiple of
     (T - t) / 2**D and (T - t) / 2**D is itself one of them: the bit length
     of jmax for Haar and Walsh, 0 for the continuous systems."""
-    return _check_index(system, jmax).bit_length() if system in _PIECEWISE_CONSTANT else 0
+    jmax = _check_index(system, jmax, "jmax")
+    return jmax.bit_length() if system in _PIECEWISE_CONSTANT else 0
 
 
 def jumps(system: BasisSystem, jmax: int, iv: Interval) -> list[float]:

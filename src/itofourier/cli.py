@@ -20,9 +20,9 @@ from . import __version__
 from .basis import parse_basis
 from .coefficients import (FORMAT_VERSION, coefficient_tensor, read_coefficient_table,
                            write_coefficient_table)
-from .errors import ConfigError, ItoFourierError, NumericError
+from .errors import ConfigError, ItoFourierError, NumericError, read_int, read_ints
 from .expansion import truncated_expansion
-from .kernel import IntegralSpec, exact_int
+from .kernel import IntegralSpec
 from .stochastic import gaussian_pool
 from .validation import moment_check, sample_differences, strong_error_estimate
 
@@ -40,8 +40,8 @@ def _load_config(path: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: malformed JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
+        raise ConfigError(f"config: unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config: top-level JSON value must be an object")
     unknown = set(doc) - _CONFIG_FIELDS
@@ -52,7 +52,7 @@ def _load_config(path: str) -> dict:
 
 def _parse_orders(text) -> tuple[int, ...]:
     parts = text.replace(",", " ").split() if isinstance(text, str) else text
-    orders = tuple(map(exact_int, parts))
+    orders = read_ints("config.orders", parts, error=ConfigError)
     if not orders:
         raise ConfigError("orders: at least one truncation order is required")
     return orders
@@ -64,12 +64,12 @@ def _resolve(doc: dict, field: str, flag_value, required: bool, convert=lambda v
         if required:
             raise ConfigError(f"config.{field}: required (set in config or by flag)")
         return None
-    try:
-        return convert(value)
-    except ItoFourierError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config.{field}: {exc}") from exc
+    return convert(value)
+
+
+def _resolve_int(doc: dict, field: str, flag_value, required: bool, lo=None, hi=None):
+    return _resolve(doc, field, flag_value, required,
+                    lambda value: read_int(f"config.{field}", value, lo, hi, ConfigError))
 
 
 def _write_output(out_path, text: str) -> None:
@@ -125,13 +125,11 @@ def _cmd_approximate(args) -> int:
 
 def _cmd_validate(args) -> int:
     doc, spec, basis, orders = _tensor_inputs(args)
-    seed = _resolve(doc, "seed", args.seed, required=True, convert=exact_int)
-    n_paths = _resolve(doc, "n_paths", args.paths, required=True, convert=exact_int)
-    n_steps = _resolve(doc, "N", args.steps, required=True, convert=exact_int)
-    n = _resolve(doc, "n", args.n, required=False, convert=exact_int)
+    seed = _resolve_int(doc, "seed", args.seed, required=True)
+    n_paths = _resolve_int(doc, "n_paths", args.paths, required=True)
+    n_steps = _resolve_int(doc, "N", args.steps, required=True)
+    n = _resolve_int(doc, "n", args.n, required=False, lo=1, hi=2)
     out = _resolve(doc, "out", args.out, required=False, convert=str)
-    if n not in (None, 1, 2):
-        raise ConfigError(f"config.n: moment degree parameter must be 1 or 2, got {n}")
     echo = {
         "spec": spec.to_json(),
         "basis": basis.value,
@@ -195,8 +193,7 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if args.threads < 1:
-            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
+        read_int("--threads", args.threads, lo=1, error=ConfigError)
         if args.version:
             sys.stdout.write(f"itofourier {__version__} format {FORMAT_VERSION}\n")
             return 0

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import errors
 from .basis import BasisSystem, _check_index, basis_matrix, jumps, parse_basis
-from .errors import CapacityError, DomainError, NumericError, int_text
-from .kernel import IntegralSpec, eval_weight, exact_int, exact_ints, kernel_l2_norm_sq
+from .errors import CapacityError, DomainError, NumericError, int_text, read_int, read_ints
+from .kernel import IntegralSpec, eval_weight, kernel_l2_norm_sq
 from .quadrature import PanelGrid, panel_grid
 
 # Gauss nodes per panel: the rule and the cumulative matrix cost O(n**3)
@@ -57,17 +57,12 @@ class CoefficientTensor:
 
 
 def _read_orders(spec: IntegralSpec, orders) -> tuple[int, ...]:
-    """orders read through exact_int: one per level of spec, each >= 0, for
-    at most errors.MAX_ENTRIES index tuples."""
-    orders = exact_ints("orders", orders)
-    if any(p < 0 for p in orders):
-        raise DomainError(f"orders must be >= 0, got {list(orders)}")
+    """orders read as integers >= 0, one per level of spec, for at most
+    errors.MAX_ENTRIES index tuples."""
+    orders = read_ints("orders", orders, lo=0)
     if len(orders) != spec.k:
-        raise DomainError(f"orders must have {spec.k} entries, got {list(orders)}")
-    entries = math.prod(p + 1 for p in orders)
-    if entries > errors.MAX_ENTRIES:
-        raise CapacityError(f"tensor would hold {int_text(entries)} entries "
-                            f"> cap {errors.MAX_ENTRIES}")
+        raise DomainError(f"orders must have {spec.k} entries, got {len(orders)}")
+    errors.require_fits("tensor", math.prod(p + 1 for p in orders))
     return orders
 
 
@@ -75,10 +70,8 @@ def _require_sweep_fits(basis: BasisSystem, orders, panels: int, nodes: int) -> 
     """Hold the largest sweep array (earlier levels' index counts, or the
     largest level, times panels times nodes) to errors.MAX_ENTRIES."""
     sizes = [p + 1 for p in orders]
-    largest = max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes
-    if largest > errors.MAX_ENTRIES:
-        raise CapacityError(f"{basis.value} quadrature would hold up to {largest} "
-                            f"entries in one array > cap {errors.MAX_ENTRIES}")
+    errors.require_fits(f"{basis.value} quadrature array",
+                        max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes)
 
 
 def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders) -> PanelGrid:
@@ -88,7 +81,7 @@ def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders) -> PanelGrid:
     errors.MAX_ENTRIES before any rule or grid is built; for Haar/Walsh at most
     2 (jmax + 1) panels are counted, so no jump is placed beyond the cap."""
     for p in orders:
-        _check_index(basis, p)
+        _check_index(basis, p, "orders")
     iv = spec.iv
     degrees = [w.degree for w in spec.weights]
     k = spec.k
@@ -192,17 +185,15 @@ def ms_error_bound(k: int, residual: float) -> float:
     nonzero component indices only."""
     if residual < 0.0:
         raise DomainError("residual must be >= 0")
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    k = read_int("k", k, lo=1)
     if k > 20:
-        raise CapacityError(f"k = {k} exceeds the factorial guard (20)")
+        raise CapacityError(f"k = {int_text(k)} exceeds the factorial guard (20)")
     return math.factorial(k) * residual
 
 
 def moment_bound_2n(n: int, k: int, residual: float) -> float:
     """Degree-2n moment bound (k!)^{2n} (n(2n-1))^{n(k-1)} (2n-1)!! residual^n."""
-    if n < 1 or k < 1:
-        raise DomainError("need n >= 1 and k >= 1")
+    n, k = read_int("n", n, lo=1), read_int("k", k, lo=1)
     if residual < 0.0:
         raise DomainError("residual must be >= 0")
     overflows = f"moment bound overflows for n={int_text(n)}, k={int_text(k)}"
@@ -270,7 +261,7 @@ def read_coefficient_table(path) -> CoefficientTensor:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
             raise DomainError(f"coefficient table header is not valid JSON: {exc}") from exc
         if not isinstance(header, dict):
             raise DomainError("coefficient table header must be a JSON object")
@@ -282,13 +273,9 @@ def read_coefficient_table(path) -> CoefficientTensor:
         spec = IntegralSpec.from_json(header["spec"])
         basis = parse_basis(header["basis"])
         try:
-            orders = tuple(map(exact_int, header["orders"]))
-            orders = _read_orders(spec, orders)
+            orders = _read_orders(spec, header["orders"])
         except DomainError as exc:
             raise DomainError(f"coefficient table {exc}") from None
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"coefficient table orders must be integers, "
-                              f"got {header['orders']!r}") from None
         fh.readline()  # column header
         rows = filter(None, map(str.strip, fh))
         values = np.fromiter(_row_values(rows, orders), dtype=float)

@@ -1,9 +1,10 @@
 """Exception types shared across the package, the one size cap that
-CapacityError enforces, and how their messages name an integer.
+CapacityError enforces, and the one reader of every integer a caller passes.
 
 Each class also subclasses the closest builtin so callers can keep using
 idiomatic ``except ValueError`` / ``except IndexError`` handlers.
 """
+import numpy as np
 
 # Entries one coefficient tensor or table, quadrature sweep array, batch of
 # path increments, simulation grid or validation sample may hold; every check
@@ -55,3 +56,36 @@ class UnsupportedMultiplicityError(ItoFourierError, ValueError):
 
 class ConfigError(ItoFourierError, ValueError):
     """A CLI config document is malformed; message carries the field path."""
+
+
+def read_int(name: str, value, lo: int | None = None, hi: int | None = None,
+             error: type[ItoFourierError] = DomainError) -> int:
+    """value as an exact integer in [lo, hi] (an open end when None): an int,
+    a numpy integer, an integral float or a decimal string.  Booleans (numpy's
+    too), non-integral numbers and anything else raise error, and so does a
+    value out of range; every message starts with name."""
+    try:
+        out = int(value)
+        if isinstance(value, (bool, np.bool_)) or (not isinstance(value, str) and out != value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name}: expected an integer, got {value!r:.80}") from None
+    if lo is not None and out < lo:
+        raise error(f"{name} must be >= {int_text(lo)}, got {int_text(out)}")
+    if hi is not None and out > hi:
+        raise error(f"{name} must be <= {int_text(hi)}, got {int_text(out)}")
+    return out
+
+
+def read_ints(name: str, values, lo: int | None = None, hi: int | None = None,
+              error: type[ItoFourierError] = DomainError) -> tuple[int, ...]:
+    """values, a sequence other than a string, as a tuple of read_int reads."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise error(f"{name}: expected a sequence of integers, got {values!r:.80}")
+    return tuple(read_int(name, v, lo, hi, error) for v in values)
+
+
+def require_fits(what: str, count: int, unit: str = "entries") -> None:
+    """Raise CapacityError when count exceeds MAX_ENTRIES, read when called."""
+    if count > MAX_ENTRIES:
+        raise CapacityError(f"{what} would hold {int_text(count)} {unit} > cap {MAX_ENTRIES}")

@@ -13,17 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .basis import Interval
-from .errors import ArityError, DomainError
-
-
-def exact_int(value) -> int:
-    """value converted as int() converts it, except that booleans and
-    non-integral numbers raise ValueError instead of being truncated."""
-    out = int(value)
-    if isinstance(value, bool) or (not isinstance(value, str) and out != value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return out
+from .errors import ArityError, DomainError, int_text, read_int, read_ints
 
 
 def _named(name: str, convert, value):
@@ -32,12 +24,6 @@ def _named(name: str, convert, value):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name}: {exc}") from None
-
-
-def exact_ints(name: str, values) -> tuple[int, ...]:
-    """values as a tuple read through exact_int; a failure is raised as a
-    DomainError naming the argument."""
-    return _named(name, lambda vs: tuple(map(exact_int, vs)), values)
 
 
 @dataclass(frozen=True)
@@ -82,15 +68,12 @@ class IntegralSpec:
     weights: tuple[Weight, ...]
 
     def __post_init__(self):
-        k = _named("k", exact_int, self.k)
-        indices = exact_ints("indices", self.indices)
-        if k < 1:
-            raise DomainError(f"multiplicity must be >= 1, got {k}")
+        k = read_int("k", self.k, lo=1)
+        # a pool's m + 1 rows fit errors.MAX_ENTRIES only for m < errors.MAX_ENTRIES
+        indices = read_ints("indices", self.indices, 0, errors.MAX_ENTRIES - 1)
         if len(indices) != k or len(self.weights) != k:
-            raise ArityError(
-                f"need {k} indices and weights, got {len(indices)}/{len(self.weights)}")
-        if any(i < 0 for i in indices):
-            raise DomainError("component indices must be >= 0")
+            raise ArityError(f"need k = {int_text(k)} indices and weights, "
+                             f"got {len(indices)}/{len(self.weights)}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -155,6 +138,6 @@ def kernel_l2_norm_sq(spec: IntegralSpec) -> float:
 
 def constant_spec(iv: Interval, indices) -> IntegralSpec:
     """Spec with unit weights for the given component indices."""
-    indices = tuple(indices)
+    indices = read_ints("indices", indices)
     return IntegralSpec(iv=iv, k=len(indices), indices=indices,
                         weights=(CONSTANT_ONE,) * len(indices))

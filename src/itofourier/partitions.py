@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError, DomainError, int_text
+from .errors import CapacityError, DomainError, int_text, read_int
 
 # Entries (partitions times k) one enumeration may hold; the largest of
 # acceptance criterion 1 (k <= 10) holds 47 250
@@ -48,7 +48,7 @@ def partition_count(k: int, r: int) -> int:
     which stays short and, unlike a log-gamma difference, exact at any k.
     An r beyond the cap's bit length skips the float step, which overflows
     on a huge r: there (2r - 1)!! >= 2**(r - 1) already exceeds the cap."""
-    _check_kr(k, r)
+    k, r = _read_kr(k, r)
     log_cap = math.log(MAX_PARTITION_COUNT) + 1.0
     log_count = (math.inf if r > MAX_PARTITION_COUNT.bit_length()
                  else math.lgamma(2 * r + 1) - math.lgamma(r + 1) - r * math.log(2.0))
@@ -56,16 +56,15 @@ def partition_count(k: int, r: int) -> int:
         log_count += math.fsum(math.log(k - i) - math.log(i + 1) for i in range(2 * r))
     if (log_count > log_cap or (count := math.comb(k, 2 * r) * math.prod(range(1, 2 * r, 2)))
             > MAX_PARTITION_COUNT):
-        raise CapacityError(f"partitions of 1..{int_text(k)} into {int_text(r)} pairs "
-                            "number more than 10**10000")
+        raise CapacityError("partitions of 1..k into r pairs number more than 10**10000 "
+                            f"(k = {int_text(k)}, r = {int_text(r)})")
     return count
 
 
-def _check_kr(k: int, r: int) -> None:
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {int_text(k)}")
-    if r < 0 or 2 * r > k:
-        raise DomainError(f"need 0 <= 2r <= k, got k={int_text(k)}, r={int_text(r)}")
+def _read_kr(k, r) -> tuple[int, int]:
+    """k >= 1 and 0 <= r <= k // 2, read as integers."""
+    k = read_int("k", k, lo=1)
+    return k, read_int("r", r, 0, k // 2)
 
 
 def _matchings(elements: tuple[int, ...]):
@@ -81,21 +80,21 @@ def _matchings(elements: tuple[int, ...]):
             yield ((head, partner),) + tail
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is read and refused, not served as 1
 def pair_partitions(k: int, r: int) -> tuple[PairPartition, ...]:
     """All partitions of {1..k} into r pairs plus singletons, each exactly
     once in canonical form, ordered lexicographically by pair list.  Raises
     CapacityError before enumerating when they would hold more than
     MAX_PARTITION_ENTRIES entries; a log-gamma estimate screens out counts
     too large to form exactly."""
-    _check_kr(k, r)
+    k, r = _read_kr(k, r)
     cap = MAX_PARTITION_ENTRIES
     if (k > cap
             or math.lgamma(k + 1) - math.lgamma(k - 2 * r + 1) - math.lgamma(r + 1)
             - r * math.log(2.0) + math.log(k) > math.log(cap) + 1.0
             or partition_count(k, r) * k > cap):
-        raise CapacityError(f"partitions of 1..{int_text(k)} into {int_text(r)} pairs "
-                            f"would hold more than {cap} entries")
+        raise CapacityError(f"partitions of 1..k into r pairs would hold more than {cap} "
+                            f"entries (k = {int_text(k)}, r = {int_text(r)})")
     out = []
     universe = tuple(range(1, k + 1))
     for paired in itertools.combinations(universe, 2 * r):

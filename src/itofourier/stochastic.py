@@ -19,23 +19,24 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from . import errors
 from .basis import BasisSystem, Interval, basis_matrix, jump_depth
-from .errors import (CapacityError, CompatibilityError, DomainError, GridCompatibilityError,
-                     int_text)
+from .errors import CompatibilityError, DomainError, GridCompatibilityError, read_int
 from .kernel import IntegralSpec, eval_weight
 
 _POOL_DOMAIN = 0
 _PATH_DOMAIN = 1
 _SUBSEED_DOMAIN = 2
+# Seeds and path indices are integers in [0, MAX_SEED]: 64 bits of entropy
+MAX_SEED = 2**64 - 1
 
 
 def _stream(seed: int, domain: int, index: int) -> Generator:
-    ss = SeedSequence(int(seed) % 2**64, spawn_key=(domain, index))
-    return Generator(Philox(ss))
+    return Generator(Philox(SeedSequence(seed, spawn_key=(domain, index))))
 
 
 def path_seed(seed: int, path_index: int) -> int:
     """Derive an independent per-path seed from a master seed."""
-    ss = SeedSequence(int(seed) % 2**64, spawn_key=(_SUBSEED_DOMAIN, int(path_index)))
+    ss = SeedSequence(read_int("seed", seed, 0, MAX_SEED),
+                      spawn_key=(_SUBSEED_DOMAIN, read_int("path_index", path_index, 0, MAX_SEED)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -56,6 +57,8 @@ class GaussianPool:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", read_int("m", self.m, 1, errors.MAX_ENTRIES))
+        object.__setattr__(self, "jmax", read_int("jmax", self.jmax, 0, errors.MAX_ENTRIES))
         shape = (self.m + 1, self.jmax + 1)
         if self.values.ndim not in (2, 3) or self.values.shape[-2:] != shape:
             raise DomainError(f"pool values must have shape {shape} after an optional batch axis")
@@ -74,8 +77,8 @@ class WienerPath:
     increments: np.ndarray
 
     def __post_init__(self):
-        if self.m < 1 or self.N < 1:
-            raise DomainError("path needs m >= 1 and N >= 1")
+        object.__setattr__(self, "m", read_int("m", self.m, 1, errors.MAX_ENTRIES))
+        object.__setattr__(self, "N", read_int("N", self.N, 1, errors.MAX_ENTRIES))
         shape = (self.m, self.N)
         if self.increments.ndim not in (2, 3) or self.increments.shape[-2:] != shape:
             raise DomainError(f"increments must have shape {shape} after an optional batch axis")
@@ -101,8 +104,9 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     Entry (i, j) depends only on (seed, i, j): enlarging jmax extends each
     row without changing existing entries.
     """
-    if m < 1 or jmax < 0:
-        raise DomainError("need m >= 1 and jmax >= 0")
+    m, jmax = read_int("m", m, lo=1), read_int("jmax", jmax, lo=0)
+    seed = read_int("seed", seed, 0, MAX_SEED)
+    errors.require_fits("pool", (m + 1) * (jmax + 1), "entries ((m + 1) (jmax + 1))")
     values = np.empty((m + 1, jmax + 1))
     values[0] = _time_row(iv, jmax)
     for i in range(1, m + 1):
@@ -118,15 +122,12 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
     only on (seed, i, l).  A sequence of seeds gives a batch whose row b is
     bit-identical to the path of seeds[b].
     """
-    if m < 1 or N < 1:
-        raise DomainError("need m >= 1 and N >= 1")
+    m, N = read_int("m", m, lo=1), read_int("N", N, lo=1)
     single = np.ndim(seed) == 0
-    batch = 1 if single else len(seed)
-    if batch * m * N > errors.MAX_ENTRIES:
-        raise CapacityError(f"paths would hold {int_text(batch * m * N)} increments "
-                            f"> cap {errors.MAX_ENTRIES}")
-    increments = np.empty((batch, m, N))
-    for b, path_key in enumerate([seed] if single else seed):
+    seeds = [read_int("seed", s, 0, MAX_SEED) for s in ([seed] if single else seed)]
+    errors.require_fits("paths", len(seeds) * m * N, "increments (m N per path)")
+    increments = np.empty((len(seeds), m, N))
+    for b, path_key in enumerate(seeds):
         for i in range(1, m + 1):
             _stream(path_key, _PATH_DOMAIN, i).standard_normal(out=increments[b, i - 1])
     increments *= math.sqrt(iv.length / N)
@@ -162,11 +163,8 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     Row 0 is exact (plain basis integrals); rows i >= 1 are the Ito sums
     sum_l phi_j(tau_l) dW_l.  The grid must contain all basis jump points.
     """
-    if jmax < 0:
-        raise DomainError("jmax must be >= 0")
-    if path.N * (jmax + 1) > errors.MAX_ENTRIES:
-        raise CapacityError(f"simulation grid would hold {int_text(path.N * (jmax + 1))} "
-                            f"basis values > cap {errors.MAX_ENTRIES}")
+    jmax = read_int("jmax", jmax, lo=0)
+    errors.require_fits("simulation grid", path.N * (jmax + 1), "basis values (N (jmax + 1))")
     phi, row0 = _grid_plan(basis, path.iv, path.N, jmax)
     values = np.empty(path.increments.shape[:-2] + (path.m + 1, jmax + 1))
     values[..., 0, :] = row0

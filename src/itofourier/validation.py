@@ -25,10 +25,10 @@ from . import errors
 from .basis import BasisSystem
 from .coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
                            ms_error_bound, parseval_residual)
-from .errors import CapacityError, DomainError, int_text
+from .errors import DomainError, read_int, read_ints
 from .expansion import truncated_expansion
-from .kernel import IntegralSpec, exact_ints
-from .stochastic import brownian_path, path_iterated_integral, path_seed, zeta_from_path
+from .kernel import IntegralSpec
+from .stochastic import MAX_SEED, brownian_path, path_iterated_integral, path_seed, zeta_from_path
 
 
 # Normals budget of one chunk of paths: 2**16 is 8 paths at m = 2, N = 4096,
@@ -77,8 +77,9 @@ class MomentReport(_Report):
 
 
 def grid_allowance(k: int, length: float, n_steps: int) -> float:
-    """Engineering margin for the grid bias of the pathwise oracle."""
-    return k**2 * length**2 / n_steps
+    """Engineering margin for the grid bias of the pathwise oracle on
+    n_steps steps, at most errors.MAX_ENTRIES as on any path."""
+    return k**2 * length**2 / read_int("N", n_steps, 1, errors.MAX_ENTRIES)
 
 
 def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: int,
@@ -90,19 +91,17 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     of brownian_path, zeta_from_path, path_iterated_integral and
     truncated_expansion.  Each path keeps its own derived seed, so the
     sample does not depend on how paths are grouped into chunks beyond the
-    rounding of the batched contraction.  n_paths is held to
-    errors.MAX_ENTRIES and n_steps to at least 1 before the tensor
-    is built.
+    rounding of the batched contraction.  n_paths is held to [100,
+    errors.MAX_ENTRIES], n_steps to at least 1 and the seed to [0, MAX_SEED]
+    before the tensor is built.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")
-    if n_paths < 100:
-        raise DomainError(f"need n_paths >= 100, got {n_paths}")
-    if n_paths > errors.MAX_ENTRIES:
-        raise CapacityError(f"n_paths = {int_text(n_paths)} paths > cap {errors.MAX_ENTRIES}")
-    if n_steps < 1:
-        raise DomainError(f"need N >= 1 steps, got {n_steps}")
-    orders_t = exact_ints("orders", orders)
+    n_paths = read_int("n_paths", n_paths, lo=100)
+    errors.require_fits("the sample of n_paths", n_paths, "paths")
+    n_steps = read_int("N", n_steps, lo=1)
+    seed = read_int("seed", seed, 0, MAX_SEED)
+    orders_t = read_ints("orders", orders, lo=0)
     if tensor is None:
         tensor = coefficient_tensor(spec, basis, orders_t)
     jmax = max(orders_t)
@@ -156,8 +155,7 @@ def moment_check(diffs: np.ndarray, tensor: CoefficientTensor, n_steps: int,
     The grid bias is folded in by inflating the residual with the grid
     allowance before applying the bound formula.
     """
-    if n not in (1, 2):
-        raise DomainError(f"moment degree parameter must be 1 or 2, got {n}")
+    n = read_int("n", n, 1, 2)
     spec = tensor.spec
     sample_moment, se = _moment_stats(diffs, 2 * n)
     residual = parseval_residual(spec, tensor)

@@ -3,13 +3,17 @@ import pytest
 
 import itofourier
 from itofourier import errors
-from itofourier.basis import BasisSystem, Interval
-from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
-                                     read_coefficient_table, write_coefficient_table)
-from itofourier.errors import CapacityError, DomainError
+from itofourier.basis import (BasisSystem, Interval, basis_matrix, breakpoints, eval_basis,
+                              integrate_basis, jump_depth)
+from itofourier.coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
+                                     ms_error_bound, read_coefficient_table,
+                                     write_coefficient_table)
+from itofourier.errors import CapacityError, DomainError, ItoFourierError
 from itofourier.kernel import CONSTANT_ONE, IntegralSpec, constant_spec
-from itofourier.stochastic import brownian_path, zeta_from_path
-from itofourier.validation import sample_differences
+from itofourier.partitions import pair_partitions, partition_count
+from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool, path_seed,
+                                   zeta_from_path)
+from itofourier.validation import moment_check, sample_differences, strong_error_estimate
 
 UNIT = Interval(0.0, 1.0)
 LEGENDRE = BasisSystem.LEGENDRE
@@ -46,6 +50,58 @@ def test_integer_arguments_are_read_strictly(call, named):
         call()
 
 
+_SPEC_12 = constant_spec(UNIT, (1, 2))
+_TENSOR_12 = coefficient_tensor(_SPEC_12, LEGENDRE, (0, 0))
+_PATH = WienerPath(iv=UNIT, m=1, N=4, increments=np.zeros((1, 4)))
+# (argument, call with the argument set to v and every other argument valid)
+_INTEGER_ARGUMENTS = [
+    ("k", lambda v: IntegralSpec(iv=UNIT, k=v, indices=(1,), weights=(CONSTANT_ONE,))),
+    ("indices", lambda v: IntegralSpec(iv=UNIT, k=1, indices=(v,), weights=(CONSTANT_ONE,))),
+    ("j", lambda v: eval_basis(BasisSystem.TRIGONOMETRIC, v, 0.3, UNIT)),
+    ("jmax", lambda v: basis_matrix(BasisSystem.HAAR, v, [0.3], UNIT)),
+    ("j", lambda v: breakpoints(BasisSystem.WALSH, v, UNIT)),
+    ("j", lambda v: integrate_basis(LEGENDRE, v, UNIT)),
+    ("jmax", lambda v: jump_depth(BasisSystem.TRIGONOMETRIC, v)),
+    ("m", lambda v: gaussian_pool(UNIT, LEGENDRE, v, 3, 1)),
+    ("jmax", lambda v: gaussian_pool(UNIT, LEGENDRE, 1, v, 1)),
+    ("seed", lambda v: gaussian_pool(UNIT, LEGENDRE, 1, 3, v)),
+    ("m", lambda v: brownian_path(UNIT, v, 4, 1)),
+    ("N", lambda v: brownian_path(UNIT, 1, v, 1)),
+    ("seed", lambda v: brownian_path(UNIT, 1, 4, v)),
+    ("m", lambda v: WienerPath(iv=UNIT, m=v, N=4, increments=np.zeros((1, 4)))),
+    ("N", lambda v: WienerPath(iv=UNIT, m=1, N=v, increments=np.zeros((1, 4)))),
+    ("jmax", lambda v: zeta_from_path(_PATH, LEGENDRE, v)),
+    ("seed", lambda v: path_seed(v, 0)),
+    ("path_index", lambda v: path_seed(1, v)),
+    ("n_paths", lambda v: sample_differences(_SPEC_12, LEGENDRE, (0, 0), v, 16, 1)),
+    ("N", lambda v: sample_differences(_SPEC_12, LEGENDRE, (0, 0), 100, v, 1)),
+    ("seed", lambda v: sample_differences(_SPEC_12, LEGENDRE, (0, 0), 100, 16, v)),
+    ("n", lambda v: moment_check(np.zeros(100), _TENSOR_12, 16, v)),
+    ("N", lambda v: moment_check(np.zeros(100), _TENSOR_12, v, 1)),
+    ("N", lambda v: strong_error_estimate(np.zeros(100), _TENSOR_12, v)),
+    ("n", lambda v: moment_bound_2n(v, 2, 0.1)),
+    ("k", lambda v: moment_bound_2n(1, v, 0.1)),
+    ("k", lambda v: ms_error_bound(v, 0.1)),
+    # r = 2: C(10**5000, 2), at r = 1, is a count below the 10**10000 cap
+    ("k", lambda v: partition_count(v, 2)),
+    ("r", lambda v: partition_count(4, v)),
+    ("k", lambda v: pair_partitions(v, 1)),
+    ("r", lambda v: pair_partitions(4, v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 2.5, 10**5000, -10**5000],
+                         ids=["bool", "numpy-bool", "float", "huge", "huge-negative"])
+@pytest.mark.parametrize("named, call", _INTEGER_ARGUMENTS,
+                         ids=[f"{call.__code__.co_names[0]}-{named}"
+                              for named, call in _INTEGER_ARGUMENTS])
+def test_every_integer_argument_is_read_strictly(named, call, value):
+    # a package error naming the argument, never a bare builtin, and no
+    # boolean, fraction or integer past any bound read as a number
+    with pytest.raises(ItoFourierError, match=rf"\b{named}\b"):
+        call(value)
+
+
 def test_one_constant_caps_every_size(tmp_path, monkeypatch):
     table = tmp_path / "table.csv"
     write_coefficient_table(table, coefficient_tensor(constant_spec(UNIT, (1, 2)), LEGENDRE,
@@ -57,13 +113,18 @@ def test_one_constant_caps_every_size(tmp_path, monkeypatch):
          "tensor would hold 1681 entries"),
         # 41 rows at 42 nodes: 1722 entries in one sweep array
         (lambda: coefficient_tensor(constant_spec(UNIT, (1,)), LEGENDRE, (40,)),
-         "quadrature would hold up to 1722 entries"),
+         "legendre quadrature array would hold 1722 entries"),
         (lambda: read_coefficient_table(table), "tensor would hold 1681 entries"),
         (lambda: brownian_path(UNIT, 2, 501, seed=1), "paths would hold 1002 increments"),
         (lambda: zeta_from_path(path, BasisSystem.WALSH, 10),
          "simulation grid would hold 1100 basis values"),
         (lambda: sample_differences(constant_spec(UNIT, (1, 2)), LEGENDRE, (0, 0), 1001, 16, 1),
-         "n_paths = 1001 paths"),
+         "the sample of n_paths would hold 1001 paths"),
+        # 2 rows of 501 values, checked before numpy is asked for them
+        (lambda: gaussian_pool(UNIT, LEGENDRE, 1, 500, 1), "pool would hold 1002 entries"),
+        # 501 rows at 2 points; Haar jmax 2**48 used to ask numpy for 2 PiB
+        (lambda: basis_matrix(BasisSystem.HAAR, 500, [0.3, 0.6], UNIT),
+         "basis matrix would hold 1002 values"),
     ]:
         with pytest.raises(CapacityError, match=named + ".* > cap 1000$"):
             call()

@@ -185,6 +185,16 @@ class TestErrors:
                         "--out", str(tmp_path / "c.csv")]) == 1
         assert "JSON" in capsys.readouterr().err
 
+    def test_config_integer_over_4300_digits_named(self, config_path, tmp_path, capsys):
+        # json.load raises a plain ValueError for it, not a JSONDecodeError
+        cfg = tmp_path / "cfg.json"
+        with open(config_path) as fh:
+            text = fh.read()
+        cfg.write_text(text[:-1] + ', "seed": ' + "1" * 5000 + "}")
+        assert run_cli(["validate", "--config", str(cfg), "--orders", "0,0", "--paths",
+                        "100", "--steps", "16"]) == 1
+        assert capsys.readouterr().err.startswith("error: config: ")
+
     def test_unknown_field_named(self, tmp_path, capsys):
         doc = {"spec": {"t": 0, "T": 1, "k": 1, "indices": [1],
                         "weights": [{"poly": [1]}]}, "mystery": True}
@@ -288,13 +298,15 @@ class TestErrors:
         (lambda lines: lines[:2] + ["1,0,abc"] + lines[3:], "'1,0,abc'"),
         (lambda lines: ["1"] + lines[1:], "header must be a JSON object"),
         (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": ["a", 1]')]
-         + lines[1:], "orders must be integers"),
+         + lines[1:], "orders: expected an integer, got 'a'"),
         (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": 3')] + lines[1:],
-         "orders must be integers"),
+         "orders: expected a sequence of integers, got 3"),
         (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [1.5, 1]')]
-         + lines[1:], "orders must be integers"),
+         + lines[1:], "orders: expected an integer, got 1.5"),
         (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [-3, 1]')]
          + lines[1:], "orders must be >= 0"),
+        (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [1, 1' + "0" * 5000 + "]")]
+         + lines[1:], "header is not valid JSON"),
         (lambda lines: [lines[0].replace('"basis": "legendre"', '"basis": 3')] + lines[1:],
          "basis name must be a string"),
         (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
@@ -310,7 +322,7 @@ class TestErrors:
         (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [1, 1, 1]')]
          + lines[1:], "orders must have 2 entries"),
     ], ids=["row-index", "row-value", "header-not-object", "orders-str", "orders-int",
-            "orders-float", "orders-negative", "basis-int", "rows-swapped",
+            "orders-float", "orders-negative", "orders-over-4300-digits", "basis-int", "rows-swapped",
             "row-duplicated", "index-out-of-range", "index-zero-padded", "row-extra",
             "row-missing", "value-nan", "value-inf", "orders-length"])
     def test_malformed_table_named(self, config_path, tmp_path, capsys, edit, named):

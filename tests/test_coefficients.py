@@ -177,7 +177,8 @@ class TestQuadraturePlan:
     def test_legendre_order_is_capped_before_any_rule_is_built(self, order, monkeypatch):
         monkeypatch.setattr(coefficients, "panel_grid", None)  # building a grid fails
         start = time.perf_counter()
-        with pytest.raises(BasisIndexError, match=rf"Legendre degree {order} exceeds cap 1000"):
+        with pytest.raises(BasisIndexError,
+                           match=rf"orders \(legendre basis index\) must be <= 1000, got {order}"):
             coefficient_tensor(constant_spec(UNIT, (1,)), BasisSystem.LEGENDRE, (order,))
         assert time.perf_counter() - start < 0.1
 
