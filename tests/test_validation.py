@@ -14,6 +14,8 @@ from itofourier.stochastic import brownian_path, path_iterated_integral, path_se
 from itofourier.validation import (grid_allowance, moment_check, sample_differences,
                                    strong_error_estimate)
 
+from oracles import sample_differences_reference
+
 UNIT = Interval(0.0, 1.0)
 LEG = BasisSystem.LEGENDRE
 
@@ -148,21 +150,56 @@ def test_grid_allowance_constant():
 
 class TestChunkedEngine:
     def test_one_call_per_chunk(self, monkeypatch):
-        # 100 paths at m = 2, N = 4096 are 13 chunks: 12 of 8 paths and one of 4
+        # 100 paths at m = 2, N = 4096 are 13 chunks: 12 of 8 paths and one
+        # of 4, drawn from one block of keys
         calls = {}
-        for name in ("brownian_path", "zeta_from_path", "path_iterated_integral",
-                     "truncated_expansion", "path_seed"):
+        for name in ("_run_keys", "_wiener_path", "zeta_from_path", "path_iterated_integral",
+                     "truncated_expansion"):
             original = getattr(validation, name)
             calls[name] = []
             monkeypatch.setattr(validation, name, lambda *a, _f=original, _n=name:
                                 calls[_n].append(a) or _f(*a))
         spec = constant_spec(UNIT, (1, 2))
         diffs, _ = sample_differences(spec, LEG, (0, 0), 100, 4096, seed=4)
-        assert [len(a[3]) for a in calls["brownian_path"]] == [8] * 12 + [4]
+        assert [a[1:] for a in calls["_run_keys"]] == [(0, 100, 2)]
+        assert [len(a[2]) for a in calls["_wiener_path"]] == [8] * 12 + [4]
         for name in ("zeta_from_path", "path_iterated_integral", "truncated_expansion"):
             assert len(calls[name]) == 13, name
-        assert len(calls["path_seed"]) == 100
         assert diffs.shape == (100,)
+
+    @pytest.mark.parametrize("key_streams", [validation.KEY_STREAMS, 40],
+                             ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("chunk_paths", [1, 3, None], ids=["1", "3", "default"])
+    def test_sample_is_the_per_stream_reference(self, chunk_paths, key_streams):
+        # 100 paths at m = 2, N = 4096: the default chunk is 8 paths, and 40
+        # streams make blocks of 20, 18 and 16 paths whose edges chunks meet
+        spec = constant_spec(UNIT, (1, 2))
+        tensor = coefficient_tensor(spec, LEG, (2, 1))
+        chunk = 8 if chunk_paths is None else chunk_paths
+        with mock.patch.object(validation, "CHUNK_NORMALS", chunk * 2 * 4096), \
+                mock.patch.object(validation, "KEY_STREAMS", key_streams):
+            diffs, _ = sample_differences(spec, LEG, (2, 1), 100, 4096, 2**64 - 1, tensor=tensor)
+        expected = sample_differences_reference(spec, tensor, 100, 4096, 2**64 - 1, chunk)
+        assert diffs.tobytes() == expected.tobytes()
+
+
+class TestPrebuiltTensor:
+    """A tensor passed in must be the one the call would build."""
+
+    SPEC = constant_spec(UNIT, (1, 2))
+
+    @pytest.mark.parametrize("tensor, orders", [
+        (coefficient_tensor(constant_spec(UNIT, (2, 1)), LEG, (2, 2)), (2, 2)),
+        (coefficient_tensor(constant_spec(UNIT, (1, 2)), BasisSystem.HAAR, (2, 2)), (2, 2)),
+        (coefficient_tensor(constant_spec(UNIT, (1, 2)), LEG, (2, 1)), (2, 2)),
+        (coefficient_tensor(constant_spec(UNIT, (1, 2)), LEG, (2, 2)), ()),
+        (coefficient_tensor(constant_spec(Interval(0.0, 2.0), (1, 2)), LEG, (2, 2)), (2, 2)),
+    ], ids=["spec", "basis", "orders", "no-orders", "interval"])
+    def test_foreign_tensor_named_before_any_path(self, tensor, orders, monkeypatch):
+        # drawing a path would fail
+        monkeypatch.setattr(validation, "_run_keys", None, raising=False)
+        with pytest.raises(DomainError, match="^tensor "):
+            sample_differences(self.SPEC, LEG, orders, 100, 64, seed=1, tensor=tensor)
 
 
 def _spec_strategy():
