@@ -16,9 +16,8 @@ array, pool, path batch, simulation grid and sample, and one reader,
 __version__ = "0.1.0"
 
 from .basis import BasisSystem, Interval, breakpoints, eval_basis, integrate_basis, parse_basis
-from .coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
-                           ms_error_bound, parseval_residual, read_coefficient_table,
-                           write_coefficient_table)
+from .coefficients import (CoefficientTensor, coefficient_tensor, parseval_residual,
+                           read_coefficient_table, write_coefficient_table)
 from .errors import (ArityError, BasisIndexError, CapacityError, CompatibilityError,
                      ConfigError, DomainError, GridCompatibilityError, ItoFourierError,
                      NumericError, UnsupportedMultiplicityError)
@@ -27,15 +26,15 @@ from .kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_
 from .partitions import PairPartition, pair_partitions, partition_count
 from .stochastic import (GaussianPool, WienerPath, brownian_path, gaussian_pool,
                          path_iterated_integral, path_seed, zeta_from_path)
-from .validation import (MomentReport, ValidationReport, moment_check,
+from .validation import (moment_bound_2n, moment_check, ms_error_bound,
                          strong_error_estimate)
 
 __all__ = [
     "ArityError", "BasisIndexError", "BasisSystem", "CapacityError",
     "CoefficientTensor", "CompatibilityError", "ConfigError", "DomainError",
     "ExpansionResult", "GaussianPool", "GridCompatibilityError", "IntegralSpec",
-    "Interval", "ItoFourierError", "MomentReport", "NumericError", "PairPartition",
-    "UnsupportedMultiplicityError", "ValidationReport", "Weight", "WienerPath",
+    "Interval", "ItoFourierError", "NumericError", "PairPartition",
+    "UnsupportedMultiplicityError", "Weight", "WienerPath",
     "breakpoints", "brownian_path", "coefficient_tensor", "constant_spec",
     "eval_basis", "eval_weight", "gaussian_pool", "integrate_basis", "kernel_l2_norm_sq",
     "moment_bound_2n", "moment_check", "ms_error_bound", "pair_partitions", "parse_basis",

@@ -1,4 +1,5 @@
-"""Fourier coefficients of the ordered-simplex kernel and truncation error.
+"""Fourier coefficients of the ordered-simplex kernel, their Parseval residual
+and their table format.
 
 A coefficient for index tuple (j_1, ..., j_k) is the iterated integral
 
@@ -14,7 +15,8 @@ on grids that split each panel exactly in two.
 
 Tensors are indexed ``values[j_1, ..., j_k]``; serialized rows iterate with
 j_1 fastest-varying.  :func:`_row_prefixes` is the one statement of that row
-order: the table writer and reader both walk it.
+order: the table writer and reader both walk it.  The error bounds built
+on the residual live in :mod:`validation`, beside the pass rules they serve.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import errors
 from .basis import BasisSystem, _check_index, basis_matrix, jumps, parse_basis
-from .errors import CapacityError, DomainError, NumericError, int_text, read_int, read_ints
+from .errors import CapacityError, DomainError, NumericError, read_ints
 from .kernel import IntegralSpec, eval_weight, kernel_l2_norm_sq
 from .quadrature import PanelGrid, panel_grid
 
@@ -178,42 +180,6 @@ def parseval_residual(spec: IntegralSpec, tensor: CoefficientTensor) -> float:
                       RuntimeWarning, stacklevel=2)
         return 0.0
     return residual
-
-
-def ms_error_bound(k: int, residual: float) -> float:
-    """Mean-square truncation bound k! * residual; the paper proves it for
-    nonzero component indices only."""
-    if residual < 0.0:
-        raise DomainError("residual must be >= 0")
-    k = read_int("k", k, lo=1)
-    if k > 20:
-        raise CapacityError(f"k = {int_text(k)} exceeds the factorial guard (20)")
-    return math.factorial(k) * residual
-
-
-def moment_bound_2n(n: int, k: int, residual: float) -> float:
-    """Degree-2n moment bound (k!)^{2n} (n(2n-1))^{n(k-1)} (2n-1)!! residual^n."""
-    n, k = read_int("n", n, lo=1), read_int("k", k, lo=1)
-    if residual < 0.0:
-        raise DomainError("residual must be >= 0")
-    overflows = f"moment bound overflows for n={int_text(n)}, k={int_text(k)}"
-    # k! and (2n - 1)!! below cost big-integer work without bound in k and n.
-    # Their logs at k and n clamped to 10**6 bound them below; one over 710.8
-    # (the float range's 709.78 plus a margin) overflows there, so refuse it now
-    j, m = min(k, 10**6), min(n, 10**6)
-    if max(math.lgamma(j + 1),
-           math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0)) > 710.8:
-        raise CapacityError(overflows)
-    double_fact = math.prod(range(1, 2 * n, 2))
-    try:
-        bound = (float(math.factorial(k)) ** (2 * n)
-                 * float(n * (2 * n - 1)) ** (n * (k - 1))
-                 * double_fact * residual**n)
-    except OverflowError as exc:
-        raise CapacityError(overflows) from exc
-    if math.isinf(bound):
-        raise CapacityError(overflows)
-    return bound
 
 
 def _row_prefixes(orders):

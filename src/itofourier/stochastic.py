@@ -84,7 +84,7 @@ def _normals(keys: np.ndarray, n: int) -> np.ndarray:
     last axis, two uint64 words) at counter 0: shape keys.shape[:-1] + (n,).
     One Philox is reset to counter 0 and re-keyed for each stream."""
     out = np.empty(keys.shape[:-1] + (n,))
-    bit_gen = Philox(key=0)
+    bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=0) hashes OS entropy
     gen, state = Generator(bit_gen), bit_gen.state
     for key, row in zip(keys.reshape(-1, 2).tolist(), out.reshape(-1, n)):
         state["state"]["key"] = key

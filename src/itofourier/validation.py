@@ -1,4 +1,5 @@
-"""Monte-Carlo harness: truncated expansion vs the pathwise grid oracle.
+"""Monte-Carlo harness and error accounting: truncated expansion vs the
+pathwise grid oracle, judged against the paper's bounds.
 
 For every sampled path the expansion is evaluated on the pool derived from
 that same path, so the difference D isolates truncation error plus a grid
@@ -6,8 +7,9 @@ bias of order 1/N.  The Parseval residual is the truncation error's exact
 mean square only when all component indices are distinct.  The grid
 allowance uses the documented constant c = k**2, i.e.
 allowance = k**2 (T-t)**2 / N; it is reported, never silently absorbed.
-The reports are built from a sample drawn once by sample_differences, so
-the strong-error and the moment report of one run share their paths.
+:func:`strong_error_estimate` builds the whole document that ``validate``
+writes from one sample drawn by :func:`sample_differences`, so every bound
+and pass rule of a run is stated here, once.
 
 Per-path seeds are counter-derived from the master seed, and the stream
 keys of a block of paths come from numpy's SeedSequence hash computed over
@@ -19,15 +21,13 @@ another on the calling thread.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import errors
 from .basis import BasisSystem
-from .coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
-                           ms_error_bound, parseval_residual)
-from .errors import DomainError, read_int, read_ints
+from .coefficients import CoefficientTensor, coefficient_tensor, parseval_residual
+from .errors import CapacityError, DomainError, int_text, read_int, read_ints
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec
 # brownian_path is unused here but kept: the benchmark's tests look it up on
@@ -42,46 +42,6 @@ CHUNK_NORMALS = 2**16
 # Streams (paths times m) whose keys are derived in one pass, in whole
 # chunks: 2**15 covers the 10**4 paths at m = 2 of criterion 7
 KEY_STREAMS = 2**15
-
-
-class _Report:
-    def to_json(self, config: dict | None = None) -> dict:
-        """The report fields, with passed under the key "pass"."""
-        out = {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
-        if config is not None:
-            out["config"] = config
-        return out
-
-
-@dataclass(frozen=True)
-class ValidationReport(_Report):
-    """Strong-error comparison summary.
-
-    passed holds mean_sq_diff <= parseval + 3 std_error + grid_allowance.
-    """
-
-    samples: int
-    mean_sq_diff: float
-    std_error: float
-    parseval: float
-    bound_ms: float
-    bound_2n: float | None
-    grid_allowance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class MomentReport(_Report):
-    """Degree-2n moment comparison against the analytic bound."""
-
-    samples: int
-    moment_degree: int
-    sample_moment: float
-    std_error: float
-    parseval: float
-    bound_2n: float
-    grid_allowance: float
-    passed: bool
 
 
 def grid_allowance(k: int, length: float, n_steps: int) -> float:
@@ -141,48 +101,73 @@ def _moment_stats(diffs: np.ndarray, degree: int) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def strong_error_estimate(diffs: np.ndarray, tensor: CoefficientTensor,
-                          n_steps: int) -> ValidationReport:
-    """Sampled E[D^2] of differences drawn by :func:`sample_differences`
-    for this tensor on n_steps-step paths, against the Parseval residual
-    window."""
+def ms_error_bound(k: int, residual: float) -> float:
+    """Mean-square truncation bound k! * residual; the paper proves it for
+    nonzero component indices only."""
+    if residual < 0.0:
+        raise DomainError("residual must be >= 0")
+    k = read_int("k", k, lo=1)
+    if k > 20:
+        raise CapacityError(f"k = {int_text(k)} exceeds the factorial guard (20)")
+    return math.factorial(k) * residual
+
+
+def moment_bound_2n(n: int, k: int, residual: float) -> float:
+    """Degree-2n moment bound (k!)^{2n} (n(2n-1))^{n(k-1)} (2n-1)!! residual^n."""
+    n, k = read_int("n", n, lo=1), read_int("k", k, lo=1)
+    if residual < 0.0:
+        raise DomainError("residual must be >= 0")
+    overflows = f"moment bound overflows for n={int_text(n)}, k={int_text(k)}"
+    # k! and (2n - 1)!! below cost big-integer work without bound in k and n.
+    # Their logs at k and n clamped to 10**6 bound them below; one over 710.8
+    # (the float range's 709.78 plus a margin) overflows there, so refuse it now
+    j, m = min(k, 10**6), min(n, 10**6)
+    if max(math.lgamma(j + 1),
+           math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0)) > 710.8:
+        raise CapacityError(overflows)
+    double_fact = math.prod(range(1, 2 * n, 2))
+    try:
+        bound = (float(math.factorial(k)) ** (2 * n)
+                 * float(n * (2 * n - 1)) ** (n * (k - 1))
+                 * double_fact * residual**n)
+    except OverflowError as exc:
+        raise CapacityError(overflows) from exc
+    if math.isinf(bound):
+        raise CapacityError(overflows)
+    return bound
+
+
+def strong_error_estimate(diffs: np.ndarray, tensor: CoefficientTensor, n_steps: int,
+                          n: int | None = None) -> dict:
+    """The document ``validate`` writes, without its config, for differences
+    drawn by :func:`sample_differences` for this tensor on n_steps-step paths.
+
+    "pass" holds mean_sq_diff <= parseval + 3 std_error + grid_allowance.
+    With n in {1, 2} the document also carries bound_2n and a "moment"
+    block: the sampled E[D^{2n}] against the degree-2n bound, whose residual
+    is inflated by the grid allowance to fold in the grid bias.
+    """
+    if n is not None:
+        n = read_int("n", n, 1, 2)
     spec = tensor.spec
     mean_sq, se = _moment_stats(diffs, 2)
     residual = parseval_residual(spec, tensor)
     allowance = grid_allowance(spec.k, spec.iv.length, n_steps)
-    return ValidationReport(
-        samples=diffs.size,
-        mean_sq_diff=mean_sq,
-        std_error=se,
-        parseval=residual,
-        bound_ms=ms_error_bound(spec.k, residual),
-        bound_2n=None,
-        grid_allowance=allowance,
-        passed=mean_sq <= residual + 3.0 * se + allowance,
-    )
+    doc = {"samples": diffs.size, "mean_sq_diff": mean_sq, "std_error": se,
+           "parseval": residual, "bound_ms": ms_error_bound(spec.k, residual),
+           "bound_2n": None, "grid_allowance": allowance,
+           "pass": mean_sq <= residual + 3.0 * se + allowance}
+    if n is not None:
+        moment, moment_se = (mean_sq, se) if n == 1 else _moment_stats(diffs, 4)
+        doc["bound_2n"] = bound = moment_bound_2n(n, spec.k, residual + allowance)
+        doc["moment"] = {"samples": diffs.size, "moment_degree": 2 * n,
+                         "sample_moment": moment, "std_error": moment_se,
+                         "parseval": residual, "bound_2n": bound,
+                         "grid_allowance": allowance, "pass": moment <= bound + 3.0 * moment_se}
+    return doc
 
 
-def moment_check(diffs: np.ndarray, tensor: CoefficientTensor, n_steps: int,
-                 n: int) -> MomentReport:
-    """Sampled E[D^{2n}] (n in {1, 2}) of the same differences against the
-    degree-2n bound.
-
-    The grid bias is folded in by inflating the residual with the grid
-    allowance before applying the bound formula.
-    """
-    n = read_int("n", n, 1, 2)
-    spec = tensor.spec
-    sample_moment, se = _moment_stats(diffs, 2 * n)
-    residual = parseval_residual(spec, tensor)
-    allowance = grid_allowance(spec.k, spec.iv.length, n_steps)
-    bound = moment_bound_2n(n, spec.k, residual + allowance)
-    return MomentReport(
-        samples=diffs.size,
-        moment_degree=2 * n,
-        sample_moment=sample_moment,
-        std_error=se,
-        parseval=residual,
-        bound_2n=bound,
-        grid_allowance=allowance,
-        passed=sample_moment <= bound + 3.0 * se,
-    )
+def moment_check(diffs: np.ndarray, tensor: CoefficientTensor, n_steps: int, n: int) -> dict:
+    """The "moment" block of :func:`strong_error_estimate` for n in {1, 2};
+    kept because the benchmark's tracer wraps it by name."""
+    return strong_error_estimate(diffs, tensor, n_steps, read_int("n", n, 1, 2))["moment"]

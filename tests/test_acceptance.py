@@ -10,14 +10,13 @@ import pytest
 
 from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
-from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
-                                     moment_bound_2n, ms_error_bound, parseval_residual)
+from itofourier.coefficients import CoefficientTensor, coefficient_tensor, parseval_residual
 from itofourier.expansion import truncated_expansion
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.partitions import pair_partitions, partition_count
 from itofourier.stochastic import gaussian_pool
-from itofourier.validation import (grid_allowance, moment_check, sample_differences,
-                                   strong_error_estimate)
+from itofourier.validation import (grid_allowance, moment_bound_2n, moment_check,
+                                   ms_error_bound, sample_differences, strong_error_estimate)
 from oracles import explicit_expansion, gram_matrix, hermite_reference
 
 UNIT = Interval(0.0, 1.0)
@@ -154,33 +153,33 @@ def criterion7_report():
 def test_criterion_7_strong_mc_validation(criterion7_report):
     report, elapsed, _, _ = criterion7_report
     assert elapsed < 120.0
-    window = 3.0 * report.std_error
-    assert report.parseval == pytest.approx(0.25, abs=1e-12)
-    assert report.mean_sq_diff >= 0.25 - window
-    assert report.mean_sq_diff <= 0.25 + report.grid_allowance + window
-    assert report.passed
-    _report(f"criterion 7: E[D^2]={report.mean_sq_diff:.5f} within 3SE={window:.5f} "
-            f"of 0.25 (+allowance {report.grid_allowance:.2e}), {elapsed:.1f}s < 120s")
+    window = 3.0 * report["std_error"]
+    assert report["parseval"] == pytest.approx(0.25, abs=1e-12)
+    assert report['mean_sq_diff'] >= 0.25 - window
+    assert report['mean_sq_diff'] <= 0.25 + report['grid_allowance'] + window
+    assert report["pass"]
+    _report(f"criterion 7: E[D^2]={report['mean_sq_diff']:.5f} within 3SE={window:.5f} "
+            f"of 0.25 (+allowance {report['grid_allowance']:.2e}), {elapsed:.1f}s < 120s")
 
 
 def test_criterion_8_moment_bounds(criterion7_report):
     report, _, diffs, tensor = criterion7_report
     allowance = grid_allowance(2, 1.0, 2**12)
-    assert report.mean_sq_diff <= ms_error_bound(2, report.parseval) \
-        + 3.0 * report.std_error + allowance
+    assert report['mean_sq_diff'] <= ms_error_bound(2, report['parseval']) \
+        + 3.0 * report["std_error"] + allowance
     # the same 10 000 paths as criterion 7, as in one `validate --n 2` run
     moment = moment_check(diffs, tensor, 2**12, 2)
-    literal_bound = moment_bound_2n(2, 2, moment.parseval) + allowance
-    assert moment.sample_moment <= literal_bound
-    assert moment.passed
+    literal_bound = moment_bound_2n(2, 2, moment["parseval"]) + allowance
+    assert moment["sample_moment"] <= literal_bound
+    assert moment["pass"]
     # the equal-component configuration: truncation is exact, grid term only
     spec_eq = constant_spec(UNIT, (1, 1))
     diffs, tensor = sample_differences(spec_eq, LEG, (0, 0), 2000, 2**12, seed=77)
     msd = float(np.mean(diffs**2))
     residual_eq = parseval_residual(spec_eq, tensor)
     assert msd <= ms_error_bound(2, residual_eq) + allowance
-    _report(f"criterion 8: E[D^2]={report.mean_sq_diff:.4f} <= k! residual + 3SE + "
-            f"allowance; E[D^4]={moment.sample_moment:.4f} <= {literal_bound:.2f}")
+    _report(f"criterion 8: E[D^2]={report['mean_sq_diff']:.4f} <= k! residual + 3SE + "
+            f"allowance; E[D^4]={moment['sample_moment']:.4f} <= {literal_bound:.2f}")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -5,15 +5,15 @@ import itofourier
 from itofourier import errors
 from itofourier.basis import (BasisSystem, Interval, basis_matrix, breakpoints, eval_basis,
                               integrate_basis, jump_depth)
-from itofourier.coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
-                                     ms_error_bound, read_coefficient_table,
-                                     write_coefficient_table)
+from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
+                                     read_coefficient_table, write_coefficient_table)
 from itofourier.errors import CapacityError, DomainError, ItoFourierError
 from itofourier.kernel import CONSTANT_ONE, IntegralSpec, constant_spec
 from itofourier.partitions import pair_partitions, partition_count
 from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool, path_seed,
                                    zeta_from_path)
-from itofourier.validation import moment_check, sample_differences, strong_error_estimate
+from itofourier.validation import (moment_bound_2n, moment_check, ms_error_bound,
+                                   sample_differences, strong_error_estimate)
 
 UNIT = Interval(0.0, 1.0)
 LEGENDRE = BasisSystem.LEGENDRE
@@ -79,6 +79,7 @@ _INTEGER_ARGUMENTS = [
     ("n", lambda v: moment_check(np.zeros(100), _TENSOR_12, 16, v)),
     ("N", lambda v: moment_check(np.zeros(100), _TENSOR_12, v, 1)),
     ("N", lambda v: strong_error_estimate(np.zeros(100), _TENSOR_12, v)),
+    ("n", lambda v: strong_error_estimate(np.zeros(100), _TENSOR_12, 16, v)),
     ("n", lambda v: moment_bound_2n(v, 2, 0.1)),
     ("k", lambda v: moment_bound_2n(1, v, 0.1)),
     ("k", lambda v: ms_error_bound(v, 0.1)),

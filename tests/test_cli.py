@@ -106,6 +106,20 @@ class TestValidate:
         assert doc["bound_2n"] is not None
         assert doc["moment"]["moment_degree"] == 4
 
+    @pytest.mark.parametrize("n", [None, 1, 2])
+    def test_document_is_strong_error_estimate_and_config(self, config_path, tmp_path, n):
+        out = tmp_path / "report.json"
+        argv = ["validate", "--config", config_path, "--orders", "1,0", "--paths", "150",
+                "--steps", "128", "--seed", "7", "--out", str(out)]
+        assert run_cli(argv + ([] if n is None else ["--n", str(n)])) == 0
+        doc = json.loads(out.read_text())
+        assert doc.pop("config")["n"] == n
+        spec = constant_spec(UNIT, (1, 2))
+        diffs, tensor = validation.sample_differences(spec, BasisSystem.LEGENDRE, (1, 0),
+                                                      150, 128, 7)
+        assert (json.dumps(validation.strong_error_estimate(diffs, tensor, 128, n),
+                           sort_keys=True) == json.dumps(doc, sort_keys=True))
+
     def test_one_simulation_feeds_both_reports(self, config_path, tmp_path, monkeypatch):
         calls = []
 

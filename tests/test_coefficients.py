@@ -14,12 +14,12 @@ from hypothesis.extra.numpy import arrays
 import itofourier.basis
 from itofourier import coefficients, errors, quadrature
 from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis, jumps
-from itofourier.coefficients import (CoefficientTensor, coefficient_tensor, moment_bound_2n,
-                                     ms_error_bound, parseval_residual,
+from itofourier.coefficients import (CoefficientTensor, coefficient_tensor, parseval_residual,
                                      read_coefficient_table, sum_squared,
                                      write_coefficient_table)
 from itofourier.errors import BasisIndexError, CapacityError, DomainError, NumericError
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_norm_sq
+from itofourier.validation import moment_bound_2n, ms_error_bound
 
 UNIT = Interval(0.0, 1.0)
 HALF_ROOT3 = 1.0 / (2.0 * math.sqrt(3.0))

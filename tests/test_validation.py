@@ -32,14 +32,15 @@ class TestStrongErrorEstimate:
         spec = constant_spec(UNIT, (1, 2))
         report = strong_error_estimate(
             *sample_differences(spec, LEG, (0, 0), 2000, 1024, seed=42), 1024)
-        assert report.parseval == pytest.approx(0.25, abs=1e-12)
-        assert report.bound_ms == pytest.approx(0.5, abs=1e-12)
-        assert report.bound_2n is None
-        assert report.samples == 2000
-        window = 3.0 * report.std_error
-        assert report.mean_sq_diff >= report.parseval - window
-        assert report.mean_sq_diff <= report.parseval + report.grid_allowance + window
-        assert report.passed
+        assert report["parseval"] == pytest.approx(0.25, abs=1e-12)
+        assert report["bound_ms"] == pytest.approx(0.5, abs=1e-12)
+        assert report["bound_2n"] is None
+        assert "moment" not in report
+        assert report["samples"] == 2000
+        window = 3.0 * report["std_error"]
+        assert report["mean_sq_diff"] >= report["parseval"] - window
+        assert report["mean_sq_diff"] <= report["parseval"] + report["grid_allowance"] + window
+        assert report["pass"]
 
     def test_grid_error_slope_is_minus_one(self):
         # equal components, unit weights: the truncation is exact at p = 0 and
@@ -77,8 +78,8 @@ class TestStrongErrorEstimate:
         spec = IntegralSpec(iv=UNIT, k=2, indices=(1, 1), weights=(w, w))
         report = strong_error_estimate(
             *sample_differences(spec, LEG, (12, 12), 500, 4096, seed=23), 4096)
-        assert report.passed
-        assert report.mean_sq_diff <= 10.0 * (report.parseval + report.grid_allowance)
+        assert report["pass"]
+        assert report["mean_sq_diff"] <= 10.0 * (report["parseval"] + report["grid_allowance"])
 
     def test_preconditions(self):
         spec = constant_spec(UNIT, (0, 1))
@@ -110,20 +111,20 @@ class TestMomentCheck:
         diffs, tensor = sample_differences(spec, LEG, (0, 0), 400, 256, seed=8)
         rep = strong_error_estimate(diffs, tensor, 256)
         mom = moment_check(diffs, tensor, 256, 1)
-        assert mom.sample_moment == rep.mean_sq_diff
-        assert mom.std_error == rep.std_error
-        assert mom.moment_degree == 2
-        assert mom.passed
+        assert mom["sample_moment"] == rep["mean_sq_diff"]
+        assert mom["std_error"] == rep["std_error"]
+        assert mom["moment_degree"] == 2
+        assert mom["pass"]
 
     def test_n2_bound_holds(self):
         spec = constant_spec(UNIT, (1, 2))
         mom = moment_check(*sample_differences(spec, LEG, (0, 0), 1000, 1024, seed=13),
                            1024, 2)
-        assert mom.moment_degree == 4
-        assert mom.passed
+        assert mom["moment_degree"] == 4
+        assert mom["pass"]
         # Gaussian-product heuristic: the sampled fourth moment sits far
         # below the analytic bound
-        assert mom.sample_moment < mom.bound_2n / 10.0
+        assert mom["sample_moment"] < mom["bound_2n"] / 10.0
 
     def test_zero_tensor_recovers_kernel_norm(self):
         spec = constant_spec(UNIT, (1,))
@@ -132,15 +133,29 @@ class TestMomentCheck:
         mom = moment_check(*sample_differences(spec, LEG, (0,), 2000, 512, seed=21,
                                                tensor=zero), 512, 1)
         total = kernel_l2_norm_sq(spec)
-        assert abs(mom.sample_moment - total) <= 3.0 * mom.std_error
-        assert mom.parseval == pytest.approx(total)
-        assert mom.passed
+        assert abs(mom["sample_moment"] - total) <= 3.0 * mom["std_error"]
+        assert mom["parseval"] == pytest.approx(total)
+        assert mom["pass"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_is_the_moment_block_of_the_document(self, n):
+        diffs, tensor = sample_differences(constant_spec(UNIT, (1, 2)), LEG, (1, 1), 200, 64,
+                                           seed=3)
+        doc = strong_error_estimate(diffs, tensor, 64, n)
+        assert moment_check(diffs, tensor, 64, n) == doc["moment"]
+        assert doc["bound_2n"] == doc["moment"]["bound_2n"]
+        assert doc["moment"]["moment_degree"] == 2 * n
+        for field in ("samples", "parseval", "grid_allowance"):
+            assert doc["moment"][field] == doc[field]
 
     def test_rejects_bad_degree(self):
         diffs, tensor = sample_differences(constant_spec(UNIT, (1, 2)), LEG, (0, 0), 200, 64,
                                            seed=1)
-        with pytest.raises(DomainError):
-            moment_check(diffs, tensor, 64, 3)
+        for n in (0, 3, True, 2.5):
+            with pytest.raises(DomainError, match="^n"):
+                moment_check(diffs, tensor, 64, n)
+            with pytest.raises(DomainError, match="^n"):
+                strong_error_estimate(diffs, tensor, 64, n)
 
 
 def test_grid_allowance_constant():
