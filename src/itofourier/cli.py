@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .basis import parse_basis
@@ -145,6 +146,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="itofourier",
                      description="Iterated Ito integral expansion toolkit")

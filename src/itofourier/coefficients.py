@@ -93,7 +93,7 @@ def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders) -> PanelGrid:
         periods = sum((p + 1) // 2 for p in orders)
         nodes, panels = max(24, sum(degrees) + k + 8), max(2, 2 * periods + 2)
     else:
-        nodes, panels = max(16, sum(degrees) + k + 1), 2 * (max(orders) + 1)
+        nodes, panels = sum(degrees) + k + 1, 2 * (max(orders) + 1)
     if nodes > MAX_NODES:
         raise CapacityError(f"{basis.value} quadrature for weight degrees {degrees} and "
                             f"orders {list(orders)} needs {nodes} nodes > cap {MAX_NODES}")

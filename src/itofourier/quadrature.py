@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 
-# Node counts each cache keeps: tables over the four bases take three (16, 24 and,
+# Node counts each cache keeps: tables over the four bases take three (5, 24 and,
 # for Legendre orders 12 at k = 3, 41); a cumulative matrix at 4096 nodes is 128 MB
 @lru_cache(maxsize=4)
 def gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +92,7 @@ class PanelGrid:
         shifted[..., 1:] = np.cumsum(per_panel, axis=-1)[..., :-1]
         in_panel = (flat @ cumulative_matrix(self.nodes).T).reshape(samples.shape)
         in_panel *= self.half[:, None]
-        return shifted[..., None] + in_panel
+        return np.add(in_panel, shifted[..., None], out=in_panel)
 
 
 def panel_grid(edges, nodes: int) -> PanelGrid:

@@ -2,11 +2,11 @@
 
 All randomness is counter-derived: every stream is Philox at counter 0 under
 the key of SeedSequence(seed, spawn_key=(domain, index)), so any entry
-depends only on the seed and its own coordinates.  The keys are numpy's
-SeedSequence hash computed over arrays of seeds and indices, and one Philox
-per call is re-keyed for each stream.  Pools can be enlarged and paths
-generated in any order or grouping without perturbing existing values, and
-identical seeds give bit-identical results.  Paths, pools and the oracle
+depends only on the seed and its own coordinates.  From FEW_STREAMS on, the
+keys are numpy's SeedSequence hash computed over arrays of seeds and indices;
+one Philox per call is re-keyed for each stream.  Pools can be enlarged and
+paths generated in any order or grouping without perturbing existing values,
+and identical seeds give bit-identical results.  Paths, pools and the oracle
 take an optional leading batch axis, so one call handles a chunk of paths
 through the same code as one path.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 
 from . import errors
 from .basis import BasisSystem, Interval, basis_matrix, jump_depth
@@ -33,6 +33,8 @@ MAX_SEED = 2**64 - 1
 # constant that steps the same way for any data, so the constants are fixed:
 # _HASH_A for the 28 calls on up to 7 entropy words, _HASH_B for 4 state words
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Below this many streams a SeedSequence per stream beats the array hash
+FEW_STREAMS = 8
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
@@ -63,6 +65,11 @@ def _spawn_state(seeds, domain: int, indices, words: int) -> np.ndarray:
     of 2**32 or more, its high word.  The pool is the last axis."""
     seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
     indices = np.atleast_1d(np.asarray(indices, np.uint64))
+    pairs = np.broadcast(seeds, indices)
+    if pairs.size < FEW_STREAMS:
+        state = [SeedSequence(int(s), spawn_key=(domain, int(i))).generate_state(words, np.uint64)
+                 for s, i in pairs]
+        return np.array(state, np.uint64).reshape(pairs.shape + (words,))
     pool = np.zeros(seeds.shape + (4,), np.uint32)
     pool[..., 0], pool[..., 1] = seeds, seeds >> np.uint64(32)
     pool = _hashmix(pool, slice(0, 4))
@@ -213,10 +220,12 @@ def _wiener_path(iv: Interval, N: int, keys: np.ndarray) -> WienerPath:
 
 @lru_cache(maxsize=1)
 def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
-               jmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis rows at the left grid points and the exact row 0, both fixed for
-    a whole run (only the latest plan is kept: one may hold errors.MAX_ENTRIES
-    values).  Raises (and so caches nothing) if a basis jump is off the grid:
+               jmax: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Basis rows on the cells of the grid (a step at its left point; for
+    Haar and Walsh a dyadic cell at its midpoint, which rounding keeps on the
+    cell), the steps per cell and the exact row 0, all fixed for a whole run
+    (only the latest plan is kept: one may hold errors.MAX_ENTRIES values).
+    Raises (and so caches nothing) if a basis jump is off the grid:
     the jumps are the multiples of (T - t) / 2**D that include (T - t) / 2**D
     itself, so all lie on the grid exactly when 2**D divides N."""
     depth = jump_depth(basis, jmax)
@@ -224,12 +233,14 @@ def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
         raise GridCompatibilityError(
             f"{basis.value} basis up to index {jmax} jumps on the 2**{depth} grid; "
             f"N={n_steps} is not a multiple of 2**{depth}")
-    left = iv.t + np.arange(n_steps) * (iv.length / n_steps)
-    phi = basis_matrix(basis, jmax, left, iv)
+    dyadic = basis in (BasisSystem.HAAR, BasisSystem.WALSH)
+    cells = 2**depth if dyadic else n_steps
+    points = iv.t + (np.arange(cells) + (0.5 if dyadic else 0.0)) * (iv.length / cells)
+    phi = basis_matrix(basis, jmax, points, iv)
     row0 = _time_row(iv, jmax)
     phi.setflags(write=False)
     row0.setflags(write=False)
-    return phi, row0
+    return phi, n_steps // cells, row0
 
 
 def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianPool:
@@ -237,14 +248,16 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     or one pool per path of a batch.
 
     Row 0 is exact (plain basis integrals); rows i >= 1 are the Ito sums
-    sum_l phi_j(tau_l) dW_l.  The grid must contain all basis jump points.
+    sum_l phi_j(tau_l) dW_l, summed by cell; the grid holds all basis jumps.
     """
     jmax = read_int("jmax", jmax, lo=0)
     errors.require_fits("simulation grid", path.N * (jmax + 1), "basis values (N (jmax + 1))")
-    phi, row0 = _grid_plan(basis, path.iv, path.N, jmax)
+    phi, cell, row0 = _grid_plan(basis, path.iv, path.N, jmax)
+    dw = path.increments
+    dw = dw.reshape(dw.shape[:-1] + (-1, cell)).sum(axis=-1) if cell > 1 else dw
     values = np.empty(path.increments.shape[:-2] + (path.m + 1, jmax + 1))
     values[..., 0, :] = row0
-    values[..., 1:, :] = path.increments @ phi.T
+    values[..., 1:, :] = dw @ phi.T
     values.setflags(write=False)
     return GaussianPool(iv=path.iv, basis=basis, m=path.m, jmax=jmax, values=values)
 

@@ -15,11 +15,15 @@ SeedSequence, one Philox and one Generator per stream; ``path_seed_reference``,
 ``gaussian_pool_reference``, ``brownian_path_reference`` and
 ``sample_differences_reference`` draw through it, the per-stream route that
 the library's array-derived keys must match bit for bit.
+``exact_dyadic_coefficients`` gives Haar and Walsh coefficient tensors in
+rational arithmetic, integrating cell by cell from the definitions of the
+two systems.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -464,3 +468,90 @@ def sample_differences_reference(spec: IntegralSpec, tensor: CoefficientTensor,
                                                             max(tensor.orders))).value
         diffs[start:stop] = path_iterated_integral(spec, path) - approx
     return diffs
+
+
+def _dyadic_signs(system: BasisSystem, j: int, depth: int) -> tuple[list[int], int]:
+    """The sign of phi_j on each of the 2**depth dyadic cells of [t, T] and
+    its squared amplitude times (T - t), from the definitions: Haar j >= 1 is
+    +-2**(n/2) on the halves of its level-n interval; Walsh j is the product
+    of the Rademacher factors r_m(u) = (-1)**floor(2**m u) of its subset,
+    subsets in blocks of increasing largest factor M (j in [2**(M-1),
+    2**M - 1]) and lexicographic as ascending tuples within a block."""
+    cells = range(1 << depth)
+    if j == 0:
+        return [1 for _ in cells], 1
+    if system is BasisSystem.HAAR:
+        n = j.bit_length() - 1
+        pos = j - (1 << n) + 1
+        half = {2 * pos - 2: 1, 2 * pos - 1: -1}
+        return [half.get(c >> (depth - n - 1), 0) for c in cells], 2**n
+    top = j.bit_length()
+    subsets = sorted(rest + (top,) for r in range(top)
+                     for rest in itertools.combinations(range(1, top), r))
+    factors = subsets[j - (1 << (top - 1))]
+    return [(-1) ** sum(c >> (depth - m) for m in factors) for c in cells], 1
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for p, x in enumerate(a):
+        for q, y in enumerate(b):
+            out[p + q] += x * y
+    return out
+
+
+def _poly_at(a: list, x: Fraction) -> Fraction:
+    return sum(c * x**p for p, c in enumerate(a))
+
+
+def _sqrt(x: Fraction) -> Fraction:
+    """sqrt(x) for x >= 0, to a relative 2**-200."""
+    scale = 2**200
+    return Fraction(math.isqrt(x.numerator * x.denominator * scale**2),
+                    x.denominator * scale)
+
+
+def exact_dyadic_coefficients(spec: IntegralSpec, system: BasisSystem, orders,
+                              absolute: bool = False) -> np.ndarray:
+    """The Haar or Walsh coefficient tensor of spec up to the orders, each
+    entry the float nearest its exact value (to a relative 2**-200 first).
+    With absolute, every weight coefficient and basis value is taken by its
+    magnitude: each entry then bounds every term summed for it, which is
+    the scale of its rounding error.
+
+    In s - t, the weights are polynomials with the floats' exact rational
+    coefficients and each phi_j is a sign per dyadic cell times its
+    amplitude.  Level by level, the running integral is one polynomial per
+    cell: the integral of the level's integrand from the cell's left edge,
+    times the cell's sign, plus the signed totals of the cells before it.
+    The product of the amplitudes over (T - t)**(k/2) is the square root of
+    a rational.
+    """
+    length = Fraction(spec.iv.T) - Fraction(spec.iv.t)
+    depth = max(orders).bit_length()
+    edges = [length * c / (1 << depth) for c in range((1 << depth) + 1)]
+    weights = [[Fraction(abs(c) if absolute else c) for c in w.coeffs] for w in spec.weights]
+    values = np.empty([p + 1 for p in orders])
+
+    def descend(level, running, total, index, amp_sq):
+        if level == spec.k:
+            values[index] = float(total * _sqrt(amp_sq / length**spec.k))
+            return
+        antis, wholes = [], []
+        for c, poly in enumerate(running):
+            integrand = _poly_mul(poly, weights[level])
+            anti = [Fraction(0)] + [a / (p + 1) for p, a in enumerate(integrand)]
+            anti[0] = -_poly_at(anti, edges[c])
+            antis.append(anti)
+            wholes.append(_poly_at(anti, edges[c + 1]))
+        for j in range(orders[level] + 1):
+            signs, amp = _dyadic_signs(system, j, depth)
+            signs = [abs(sign) for sign in signs] if absolute else signs
+            acc, nxt = Fraction(0), []
+            for anti, whole, sign in zip(antis, wholes, signs):
+                nxt.append([acc + sign * anti[0]] + [sign * a for a in anti[1:]])
+                acc += sign * whole
+            descend(level + 1, nxt, acc, index + (j,), amp_sq * amp)
+
+    descend(0, [[Fraction(1)]] * (1 << depth), None, (), Fraction(1))
+    return values

@@ -393,6 +393,20 @@ class TestMisc:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == ["coeffs", "approximate", "validate"]
 
+    def test_parser_is_built_once_and_keeps_no_parsed_state(self, config_path, tmp_path,
+                                                              capsys):
+        assert cli._build_parser() is cli._build_parser()
+        table, out = tmp_path / "c.csv", tmp_path / "v.json"
+        assert run_cli(["coeffs", "--config", config_path, "--orders", "1,1",
+                        "--out", str(table)]) == 0
+        assert run_cli(["approximate", "--table", str(table), "--seed", "3",
+                        "--out", str(out)]) == 0
+        # the next calls do not see the orders, seed or out of the calls before
+        assert run_cli(["approximate", "--table", str(table)]) == 1
+        assert "config.seed: required" in capsys.readouterr().err
+        assert run_cli(["coeffs", "--config", config_path, "--out", str(table)]) == 1
+        assert "config.orders: required" in capsys.readouterr().err
+
     def test_identical_argv_identical_output(self, config_path, tmp_path):
         argv = ["coeffs", "--config", config_path, "--orders", "2,2"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

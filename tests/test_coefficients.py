@@ -21,6 +21,8 @@ from itofourier.errors import BasisIndexError, CapacityError, DomainError, Numer
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_norm_sq
 from itofourier.validation import moment_bound_2n, ms_error_bound
 
+from oracles import exact_dyadic_coefficients
+
 UNIT = Interval(0.0, 1.0)
 HALF_ROOT3 = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -190,12 +192,23 @@ class TestQuadraturePlan:
         for cache in (quadrature.gauss_rule, quadrature.cumulative_matrix):
             assert cache.cache_info().currsize <= 4
         # the node counts of tables over the four bases at k = 3 stay cached
-        for nodes in (16, 24, 41):
+        for nodes in (5, 24, 41):
             quadrature.cumulative_matrix(nodes)
         misses = quadrature.cumulative_matrix.cache_info().misses
-        for nodes in (16, 24, 41, 16, 24, 41):
+        for nodes in (5, 24, 41, 5, 24, 41):
             quadrature.cumulative_matrix(nodes)
         assert quadrature.cumulative_matrix.cache_info().misses == misses
+
+    @pytest.mark.parametrize("basis", [BasisSystem.HAAR, BasisSystem.WALSH])
+    @pytest.mark.parametrize("polys, orders", [(((1.0,),), (0,)), (((1.0,),) * 2, (3, 3)),
+                                               (((1.0,), (1.0, 1.0), (1.0,)), (31, 31, 31)),
+                                               (((0.5, 0.0, 2.0), (1.0, -3.0)), (7, 1))])
+    def test_dyadic_plans_integrate_the_exact_degree(self, basis, polys, orders):
+        # on a cell the last level's integrand has degree sum(degrees) + k - 1
+        spec = IntegralSpec(iv=UNIT, k=len(polys), indices=(1,) * len(polys),
+                            weights=tuple(Weight(p) for p in polys))
+        nodes = sum(len(p) - 1 for p in polys) + len(polys) + 1
+        assert coefficients._quad_plan(spec, basis, orders).nodes == nodes
 
     def test_node_cap_admits_the_largest_legendre_orders(self, monkeypatch):
         monkeypatch.setattr(coefficients, "panel_grid", lambda edges, nodes: nodes)
@@ -504,6 +517,42 @@ class TestTableFormat:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DomainError):
             read_coefficient_table(path)
+
+
+# Largest error of a Haar or Walsh tensor against exact arithmetic, in eps
+# times the largest entry of the tensor with |psi| and |phi|, for k <= 3,
+# orders <= 7 and weights of degree <= 2: the exact-degree plan read at most
+# 2.6 over 3 587 random configs on [0, 1] and [0, 4] (the 16-node plan 2.1)
+DYADIC_EPS_BOUND = 4.0
+
+
+class TestDyadicExact:
+    def test_oracle_meets_the_closed_forms(self):
+        # unit weights, k = 2: C_00 = (T - t) / 2, and the orders 2**d - 1
+        # leave (T - t)**2 2**-(d + 2) of the kernel's (T - t)**2 / 2
+        for basis in (BasisSystem.HAAR, BasisSystem.WALSH):
+            for iv in (UNIT, Interval(0.0, 4.0)):
+                exact = exact_dyadic_coefficients(constant_spec(iv, (1, 2)), basis, (7, 7))
+                assert exact[0, 0] == iv.length / 2
+                assert math.fsum(exact.ravel() ** 2) == pytest.approx(
+                    iv.length**2 * (0.5 - 2.0**-5), rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_haar_and_walsh_against_exact_arithmetic(self, data):
+        k = data.draw(st.integers(1, 3))
+        basis = data.draw(st.sampled_from([BasisSystem.HAAR, BasisSystem.WALSH]))
+        iv = data.draw(st.sampled_from([UNIT, Interval(0.0, 4.0)]))
+        orders = tuple(data.draw(st.lists(st.integers(0, 7), min_size=k, max_size=k)))
+        coeff = st.builds(lambda p, q: p / q, st.integers(-4, 4),
+                          st.sampled_from([1, 2, 3, 4, 8]))
+        weights = tuple(Weight(tuple(data.draw(st.lists(coeff, min_size=1, max_size=3))))
+                        for _ in range(k))
+        spec = IntegralSpec(iv=iv, k=k, indices=(1,) * k, weights=weights)
+        got = coefficient_tensor(spec, basis, orders).values
+        exact = exact_dyadic_coefficients(spec, basis, orders)
+        scale = np.max(exact_dyadic_coefficients(spec, basis, orders, absolute=True))
+        assert np.max(np.abs(got - exact)) <= DYADIC_EPS_BOUND * np.finfo(float).eps * scale
 
 
 def test_sum_squared_matches_numpy():

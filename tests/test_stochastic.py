@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import itofourier.basis
 
 from itofourier import errors, stochastic
-from itofourier.basis import (LEGENDRE_MAX_DEGREE, BasisSystem, Interval, breakpoints,
-                              eval_basis, integrate_basis, jumps)
+from itofourier.basis import (LEGENDRE_MAX_DEGREE, BasisSystem, Interval, basis_matrix,
+                              breakpoints, eval_basis, integrate_basis, jump_depth, jumps)
 from itofourier.errors import (CapacityError, CompatibilityError, DomainError,
                                GridCompatibilityError)
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
@@ -132,6 +132,29 @@ class TestStreamKeys:
             for key, index in zip(row, indices):
                 ss = SeedSequence(seed, spawn_key=(domain, index))
                 assert np.array_equal(key, ss.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("streams", [1, 2, stochastic.FEW_STREAMS - 1,
+                                         stochastic.FEW_STREAMS, stochastic.FEW_STREAMS + 1, 40])
+    def test_keys_on_both_sides_of_the_few_streams_cutoff(self, streams, monkeypatch):
+        # below FEW_STREAMS one SeedSequence per stream and no array hash;
+        # from it on the array hash and no SeedSequence; the same bytes either way
+        routes = []
+        hashmix, seed_sequence = stochastic._hashmix, stochastic.SeedSequence
+        monkeypatch.setattr(stochastic, "_hashmix",
+                            lambda *a: routes.append("array") or hashmix(*a))
+        monkeypatch.setattr(stochastic, "SeedSequence",
+                            lambda *a, **kw: routes.append("sequence") or seed_sequence(*a, **kw))
+        rows = 2 if streams % 2 == 0 else 1
+        seeds = np.array([7, 2**64 - 1][:rows], np.uint64)[:, None]
+        indices = np.array(_EDGES * 8, np.uint64)[:streams // rows]
+        for words in (1, 2):
+            routes.clear()
+            keys = stochastic._spawn_state(seeds, 1, indices, words)
+            want = [[SeedSequence(int(s), spawn_key=(1, int(i))).generate_state(words, np.uint64)
+                     for i in indices] for s in seeds[:, 0]]
+            assert keys.tobytes() == np.array(want, np.uint64).tobytes()
+            assert keys.shape == (rows, streams // rows, words)
+            assert set(routes) == {"sequence" if streams < stochastic.FEW_STREAMS else "array"}
 
     @pytest.mark.parametrize("seed", _EDGES + [20240809])
     def test_path_seed_is_the_reference(self, seed):
@@ -278,6 +301,54 @@ class TestZetaFromPath:
             except GridCompatibilityError:
                 accepted = False
         assert accepted == on_grid
+
+    @staticmethod
+    def _exact_left_rows(basis, jmax, iv, n_steps):
+        """Haar or Walsh rows at the left points t + l (T - t) / N taken
+        exactly: on [0, 1] l / N rounds to no other cell (it is exact at every
+        jump), and the values on iv are those on [0, 1] over sqrt(T - t)."""
+        unit = basis_matrix(basis, jmax, np.arange(n_steps) / n_steps, UNIT)
+        return unit / math.sqrt(iv.length)
+
+    @pytest.mark.parametrize("basis", [BasisSystem.HAAR, BasisSystem.WALSH])
+    @pytest.mark.parametrize("iv", [UNIT, Interval(0.1, 0.7), Interval(2.5, 7.5),
+                                    Interval(-1.0, 3.0)])
+    def test_cell_rows_repeat_to_the_left_point_rows(self, basis, iv):
+        # on [0.1, 0.7] rounded left points fall into the cell before some jumps
+        for jmax in (0, 1, 5, 7, 31, 63):
+            cells = 2**jump_depth(basis, jmax)
+            for n_steps in (cells, 3 * cells, 4096):
+                phi, cell, _ = stochastic._grid_plan.__wrapped__(basis, iv, n_steps, jmax)
+                assert (phi.shape, cell) == ((jmax + 1, cells), n_steps // cells)
+                left = self._exact_left_rows(basis, jmax, iv, n_steps)
+                assert np.repeat(phi, cell, axis=1).tobytes() == left.tobytes()
+
+    @pytest.mark.parametrize("basis", [BasisSystem.HAAR, BasisSystem.WALSH])
+    @pytest.mark.parametrize("iv", [UNIT, Interval(0.1, 0.7), Interval(2.5, 7.5)])
+    @pytest.mark.parametrize("n_steps", [96, 4096])
+    def test_dyadic_zeta_is_the_left_point_sum(self, basis, iv, n_steps):
+        # Summed by cell, each product phi dW meets at most (cell - 1) + 1 +
+        # (cells - 1) <= N roundings, and N at most in any order of the full
+        # dot product, so the two differ by at most 2 gamma_N sum |phi dW|,
+        # gamma_N = N u / (1 - N u) with u = 2**-53
+        jmax = 31
+        path = brownian_path(iv, 2, n_steps, [1, 2, 3])
+        left = self._exact_left_rows(basis, jmax, iv, n_steps)
+        full = path.increments @ left.T
+        gamma = n_steps * 2.0**-53 / (1 - n_steps * 2.0**-53)
+        bound = 2 * gamma * (np.abs(path.increments) @ np.abs(left).T)
+        got = zeta_from_path(path, basis, jmax).values[..., 1:, :]
+        assert np.all(np.abs(got - full) <= bound)
+
+    @pytest.mark.parametrize("basis", [BasisSystem.LEGENDRE, BasisSystem.TRIGONOMETRIC])
+    def test_continuous_zeta_is_one_product_over_every_step(self, basis):
+        # one step per cell: the increments times the left-point rows, bit for bit
+        for iv, n_steps in ((UNIT, 4096), (Interval(0.1, 0.7), 1000)):
+            path = brownian_path(iv, 2, n_steps, [4, 5])
+            left = iv.t + np.arange(n_steps) * (iv.length / n_steps)
+            want = path.increments @ basis_matrix(basis, 16, left, iv).T
+            got = zeta_from_path(path, basis, 16).values[..., 1:, :]
+            assert got.tobytes() == want.tobytes()
 
     def test_refinement_consistency_slope(self):
         # coarse pools are derived from one fine path by block-summing
