@@ -154,7 +154,8 @@ def _build_parser() -> _Parser:
                         help="print package and file format versions")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted (>= 1) for compatibility and otherwise ignored: "
-                             "validate runs on one thread")
+                             "validate fills its normals on the CPUs the process may "
+                             "use, with the same bits on any number")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("coeffs", help="tabulate Fourier coefficients to a file")

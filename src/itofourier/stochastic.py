@@ -3,16 +3,22 @@
 All randomness is counter-derived: every stream is Philox at counter 0 under
 the key of SeedSequence(seed, spawn_key=(domain, index)), so any entry
 depends only on the seed and its own coordinates.  From FEW_STREAMS on, the
-keys are numpy's SeedSequence hash computed over arrays of seeds and indices;
-one Philox per call is re-keyed for each stream.  Pools can be enlarged and
-paths generated in any order or grouping without perturbing existing values,
-and identical seeds give bit-identical results.  Paths, pools and the oracle
-take an optional leading batch axis, so one call handles a chunk of paths
-through the same code as one path.
+keys are numpy's SeedSequence hash computed over arrays of seeds and indices.
+Each thread that fills streams re-keys one Philox for each stream.  A call
+with PART_NORMALS normals or more for each of two threads, in a process that
+may use more than one CPU, fills its streams on the calling thread and
+pooled worker threads, one per CPU at most; every stream is the same
+whichever thread fills it.  Pools can be enlarged and paths generated in any
+order or grouping without perturbing existing values, and identical seeds
+give bit-identical results.  Paths, pools and the oracle take an optional
+leading batch axis, so one call handles a chunk of paths through the same
+code as one path.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +41,10 @@ MAX_SEED = 2**64 - 1
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # Below this many streams a SeedSequence per stream beats the array hash
 FEW_STREAMS = 8
+# Fewest normals per thread of a split fill: waking a worker costs about the
+# time of 6000 normals, so a call of fewer than two threads' worth starts no
+# thread
+PART_NORMALS = 12288
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
@@ -86,17 +96,69 @@ def _spawn_state(seeds, domain: int, indices, words: int) -> np.ndarray:
     return state[..., 0::2] | (state[..., 1::2] << np.uint64(32))
 
 
+def _fill(keys: list, rows: np.ndarray, streams) -> None:
+    """Fill rows[i], for each stream index i taken from streams, with the
+    normals of the Philox stream of keys[i] (two uint64 words) at counter 0:
+    one Philox is reset to counter 0 and re-keyed for each stream."""
+    bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=0) hashes OS entropy
+    gen, state = Generator(bit_gen), bit_gen.state
+    for i in streams:
+        state["state"]["key"] = keys[i]
+        bit_gen.state = state
+        gen.standard_normal(out=rows[i])
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _worker_pool(pid: int):
+    """The fill workers of process pid: a forked child inherits the pool but
+    none of its threads.  Imported here, concurrent.futures and its logging
+    (about 0.7 MB) stay out of processes that never split a fill."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(os.cpu_count() or 1, "itofourier-normals")
+
+
 def _normals(keys: np.ndarray, n: int) -> np.ndarray:
     """n standard normals from the Philox stream of each 128-bit key (the
     last axis, two uint64 words) at counter 0: shape keys.shape[:-1] + (n,).
-    One Philox is reset to counter 0 and re-keyed for each stream."""
+    With at least PART_NORMALS normals for each, up to one thread per CPU
+    fills the streams: the calling thread and pooled workers (numpy's fill
+    releases the GIL) each take the next stream not yet taken, so a worker
+    that starts late or runs slow holds the call up by at most the stream it
+    is filling.  An error in any thread is raised here once every thread has
+    stopped."""
     out = np.empty(keys.shape[:-1] + (n,))
-    bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=0) hashes OS entropy
-    gen, state = Generator(bit_gen), bit_gen.state
-    for key, row in zip(keys.reshape(-1, 2).tolist(), out.reshape(-1, n)):
-        state["state"]["key"] = key
-        bit_gen.state = state
-        gen.standard_normal(out=row)
+    keys, rows = keys.reshape(-1, 2).tolist(), out.reshape(-1, n)
+    threads = min(len(rows), rows.size // PART_NORMALS)
+    threads = min(threads, _cpus()) if threads > 1 else 1
+    if threads == 1:
+        _fill(keys, rows, range(len(rows)))
+        return out
+    order, lock = iter(range(len(rows))), threading.Lock()
+
+    def streams():
+        while True:
+            with lock:  # shared iterators are not thread-safe without the GIL
+                i = next(order, None)
+            if i is None:
+                return
+            yield i
+
+    futures = [_worker_pool(os.getpid()).submit(_fill, keys, rows, streams())
+               for _ in range(threads - 1)]
+    try:
+        _fill(keys, rows, streams())
+    finally:
+        for future in futures:
+            future.exception()  # waits: no thread fills on once this call ends
+    for future in futures:
+        future.result()
     return out
 
 

@@ -16,7 +16,9 @@ keys of a block of paths come from numpy's SeedSequence hash computed over
 arrays in one pass, with the stream layout of one SeedSequence per stream.
 All aggregates use exact summation over an index-addressed sample array, so
 reports are bit-identical for a fixed seed.  Chunks of paths run one after
-another on the calling thread.
+another on the calling thread; within a chunk the path fill splits its
+normals over the CPUs the process may use (see stochastic), with the same
+bits on any number of CPUs.
 """
 from __future__ import annotations
 

@@ -1,6 +1,9 @@
 import math
+import os
+import threading
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -172,12 +175,25 @@ class TestStreamKeys:
         for row, coord in zip(rows, coords):
             assert np.array_equal(row, stream(*coord).standard_normal(n))
 
-    def test_one_philox_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_philox_per_part(self, cpus, monkeypatch):
+        # below the split cutoff one Philox per call; above it one per
+        # thread, a thread per CPU while each has PART_NORMALS normals
         built = []
         monkeypatch.setattr(stochastic, "Philox", lambda **kw: built.append(kw) or Philox(**kw))
+        monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         brownian_path(UNIT, 3, 16, list(range(5)))
         gaussian_pool(UNIT, BasisSystem.LEGENDRE, 3, 4, seed=1)
         assert len(built) == 2
+        built.clear()
+        brownian_path(UNIT, 2, 4096, list(range(8)))
+        assert len(built) == cpus
+        built.clear()
+        brownian_path(UNIT, 2, stochastic.PART_NORMALS - 1, seed=0)
+        assert len(built) == 1
+        built.clear()
+        brownian_path(UNIT, 2, stochastic.PART_NORMALS, seed=0)
+        assert len(built) == min(cpus, 2)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_brownian_path_is_the_reference(self, m):
@@ -195,6 +211,97 @@ class TestStreamKeys:
         for seed in (0, 7, 2**64 - 1):
             pool = gaussian_pool(UNIT, BasisSystem.LEGENDRE, m, jmax, seed)
             assert pool.values.tobytes() == gaussian_pool_reference(UNIT, m, jmax, seed).tobytes()
+
+
+class TestSplitFill:
+    """The streams of a call filled on worker threads are the streams filled
+    on the calling thread, bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("streams", [2, 3, 17])
+    def test_split_rows_are_the_reference_streams(self, streams, cpus, monkeypatch):
+        # a cutoff of one stream, so that every call here is split
+        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+        fills, taken = [], []
+        fill = stochastic._fill
+
+        def logged_fill(keys, rows, order):
+            fills.append(threading.current_thread() is threading.main_thread())
+            fill(keys, rows, (taken.append(i) or i for i in order))
+
+        monkeypatch.setattr(stochastic, "_fill", logged_fill)
+        coords = [(2**64 - 1 - s, s % 3, s) for s in range(streams)]
+        keys = np.array([SeedSequence(c, spawn_key=(d, i)).generate_state(2, np.uint64)
+                         for c, d, i in coords])
+        rows = stochastic._normals(keys, 4096)
+        assert sorted(fills) == [False] * (min(streams, cpus) - 1) + [True]
+        assert sorted(taken) == list(range(streams))  # each stream filled once
+        for row, coord in zip(rows, coords):
+            assert np.array_equal(row, stream(*coord).standard_normal(4096))
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_on_any_thread_is_raised(self, failing, monkeypatch):
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        fill, done = stochastic._fill, []
+
+        def failing_fill(keys, rows, streams):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "caller"):
+                raise RuntimeError(failing)
+            time.sleep(0.05)  # the other thread finishes after the failure
+            fill(keys, rows, streams)
+            done.append(len(rows))
+
+        monkeypatch.setattr(stochastic, "_fill", failing_fill)
+        keys = stochastic._spawn_state(3, 1, np.arange(16, dtype=np.uint64), 2)
+        with pytest.raises(RuntimeError, match=failing):
+            stochastic._normals(keys, 4096)
+        assert done == [16]  # raised only once the other thread had stopped
+
+    def test_small_calls_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 4)
+        monkeypatch.setattr(stochastic, "_worker_pool",
+                            lambda pid: pytest.fail("a pool was asked for"))
+        threads = threading.active_count()
+        gaussian_pool(UNIT, BasisSystem.LEGENDRE, 2, 31, seed=1)
+        gaussian_pool(UNIT, BasisSystem.WALSH, 3, 1023, seed=2)
+        brownian_path(UNIT, 1, 1, seed=3)
+        brownian_path(UNIT, 2, 4096, seed=4)
+        brownian_path(UNIT, 3, 16, list(range(5)))
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+    def test_forked_child_fills_on_a_pool_of_its_own(self, monkeypatch):
+        # the parent's pool has a live worker; a child inherits the pool but
+        # not the thread, and a submit to it would wait forever
+        from itofourier.validation import sample_differences
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        spec = constant_spec(UNIT, (1, 2))
+        want, _ = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, seed=9)
+        assert stochastic._worker_pool.cache_info().currsize == 1
+        with warnings.catch_warnings():
+            # Python 3.12 warns that forking a process with threads may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got, _ = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, seed=9)
+                code = 0 if got.tobytes() == want.tobytes() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestZetaFromPath:

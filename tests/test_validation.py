@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itofourier import validation
+from itofourier import stochastic, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor
 from itofourier.errors import DomainError
@@ -196,6 +196,27 @@ class TestChunkedEngine:
             diffs, _ = sample_differences(spec, LEG, (2, 1), 100, 4096, 2**64 - 1, tensor=tensor)
         expected = sample_differences_reference(spec, tensor, 100, 4096, 2**64 - 1, chunk)
         assert diffs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("basis, orders, spec", [
+        (LEG, (0, 0), constant_spec(UNIT, (1, 2))),
+        (BasisSystem.WALSH, (31, 31, 31),
+         IntegralSpec(UNIT, 3, (1, 2, 1), (Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))),
+    ], ids=["mc-legendre", "mc-walsh"])
+    def test_sample_does_not_depend_on_the_cpu_count(self, basis, orders, spec, monkeypatch):
+        # each of the 13 chunks fills its normals on one thread on one CPU
+        # and on two threads on two
+        tensor = coefficient_tensor(spec, basis, orders)
+        samples = []
+        for cpus in (1, 2):
+            fills = []
+            fill = stochastic._fill
+            monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+            monkeypatch.setattr(stochastic, "_fill", lambda *a: fills.append(1) or fill(*a))
+            diffs, _ = sample_differences(spec, basis, orders, 100, 4096, 12, tensor=tensor)
+            monkeypatch.undo()
+            assert len(fills) == 13 * cpus
+            samples.append(diffs.tobytes())
+        assert samples[0] == samples[1]
 
 
 class TestPrebuiltTensor:
