@@ -43,15 +43,15 @@ from .quadrature import _legendre_rows
 
 @dataclass(frozen=True)
 class Interval:
-    """Time interval [t, T] with t < T, both finite."""
+    """Time interval [t, T] with t < T, both finite, and T - t finite."""
 
     t: float
     T: float
 
     def __post_init__(self):
         t, big_t = float(self.t), float(self.T)
-        if not (math.isfinite(t) and math.isfinite(big_t)):
-            raise DomainError("interval endpoints must be finite")
+        if not math.isfinite(big_t - t):  # so are t and T
+            raise DomainError(f"interval endpoints and T - t must be finite, got [{t}, {big_t}]")
         if not big_t > t:
             raise DomainError(f"interval requires T > t, got [{t}, {big_t}]")
         object.__setattr__(self, "t", t)

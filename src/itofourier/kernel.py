@@ -36,6 +36,8 @@ class Weight:
         if len(self.coeffs) == 0:
             raise DomainError("weight needs at least one polynomial coefficient")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not np.isfinite(self.coeffs).all():
+            raise DomainError("poly: coefficients must be finite")
 
     @property
     def degree(self) -> int:

@@ -1,9 +1,12 @@
 """Seeded Gaussian pools, Wiener paths, and the discretized pathwise oracle.
 
-All randomness is counter-derived: every stream is Philox at counter 0 under
-the key of SeedSequence(seed, spawn_key=(domain, index)), so any entry
-depends only on the seed and its own coordinates.  From FEW_STREAMS on, the
-keys are numpy's SeedSequence hash computed over arrays of seeds and indices.
+All randomness is counter-based: the stream (seed, domain, index) is Philox
+at counter 0 under the 128-bit key whose low word is the seed and whose high
+word is domain * 2**62 + index, so any entry depends only on the seed and its
+own coordinates, and nothing is hashed.  Philox streams under distinct keys
+are independent.  Domain 0 holds pool rows and domain 1 path components,
+with the component 1..m as the index; the per-path seeds of a run are the
+64-bit words of the run seed's domain-2 stream (index 0), word i for path i.
 Each thread that fills streams re-keys one Philox for each stream.  A call
 with PART_NORMALS normals or more for each of two threads, in a process that
 may use more than one CPU, fills its streams on the calling thread and
@@ -23,77 +26,31 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 
 from . import errors
 from .basis import BasisSystem, Interval, basis_matrix, jump_depth
 from .errors import CompatibilityError, DomainError, GridCompatibilityError, read_int
 from .kernel import IntegralSpec, eval_weight
 
-_POOL_DOMAIN = 0
-_PATH_DOMAIN = 1
-_SUBSEED_DOMAIN = 2
+_POOL_DOMAIN, _PATH_DOMAIN, _SEED_DOMAIN = 0, 1, 2
 # Seeds and path indices are integers in [0, MAX_SEED]: 64 bits of entropy
 MAX_SEED = 2**64 - 1
-# numpy's SeedSequence hashes a pool of four uint32 words with a running
-# constant that steps the same way for any data, so the constants are fixed:
-# _HASH_A for the 28 calls on up to 7 entropy words, _HASH_B for 4 state words
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# Below this many streams a SeedSequence per stream beats the array hash
-FEW_STREAMS = 8
 # Fewest normals per thread of a split fill: waking a worker costs about the
 # time of 6000 normals, so a call of fewer than two threads' worth starts no
 # thread
 PART_NORMALS = 12288
 
 
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """Rows: what each hash call xors with, and what it multiplies by."""
-    seq = np.cumprod(np.array([init] + [mult] * calls, np.uint32), dtype=np.uint32)
-    return np.array([seq[:-1], seq[1:]])
-
-
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 28)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
-
-
-def _hashmix(value: np.ndarray, calls: slice, consts: np.ndarray = _HASH_A) -> np.ndarray:
-    value = (value ^ consts[0, calls]) * consts[1, calls]
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x - _MIX_R * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _spawn_state(seeds, domain: int, indices, words: int) -> np.ndarray:
-    """SeedSequence(seed, spawn_key=(domain, index)).generate_state(words,
-    np.uint64) for seeds and indices in [0, MAX_SEED] broadcast together (at
-    least 1-d): shape (..., words).  The entropy words are the seed's low and
-    high word, two zeros, the domain, the index's low word and, for an index
-    of 2**32 or more, its high word.  The pool is the last axis."""
-    seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
-    indices = np.atleast_1d(np.asarray(indices, np.uint64))
-    pairs = np.broadcast(seeds, indices)
-    if pairs.size < FEW_STREAMS:
-        state = [SeedSequence(int(s), spawn_key=(domain, int(i))).generate_state(words, np.uint64)
-                 for s, i in pairs]
-        return np.array(state, np.uint64).reshape(pairs.shape + (words,))
-    pool = np.zeros(seeds.shape + (4,), np.uint32)
-    pool[..., 0], pool[..., 1] = seeds, seeds >> np.uint64(32)
-    pool = _hashmix(pool, slice(0, 4))
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        calls = slice(4 + 3 * src, 7 + 3 * src)
-        pool[..., dst] = _mix(pool[..., dst], _hashmix(pool[..., src, None], calls))
-    pool = _mix(pool, _hashmix(np.full(1, domain, np.uint32), slice(16, 20)))
-    pool = _mix(pool, _hashmix(indices.astype(np.uint32)[..., None], slice(20, 24)))
-    high = (indices >> np.uint64(32)).astype(np.uint32)[..., None]
-    if high.any():  # only these entropies have the extra word
-        pool = np.where(high != 0, _mix(pool, _hashmix(high, slice(24, 28))), pool)
-    state = _hashmix(pool[..., :2 * words], slice(0, 2 * words), _HASH_B).astype(np.uint64)
-    return state[..., 0::2] | (state[..., 1::2] << np.uint64(32))
+def _keys(seeds, domain: int, indices) -> np.ndarray:
+    """Philox keys, shape (..., 2), of the streams (seed, domain, index) for
+    seeds and indices below 2**62 broadcast together: the seed, then
+    domain * 2**62 + index."""
+    seeds = np.asarray(seeds, np.uint64)
+    high = np.asarray(indices, np.uint64) | np.uint64(domain << 62)
+    keys = np.empty(np.broadcast_shapes(seeds.shape, high.shape) + (2,), np.uint64)
+    keys[..., 0], keys[..., 1] = seeds, high
+    return keys
 
 
 def _fill(keys: list, rows: np.ndarray, streams) -> None:
@@ -164,21 +121,27 @@ def _normals(keys: np.ndarray, n: int) -> np.ndarray:
 
 def _component_keys(path_seeds: np.ndarray, m: int) -> np.ndarray:
     """Stream keys, shape (B, m, 2), of components 1..m of the paths whose
-    seeds are the uint64 column path_seeds (B, 1)."""
-    return _spawn_state(path_seeds, _PATH_DOMAIN, np.arange(1, m + 1, dtype=np.uint64), 2)
+    seeds are the uint64 vector path_seeds (B,)."""
+    return _keys(path_seeds[:, None], _PATH_DOMAIN, np.arange(1, m + 1, dtype=np.uint64))
 
 
-def _run_keys(seed: int, start: int, stop: int, m: int) -> np.ndarray:
-    """Stream keys of components 1..m of paths start..stop-1 of the run of
-    seed; path i has seed path_seed(seed, i)."""
-    indices = np.arange(start, stop, dtype=np.uint64)
-    return _component_keys(_spawn_state(seed, _SUBSEED_DOMAIN, indices, 1), m)
+def _seed_stream(seed: int, block: int = 0) -> Philox:
+    """The per-path seeds of the run of seed from path 4 * block on: its
+    domain-2 stream at counter block, read a 64-bit word per path."""
+    bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=...) hashes OS entropy
+    state = bit_gen.state
+    state["state"] = {"counter": np.array([block, 0, 0, 0], np.uint64),
+                      "key": _keys(seed, _SEED_DOMAIN, 0)}
+    bit_gen.state = state
+    return bit_gen
 
 
 def path_seed(seed: int, path_index: int) -> int:
-    """Derive an independent per-path seed from a master seed."""
-    return int(_spawn_state(read_int("seed", seed, 0, MAX_SEED), _SUBSEED_DOMAIN,
-                            read_int("path_index", path_index, 0, MAX_SEED), 1)[0, 0])
+    """The seed of path path_index of the run of seed: word path_index of
+    the run's seed stream."""
+    seed = read_int("seed", seed, 0, MAX_SEED)
+    path_index = read_int("path_index", path_index, 0, MAX_SEED)
+    return int(_seed_stream(seed, path_index // 4).random_raw(4)[path_index % 4])
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +213,7 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     errors.require_fits("pool", (m + 1) * (jmax + 1), "entries ((m + 1) (jmax + 1))")
     values = np.empty((m + 1, jmax + 1))
     values[0] = _time_row(iv, jmax)
-    keys = _spawn_state(seed, _POOL_DOMAIN, np.arange(1, m + 1, dtype=np.uint64), 2)
+    keys = _keys(seed, _POOL_DOMAIN, np.arange(1, m + 1, dtype=np.uint64))
     values[1:] = _normals(keys, jmax + 1)
     values.setflags(write=False)
     return GaussianPool(iv=iv, basis=basis, m=m, jmax=jmax, values=values)
@@ -267,7 +230,7 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
     single = np.ndim(seed) == 0
     seeds = [read_int("seed", s, 0, MAX_SEED) for s in ([seed] if single else seed)]
     errors.require_fits("paths", len(seeds) * m * N, "increments (m N per path)")
-    keys = _component_keys(np.array(seeds, np.uint64).reshape(-1, 1), m)
+    keys = _component_keys(np.array(seeds, np.uint64), m)
     return _wiener_path(iv, N, keys[0] if single else keys)
 
 

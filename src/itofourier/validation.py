@@ -11,9 +11,9 @@ allowance = k**2 (T-t)**2 / N; it is reported, never silently absorbed.
 writes from one sample drawn by :func:`sample_differences`, so every bound
 and pass rule of a run is stated here, once.
 
-Per-path seeds are counter-derived from the master seed, and the stream
-keys of a block of paths come from numpy's SeedSequence hash computed over
-arrays in one pass, with the stream layout of one SeedSequence per stream.
+The seed of path i is word i of the run's stream of per-path seeds, read
+in order one chunk at a time; each component of the path is the Philox
+stream keyed by that seed and the component (see stochastic).
 All aggregates use exact summation over an index-addressed sample array, so
 reports are bit-identical for a fixed seed.  Chunks of paths run one after
 another on the calling thread; within a chunk the path fill splits its
@@ -34,16 +34,13 @@ from .expansion import truncated_expansion
 from .kernel import IntegralSpec
 # brownian_path is unused here but kept: the benchmark's tests look it up on
 # this module
-from .stochastic import (MAX_SEED, _run_keys, _wiener_path, brownian_path,
+from .stochastic import (MAX_SEED, _component_keys, _seed_stream, _wiener_path, brownian_path,
                          path_iterated_integral, zeta_from_path)
 
 
 # Normals budget of one chunk of paths: 2**16 is 8 paths at m = 2, N = 4096,
 # about 1.3 MB of increments, pools and oracle working set
 CHUNK_NORMALS = 2**16
-# Streams (paths times m) whose keys are derived in one pass, in whole
-# chunks: 2**15 covers the 10**4 paths at m = 2 of criterion 7
-KEY_STREAMS = 2**15
 
 
 def grid_allowance(k: int, length: float, n_steps: int) -> float:
@@ -57,9 +54,8 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
                        ) -> tuple[np.ndarray, CoefficientTensor]:
     """Per-path differences D = pathwise integral - truncated expansion.
 
-    Keys of about KEY_STREAMS streams are derived in one pass.  Chunks of
-    max(1, CHUNK_NORMALS // (m N)) paths are one batched call each of the
-    path fill, zeta_from_path, path_iterated_integral and
+    Chunks of max(1, CHUNK_NORMALS // (m N)) paths are one batched call
+    each of the path fill, zeta_from_path, path_iterated_integral and
     truncated_expansion.  Each path keeps its own derived seed, so the
     sample does not depend on how paths are grouped into chunks beyond the
     rounding of the batched contraction.  n_paths is held to [100,
@@ -82,15 +78,13 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
         raise DomainError("tensor was built for a different integral spec, basis or orders")
     jmax = max(orders_t)
     chunk = max(1, CHUNK_NORMALS // (m * n_steps))
-    block = chunk * max(1, KEY_STREAMS // (chunk * m))
+    seeds = _seed_stream(seed)
     diffs = np.empty(n_paths)
-    for first in range(0, n_paths, block):
-        keys = _run_keys(seed, first, min(first + block, n_paths), m)
-        for start in range(0, len(keys), chunk):
-            path = _wiener_path(spec.iv, n_steps, keys[start:start + chunk])
-            approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
-            stop = first + start + len(approx)
-            diffs[first + start:stop] = path_iterated_integral(spec, path) - approx
+    for start in range(0, n_paths, chunk):
+        stop = min(start + chunk, n_paths)
+        path = _wiener_path(spec.iv, n_steps, _component_keys(seeds.random_raw(stop - start), m))
+        approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
+        diffs[start:stop] = path_iterated_integral(spec, path) - approx
     return diffs, tensor
 
 

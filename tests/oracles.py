@@ -11,10 +11,12 @@ library's basis functions, evaluated by ``basis_rows`` and ``basis_matrix``
 on ``panel_grid`` panels.  ``grid_sum_reference`` is the plain level loop of
 the pathwise oracle, one factor array per level, that
 ``path_iterated_integral`` must match bit for bit.  ``stream`` builds one
-SeedSequence, one Philox and one Generator per stream; ``path_seed_reference``,
-``gaussian_pool_reference``, ``brownian_path_reference`` and
-``sample_differences_reference`` draw through it, the per-stream route that
-the library's array-derived keys must match bit for bit.
+Philox and one Generator per stream, keyed by the stream's coordinates
+(``key``); ``path_seed_reference`` reads one word of the per-path seed
+stream from a Philox made at that word's counter.  ``gaussian_pool_reference``,
+``brownian_path_reference`` and ``sample_differences_reference`` draw
+through them, the per-stream route that the library's re-keyed Philox and
+its seed stream read a chunk at a time must match bit for bit.
 ``exact_dyadic_coefficients`` gives Haar and Walsh coefficient tensors in
 rational arithmetic, integrating cell by cell from the definitions of the
 two systems.
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 
 from itofourier.basis import BasisSystem, Interval, basis_matrix, basis_rows, jump_depth
 from itofourier.coefficients import CoefficientTensor
@@ -416,20 +418,28 @@ def grid_sum_reference(spec: IntegralSpec, path: WienerPath):
     return np.sum(running, axis=-1) if batch else float(np.sum(running))
 
 
-# The stream layout: spawn-key domain 0 for pool rows, 1 for path components
-# and 2 for per-path seeds
-POOL_DOMAIN, PATH_DOMAIN, SUBSEED_DOMAIN = 0, 1, 2
+# The stream layout: domain 0 for pool rows, 1 for path components and 2
+# for the per-path seeds of a run
+POOL_DOMAIN, PATH_DOMAIN, SEED_DOMAIN = 0, 1, 2
+
+
+def key(seed: int, domain: int, index: int) -> int:
+    """The 128-bit Philox key of the stream (seed, domain, index), index
+    below 2**62: the seed in the low word, domain * 2**62 + index above."""
+    return seed + ((domain << 62 | index) << 64)
 
 
 def stream(seed: int, domain: int, index: int) -> Generator:
-    """The stream of (seed, domain, index): Philox at counter 0, keyed by
-    SeedSequence(seed, spawn_key=(domain, index))."""
-    return Generator(Philox(SeedSequence(seed, spawn_key=(domain, index))))
+    """The stream of (seed, domain, index): Philox at counter 0 under its key."""
+    return Generator(Philox(key=key(seed, domain, index)))
 
 
 def path_seed_reference(seed: int, path_index: int) -> int:
-    ss = SeedSequence(seed, spawn_key=(SUBSEED_DOMAIN, path_index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Word path_index of the per-path seed stream of seed: word
+    path_index % 4 of the block that Philox at counter path_index // 4
+    makes next."""
+    bit_gen = Philox(key=key(seed, SEED_DOMAIN, 0), counter=path_index // 4)
+    return int(bit_gen.random_raw(4)[path_index % 4])
 
 
 def gaussian_pool_reference(iv: Interval, m: int, jmax: int, seed: int) -> np.ndarray:

@@ -85,6 +85,12 @@ class TestInterval:
         with pytest.raises(DomainError):
             Interval(0.0, math.inf)
 
+    def test_rejects_a_length_that_overflows(self):
+        # both ends finite, but T - t is inf
+        with pytest.raises(DomainError, match="T - t must be finite"):
+            Interval(-1e308, 1e308)
+        assert Interval(-1e308, 0.0).length == 1e308
+
     def test_length(self):
         assert Interval(2.5, 7.5).length == 5.0
 

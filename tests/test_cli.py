@@ -280,8 +280,10 @@ class TestErrors:
         ("weights", 3, "weights"),
         ("weights", [{"poly": 1}, {"poly": [1]}], "weights: poly"),
         ("weights", [{"poly": ["z"]}, {"poly": [1]}], "weights: poly"),
+        ("weights", [{"poly": [float("nan")]}, {"poly": [1]}], "weights: poly"),
+        ("weights", [{"poly": [1]}, {"poly": [1, float("-inf")]}], "weights: poly"),
     ], ids=["k-str", "k-inf", "k-float", "k-bool", "t-str", "indices-str", "indices-float",
-            "indices-bool", "weights-int", "poly-int", "poly-str"])
+            "indices-bool", "weights-int", "poly-int", "poly-str", "poly-nan", "poly-inf"])
     def test_spec_field_of_wrong_type_named(self, tmp_path, capsys, command, field, value,
                                             named):
         spec = {"t": 0.0, "T": 1.0, "k": 2, "indices": [1, 2],
@@ -292,6 +294,18 @@ class TestErrors:
         cfg.write_text(json.dumps(doc))
         assert run_cli([command, "--config", str(cfg)]) == 1
         assert f"config.spec: {named}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["coeffs", "validate"])
+    def test_interval_whose_length_overflows_named(self, tmp_path, capsys, command):
+        spec = {"t": -1e308, "T": 1e308, "k": 2, "indices": [1, 2],
+                "weights": [{"poly": [1]}, {"poly": [1]}]}
+        doc = {"spec": spec, "basis": "legendre", "orders": [0, 0], "seed": 1,
+               "n_paths": 100, "N": 16, "out": str(tmp_path / "out")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        assert "config.spec: interval endpoints and T - t must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [("basis", 3), ("seed", float("inf")),
@@ -335,10 +349,12 @@ class TestErrors:
         (lambda lines: lines[:2] + ["0,0,inf"] + lines[3:], "bad coefficient row: '0,0,inf'"),
         (lambda lines: [lines[0].replace('"orders": [1, 1]', '"orders": [1, 1, 1]')]
          + lines[1:], "orders must have 2 entries"),
+        (lambda lines: [lines[0].replace('"poly": [1.0]', '"poly": [NaN]', 1)] + lines[1:],
+         "weights: poly: coefficients must be finite"),
     ], ids=["row-index", "row-value", "header-not-object", "orders-str", "orders-int",
             "orders-float", "orders-negative", "orders-over-4300-digits", "basis-int", "rows-swapped",
             "row-duplicated", "index-out-of-range", "index-zero-padded", "row-extra",
-            "row-missing", "value-nan", "value-inf", "orders-length"])
+            "row-missing", "value-nan", "value-inf", "orders-length", "weight-nan"])
     def test_malformed_table_named(self, config_path, tmp_path, capsys, edit, named):
         table = tmp_path / "c.csv"
         assert run_cli(["coeffs", "--config", config_path, "--orders", "1,1",

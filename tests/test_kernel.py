@@ -30,6 +30,13 @@ class TestWeight:
         with pytest.raises(DomainError):
             Weight(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coeffs_named(self, bad):
+        with pytest.raises(DomainError, match="^poly: coefficients must be finite"):
+            Weight((1.0, bad))
+        with pytest.raises(DomainError, match="poly: coefficients must be finite"):
+            Weight.from_json({"poly": [bad]})
+
     def test_json_round_trip(self):
         w = Weight((1.0, -2.5, 0.125))
         assert Weight.from_json(w.to_json()) == w

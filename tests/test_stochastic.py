@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from numpy.random import Philox, SeedSequence
+from numpy.random import Philox
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +21,10 @@ from itofourier.basis import (LEGENDRE_MAX_DEGREE, BasisSystem, Interval, basis_
 from itofourier.errors import (CapacityError, CompatibilityError, DomainError,
                                GridCompatibilityError)
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
-from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool,
+from itofourier.stochastic import (MAX_SEED, WienerPath, brownian_path, gaussian_pool,
                                    path_iterated_integral, path_seed, zeta_from_path)
 
-from oracles import (brownian_path_reference, gaussian_pool_reference, grid_sum_reference,
+from oracles import (brownian_path_reference, gaussian_pool_reference, grid_sum_reference, key,
                      path_seed_reference, stream)
 
 UNIT = Interval(0.0, 1.0)
@@ -107,69 +107,51 @@ class TestBrownianPath:
         assert brownian_path(UNIT, 2, 500, seed=1).increments.shape == (2, 500)
 
 
-# The word edges of a 64-bit seed or index: one word, two words, all ones
+# The word edges of a 64-bit seed: one word, two words, all ones
 _EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 _WORD64 = st.sampled_from(_EDGES) | st.integers(0, 2**64 - 1)
+# Stream indices take the 62 bits below the domain
+_INDEX = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**62 - 1]) | st.integers(0, 2**62 - 1)
+
+
+def _words(k: int) -> list[int]:
+    """A 128-bit key as Philox's state holds it: low word, high word."""
+    return [k & MAX_SEED, k >> 64]
 
 
 class TestStreamKeys:
-    """Keys from the array hash and streams from the re-keyed Philox are the
-    per-stream SeedSequence and Philox, bit for bit."""
+    """Keys are the streams' coordinates, and streams from the re-keyed
+    Philox and the seed stream are one Philox per stream, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=_WORD64, domain=st.integers(0, 2), index=_WORD64, words=st.sampled_from([1, 2]))
-    def test_key_is_the_seed_sequence_state(self, seed, domain, index, words):
-        expected = SeedSequence(seed, spawn_key=(domain, index)).generate_state(words, np.uint64)
-        assert np.array_equal(stochastic._spawn_state(seed, domain, index, words)[0], expected)
+    @given(seed=_WORD64, domain=st.integers(0, 2), index=_INDEX)
+    def test_key_is_the_coordinate_layout(self, seed, domain, index):
+        keys = stochastic._keys(seed, domain, index)
+        assert keys.dtype == np.uint64 and keys.tolist() == _words(key(seed, domain, index))
+        row = stochastic._normals(keys[None], 5)[0]
+        assert np.array_equal(row, stream(seed, domain, index).standard_normal(5))
 
     @settings(max_examples=25, deadline=None)
     @given(seeds=st.lists(_WORD64, min_size=1, max_size=5),
-           indices=st.lists(_WORD64, min_size=1, max_size=5), domain=st.integers(0, 2))
+           indices=st.lists(_INDEX, min_size=1, max_size=5), domain=st.integers(0, 2))
     def test_keys_of_a_grid_of_seeds_and_indices(self, seeds, indices, domain):
-        # a column of seeds against a row of indices; wide and narrow
-        # indices share one call
-        keys = stochastic._spawn_state(np.array(seeds, np.uint64)[:, None], domain,
-                                       np.array(indices, np.uint64), 2)
+        # a column of seeds against a row of indices
+        keys = stochastic._keys(np.array(seeds, np.uint64)[:, None], domain,
+                                np.array(indices, np.uint64))
         assert keys.shape == (len(seeds), len(indices), 2)
-        for row, seed in zip(keys, seeds):
-            for key, index in zip(row, indices):
-                ss = SeedSequence(seed, spawn_key=(domain, index))
-                assert np.array_equal(key, ss.generate_state(2, np.uint64))
-
-    @pytest.mark.parametrize("streams", [1, 2, stochastic.FEW_STREAMS - 1,
-                                         stochastic.FEW_STREAMS, stochastic.FEW_STREAMS + 1, 40])
-    def test_keys_on_both_sides_of_the_few_streams_cutoff(self, streams, monkeypatch):
-        # below FEW_STREAMS one SeedSequence per stream and no array hash;
-        # from it on the array hash and no SeedSequence; the same bytes either way
-        routes = []
-        hashmix, seed_sequence = stochastic._hashmix, stochastic.SeedSequence
-        monkeypatch.setattr(stochastic, "_hashmix",
-                            lambda *a: routes.append("array") or hashmix(*a))
-        monkeypatch.setattr(stochastic, "SeedSequence",
-                            lambda *a, **kw: routes.append("sequence") or seed_sequence(*a, **kw))
-        rows = 2 if streams % 2 == 0 else 1
-        seeds = np.array([7, 2**64 - 1][:rows], np.uint64)[:, None]
-        indices = np.array(_EDGES * 8, np.uint64)[:streams // rows]
-        for words in (1, 2):
-            routes.clear()
-            keys = stochastic._spawn_state(seeds, 1, indices, words)
-            want = [[SeedSequence(int(s), spawn_key=(1, int(i))).generate_state(words, np.uint64)
-                     for i in indices] for s in seeds[:, 0]]
-            assert keys.tobytes() == np.array(want, np.uint64).tobytes()
-            assert keys.shape == (rows, streams // rows, words)
-            assert set(routes) == {"sequence" if streams < stochastic.FEW_STREAMS else "array"}
+        assert keys.tolist() == [[_words(key(s, domain, i)) for i in indices] for s in seeds]
 
     @pytest.mark.parametrize("seed", _EDGES + [20240809])
     def test_path_seed_is_the_reference(self, seed):
-        for index in [0, 7, 2**32 - 1, 2**32, 2**64 - 1]:
+        # every word of a block, both words of a path index, the last index
+        for index in [0, 1, 2, 3, 7, 2**32 - 1, 2**32, 2**64 - 4, 2**64 - 1]:
             assert path_seed(seed, index) == path_seed_reference(seed, index)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 100, 4096, 4097])
     def test_rows_are_fresh_philox_streams(self, n):
         # every row after the first starts at counter 0 with an empty buffer
         coords = [(3, 1, 1), (3, 1, 2), (2**64 - 1, 0, 5), (3, 1, 1)]
-        keys = np.array([SeedSequence(s, spawn_key=(d, i)).generate_state(2, np.uint64)
-                         for s, d, i in coords])
+        keys = np.array([_words(key(*coord)) for coord in coords], np.uint64)
         rows = stochastic._normals(keys, n)
         assert rows.shape == (len(coords), n)
         for row, coord in zip(rows, coords):
@@ -232,8 +214,7 @@ class TestSplitFill:
 
         monkeypatch.setattr(stochastic, "_fill", logged_fill)
         coords = [(2**64 - 1 - s, s % 3, s) for s in range(streams)]
-        keys = np.array([SeedSequence(c, spawn_key=(d, i)).generate_state(2, np.uint64)
-                         for c, d, i in coords])
+        keys = np.array([_words(key(*coord)) for coord in coords], np.uint64)
         rows = stochastic._normals(keys, 4096)
         assert sorted(fills) == [False] * (min(streams, cpus) - 1) + [True]
         assert sorted(taken) == list(range(streams))  # each stream filled once
@@ -254,7 +235,7 @@ class TestSplitFill:
             done.append(len(rows))
 
         monkeypatch.setattr(stochastic, "_fill", failing_fill)
-        keys = stochastic._spawn_state(3, 1, np.arange(16, dtype=np.uint64), 2)
+        keys = stochastic._keys(3, 1, np.arange(16, dtype=np.uint64))
         with pytest.raises(RuntimeError, match=failing):
             stochastic._normals(keys, 4096)
         assert done == [16]  # raised only once the other thread had stopped

@@ -166,33 +166,35 @@ def test_grid_allowance_constant():
 class TestChunkedEngine:
     def test_one_call_per_chunk(self, monkeypatch):
         # 100 paths at m = 2, N = 4096 are 13 chunks: 12 of 8 paths and one
-        # of 4, drawn from one block of keys
+        # of 4, their seeds read in order from one seed stream
         calls = {}
-        for name in ("_run_keys", "_wiener_path", "zeta_from_path", "path_iterated_integral",
-                     "truncated_expansion"):
+        for name in ("_seed_stream", "_component_keys", "_wiener_path", "zeta_from_path",
+                     "path_iterated_integral", "truncated_expansion"):
             original = getattr(validation, name)
             calls[name] = []
             monkeypatch.setattr(validation, name, lambda *a, _f=original, _n=name:
-                                calls[_n].append(a) or _f(*a))
+                                calls[_n].append((a, _f(*a))) or calls[_n][-1][1])
         spec = constant_spec(UNIT, (1, 2))
         diffs, _ = sample_differences(spec, LEG, (0, 0), 100, 4096, seed=4)
-        assert [a[1:] for a in calls["_run_keys"]] == [(0, 100, 2)]
-        assert [len(a[2]) for a in calls["_wiener_path"]] == [8] * 12 + [4]
-        for name in ("zeta_from_path", "path_iterated_integral", "truncated_expansion"):
+        assert [a for a, _ in calls["_seed_stream"]] == [(4,)]
+        assert [len(a[0]) for a, _ in calls["_component_keys"]] == [8] * 12 + [4]
+        for name in ("_wiener_path", "zeta_from_path", "path_iterated_integral",
+                     "truncated_expansion"):
             assert len(calls[name]) == 13, name
         assert diffs.shape == (100,)
+        # path i of the sample is the path of path_seed(seed, i)
+        drawn = np.concatenate([path.increments for _, path in calls["_wiener_path"]])
+        want = brownian_path(UNIT, 2, 4096, [path_seed(4, i) for i in range(100)])
+        assert drawn.tobytes() == want.increments.tobytes()
 
-    @pytest.mark.parametrize("key_streams", [validation.KEY_STREAMS, 40],
-                             ids=["one-block", "blocks"])
-    @pytest.mark.parametrize("chunk_paths", [1, 3, None], ids=["1", "3", "default"])
-    def test_sample_is_the_per_stream_reference(self, chunk_paths, key_streams):
-        # 100 paths at m = 2, N = 4096: the default chunk is 8 paths, and 40
-        # streams make blocks of 20, 18 and 16 paths whose edges chunks meet
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    def test_sample_is_the_per_stream_reference(self, chunk):
+        # 100 paths at m = 2, N = 4096, in chunks of 1, 3 and 8 paths (8 is
+        # the default): the last chunk of 3 or 8 is short, and chunks of 3
+        # read the seed stream across its blocks of four words
         spec = constant_spec(UNIT, (1, 2))
         tensor = coefficient_tensor(spec, LEG, (2, 1))
-        chunk = 8 if chunk_paths is None else chunk_paths
-        with mock.patch.object(validation, "CHUNK_NORMALS", chunk * 2 * 4096), \
-                mock.patch.object(validation, "KEY_STREAMS", key_streams):
+        with mock.patch.object(validation, "CHUNK_NORMALS", chunk * 2 * 4096):
             diffs, _ = sample_differences(spec, LEG, (2, 1), 100, 4096, 2**64 - 1, tensor=tensor)
         expected = sample_differences_reference(spec, tensor, 100, 4096, 2**64 - 1, chunk)
         assert diffs.tobytes() == expected.tobytes()
@@ -233,7 +235,7 @@ class TestPrebuiltTensor:
     ], ids=["spec", "basis", "orders", "no-orders", "interval"])
     def test_foreign_tensor_named_before_any_path(self, tensor, orders, monkeypatch):
         # drawing a path would fail
-        monkeypatch.setattr(validation, "_run_keys", None, raising=False)
+        monkeypatch.setattr(validation, "_seed_stream", None)
         with pytest.raises(DomainError, match="^tensor "):
             sample_differences(self.SPEC, LEG, orders, 100, 64, seed=1, tensor=tensor)
 
