@@ -13,7 +13,7 @@ array, pool, path batch, simulation grid and sample, and one reader,
 ``errors.read_int``, reads every integer a caller passes.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .basis import BasisSystem, Interval, breakpoints, eval_basis, integrate_basis, parse_basis
 from .coefficients import (CoefficientTensor, coefficient_tensor, parseval_residual,

@@ -7,9 +7,9 @@ One vectorised evaluator, :func:`basis_rows`, serves all of them:
 bit for bit.  The discontinuous systems (Haar, Walsh) evaluate
 right-continuously at their jump points.  Every jump of phi_0..phi_jmax is
 a multiple of (T-t)/2**D, D = :func:`jump_depth` (the bit length of jmax),
-so a simulation grid of N steps holds them all exactly when 2**D divides N;
-:func:`jumps` lists them in closed form for quadrature panels, and
-:func:`breakpoints` lists those of one function.
+so a simulation grid of N steps holds them all exactly when 2**D divides N,
+and each function is constant on the 2**D dyadic cells, which the
+coefficient quadrature takes as panels; :func:`breakpoints` lists its jumps.
 Integrals are closed form: every system's phi_0 is constant, so phi_j
 integrates to sqrt(T-t) for j = 0 and to zero otherwise.  Walsh factors are
 capped at 20, which bounds the jump grid at 2**20 dyadic points.
@@ -223,22 +223,6 @@ def jump_depth(system: BasisSystem, jmax: int) -> int:
     of jmax for Haar and Walsh, 0 for the continuous systems."""
     jmax = _check_index(system, jmax, "jmax")
     return jmax.bit_length() if system in _PIECEWISE_CONSTANT else 0
-
-
-def jumps(system: BasisSystem, jmax: int, iv: Interval) -> list[float]:
-    """Every interior jump point of phi_0..phi_jmax, ascending: the cuts
-    that quadrature panels are aligned with.
-
-    With D = jump_depth(system, jmax), Walsh jumps at every t + i (T - t) / 2**D
-    (the single factor r_D, index 2**D - 1, already does).  The complete Haar
-    levels below D - 1 jump at the even i; the wavelets 2**(D-1)..jmax of
-    level D - 1 add their midpoints, the odd i < 2 (jmax - 2**(D-1) + 1).
-    """
-    depth = jump_depth(system, jmax)
-    i = np.arange(1, 1 << depth)
-    if system is BasisSystem.HAAR:
-        i = i[(i % 2 == 0) | (i < 2 * jmax + 2 - (1 << depth))]
-    return (iv.t + i / 2.0**depth * iv.length).tolist()
 
 
 def integrate_basis(system: BasisSystem, j: int, iv: Interval) -> float:

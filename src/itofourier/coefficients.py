@@ -5,17 +5,17 @@ A coefficient for index tuple (j_1, ..., j_k) is the iterated integral
 
     int_t^T psi_k phi_{j_k}(t_k) int_t^{t_k} ... int_t^{t_2} psi_1 phi_{j_1}(t_1) dt_1 ... dt_k,
 
-with j_1 attached to the innermost level.  It is evaluated on a shared
-breakpoint-aligned panel grid: each level multiplies the running
-antiderivative by its weight/basis factor and integrates again, which is
-exact whenever the per-panel integrands are polynomials of degree below the
-node count (always true for Legendre/Haar/Walsh with polynomial weights).
-The trigonometric system gets oscillation-matched equal panels, confirmed
-on grids that split each panel exactly in two.
+with j_1 attached to the innermost level.  It is evaluated on a shared grid
+of equal panels: each level multiplies the running antiderivative by its
+weight/basis factor and integrates again, which is exact whenever the
+per-panel integrands are polynomials of degree below the node count (always
+true for Legendre and for Haar/Walsh on their dyadic cells, with polynomial
+weights).  The trigonometric system is confirmed on halved panels.
 
 Tensors are indexed ``values[j_1, ..., j_k]``; serialized rows iterate with
 j_1 fastest-varying.  :func:`_row_prefixes` is the one statement of that row
-order: the table writer and reader both walk it.  The error bounds built
+order and :func:`_column_header` of the CSV header on line 2: the table
+writer and reader both use them.  The error bounds built
 on the residual live in :mod:`validation`, beside the pass rules they serve.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .basis import BasisSystem, _check_index, basis_matrix, jumps, parse_basis
+from .basis import BasisSystem, _check_index, basis_matrix, jump_depth, parse_basis
 from .errors import CapacityError, DomainError, NumericError, read_ints
 from .kernel import IntegralSpec, eval_weight, kernel_l2_norm_sq
 from .quadrature import PanelGrid, panel_grid
@@ -68,39 +68,31 @@ def _read_orders(spec: IntegralSpec, orders) -> tuple[int, ...]:
     return orders
 
 
-def _require_sweep_fits(basis: BasisSystem, orders, panels: int, nodes: int) -> None:
-    """Hold the largest sweep array (earlier levels' index counts, or the
-    largest level, times panels times nodes) to errors.MAX_ENTRIES."""
-    sizes = [p + 1 for p in orders]
-    errors.require_fits(f"{basis.value} quadrature array",
-                        max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes)
-
-
-def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders) -> PanelGrid:
-    """Panel grid + node count for iterated integrals up to the truncation
-    orders.  Every order is held to the basis index cap (as basis_matrix
-    holds it), the node count to MAX_NODES and the sweep on the grid to
-    errors.MAX_ENTRIES before any rule or grid is built; for Haar/Walsh at most
-    2 (jmax + 1) panels are counted, so no jump is placed beyond the cap."""
+def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders, split: int = 1) -> PanelGrid:
+    """Grid for iterated integrals up to the orders: equal panels (one for
+    Legendre, two per period and two more for trigonometric, the 2**jump_depth
+    cells for Haar and Walsh), each cut in split, with one node count.  Orders
+    are held to the basis index cap, nodes to MAX_NODES and the largest sweep
+    array (earlier levels' index counts, or the largest level, times panels
+    times nodes) to errors.MAX_ENTRIES before any rule or grid is built."""
     for p in orders:
         _check_index(basis, p, "orders")
-    iv = spec.iv
     degrees = [w.degree for w in spec.weights]
     k = spec.k
     if basis is BasisSystem.LEGENDRE:
         nodes, panels = max(16, sum(orders) + sum(degrees) + k + 1), 1
     elif basis is BasisSystem.TRIGONOMETRIC:
         periods = sum((p + 1) // 2 for p in orders)
-        nodes, panels = max(24, sum(degrees) + k + 8), max(2, 2 * periods + 2)
+        nodes, panels = max(24, sum(degrees) + k + 8), 2 * periods + 2
     else:
-        nodes, panels = sum(degrees) + k + 1, 2 * (max(orders) + 1)
+        nodes, panels = sum(degrees) + k + 1, 2**jump_depth(basis, max(orders))
     if nodes > MAX_NODES:
         raise CapacityError(f"{basis.value} quadrature for weight degrees {degrees} and "
                             f"orders {list(orders)} needs {nodes} nodes > cap {MAX_NODES}")
-    _require_sweep_fits(basis, orders, panels, nodes)
-    if basis in (BasisSystem.HAAR, BasisSystem.WALSH):
-        return panel_grid([iv.t, *jumps(basis, max(orders), iv), iv.T], nodes)
-    return panel_grid(np.linspace(iv.t, iv.T, panels + 1), nodes)
+    sizes = [p + 1 for p in orders]
+    errors.require_fits(f"{basis.value} quadrature array",
+                        max(math.prod(sizes[:-1]), max(sizes)) * split * panels * nodes)
+    return panel_grid(np.linspace(spec.iv.t, spec.iv.T, split * panels + 1), nodes)
 
 
 def _sweep(spec: IntegralSpec, basis: BasisSystem, orders, grid: PanelGrid) -> np.ndarray:
@@ -122,32 +114,20 @@ def _sweep(spec: IntegralSpec, basis: BasisSystem, orders, grid: PanelGrid) -> n
     raise AssertionError("unreachable")
 
 
-def _coefficients(spec: IntegralSpec, basis: BasisSystem, orders) -> np.ndarray:
-    """:func:`_sweep` on the planned grid; the trigonometric system is
-    confirmed on grids that split each panel in two until they agree or the
-    cap is hit."""
-    grid = _quad_plan(spec, basis, orders)
-    result = _sweep(spec, basis, orders, grid)
-    if basis is not BasisSystem.TRIGONOMETRIC:
-        return result
-    iv, panels = spec.iv, grid.n_panels
-    for _ in range(5):
-        panels *= 2
-        _require_sweep_fits(basis, orders, panels, grid.nodes)
-        finer_grid = panel_grid(np.linspace(iv.t, iv.T, panels + 1), grid.nodes)
-        finer = _sweep(spec, basis, orders, finer_grid)
-        scale = max(1.0, float(np.max(np.abs(finer))))
-        if float(np.max(np.abs(result - finer))) <= 1e-12 * scale:
-            return finer
-        result = finer
-    raise NumericError("coefficient quadrature did not converge under panel refinement")
-
-
 def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders) -> CoefficientTensor:
     """All coefficients up to the given truncation orders, computed in one
-    shared-grid pass; the result does not depend on evaluation order."""
+    shared-grid pass; the result does not depend on evaluation order.  The
+    trigonometric system is confirmed once, on the grid that splits each
+    panel in two."""
     orders_t = _read_orders(spec, orders)
-    values = _coefficients(spec, basis, orders_t)
+    values = _sweep(spec, basis, orders_t, _quad_plan(spec, basis, orders_t))
+    if basis is BasisSystem.TRIGONOMETRIC:
+        finer = _sweep(spec, basis, orders_t, _quad_plan(spec, basis, orders_t, split=2))
+        scale = max(1.0, float(np.max(np.abs(finer))))
+        if float(np.max(np.abs(values - finer))) > 1e-12 * scale:
+            raise NumericError("trigonometric coefficients changed by more than 1e-12 "
+                               "(relative) when every quadrature panel was split in two")
+        values = finer
     values = np.ascontiguousarray(values)
     values.setflags(write=False)
     return CoefficientTensor(spec=spec, basis=basis, orders=orders_t, values=values)
@@ -180,6 +160,11 @@ def parseval_residual(spec: IntegralSpec, tensor: CoefficientTensor) -> float:
                       RuntimeWarning, stacklevel=2)
         return 0.0
     return residual
+
+
+def _column_header(k: int) -> str:
+    """Line 2 of a table: the CSV column header "j1,...,jk,value"."""
+    return ",".join(f"j{l + 1}" for l in range(k)) + ",value"
 
 
 def _row_prefixes(orders):
@@ -216,7 +201,7 @@ def write_coefficient_table(path, tensor: CoefficientTensor) -> None:
     values = tensor.values.ravel(order="F").tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(",".join(f"j{l + 1}" for l in range(tensor.spec.k)) + ",value\n")
+        fh.write(_column_header(tensor.spec.k) + "\n")
         for prefix, v in zip(_row_prefixes(tensor.orders), values):
             fh.write(f"{prefix}{v:.17g}\n")
 
@@ -242,7 +227,9 @@ def read_coefficient_table(path) -> CoefficientTensor:
             orders = _read_orders(spec, header["orders"])
         except DomainError as exc:
             raise DomainError(f"coefficient table {exc}") from None
-        fh.readline()  # column header
+        if (columns := fh.readline().strip()) != _column_header(spec.k):
+            raise DomainError(f"coefficient table line 2 must be the column header "
+                              f"{_column_header(spec.k)!r}, got {columns!r}")
         rows = filter(None, map(str.strip, fh))
         values = np.fromiter(_row_values(rows, orders), dtype=float)
     values = np.ascontiguousarray(values.reshape([p + 1 for p in orders], order="F"))

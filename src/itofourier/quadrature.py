@@ -1,9 +1,10 @@
 """Composite Gauss-Legendre panel quadrature with in-panel antiderivatives.
 
-A panel grid is built from the edges its caller chooses: t, the basis jumps
-and T for Haar and Walsh, t and T alone for Legendre, and equal panels for
-the trigonometric system, whose confirmation grid has twice as many, so it
-splits each panel exactly in two.  On every panel the integrand is sampled
+A panel grid is built from the edges its caller chooses; the coefficient
+plans take equal panels: one for Legendre, the 2**D dyadic cells for Haar
+and Walsh, and for the trigonometric system two per period and two more,
+whose confirmation grid has twice as many, so it splits each panel exactly
+in two.  On every panel the integrand is sampled
 at the same Gauss nodes; the cumulative matrix turns those samples into
 values of the antiderivative at the nodes, which is what the iterated
 (simplex) integrals need.  Both operations are exact whenever the integrand

@@ -29,7 +29,7 @@ import numpy as np
 from . import errors
 from .basis import BasisSystem
 from .coefficients import CoefficientTensor, coefficient_tensor, parseval_residual
-from .errors import CapacityError, DomainError, int_text, read_int, read_ints
+from .errors import CapacityError, DomainError, NumericError, int_text, read_int, read_ints
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec
 # brownian_path is unused here but kept: the benchmark's tests look it up on
@@ -49,6 +49,8 @@ def grid_allowance(k: int, length: float, n_steps: int) -> float:
     return k**2 * length**2 / read_int("N", n_steps, 1, errors.MAX_ENTRIES)
 
 
+# a D that overflows is left inf or nan: strong_error_estimate names its moment
+@np.errstate(over="ignore", invalid="ignore")
 def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: int,
                        n_steps: int, seed: int, tensor: CoefficientTensor | None = None
                        ) -> tuple[np.ndarray, CoefficientTensor]:
@@ -89,12 +91,18 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
 
 
 def _moment_stats(diffs: np.ndarray, degree: int) -> tuple[float, float]:
-    """Exact-sum sample mean of D**degree and its standard error."""
+    """Exact-sum sample mean of D**degree and its standard error; a
+    NumericError names the moment if either overflows a float."""
     n = diffs.size
-    powers = [float(d) ** degree for d in diffs]
-    mean = math.fsum(powers) / n
-    var = math.fsum((p - mean) ** 2 for p in powers) / (n - 1)
-    return mean, math.sqrt(var / n)
+    try:
+        powers = [float(d) ** degree for d in diffs]
+        mean = math.fsum(powers) / n
+        se = math.sqrt(math.fsum((p - mean) ** 2 for p in powers) / (n - 1) / n)
+    except OverflowError:
+        se = math.inf
+    if not math.isfinite(se):  # an infinite or nan mean makes se nan
+        raise NumericError(f"sample moment E[D**{degree}] or its standard error overflows")
+    return mean, se
 
 
 def ms_error_bound(k: int, residual: float) -> float:

@@ -17,9 +17,10 @@ stream from a Philox made at that word's counter.  ``gaussian_pool_reference``,
 ``brownian_path_reference`` and ``sample_differences_reference`` draw
 through them, the per-stream route that the library's re-keyed Philox and
 its seed stream read a chunk at a time must match bit for bit.
-``exact_dyadic_coefficients`` gives Haar and Walsh coefficient tensors in
-rational arithmetic, integrating cell by cell from the definitions of the
-two systems.
+``jumps`` lists every jump of the Haar or Walsh functions up to an index
+in closed form.  ``exact_dyadic_coefficients`` gives Haar and Walsh
+coefficient tensors in rational arithmetic, integrating cell by cell from
+the definitions of the two systems.
 """
 from __future__ import annotations
 
@@ -478,6 +479,21 @@ def sample_differences_reference(spec: IntegralSpec, tensor: CoefficientTensor,
                                                             max(tensor.orders))).value
         diffs[start:stop] = path_iterated_integral(spec, path) - approx
     return diffs
+
+
+def jumps(system: BasisSystem, jmax: int, iv: Interval) -> list[float]:
+    """Every interior jump point of phi_0..phi_jmax, ascending, in closed form.
+
+    With D = jump_depth(system, jmax), Walsh jumps at every t + i (T - t) / 2**D
+    (the single factor r_D, index 2**D - 1, already does).  The complete Haar
+    levels below D - 1 jump at the even i; the wavelets 2**(D-1)..jmax of
+    level D - 1 add their midpoints, the odd i < 2 (jmax - 2**(D-1) + 1).
+    """
+    depth = jump_depth(system, jmax)
+    i = np.arange(1, 1 << depth)
+    if system is BasisSystem.HAAR:
+        i = i[(i % 2 == 0) | (i < 2 * jmax + 2 - (1 << depth))]
+    return (iv.t + i / 2.0**depth * iv.length).tolist()
 
 
 def _dyadic_signs(system: BasisSystem, j: int, depth: int) -> tuple[list[int], int]:

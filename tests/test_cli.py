@@ -257,6 +257,19 @@ class TestErrors:
                         "--out", str(tmp_path / "c.csv")]) == 2
         assert "numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [[], ["--n", "2"]], ids=["no-n", "n2"])
+    def test_sample_that_overflows_exits_two(self, tmp_path, capsys, n):
+        # T - t = 1e308 is finite, but D**2 is not; no numpy warning escapes
+        spec = {"t": 0.0, "T": 1e308, "k": 2, "indices": [1, 2],
+                "weights": [{"poly": [1]}, {"poly": [1]}]}
+        doc = {"spec": spec, "basis": "legendre", "orders": [1, 1], "seed": 1,
+               "n_paths": 100, "N": 16, "out": str(tmp_path / "out")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["validate", "--config", str(cfg)] + n) == 2
+        assert "numeric error: sample moment E[D**2]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_threads_below_one_rejected(self, config_path, tmp_path, capsys):
         out = tmp_path / "r.json"
         for value in ("0", "-3"):
@@ -351,10 +364,15 @@ class TestErrors:
          + lines[1:], "orders must have 2 entries"),
         (lambda lines: [lines[0].replace('"poly": [1.0]', '"poly": [NaN]', 1)] + lines[1:],
          "weights: poly: coefficients must be finite"),
+        (lambda lines: [lines[0], "this is not the column header"] + lines[2:],
+         "line 2 must be the column header 'j1,j2,value', got 'this is not the column header'"),
+        (lambda lines: lines[:1] + lines[2:],
+         "line 2 must be the column header 'j1,j2,value', got '0,0,"),
     ], ids=["row-index", "row-value", "header-not-object", "orders-str", "orders-int",
             "orders-float", "orders-negative", "orders-over-4300-digits", "basis-int", "rows-swapped",
             "row-duplicated", "index-out-of-range", "index-zero-padded", "row-extra",
-            "row-missing", "value-nan", "value-inf", "orders-length", "weight-nan"])
+            "row-missing", "value-nan", "value-inf", "orders-length", "weight-nan",
+            "column-header-wrong", "column-header-missing"])
     def test_malformed_table_named(self, config_path, tmp_path, capsys, edit, named):
         table = tmp_path / "c.csv"
         assert run_cli(["coeffs", "--config", config_path, "--orders", "1,1",

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import itofourier.basis
 from itofourier import coefficients, errors, quadrature
-from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis, jumps
+from itofourier.basis import BasisSystem, Interval, breakpoints, eval_basis, jump_depth
 from itofourier.coefficients import (CoefficientTensor, coefficient_tensor, parseval_residual,
                                      read_coefficient_table, sum_squared,
                                      write_coefficient_table)
@@ -21,7 +21,7 @@ from itofourier.errors import BasisIndexError, CapacityError, DomainError, Numer
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_norm_sq
 from itofourier.validation import moment_bound_2n, ms_error_bound
 
-from oracles import exact_dyadic_coefficients
+from oracles import exact_dyadic_coefficients, jumps
 
 UNIT = Interval(0.0, 1.0)
 HALF_ROOT3 = 1.0 / (2.0 * math.sqrt(3.0))
@@ -140,14 +140,20 @@ class TestQuadraturePlan:
             union.update(breakpoints(basis, order, iv))
             assert jumps(basis, order, iv) == sorted(union), order
 
-    def test_walsh_plan_asks_for_one_jump_set(self, monkeypatch):
-        calls = []
-        for module, name in ((coefficients, "jumps"), (itofourier.basis, "breakpoints")):
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, _f=original, _n=name: calls.append((_n,) + a) or _f(*a))
-        coefficient_tensor(constant_spec(UNIT, (1, 2)), BasisSystem.WALSH, (255, 3))
-        assert calls == [("jumps", BasisSystem.WALSH, 255, UNIT)]
+    @pytest.mark.parametrize("basis", [BasisSystem.HAAR, BasisSystem.WALSH],
+                             ids=lambda b: b.value)
+    @pytest.mark.parametrize("iv", [UNIT, Interval(2.5, 7.5)], ids=["unit", "shifted"])
+    @pytest.mark.parametrize("orders", [(0,), (1, 1), (7, 3), (255, 3), (5, 9), (16, 16, 16),
+                                        (300,)], ids=str)
+    def test_dyadic_plan_is_the_cells(self, basis, iv, orders, monkeypatch):
+        # complete top levels (7, 255) and partial ones (9, 16, 300): the
+        # 2**D equal panels, which hold every jump as an edge
+        monkeypatch.setattr(coefficients, "panel_grid", lambda edges, nodes: np.asarray(edges))
+        spec = constant_spec(iv, (1,) * len(orders))
+        edges = coefficients._quad_plan(spec, basis, orders).tolist()
+        cells = 2**jump_depth(basis, max(orders))
+        assert edges == [iv.t + i * iv.length / cells for i in range(cells + 1)]
+        assert set(jumps(basis, max(orders), iv)) <= set(edges)
 
     @pytest.mark.parametrize("basis, order", [(BasisSystem.WALSH, 2**20 - 1),
                                               (BasisSystem.HAAR, 2**20)],
@@ -236,6 +242,21 @@ class TestQuadraturePlan:
             coefficient_tensor(spec, BasisSystem.TRIGONOMETRIC, orders)
             assert len(panels) >= 2
             assert panels[1:] == [2 * n for n in panels[:-1]], (orders, panels)
+
+    def test_trigonometric_confirmation_compares_once(self, monkeypatch):
+        # a halved grid that disagrees is refused at once, not halved again
+        sweeps = []
+        real = coefficients._sweep
+
+        def drifting(*args):
+            sweeps.append(args[-1].n_panels)
+            return real(*args) + 1e-9 * len(sweeps)
+
+        monkeypatch.setattr(coefficients, "_sweep", drifting)
+        spec = constant_spec(UNIT, (1, 2))
+        with pytest.raises(NumericError, match="split in two"):
+            coefficient_tensor(spec, BasisSystem.TRIGONOMETRIC, (5, 8))
+        assert sweeps == [16, 32]
 
     @pytest.mark.parametrize("basis, orders, cap", [
         # trigonometric (60,) plans 62 panels of 24 nodes for 61 rows:
@@ -498,6 +519,20 @@ class TestTableFormat:
         path = tmp_path / "bad.csv"
         path.write_text("not json\n")
         with pytest.raises(DomainError):
+            read_coefficient_table(path)
+
+    @pytest.mark.parametrize("edit, got", [
+        (lambda lines: [lines[0], "this is not the column header"] + lines[2:],
+         "'this is not the column header'"),
+        (lambda lines: lines[:1] + lines[2:], "'0,0,"),
+    ], ids=["wrong", "missing"])
+    def test_read_checks_the_column_header(self, tmp_path, edit, got):
+        spec = constant_spec(UNIT, (1, 2))
+        path = tmp_path / "table.csv"
+        write_coefficient_table(path, coefficient_tensor(spec, BasisSystem.LEGENDRE, (1, 1)))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(DomainError, match="line 2 must be the column header "
+                                              f"'j1,j2,value', got {got}"):
             read_coefficient_table(path)
 
     def test_read_caps_the_header_orders(self, tmp_path, monkeypatch):

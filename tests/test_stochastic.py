@@ -17,15 +17,15 @@ import itofourier.basis
 
 from itofourier import errors, stochastic
 from itofourier.basis import (LEGENDRE_MAX_DEGREE, BasisSystem, Interval, basis_matrix,
-                              breakpoints, eval_basis, integrate_basis, jump_depth, jumps)
+                              breakpoints, eval_basis, integrate_basis, jump_depth)
 from itofourier.errors import (CapacityError, CompatibilityError, DomainError,
                                GridCompatibilityError)
 from itofourier.kernel import IntegralSpec, Weight, constant_spec
 from itofourier.stochastic import (MAX_SEED, WienerPath, brownian_path, gaussian_pool,
                                    path_iterated_integral, path_seed, zeta_from_path)
 
-from oracles import (brownian_path_reference, gaussian_pool_reference, grid_sum_reference, key,
-                     path_seed_reference, stream)
+from oracles import (brownian_path_reference, gaussian_pool_reference, grid_sum_reference, jumps,
+                     key, path_seed_reference, stream)
 
 UNIT = Interval(0.0, 1.0)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from itofourier import stochastic, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor
-from itofourier.errors import DomainError
+from itofourier.errors import DomainError, NumericError
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, kernel_l2_norm_sq
 from itofourier.stochastic import brownian_path, path_iterated_integral, path_seed
 from itofourier.validation import (grid_allowance, moment_check, sample_differences,
@@ -103,6 +103,16 @@ class TestStrongErrorEstimate:
         assert same is tensor
         assert np.array_equal(a, b)
         assert strong_error_estimate(a, same, 128) == strong_error_estimate(b, built, 128)
+
+
+    @pytest.mark.parametrize("value, n, degree", [(1e200, None, 2), (1e100, 2, 4),
+                                                  (np.inf, 1, 2), (np.nan, None, 2)],
+                             ids=["square", "fourth-power", "inf", "nan"])
+    def test_overflowing_moment_is_named(self, value, n, degree):
+        tensor = coefficient_tensor(constant_spec(UNIT, (1, 2)), LEG, (1, 1))
+        diffs = np.full(100, value)
+        with pytest.raises(NumericError, match=rf"sample moment E\[D\*\*{degree}\]"):
+            strong_error_estimate(diffs, tensor, 16, n)
 
 
 class TestMomentCheck:
