@@ -146,12 +146,21 @@ def parseval_residual(spec: IntegralSpec, tensor: CoefficientTensor) -> float:
 
     Tiny negative round-off is clamped to zero with a warning; a deficit
     beyond round-off scale indicates a tensor inconsistent with the spec and
-    raises :class:`NumericError`.
+    raises :class:`NumericError`, as does a kernel norm or coefficient mass
+    that overflows a float.
     """
     if tensor.spec != spec:
         raise DomainError("tensor was built for a different integral spec")
-    total = kernel_l2_norm_sq(spec)
-    residual = total - sum_squared(tensor)
+    with np.errstate(over="ignore"):
+        total = kernel_l2_norm_sq(spec)
+        try:
+            mass = sum_squared(tensor)
+        except OverflowError:  # math.fsum of finite squares
+            mass = math.inf
+    for name, value in (("kernel norm", total), ("coefficient mass", mass)):
+        if not math.isfinite(value):
+            raise NumericError(f"Parseval residual: the {name} is not finite ({value})")
+    residual = total - mass
     if residual < 0.0:
         if -residual > 1e-10 * max(total, 1e-300):
             raise NumericError(

@@ -7,7 +7,7 @@ own coordinates, and nothing is hashed.  Philox streams under distinct keys
 are independent.  Domain 0 holds pool rows and domain 1 path components,
 with the component 1..m as the index; the per-path seeds of a run are the
 64-bit words of the run seed's domain-2 stream (index 0), word i for path i.
-Each thread that fills streams re-keys one Philox for each stream.  A call
+Each thread that fills streams re-keys its one Philox for each stream.  A call
 with PART_NORMALS normals or more for each of two threads, in a process that
 may use more than one CPU, fills its streams on the calling thread and
 pooled worker threads, one per CPU at most; every stream is the same
@@ -53,12 +53,23 @@ def _keys(seeds, domain: int, indices) -> np.ndarray:
     return keys
 
 
+_local = threading.local()
+
+
+def _philox() -> tuple[Philox, Generator, dict]:
+    """This thread's Philox, built on its first call, a Generator on it and
+    its state at counter 0 with an empty buffer, which each stream re-keys."""
+    if not hasattr(_local, "philox"):
+        bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=0) hashes OS entropy
+        _local.philox = bit_gen, Generator(bit_gen), bit_gen.state
+    return _local.philox
+
+
 def _fill(keys: list, rows: np.ndarray, streams) -> None:
     """Fill rows[i], for each stream index i taken from streams, with the
     normals of the Philox stream of keys[i] (two uint64 words) at counter 0:
-    one Philox is reset to counter 0 and re-keyed for each stream."""
-    bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=0) hashes OS entropy
-    gen, state = Generator(bit_gen), bit_gen.state
+    this thread's Philox is reset to counter 0 and re-keyed for each stream."""
+    bit_gen, gen, state = _philox()
     for i in streams:
         state["state"]["key"] = keys[i]
         bit_gen.state = state
@@ -125,14 +136,14 @@ def _component_keys(path_seeds: np.ndarray, m: int) -> np.ndarray:
     return _keys(path_seeds[:, None], _PATH_DOMAIN, np.arange(1, m + 1, dtype=np.uint64))
 
 
-def _seed_stream(seed: int, block: int = 0) -> Philox:
+def _seed_stream(seed: int, block: int = 0, bit_gen: Philox | None = None) -> Philox:
     """The per-path seeds of the run of seed from path 4 * block on: its
-    domain-2 stream at counter block, read a 64-bit word per path."""
-    bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=...) hashes OS entropy
-    state = bit_gen.state
-    state["state"] = {"counter": np.array([block, 0, 0, 0], np.uint64),
-                      "key": _keys(seed, _SEED_DOMAIN, 0)}
-    bit_gen.state = state
+    domain-2 stream at counter block, read a 64-bit word per path, on
+    bit_gen or else on a Philox of its own, with an empty buffer."""
+    if bit_gen is None:
+        bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=...) hashes OS entropy
+    bit_gen.state = {**_philox()[2], "state": {"counter": np.array([block, 0, 0, 0], np.uint64),
+                                               "key": _keys(seed, _SEED_DOMAIN, 0)}}
     return bit_gen
 
 
@@ -141,7 +152,8 @@ def path_seed(seed: int, path_index: int) -> int:
     the run's seed stream."""
     seed = read_int("seed", seed, 0, MAX_SEED)
     path_index = read_int("path_index", path_index, 0, MAX_SEED)
-    return int(_seed_stream(seed, path_index // 4).random_raw(4)[path_index % 4])
+    stream = _seed_stream(seed, path_index // 4, _philox()[0])
+    return int(stream.random_raw(4)[path_index % 4])
 
 
 @dataclass(frozen=True, eq=False)

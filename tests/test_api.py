@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,19 @@ def test_exports_resolve_once_and_leave_out_test_references():
                          (itofourier.basis, "gram_matrix"),
                          (itofourier.coefficients, "fourier_coefficient")):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_import_runs_openblas_on_one_thread():
+    # a fresh process: the thread count is set when the package is imported
+    code = ("import itofourier; blas = itofourier._openblas(); print(-1 if blas is None "
+            "else getattr(blas[0], blas[1].replace('set_', 'get_'))())")
+    src = os.path.dirname(os.path.dirname(itofourier.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    if int(out) == -1:
+        pytest.skip("no loaded library named openblas with a set_num_threads symbol: "
+                    "numpy's BLAS is another one, or the platform has no /proc/self/maps")
+    assert int(out) == 1
 
 
 @pytest.mark.parametrize("call, named", [

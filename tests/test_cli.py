@@ -1,10 +1,17 @@
 import argparse
+import ctypes
+import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import itofourier
 from itofourier import cli, errors, quadrature, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
@@ -55,6 +62,45 @@ class TestCoeffs:
                         "--out", str(tmp_path / "c.csv")])
         assert code == 1
         assert "orders" in capsys.readouterr().err
+
+
+# sha256 of the trigonometric 16 table of README's version notes, with
+# numpy 2.4 and OpenBLAS 0.3.31 (SkylakeX kernel)
+TRIG16_SHA256 = "57a130f134136bfdb771b7fa7ba6b28e5272bd234373283565361d3b813d3bdc"
+
+
+def _openblas_config() -> str:
+    """openblas_get_config of the OpenBLAS the package found, else ''."""
+    if (blas := itofourier._openblas()) is None:
+        return ""
+    get_config = getattr(blas[0], blas[1].replace("set_num_threads", "get_config"))
+    get_config.restype = ctypes.c_char_p
+    return get_config().decode()
+
+
+def test_trigonometric_table_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # the trigonometric 16 table is the one README table whose bytes once
+    # followed the BLAS thread count; each run is a fresh process
+    if shutil.which("taskset") is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs taskset and at least 2 CPUs")
+    config = tmp_path / "trig.json"
+    config.write_text(json.dumps({
+        "spec": {"t": 0.0, "T": 1.0, "k": 3, "indices": [1, 2, 1],
+                 "weights": [{"poly": [1]}, {"poly": [1, 1]}, {"poly": [1]}]},
+        "basis": "trigonometric"}))
+    src = os.path.dirname(os.path.dirname(itofourier.__file__))
+    digests = []
+    for pin in ([], ["taskset", "-c", str(min(os.sched_getaffinity(0)))]):
+        out = tmp_path / f"table{len(pin)}.csv"
+        subprocess.run(pin + [sys.executable, "-m", "itofourier", "coeffs", "--config",
+                              str(config), "--orders", "16,16,16", "--out", str(out)],
+                       env={**os.environ, "PYTHONPATH": src}, check=True)
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+    blas = _openblas_config()  # such as "OpenBLAS 0.3.31.188.0 ... SkylakeX MAX_THREADS=64"
+    if np.__version__.startswith("2.4.") and blas.startswith("OpenBLAS 0.3.31") \
+            and "SkylakeX" in blas.split():
+        assert digests[0] == TRIG16_SHA256
 
 
 class TestApproximate:

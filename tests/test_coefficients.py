@@ -395,6 +395,24 @@ class TestParseval:
         with pytest.raises(NumericError):
             parseval_residual(spec, t)
 
+    @pytest.mark.parametrize("T, values, named", [
+        # the kernel norm T**2 / 2 and the squares overflow; 2.4e154 has
+        # finite squares whose exact sum overflows in math.fsum
+        (1e308, None, "kernel norm"),
+        (2.4e154, None, "kernel norm"),
+        (1.0, [[1e200, 0.0], [0.0, 0.0]], "coefficient mass"),
+        (1.0, [[1.2e154, 1.2e154], [1.2e154, 0.0]], "coefficient mass"),
+    ])
+    def test_overflow_named(self, T, values, named):
+        spec = constant_spec(Interval(0.0, T), (1, 2))
+        if values is None:
+            t = coefficient_tensor(spec, BasisSystem.LEGENDRE, (1, 1))
+        else:
+            t = CoefficientTensor(spec=spec, basis=BasisSystem.LEGENDRE, orders=(1, 1),
+                                  values=np.array(values))
+        with pytest.raises(NumericError, match=f"the {named} is not finite"):
+            parseval_residual(spec, t)
+
     def test_spec_mismatch(self):
         spec = constant_spec(UNIT, (1, 2))
         other = constant_spec(UNIT, (1, 1))

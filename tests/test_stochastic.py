@@ -158,24 +158,31 @@ class TestStreamKeys:
             assert np.array_equal(row, stream(*coord).standard_normal(n))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_one_philox_per_part(self, cpus, monkeypatch):
-        # below the split cutoff one Philox per call; above it one per
-        # thread, a thread per CPU while each has PART_NORMALS normals
-        built = []
+    def test_one_philox_per_thread(self, cpus, monkeypatch):
+        # below the split cutoff a call fills on one thread; above it on a
+        # thread per CPU while each has PART_NORMALS normals.  Each thread
+        # builds one Philox on its first fill and re-keys it for every later
+        # stream, and path_seed borrows it
+        built, fills = [], []
+        monkeypatch.setattr(stochastic, "_local", threading.local(), raising=False)
         monkeypatch.setattr(stochastic, "Philox", lambda **kw: built.append(kw) or Philox(**kw))
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+        fill = stochastic._fill
+        monkeypatch.setattr(stochastic, "_fill",
+                            lambda *a: fills.append(threading.get_ident()) or fill(*a))
         brownian_path(UNIT, 3, 16, list(range(5)))
         gaussian_pool(UNIT, BasisSystem.LEGENDRE, 3, 4, seed=1)
-        assert len(built) == 2
-        built.clear()
-        brownian_path(UNIT, 2, 4096, list(range(8)))
-        assert len(built) == cpus
-        built.clear()
-        brownian_path(UNIT, 2, stochastic.PART_NORMALS - 1, seed=0)
-        assert len(built) == 1
-        built.clear()
-        brownian_path(UNIT, 2, stochastic.PART_NORMALS, seed=0)
-        assert len(built) == min(cpus, 2)
+        assert path_seed(5, 9) == path_seed_reference(5, 9)
+        assert brownian_path(UNIT, 1, 9, seed=2).increments.tobytes() == \
+            brownian_path_reference(UNIT, 1, 9, [2])[0].tobytes()
+        assert len(built) == 1 and set(fills) == {threading.get_ident()}
+        for seeds, N, threads in ((list(range(8)), 4096, cpus),
+                                  (0, stochastic.PART_NORMALS - 1, 1),
+                                  (0, stochastic.PART_NORMALS, min(cpus, 2))):
+            calls = len(fills)
+            brownian_path(UNIT, 2, N, seeds)
+            assert len(fills) - calls == threads
+            assert len(built) == len(set(fills))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_brownian_path_is_the_reference(self, m):
