@@ -10,18 +10,19 @@ with the component 1..m as the index; the per-path seeds of a run are the
 Each thread that fills streams re-keys its one Philox for each stream.  A call
 with PART_NORMALS normals or more for each of two threads, in a process that
 may use more than one CPU, fills its streams on the calling thread and
-pooled worker threads, one per CPU at most; every stream is the same
-whichever thread fills it.  Pools can be enlarged and paths generated in any
-order or grouping without perturbing existing values, and identical seeds
-give bit-identical results.  Paths, pools and the oracle take an optional
-leading batch axis, so one call handles a chunk of paths through the same
-code as one path.
+pooled worker threads, one per CPU at most, and fills a stalled worker's
+stream itself; every stream is the same whichever thread fills it.  Pools
+can be enlarged and paths generated in any order or grouping without
+perturbing existing values, and identical seeds give bit-identical results.
+Paths, pools and the oracle take an optional leading batch axis, so one
+call handles a chunk of paths through the same code as one path.
 """
 from __future__ import annotations
 
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,10 @@ MAX_SEED = 2**64 - 1
 # time of 6000 normals, so a call of fewer than two threads' worth starts no
 # thread
 PART_NORMALS = 12288
+# A caller with no stream left to take waits this many times its own time per
+# stream for the streams workers hold: a worker on a CPU as fast as the
+# caller's finishes the one it holds within one
+GRACE_STREAMS = 2
 
 
 def _keys(seeds, domain: int, indices) -> np.ndarray:
@@ -97,10 +102,14 @@ def _normals(keys: np.ndarray, n: int) -> np.ndarray:
     last axis, two uint64 words) at counter 0: shape keys.shape[:-1] + (n,).
     With at least PART_NORMALS normals for each, up to one thread per CPU
     fills the streams: the calling thread and pooled workers (numpy's fill
-    releases the GIL) each take the next stream not yet taken, so a worker
-    that starts late or runs slow holds the call up by at most the stream it
-    is filling.  An error in any thread is raised here once every thread has
-    stopped."""
+    releases the GIL) each take the next stream not yet taken.  Once none is
+    left, the caller waits for the streams workers hold for GRACE_STREAMS
+    times its own time per stream, then fills those still unfilled (their
+    worker's CPU taken by another process or by the host) into a copy of
+    the result, which it returns: a stalled worker costs the call a few
+    streams' time, and its late write lands in the array left behind.  An
+    error of the caller is raised once every worker has stopped, a worker's
+    if it has stopped by the end of the call."""
     out = np.empty(keys.shape[:-1] + (n,))
     keys, rows = keys.reshape(-1, 2).tolist(), out.reshape(-1, n)
     threads = min(len(rows), rows.size // PART_NORMALS)
@@ -108,25 +117,43 @@ def _normals(keys: np.ndarray, n: int) -> np.ndarray:
     if threads == 1:
         _fill(keys, rows, range(len(rows)))
         return out
-    order, lock = iter(range(len(rows))), threading.Lock()
+    lock, finished = threading.Lock(), threading.Event()
+    untaken, unfilled = list(range(len(rows) - 1, -1, -1)), set(range(len(rows)))
 
     def streams():
+        """The streams one thread takes; asking for the next one marks the
+        last one filled."""
+        i = None
         while True:
-            with lock:  # shared iterators are not thread-safe without the GIL
-                i = next(order, None)
+            with lock:
+                unfilled.discard(i)
+                if not unfilled:
+                    finished.set()
+                i = untaken.pop() if untaken else None
             if i is None:
                 return
             yield i
 
     futures = [_worker_pool(os.getpid()).submit(_fill, keys, rows, streams())
                for _ in range(threads - 1)]
+    start = time.perf_counter()
     try:
         _fill(keys, rows, streams())
-    finally:
+    except BaseException:
+        with lock:
+            untaken.clear()
         for future in futures:
-            future.exception()  # waits: no thread fills on once this call ends
+            future.exception()  # waits: each worker stops after the stream it holds
+        raise
+    # the caller's share of the streams is len(rows) / threads
+    if not finished.wait(GRACE_STREAMS * (time.perf_counter() - start) * threads / len(rows)):
+        with lock:
+            late = sorted(unfilled)
+        out = out.copy()  # the late rows are overwritten
+        _fill(keys, out.reshape(-1, n), late)
     for future in futures:
-        future.result()
+        if future.done():
+            future.result()
     return out
 
 

@@ -30,6 +30,28 @@ from oracles import (brownian_path_reference, gaussian_pool_reference, grid_sum_
 UNIT = Interval(0.0, 1.0)
 
 
+class RecordingPool:
+    """Stands in for stochastic._worker_pool: submits to the real pool and
+    keeps each future, so that a test counts the workers a call asked for
+    and waits for those the call did not wait for."""
+
+    def __init__(self):
+        self.pool, self.futures = stochastic._worker_pool(os.getpid()), []
+
+    def __call__(self, pid):
+        return self
+
+    def submit(self, *args):
+        self.futures.append(self.pool.submit(*args))
+        return self.futures[-1]
+
+    def join(self) -> int:
+        """Wait for every worker submitted so far, and count them."""
+        for future in self.futures:
+            future.exception()
+        return len(self.futures)
+
+
 class TestGaussianPool:
     def test_deterministic_and_enlargeable(self):
         a = gaussian_pool(UNIT, BasisSystem.LEGENDRE, 2, 5, seed=42)
@@ -176,12 +198,14 @@ class TestStreamKeys:
         assert brownian_path(UNIT, 1, 9, seed=2).increments.tobytes() == \
             brownian_path_reference(UNIT, 1, 9, [2])[0].tobytes()
         assert len(built) == 1 and set(fills) == {threading.get_ident()}
+        pool = RecordingPool()
+        monkeypatch.setattr(stochastic, "_worker_pool", pool)
         for seeds, N, threads in ((list(range(8)), 4096, cpus),
                                   (0, stochastic.PART_NORMALS - 1, 1),
                                   (0, stochastic.PART_NORMALS, min(cpus, 2))):
-            calls = len(fills)
+            submitted = pool.join()
             brownian_path(UNIT, 2, N, seeds)
-            assert len(fills) - calls == threads
+            assert pool.join() - submitted == threads - 1
             assert len(built) == len(set(fills))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -212,6 +236,8 @@ class TestSplitFill:
         # a cutoff of one stream, so that every call here is split
         monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+        pool = RecordingPool()
+        monkeypatch.setattr(stochastic, "_worker_pool", pool)
         fills, taken = [], []
         fill = stochastic._fill
 
@@ -223,10 +249,39 @@ class TestSplitFill:
         coords = [(2**64 - 1 - s, s % 3, s) for s in range(streams)]
         keys = np.array([_words(key(*coord)) for coord in coords], np.uint64)
         rows = stochastic._normals(keys, 4096)
-        assert sorted(fills) == [False] * (min(streams, cpus) - 1) + [True]
-        assert sorted(taken) == list(range(streams))  # each stream filled once
+        assert pool.join() == min(streams, cpus) - 1
+        # the caller fills again only the streams workers still held
+        assert fills.count(False) == min(streams, cpus) - 1 and True in fills
+        assert set(taken) == set(range(streams))
         for row, coord in zip(rows, coords):
             assert np.array_equal(row, stream(*coord).standard_normal(4096))
+
+    def test_a_stalled_worker_is_not_waited_for(self, monkeypatch):
+        # the worker takes a stream and stalls; the caller fills that stream
+        # itself into the array it returns, which the worker's late write
+        # does not reach
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        pool = RecordingPool()
+        monkeypatch.setattr(stochastic, "_worker_pool", pool)
+        took, release = threading.Event(), threading.Event()
+        fill = stochastic._fill
+
+        def stalling_fill(keys, rows, streams):
+            if threading.current_thread() is threading.main_thread():
+                assert took.wait(10)
+                return fill(keys, rows, streams)
+            i = next(streams)
+            took.set()
+            assert release.wait(10)
+            rows[i] = np.nan
+
+        monkeypatch.setattr(stochastic, "_fill", stalling_fill)
+        keys = stochastic._keys(3, 1, np.arange(16, dtype=np.uint64))
+        rows = stochastic._normals(keys, 4096)
+        release.set()
+        assert pool.join() == 1
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, stream(3, 1, i).standard_normal(4096))
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_error_on_any_thread_is_raised(self, failing, monkeypatch):

@@ -216,17 +216,18 @@ class TestChunkedEngine:
     ], ids=["mc-legendre", "mc-walsh"])
     def test_sample_does_not_depend_on_the_cpu_count(self, basis, orders, spec, monkeypatch):
         # each of the 13 chunks fills its normals on one thread on one CPU
-        # and on two threads on two
+        # and asks for one worker on two
         tensor = coefficient_tensor(spec, basis, orders)
         samples = []
         for cpus in (1, 2):
-            fills = []
-            fill = stochastic._fill
+            workers = []
+            pool = stochastic._worker_pool
             monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
-            monkeypatch.setattr(stochastic, "_fill", lambda *a: fills.append(1) or fill(*a))
+            monkeypatch.setattr(stochastic, "_worker_pool",
+                                lambda pid: workers.append(1) or pool(pid))
             diffs, _ = sample_differences(spec, basis, orders, 100, 4096, 12, tensor=tensor)
             monkeypatch.undo()
-            assert len(fills) == 13 * cpus
+            assert len(workers) == 13 * (cpus - 1)
             samples.append(diffs.tobytes())
         assert samples[0] == samples[1]
 
