@@ -10,7 +10,9 @@ of equal panels: each level multiplies the running antiderivative by its
 weight/basis factor and integrates again, which is exact whenever the
 per-panel integrands are polynomials of degree below the node count (always
 true for Legendre and for Haar/Walsh on their dyadic cells, with polynomial
-weights).  The trigonometric system is confirmed on halved panels.
+weights).  Trigonometric panels are short enough for the sum of all levels'
+frequencies to turn by under an eighth of a period across half a panel, so
+the plan meets an error bound stated in advance (README, "Numerical notes").
 
 Tensors are indexed ``values[j_1, ..., j_k]``; serialized rows iterate with
 j_1 fastest-varying.  :func:`_row_prefixes` is the one statement of that row
@@ -68,11 +70,11 @@ def _read_orders(spec: IntegralSpec, orders) -> tuple[int, ...]:
     return orders
 
 
-def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders, split: int = 1) -> PanelGrid:
+def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders) -> PanelGrid:
     """Grid for iterated integrals up to the orders: equal panels (one for
-    Legendre, two per period and two more for trigonometric, the 2**jump_depth
-    cells for Haar and Walsh), each cut in split, with one node count.  Orders
-    are held to the basis index cap, nodes to MAX_NODES and the largest sweep
+    Legendre, four per period and four more for trigonometric, the
+    2**jump_depth cells for Haar and Walsh) with one node count.  Orders are
+    held to the basis index cap, nodes to MAX_NODES and the largest sweep
     array (earlier levels' index counts, or the largest level, times panels
     times nodes) to errors.MAX_ENTRIES before any rule or grid is built."""
     for p in orders:
@@ -83,7 +85,7 @@ def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders, split: int = 1) -
         nodes, panels = max(16, sum(orders) + sum(degrees) + k + 1), 1
     elif basis is BasisSystem.TRIGONOMETRIC:
         periods = sum((p + 1) // 2 for p in orders)
-        nodes, panels = max(24, sum(degrees) + k + 8), 2 * periods + 2
+        nodes, panels = max(24, sum(degrees) + k + 8), 4 * periods + 4
     else:
         nodes, panels = sum(degrees) + k + 1, 2**jump_depth(basis, max(orders))
     if nodes > MAX_NODES:
@@ -91,8 +93,8 @@ def _quad_plan(spec: IntegralSpec, basis: BasisSystem, orders, split: int = 1) -
                             f"orders {list(orders)} needs {nodes} nodes > cap {MAX_NODES}")
     sizes = [p + 1 for p in orders]
     errors.require_fits(f"{basis.value} quadrature array",
-                        max(math.prod(sizes[:-1]), max(sizes)) * split * panels * nodes)
-    return panel_grid(np.linspace(spec.iv.t, spec.iv.T, split * panels + 1), nodes)
+                        max(math.prod(sizes[:-1]), max(sizes)) * panels * nodes)
+    return panel_grid(np.linspace(spec.iv.t, spec.iv.T, panels + 1), nodes)
 
 
 def _sweep(spec: IntegralSpec, basis: BasisSystem, orders, grid: PanelGrid) -> np.ndarray:
@@ -101,34 +103,24 @@ def _sweep(spec: IntegralSpec, basis: BasisSystem, orders, grid: PanelGrid) -> n
     iv = spec.iv
     flat = grid.nodes_x.ravel()
     shape2 = grid.nodes_x.shape
+
+    def factor(level):
+        rows = basis_matrix(basis, orders[level], flat, iv).reshape((-1,) + shape2)
+        return rows * np.asarray(eval_weight(spec.weights[level], flat, iv)).reshape(shape2)
+
     state = np.ones((1,) + shape2)
-    k = spec.k
-    for level in range(k):
-        factor = basis_matrix(basis, orders[level], flat, iv).reshape((-1,) + shape2)
-        factor = factor * np.asarray(eval_weight(spec.weights[level], flat, iv)).reshape(shape2)
-        if level == k - 1:
-            totals = np.tensordot(state, factor * grid.weights, axes=([1, 2], [1, 2]))
-            return totals.reshape(tuple(p + 1 for p in orders))
-        prod = state[:, None, :, :] * factor[None, :, :, :]
+    for level in range(spec.k - 1):
+        prod = state[:, None, :, :] * factor(level)[None, :, :, :]
         state = grid.cumulative(prod).reshape((-1,) + shape2)
-    raise AssertionError("unreachable")
+    totals = np.tensordot(state, factor(spec.k - 1) * grid.weights, axes=([1, 2], [1, 2]))
+    return totals.reshape(tuple(p + 1 for p in orders))
 
 
 def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders) -> CoefficientTensor:
     """All coefficients up to the given truncation orders, computed in one
-    shared-grid pass; the result does not depend on evaluation order.  The
-    trigonometric system is confirmed once, on the grid that splits each
-    panel in two."""
+    shared-grid pass; the result does not depend on evaluation order."""
     orders_t = _read_orders(spec, orders)
-    values = _sweep(spec, basis, orders_t, _quad_plan(spec, basis, orders_t))
-    if basis is BasisSystem.TRIGONOMETRIC:
-        finer = _sweep(spec, basis, orders_t, _quad_plan(spec, basis, orders_t, split=2))
-        scale = max(1.0, float(np.max(np.abs(finer))))
-        if float(np.max(np.abs(values - finer))) > 1e-12 * scale:
-            raise NumericError("trigonometric coefficients changed by more than 1e-12 "
-                               "(relative) when every quadrature panel was split in two")
-        values = finer
-    values = np.ascontiguousarray(values)
+    values = np.ascontiguousarray(_sweep(spec, basis, orders_t, _quad_plan(spec, basis, orders_t)))
     values.setflags(write=False)
     return CoefficientTensor(spec=spec, basis=basis, orders=orders_t, values=values)
 

@@ -35,7 +35,7 @@ class ArityError(ItoFourierError, ValueError):
 
 
 class NumericError(ItoFourierError, ArithmeticError):
-    """A numerical procedure failed to converge or produced inconsistent values."""
+    """A computed value overflowed a float or contradicts the mass of its kernel."""
 
 
 class CapacityError(ItoFourierError, RuntimeError):

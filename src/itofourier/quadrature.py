@@ -2,13 +2,12 @@
 
 A panel grid is built from the edges its caller chooses; the coefficient
 plans take equal panels: one for Legendre, the 2**D dyadic cells for Haar
-and Walsh, and for the trigonometric system two per period and two more,
-whose confirmation grid has twice as many, so it splits each panel exactly
-in two.  On every panel the integrand is sampled
-at the same Gauss nodes; the cumulative matrix turns those samples into
-values of the antiderivative at the nodes, which is what the iterated
-(simplex) integrals need.  Both operations are exact whenever the integrand
-restricted to a panel is a polynomial of degree at most ``nodes - 1``.
+and Walsh, and for the trigonometric system four per period and four more.
+On every panel the integrand is sampled at the same Gauss nodes; the
+cumulative matrix turns those samples into values of the antiderivative at
+the nodes, which is what the iterated (simplex) integrals need.  Both
+operations are exact whenever the integrand restricted to a panel is a
+polynomial of degree at most ``nodes - 1``.
 """
 from __future__ import annotations
 

@@ -64,9 +64,17 @@ class TestCoeffs:
         assert "orders" in capsys.readouterr().err
 
 
-# sha256 of the trigonometric 16 table of README's version notes, with
-# numpy 2.4 and OpenBLAS 0.3.31 (SkylakeX kernel)
+# sha256 of the coeffs tables of README's version notes (spec (1, 2, 1),
+# weights 1, 1+s, 1 on [0, 1]), with numpy 2.4 and OpenBLAS 0.3.31
+# (SkylakeX kernel)
+README_SPEC = {"t": 0.0, "T": 1.0, "k": 3, "indices": [1, 2, 1],
+               "weights": [{"poly": [1]}, {"poly": [1, 1]}, {"poly": [1]}]}
 TRIG16_SHA256 = "57a130f134136bfdb771b7fa7ba6b28e5272bd234373283565361d3b813d3bdc"
+TABLE_SHA256 = {
+    ("legendre", 12): "404d598f1efb95944ec87f2451b679f78fdf0d8cd8d9eafba4291a8ac4d6e82a",
+    ("haar", 31): "7bbe59aaa9f51f0c6e1b7fa0b26470fed39744b8dec3824242b27ce7a8711be9",
+    ("walsh", 31): "55be883105516bc81bc21a9b3e517cef992a41278ddaf605618e764851c7fb6c",
+}
 
 
 def _openblas_config() -> str:
@@ -78,16 +86,20 @@ def _openblas_config() -> str:
     return get_config().decode()
 
 
+def _pinned_blas() -> bool:
+    """Whether numpy and its OpenBLAS kernel are those the sha256 were taken with."""
+    blas = _openblas_config()  # such as "OpenBLAS 0.3.31.188.0 ... SkylakeX MAX_THREADS=64"
+    return (np.__version__.startswith("2.4.") and blas.startswith("OpenBLAS 0.3.31")
+            and "SkylakeX" in blas.split())
+
+
 def test_trigonometric_table_bytes_do_not_depend_on_the_cpu_count(tmp_path):
     # the trigonometric 16 table is the one README table whose bytes once
     # followed the BLAS thread count; each run is a fresh process
     if shutil.which("taskset") is None or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs taskset and at least 2 CPUs")
     config = tmp_path / "trig.json"
-    config.write_text(json.dumps({
-        "spec": {"t": 0.0, "T": 1.0, "k": 3, "indices": [1, 2, 1],
-                 "weights": [{"poly": [1]}, {"poly": [1, 1]}, {"poly": [1]}]},
-        "basis": "trigonometric"}))
+    config.write_text(json.dumps({"spec": README_SPEC, "basis": "trigonometric"}))
     src = os.path.dirname(os.path.dirname(itofourier.__file__))
     digests = []
     for pin in ([], ["taskset", "-c", str(min(os.sched_getaffinity(0)))]):
@@ -97,10 +109,20 @@ def test_trigonometric_table_bytes_do_not_depend_on_the_cpu_count(tmp_path):
                        env={**os.environ, "PYTHONPATH": src}, check=True)
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
-    blas = _openblas_config()  # such as "OpenBLAS 0.3.31.188.0 ... SkylakeX MAX_THREADS=64"
-    if np.__version__.startswith("2.4.") and blas.startswith("OpenBLAS 0.3.31") \
-            and "SkylakeX" in blas.split():
+    if _pinned_blas():
         assert digests[0] == TRIG16_SHA256
+
+
+@pytest.mark.parametrize("basis, order", list(TABLE_SHA256), ids=str)
+def test_readme_table_keeps_its_bytes(basis, order, tmp_path):
+    if not _pinned_blas():
+        pytest.skip("the sha256 were taken with numpy 2.4 and OpenBLAS 0.3.31 (SkylakeX)")
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"spec": README_SPEC, "basis": basis}))
+    out = tmp_path / "table.csv"
+    assert run_cli(["coeffs", "--config", str(config), "--orders", f"{order},{order},{order}",
+                    "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_SHA256[basis, order]
 
 
 class TestApproximate:
@@ -296,7 +318,7 @@ class TestErrors:
         from itofourier.errors import NumericError
 
         def boom(*args, **kwargs):
-            raise NumericError("quadrature did not settle")
+            raise NumericError("coefficient tensor contains non-finite entries")
 
         monkeypatch.setattr(cli, "coefficient_tensor", boom)
         assert run_cli(["coeffs", "--config", config_path, "--orders", "1,1",
