@@ -15,7 +15,7 @@ frequencies to turn by under an eighth of a period across half a panel, so
 the plan meets an error bound stated in advance (README, "Numerical notes").
 
 Tensors are indexed ``values[j_1, ..., j_k]``; serialized rows iterate with
-j_1 fastest-varying.  :func:`_row_prefixes` is the one statement of that row
+j_1 fastest-varying.  :func:`_row_blocks` is the one statement of that row
 order and :func:`_column_header` of the CSV header on line 2: the table
 writer and reader both use them.  The error bounds built
 on the residual live in :mod:`validation`, beside the pass rules they serve.
@@ -40,6 +40,8 @@ from .quadrature import PanelGrid, panel_grid
 # time and O(n**2) memory; Legendre (1000, 1000) at k = 2 needs 2003
 MAX_NODES = 4096
 FORMAT_VERSION = "1"
+# table rows formatted or parsed per call: a block's text is about 100 kB
+BLOCK_ROWS = 2**12
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,43 +170,73 @@ def _column_header(k: int) -> str:
     return ",".join(f"j{l + 1}" for l in range(k)) + ",value"
 
 
-def _row_prefixes(orders):
-    """The index columns "j_1,...,j_k," of every table row, j_1 fastest.
-    Levels 1..k-1 are listed once and paired lazily with level k, so a large
-    table never holds every row at once."""
-    inner = [""]
-    for p in orders[:-1]:
-        inner = [f"{head}{j}," for j in range(p + 1) for head in inner]
-    return (f"{head}{j}," for j in range(orders[-1] + 1) for head in inner)
+def _heads(sizes, start, stop) -> str:
+    """The index columns "j_1,...,j_l," of rows start..stop-1 of a table
+    whose levels have these sizes, j_1 fastest, each followed by a newline.
+    The last level's indices are appended to the text of the earlier levels
+    one slice at a time, and the first level's indices are one join."""
+    *inner, _ = sizes
+    n = math.prod(inner)
+    if n == 1:
+        zeros = "0," * len(inner)
+        return zeros + f",\n{zeros}".join(map(str, range(start, stop))) + ",\n"
+    full = None
+    parts = []
+    for j in range(start // n, (stop - 1) // n + 1):
+        lo, hi = max(start - j * n, 0), min(stop - j * n, n)
+        if hi - lo == n:
+            text = full = full or _heads(inner, 0, n)
+        else:
+            text = _heads(inner, lo, hi)
+        parts.append(text.replace("\n", f"{j},\n"))
+    return "".join(parts)
 
 
-def _row_values(rows, orders):
-    """The value of each row, checked against its index columns in order;
-    a row out of place, missing, extra or with a non-finite value is named."""
-    for prefix, row in itertools.zip_longest(_row_prefixes(orders), rows):
+def _row_blocks(orders):
+    """(start, stop, index columns of rows start..stop-1) for every block of
+    BLOCK_ROWS table rows, j_1 fastest: the one statement of the row order,
+    which never holds a large table at once."""
+    sizes = [p + 1 for p in orders]
+    total = math.prod(sizes)
+    for start in range(0, total, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, total)
+        yield start, stop, _heads(sizes, start, stop)
+
+
+def _row_values(heads, rows) -> np.ndarray:
+    """The values of a block of rows, checked against their index columns in
+    one pass per check; a block that fails one is checked again row by row
+    to name the first row out of place, missing, extra or not finite."""
+    try:
+        if len(rows) == len(heads) and all(map(str.startswith, rows, heads)):
+            values = np.fromiter(map(float, map(str.removeprefix, rows, heads)), float, len(rows))
+            if np.isfinite(values).all():
+                return values
+    except ValueError:
+        pass
+    for head, row in itertools.zip_longest(heads, rows):
         if row is None:
-            raise DomainError(f"coefficient table ends before row '{prefix}...'")
+            raise DomainError(f"coefficient table ends before row '{head}...'")
         try:
-            value = float(row[len(prefix):]) if prefix and row.startswith(prefix) else math.nan
+            value = float(row[len(head):]) if head and row.startswith(head) else math.nan
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
             raise DomainError(f"bad coefficient row: {row!r}")
-        yield value
 
 
 def write_coefficient_table(path, tensor: CoefficientTensor) -> None:
     """Write the documented table format: one JSON header line, a CSV column
     header, then one row per tuple (j_1 fastest) with 17-significant-digit
-    values (binary round-trip exact)."""
+    values (binary round-trip exact), one block of rows per write."""
     header = {"format_version": FORMAT_VERSION, "spec": tensor.spec.to_json(),
               "basis": tensor.basis.value, "orders": list(tensor.orders)}
-    values = tensor.values.ravel(order="F").tolist()
+    flat = tensor.values.T.flat  # j_1 fastest
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.write(_column_header(tensor.spec.k) + "\n")
-        for prefix, v in zip(_row_prefixes(tensor.orders), values):
-            fh.write(f"{prefix}{v:.17g}\n")
+        for start, stop, heads in _row_blocks(tensor.orders):
+            fh.write(heads.replace("\n", "%.17g\n") % tuple(flat[start:stop].tolist()))
 
 
 def read_coefficient_table(path) -> CoefficientTensor:
@@ -232,7 +264,11 @@ def read_coefficient_table(path) -> CoefficientTensor:
             raise DomainError(f"coefficient table line 2 must be the column header "
                               f"{_column_header(spec.k)!r}, got {columns!r}")
         rows = filter(None, map(str.strip, fh))
-        values = np.fromiter(_row_values(rows, orders), dtype=float)
+        values = np.empty(math.prod(p + 1 for p in orders))
+        for start, stop, heads in _row_blocks(orders):
+            values[start:stop] = _row_values(heads.splitlines(),
+                                             list(itertools.islice(rows, stop - start)))
+        _row_values((), list(itertools.islice(rows, 1)))  # no row past the last
     values = np.ascontiguousarray(values.reshape([p + 1 for p in orders], order="F"))
     values.setflags(write=False)
     return CoefficientTensor(spec=spec, basis=basis, orders=orders, values=values)

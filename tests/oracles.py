@@ -24,10 +24,14 @@ the definitions of the two systems, and ``exact_legendre_coefficients``
 Legendre tensors, in the shifted Legendre polynomials.
 ``trigonometric_error_bound`` bounds the error of a trigonometric tensor
 swept on a grid of equal panels, as README derives it.
+``write_table_reference`` and ``read_table_reference`` write and read the
+coefficient table format one row per call, the form that the block writer
+and reader must match byte for byte and error for error.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import cache, reduce
@@ -35,8 +39,10 @@ from functools import cache, reduce
 import numpy as np
 from numpy.random import Generator, Philox
 
-from itofourier.basis import BasisSystem, Interval, basis_matrix, basis_rows, jump_depth
-from itofourier.coefficients import CoefficientTensor
+from itofourier.basis import (BasisSystem, Interval, basis_matrix, basis_rows, jump_depth,
+                              parse_basis)
+from itofourier.coefficients import (FORMAT_VERSION, CoefficientTensor, _column_header,
+                                     _read_orders)
 from itofourier.errors import ArityError, DomainError, UnsupportedMultiplicityError
 from itofourier.expansion import ExpansionResult, _check_compatible, truncated_expansion
 from itofourier.kernel import IntegralSpec, eval_weight
@@ -754,3 +760,66 @@ def trigonometric_error_bound(spec: IntegralSpec, orders, grid) -> float:
     panel = float(np.sum(by_mid**2 + by_half**2))
     rounding = shared + ROUNDING_LAMBDA * u * scale * math.sqrt(ops + node + panel)
     return truncation + rule + rounding
+
+
+def _row_prefixes(orders):
+    """The index columns "j_1,...,j_k," of every table row, j_1 fastest, one
+    f-string per row."""
+    inner = [""]
+    for p in orders[:-1]:
+        inner = [f"{head}{j}," for j in range(p + 1) for head in inner]
+    return (f"{head}{j}," for j in range(orders[-1] + 1) for head in inner)
+
+
+def _row_values(rows, orders):
+    for prefix, row in itertools.zip_longest(_row_prefixes(orders), rows):
+        if row is None:
+            raise DomainError(f"coefficient table ends before row '{prefix}...'")
+        try:
+            value = float(row[len(prefix):]) if prefix and row.startswith(prefix) else math.nan
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DomainError(f"bad coefficient row: {row!r}")
+        yield value
+
+
+def write_table_reference(path, tensor: CoefficientTensor) -> None:
+    """The coefficient table written one row and one write per tuple."""
+    header = {"format_version": FORMAT_VERSION, "spec": tensor.spec.to_json(),
+              "basis": tensor.basis.value, "orders": list(tensor.orders)}
+    values = tensor.values.ravel(order="F").tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(_column_header(tensor.spec.k) + "\n")
+        for prefix, v in zip(_row_prefixes(tensor.orders), values):
+            fh.write(f"{prefix}{v:.17g}\n")
+
+
+def read_table_reference(path) -> CoefficientTensor:
+    """The coefficient table read and checked one row at a time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise DomainError(f"coefficient table header is not valid JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DomainError("coefficient table header must be a JSON object")
+        for field in ("format_version", "spec", "basis", "orders"):
+            if field not in header:
+                raise DomainError(f"coefficient table header missing {field!r}")
+        if header["format_version"] != FORMAT_VERSION:
+            raise DomainError(f"unsupported table format version {header['format_version']!r}")
+        spec = IntegralSpec.from_json(header["spec"])
+        basis = parse_basis(header["basis"])
+        try:
+            orders = _read_orders(spec, header["orders"])
+        except DomainError as exc:
+            raise DomainError(f"coefficient table {exc}") from None
+        if (columns := fh.readline().strip()) != _column_header(spec.k):
+            raise DomainError(f"coefficient table line 2 must be the column header "
+                              f"{_column_header(spec.k)!r}, got {columns!r}")
+        rows = filter(None, map(str.strip, fh))
+        values = np.fromiter(_row_values(rows, orders), dtype=float)
+    values = np.ascontiguousarray(values.reshape([p + 1 for p in orders], order="F"))
+    return CoefficientTensor(spec=spec, basis=basis, orders=orders, values=values)

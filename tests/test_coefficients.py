@@ -1,5 +1,7 @@
 import itertools
+import os
 import tempfile
+import tracemalloc
 import warnings
 import math
 import time
@@ -22,7 +24,7 @@ from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight, 
 from itofourier.validation import moment_bound_2n, ms_error_bound
 
 from oracles import (exact_dyadic_coefficients, exact_legendre_coefficients, jumps,
-                     trigonometric_error_bound)
+                     read_table_reference, trigonometric_error_bound, write_table_reference)
 
 UNIT = Interval(0.0, 1.0)
 HALF_ROOT3 = 1.0 / (2.0 * math.sqrt(3.0))
@@ -561,6 +563,118 @@ class TestTableFormat:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DomainError):
             read_coefficient_table(path)
+
+    # each edit of the rows (text lines after the column header) at row i,
+    # as test_cli.py::test_malformed_table_named makes them on one table
+    ROW_EDITS = {
+        "index": lambda rows, i: rows.__setitem__(i, "1.5," + rows[i].split(",", 1)[1]),
+        "value": lambda rows, i: rows.__setitem__(i, rows[i].rsplit(",", 1)[0] + ",abc"),
+        "value-only": lambda rows, i: rows.__setitem__(i, rows[i].rsplit(",", 1)[1]),
+        "swapped": lambda rows, i: rows.insert(i - 1 if i else 1, rows.pop(i)),
+        "duplicated": lambda rows, i: rows.insert(i, rows[i]),
+        "out-of-range": lambda rows, i: rows.__setitem__(i, "9" + rows[i].split(",", 1)[1]),
+        "zero-padded": lambda rows, i: rows.__setitem__(i, "0" + rows[i]),
+        "extra": lambda rows, i: rows.insert(i + 1, rows[i].rsplit(",", 1)[0] + ",0.5"),
+        "missing": lambda rows, i: rows.pop(i),
+        "ends": lambda rows, i: rows.__delitem__(slice(i, None)),
+        "nan": lambda rows, i: rows.__setitem__(i, rows[i].rsplit(",", 1)[0] + ",nan"),
+        "inf": lambda rows, i: rows.__setitem__(i, rows[i].rsplit(",", 1)[0] + ",-inf"),
+        "overflow": lambda rows, i: rows.__setitem__(i, rows[i].rsplit(",", 1)[0] + ",1e999"),
+        "blank": lambda rows, i: rows.insert(i, ""),
+        "whitespace": lambda rows, i: rows.__setitem__(i, f" \t{rows[i]}  "),
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_the_row_reference(self, data):
+        # at any block size, the block writer writes the reference's bytes,
+        # and on any edit of a row (the first and last rows of a block among
+        # them) the block reader reads the same values or names the same row
+        special = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+                                   -1e308, 0.1, 1 / 3])
+        finite = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+        k = data.draw(st.integers(1, 4), "k")
+        orders = tuple(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
+        values = data.draw(arrays(np.float64, tuple(p + 1 for p in orders), elements=finite))
+        tensor = CoefficientTensor(spec=constant_spec(UNIT, (1,) * k),
+                                   basis=BasisSystem.LEGENDRE, orders=orders, values=values)
+        block = data.draw(st.sampled_from([1, 2, 3, 5, coefficients.BLOCK_ROWS]), "block")
+        n = values.size
+        edges = sorted({0, n - 1} | {j for b in range(block, n, block) for j in (b - 1, b)})
+        i = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, n - 1)), "row")
+        edit = data.draw(st.sampled_from(sorted(self.ROW_EDITS)), "edit")
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coefficients, "BLOCK_ROWS", block)
+            path, ref = Path(tmp) / "table.csv", Path(tmp) / "reference.csv"
+            write_coefficient_table(path, tensor)
+            write_table_reference(ref, tensor)
+            text = path.read_text()
+            assert text == ref.read_text()
+            lines = text.splitlines()
+            rows = lines[2:]
+            self.ROW_EDITS[edit](rows, i)
+            path.write_text("\n".join(lines[:2] + rows) + "\n")
+            outcomes = []
+            for read in (read_coefficient_table, read_table_reference):
+                try:
+                    outcomes.append(read(path).values.tobytes())
+                except DomainError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("orders, rows", [
+        ((7,), ["0", "1", "2", "3", "4", "5", "6", "7"]),
+        ((1, 3), ["0,0", "1,0", "0,1", "1,1", "0,2", "1,2", "0,3", "1,3"]),
+        ((1, 1, 1), ["0,0,0", "1,0,0", "0,1,0", "1,1,0", "0,0,1", "1,0,1", "0,1,1", "1,1,1"]),
+    ], ids=["k1", "k2", "k3"])
+    def test_table_bytes_are_pinned(self, tmp_path, orders, rows):
+        # the written text of a tensor built by hand, which no BLAS kernel
+        # or numpy version can move: signed zero, the smallest subnormal and
+        # normal, the largest power of ten, and values that 17 digits do not
+        # end
+        k = len(orders)
+        values = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, 2.0, 1e-05])
+        tensor = CoefficientTensor(spec=constant_spec(UNIT, (1,) * k), basis=BasisSystem.LEGENDRE,
+                                   orders=orders,
+                                   values=values.reshape([p + 1 for p in orders], order="F"))
+        weights = ", ".join(['{"poly": [1.0]}'] * k)
+        header = ('{"basis": "legendre", "format_version": "1", "orders": '
+                  f'{list(orders)}, "spec": {{"T": 1.0, "indices": {[1] * k}, "k": {k}, '
+                  f'"t": 0.0, "weights": [{weights}]}}}}')
+        texts = ["-0", "4.9406564584124654e-324", "2.2250738585072014e-308", "1e+308",
+                 "0.10000000000000001", "0.33333333333333331", "2", "1.0000000000000001e-05"]
+        path = tmp_path / "table.csv"
+        write_coefficient_table(path, tensor)
+        assert path.read_text() == "\n".join(
+            [header, ",".join(f"j{l + 1}" for l in range(k)) + ",value"]
+            + [f"{r},{v}" for r, v in zip(rows, texts)]) + "\n"
+
+    @pytest.mark.parametrize("orders", [(2**16 - 1,), (2**13 - 1, 7)], ids=["k1", "k2-long-slice"])
+    def test_tables_are_written_and_read_a_block_at_a_time(self, tmp_path, orders):
+        # tables of 16 blocks, a k = 1 table and a k = 2 table whose j_2
+        # slices are two blocks long: the writer holds at most 6 blocks'
+        # text at once, and the reader 10 beyond the tensor it returns (or
+        # the tensor twice, while it reshapes), so neither holds the text
+        spec = constant_spec(UNIT, (1,) * len(orders))
+        values = np.random.default_rng(1).standard_normal([p + 1 for p in orders])
+        tensor = CoefficientTensor(spec=spec, basis=BasisSystem.LEGENDRE, orders=orders,
+                                   values=values)
+        path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            write_coefficient_table(path, tensor)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_coefficient_table(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = os.path.getsize(path)
+        block = text / values.size * coefficients.BLOCK_ROWS
+        assert text > 15 * block
+        assert write_peak < 6 * block
+        assert read_peak < values.nbytes + max(values.nbytes, 10 * block) < text
+        assert back.values.tobytes() == values.tobytes()
 
 
 # Largest error of a Haar or Walsh tensor against exact arithmetic, in eps
