@@ -13,6 +13,7 @@ one tensor axis at a time, without enumerating partitions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,9 @@ def _wick(values: np.ndarray, rows: list[np.ndarray], idx: tuple[int, ...]) -> n
     last = len(rows) - 1
     b, n = rows[last].shape
     if batched:
-        head = np.matmul(values.reshape(b, -1, n), rows[last][:, :, None])
+        # the middle size is spelled out: -1 is ambiguous in an empty batch
+        middle = math.prod(values.shape[1:-1])
+        head = np.matmul(values.reshape(b, middle, n), rows[last][:, :, None])
     else:
         head = rows[last] @ values.reshape(-1, n).T
     total = _wick(head.reshape((b,) + values.shape[batched:-1]), rows[:last], idx[:last])

@@ -6,8 +6,10 @@ word is domain * 2**62 + index, so any entry depends only on the seed and its
 own coordinates, and nothing is hashed.  Philox streams under distinct keys
 are independent.  Domain 0 holds pool rows and domain 1 path components,
 with the component 1..m as the index; the per-path seeds of a run are the
-64-bit words of the run seed's domain-2 stream (index 0), word i for path i.
-Each thread that fills streams re-keys its one Philox for each stream.  A call
+64-bit words of the run seed's domain-2 stream (index 0), word i for path i,
+four to a counter block, and brownian_path is the one constructor of a path
+or a batch of paths from their seeds.  Each thread keeps one Philox,
+re-keyed for each stream it fills and each read of the seed stream.  A call
 with PART_NORMALS normals or more for each of two threads, in a process that
 may use more than one CPU, fills its streams on the calling thread and
 pooled worker threads, one per CPU at most, and fills a stalled worker's
@@ -157,21 +159,15 @@ def _normals(keys: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _component_keys(path_seeds: np.ndarray, m: int) -> np.ndarray:
-    """Stream keys, shape (B, m, 2), of components 1..m of the paths whose
-    seeds are the uint64 vector path_seeds (B,)."""
-    return _keys(path_seeds[:, None], _PATH_DOMAIN, np.arange(1, m + 1, dtype=np.uint64))
-
-
-def _seed_stream(seed: int, block: int = 0, bit_gen: Philox | None = None) -> Philox:
-    """The per-path seeds of the run of seed from path 4 * block on: its
-    domain-2 stream at counter block, read a 64-bit word per path, on
-    bit_gen or else on a Philox of its own, with an empty buffer."""
-    if bit_gen is None:
-        bit_gen = Philox(seed=0)  # a fixed seed: Philox(key=...) hashes OS entropy
-    bit_gen.state = {**_philox()[2], "state": {"counter": np.array([block, 0, 0, 0], np.uint64),
-                                               "key": _keys(seed, _SEED_DOMAIN, 0)}}
-    return bit_gen
+def _path_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """The seeds of paths start..stop-1 of the run of seed, a uint64 vector:
+    words start..stop-1 of the run's seed stream, read four to a counter
+    block on this thread's Philox from block start // 4."""
+    bit_gen, _, state = _philox()
+    block, skip = divmod(start, 4)
+    bit_gen.state = {**state, "state": {"counter": np.array([block, 0, 0, 0], np.uint64),
+                                        "key": _keys(seed, _SEED_DOMAIN, 0)}}
+    return bit_gen.random_raw(skip + stop - start)[skip:]
 
 
 def path_seed(seed: int, path_index: int) -> int:
@@ -179,8 +175,7 @@ def path_seed(seed: int, path_index: int) -> int:
     the run's seed stream."""
     seed = read_int("seed", seed, 0, MAX_SEED)
     path_index = read_int("path_index", path_index, 0, MAX_SEED)
-    stream = _seed_stream(seed, path_index // 4, _philox()[0])
-    return int(stream.random_raw(4)[path_index % 4])
+    return int(_path_seeds(seed, path_index, path_index + 1)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,17 +264,12 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
     single = np.ndim(seed) == 0
     seeds = [read_int("seed", s, 0, MAX_SEED) for s in ([seed] if single else seed)]
     errors.require_fits("paths", len(seeds) * m * N, "increments (m N per path)")
-    keys = _component_keys(np.array(seeds, np.uint64), m)
-    return _wiener_path(iv, N, keys[0] if single else keys)
-
-
-def _wiener_path(iv: Interval, N: int, keys: np.ndarray) -> WienerPath:
-    """The path, or batch of paths, whose component streams have these keys
-    (shape (m, 2) or (B, m, 2))."""
-    increments = _normals(keys, N)
+    keys = _keys(np.array(seeds, np.uint64)[:, None], _PATH_DOMAIN,
+                 np.arange(1, m + 1, dtype=np.uint64))
+    increments = _normals(keys[0] if single else keys, N)
     increments *= math.sqrt(iv.length / N)
     increments.setflags(write=False)
-    return WienerPath(iv=iv, m=keys.shape[-2], N=N, increments=increments)
+    return WienerPath(iv=iv, m=m, N=N, increments=increments)
 
 
 @lru_cache(maxsize=1)

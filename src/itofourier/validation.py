@@ -11,9 +11,9 @@ allowance = k**2 (T-t)**2 / N; it is reported, never silently absorbed.
 writes from one sample drawn by :func:`sample_differences`, so every bound
 and pass rule of a run is stated here, once.
 
-The seed of path i is word i of the run's stream of per-path seeds, read
-in order one chunk at a time; each component of the path is the Philox
-stream keyed by that seed and the component (see stochastic).
+The seed of path i is word i of the run's stream of per-path seeds, all
+read once per run, and each chunk of paths is drawn by brownian_path from
+its seeds, as any caller would draw them (see stochastic).
 All aggregates use exact summation over an index-addressed sample array, so
 reports are bit-identical for a fixed seed.  Chunks of paths run one after
 another on the calling thread; within a chunk the path fill splits its
@@ -32,10 +32,8 @@ from .coefficients import CoefficientTensor, coefficient_tensor, parseval_residu
 from .errors import CapacityError, DomainError, NumericError, int_text, read_int, read_ints
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec
-# brownian_path is unused here but kept: the benchmark's tests look it up on
-# this module
-from .stochastic import (MAX_SEED, _component_keys, _seed_stream, _wiener_path, brownian_path,
-                         path_iterated_integral, zeta_from_path)
+from .stochastic import (MAX_SEED, _path_seeds, brownian_path, path_iterated_integral,
+                         zeta_from_path)
 
 
 # Normals budget of one chunk of paths: 2**16 is 8 paths at m = 2, N = 4096,
@@ -57,7 +55,7 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     """Per-path differences D = pathwise integral - truncated expansion.
 
     Chunks of max(1, CHUNK_NORMALS // (m N)) paths are one batched call
-    each of the path fill, zeta_from_path, path_iterated_integral and
+    each of brownian_path, zeta_from_path, path_iterated_integral and
     truncated_expansion.  Each path keeps its own derived seed, so the
     sample does not depend on how paths are grouped into chunks beyond the
     rounding of the batched contraction.  n_paths is held to [100,
@@ -80,11 +78,11 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
         raise DomainError("tensor was built for a different integral spec, basis or orders")
     jmax = max(orders_t)
     chunk = max(1, CHUNK_NORMALS // (m * n_steps))
-    seeds = _seed_stream(seed)
+    seeds = _path_seeds(seed, 0, n_paths)
     diffs = np.empty(n_paths)
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        path = _wiener_path(spec.iv, n_steps, _component_keys(seeds.random_raw(stop - start), m))
+        path = brownian_path(spec.iv, m, n_steps, seeds[start:stop])
         approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
         diffs[start:stop] = path_iterated_integral(spec, path) - approx
     return diffs, tensor

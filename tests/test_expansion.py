@@ -120,6 +120,20 @@ class TestTruncatedExpansion:
             tracemalloc.stop()
         assert peak < values.nbytes
 
+    @pytest.mark.parametrize("idx", [(1,), (1, 1), (1, 2), (2, 1, 2)], ids=str)
+    def test_empty_batch_of_pools(self, idx):
+        # B = 0, as an empty brownian_path batch gives through zeta_from_path:
+        # no entry, at k = 1, equal and distinct components, and k = 3
+        orders = (2,) * len(idx)
+        values = np.random.default_rng(len(idx)).standard_normal((3,) * len(idx))
+        tensor = CoefficientTensor(spec=constant_spec(UNIT, idx), basis=BasisSystem.LEGENDRE,
+                                   orders=orders, values=values)
+        empty = GaussianPool(iv=UNIT, basis=BasisSystem.LEGENDRE, m=2, jmax=2,
+                             values=np.empty((0, 3, 3)))
+        result = truncated_expansion(tensor, empty)
+        assert result.value.shape == (0,) and result.value.dtype == np.float64
+        assert result.terms_evaluated == values.size
+
     def test_multiplicity_cap(self):
         spec = constant_spec(UNIT, (1,) * 11)
         tensor = CoefficientTensor(spec=spec, basis=BasisSystem.LEGENDRE,

@@ -169,6 +169,18 @@ class TestStreamKeys:
         for index in [0, 1, 2, 3, 7, 2**32 - 1, 2**32, 2**64 - 4, 2**64 - 1]:
             assert path_seed(seed, index) == path_seed_reference(seed, index)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_WORD64, start=st.sampled_from([0, 1, 2, 3, 4, 2**32 - 1, MAX_SEED - 8])
+           | st.integers(0, MAX_SEED), offset=st.integers(0, 3), size=st.integers(0, 9))
+    def test_path_seeds_are_the_reference(self, seed, start, offset, size):
+        # a range from any word of a block, empty ranges, and ranges that
+        # end at the last path index
+        a = min(start + offset, MAX_SEED + 1)
+        b = min(a + size, MAX_SEED + 1)
+        seeds = stochastic._path_seeds(seed, a, b)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [path_seed_reference(seed, i) for i in range(a, b)]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 100, 4096, 4097])
     def test_rows_are_fresh_philox_streams(self, n):
         # every row after the first starts at counter 0 with an empty buffer

@@ -176,9 +176,10 @@ def test_grid_allowance_constant():
 class TestChunkedEngine:
     def test_one_call_per_chunk(self, monkeypatch):
         # 100 paths at m = 2, N = 4096 are 13 chunks: 12 of 8 paths and one
-        # of 4, their seeds read in order from one seed stream
+        # of 4, their seeds read once from the seed stream and each chunk
+        # drawn by the public path constructor
         calls = {}
-        for name in ("_seed_stream", "_component_keys", "_wiener_path", "zeta_from_path",
+        for name in ("_path_seeds", "brownian_path", "zeta_from_path",
                      "path_iterated_integral", "truncated_expansion"):
             original = getattr(validation, name)
             calls[name] = []
@@ -186,14 +187,14 @@ class TestChunkedEngine:
                                 calls[_n].append((a, _f(*a))) or calls[_n][-1][1])
         spec = constant_spec(UNIT, (1, 2))
         diffs, _ = sample_differences(spec, LEG, (0, 0), 100, 4096, seed=4)
-        assert [a for a, _ in calls["_seed_stream"]] == [(4,)]
-        assert [len(a[0]) for a, _ in calls["_component_keys"]] == [8] * 12 + [4]
-        for name in ("_wiener_path", "zeta_from_path", "path_iterated_integral",
+        assert [a for a, _ in calls["_path_seeds"]] == [(4, 0, 100)]
+        assert [len(a[3]) for a, _ in calls["brownian_path"]] == [8] * 12 + [4]
+        for name in ("brownian_path", "zeta_from_path", "path_iterated_integral",
                      "truncated_expansion"):
             assert len(calls[name]) == 13, name
         assert diffs.shape == (100,)
         # path i of the sample is the path of path_seed(seed, i)
-        drawn = np.concatenate([path.increments for _, path in calls["_wiener_path"]])
+        drawn = np.concatenate([path.increments for _, path in calls["brownian_path"]])
         want = brownian_path(UNIT, 2, 4096, [path_seed(4, i) for i in range(100)])
         assert drawn.tobytes() == want.increments.tobytes()
 
@@ -245,8 +246,9 @@ class TestPrebuiltTensor:
         (coefficient_tensor(constant_spec(Interval(0.0, 2.0), (1, 2)), LEG, (2, 2)), (2, 2)),
     ], ids=["spec", "basis", "orders", "no-orders", "interval"])
     def test_foreign_tensor_named_before_any_path(self, tensor, orders, monkeypatch):
-        # drawing a path would fail
-        monkeypatch.setattr(validation, "_seed_stream", None)
+        # reading a seed or drawing a path would fail
+        monkeypatch.setattr(validation, "_path_seeds", None)
+        monkeypatch.setattr(validation, "brownian_path", None)
         with pytest.raises(DomainError, match="^tensor "):
             sample_differences(self.SPEC, LEG, orders, 100, 64, seed=1, tensor=tensor)
 
