@@ -9,13 +9,11 @@ with the component 1..m as the index; the per-path seeds of a run are the
 64-bit words of the run seed's domain-2 stream (index 0), word i for path i,
 four to a counter block, and brownian_path is the one constructor of a path
 or a batch of paths from their seeds.  Each thread keeps one Philox,
-re-keyed for each stream it fills and each read of the seed stream.  A call
-with PART_NORMALS normals or more for each of two threads, in a process that
-may use more than one CPU, fills its streams on the calling thread and
-pooled worker threads, one per CPU at most, and fills a stalled worker's
-stream itself; every stream is the same whichever thread fills it.  Pools
-can be enlarged and paths generated in any order or grouping without
-perturbing existing values, and identical seeds give bit-identical results.
+re-keyed for each stream it fills and each read of the seed stream.  A
+fill of one call, or of a whole run's paths (_path_fill), may run on pooled
+worker threads too (see _Fill), with the same streams.  Pools can be
+enlarged and paths generated in any order or grouping without perturbing
+existing values, and identical seeds give bit-identical results.
 Paths, pools and the oracle take an optional leading batch axis, so one
 call handles a chunk of paths through the same code as one path.
 """
@@ -25,6 +23,7 @@ import math
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,9 +42,9 @@ MAX_SEED = 2**64 - 1
 # time of 6000 normals, so a call of fewer than two threads' worth starts no
 # thread
 PART_NORMALS = 12288
-# A caller with no stream left to take waits this many times its own time per
-# stream for the streams workers hold: a worker on a CPU as fast as the
-# caller's finishes the one it holds within one
+# A caller with no stream of its chunk left to take waits this many times the
+# fill's mean time per stream for the streams workers hold: a worker on a CPU
+# as fast as the others finishes the one it holds within one
 GRACE_STREAMS = 2
 
 
@@ -72,15 +71,14 @@ def _philox() -> tuple[Philox, Generator, dict]:
     return _local.philox
 
 
-def _fill(keys: list, rows: np.ndarray, streams) -> None:
-    """Fill rows[i], for each stream index i taken from streams, with the
-    normals of the Philox stream of keys[i] (two uint64 words) at counter 0:
-    this thread's Philox is reset to counter 0 and re-keyed for each stream."""
+def _fill(streams) -> None:
+    """Fill each row of the (key, row) pairs of streams with the normals of
+    the Philox stream of key at counter 0, on this thread's Philox re-keyed."""
     bit_gen, gen, state = _philox()
-    for i in streams:
-        state["state"]["key"] = keys[i]
+    for key, row in streams:
+        state["state"]["key"] = key
         bit_gen.state = state
-        gen.standard_normal(out=rows[i])
+        gen.standard_normal(out=row)
 
 
 def _cpus() -> int:
@@ -99,64 +97,118 @@ def _worker_pool(pid: int):
     return ThreadPoolExecutor(os.cpu_count() or 1, "itofourier-normals")
 
 
+class _Chunk:
+    """A chunk of a fill: keys, rows, next stream to take, streams held."""
+
+    def __init__(self, keys: np.ndarray, n: int):
+        self.shape, self.keys = keys.shape[:-1] + (n,), keys.reshape(-1, 2).tolist()
+        self.rows, self.next, self.held = np.empty((len(self.keys), n)), 0, set()
+
+
+class _Fill:
+    """The normals, n to a stream, of chunks of streams (an iterator of key
+    arrays), handed out in order by take on the thread that opened the fill.
+    With PART_NORMALS normals of the first chunk for each of two threads, a
+    pooled worker per extra CPU (numpy's fill releases the GIL) takes the
+    next stream not yet taken of the next chunk or the one after it.  take
+    allocates the one after it, fills the streams of its chunk no worker
+    took, waits for those workers hold for GRACE_STREAMS times the fill's
+    mean time per stream, and fills those still held (their worker's CPU
+    taken by another process or the host) into a copy of the rows it hands
+    out: no rows are handed out twice, so a late write reaches no one."""
+
+    def __init__(self, chunks, n: int):
+        self.chunks, self.cond = (_Chunk(keys, n) for keys in chunks), threading.Condition()
+        self.window, self.ended = [next(self.chunks)], False
+        self.spent, self.filled, streams = 0.0, 0, len(self.window[0].keys)
+        threads = min(streams, streams * n // PART_NORMALS)
+        self.workers = [_worker_pool(os.getpid()).submit(_fill, self._streams())
+                        for _ in range(min(threads, _cpus()) - 1 if threads > 1 else 0)]
+
+    def _streams(self, chunk=None):
+        """The (key, row) pairs one thread fills: for take the rest of chunk,
+        for a worker the window's next, waiting while it has none and more
+        may come.  Asking for the next pair marks the last filled, timed."""
+        c = None
+        while True:
+            with self.cond:
+                if c:
+                    c.held.discard(i)
+                    self.spent += time.perf_counter() - start
+                    self.filled += 1
+                    self.cond.notify_all()
+                while not (c := next((k for k in ([chunk] if chunk else self.window)
+                                      if k.next < len(k.keys)), None)):
+                    if chunk or self.ended:
+                        return
+                    self.cond.wait()
+                i, c.next = c.next, c.next + 1
+                c.held.add(i)
+            start = time.perf_counter()
+            yield c.keys[i], c.rows[i]
+
+    def take(self) -> np.ndarray:
+        """The normals of the next chunk.  An error of this thread is raised
+        once every worker has stopped, a worker's if it has by the end."""
+        chunk, ahead = self.window[0], next(self.chunks, None) if self.workers else None
+        try:
+            with self.cond:
+                self.window += [ahead] if ahead else []
+                self.ended = ahead is None
+                self.cond.notify_all()
+            _fill(self._streams(chunk))
+            with self.cond:
+                self.window.pop(0)
+                self.cond.wait_for(lambda: not chunk.held,
+                                   GRACE_STREAMS * self.spent / max(self.filled, 1))
+                late, rows = sorted(chunk.held), chunk.rows
+            if late:
+                rows = rows.copy()  # the late rows are overwritten
+                _fill((chunk.keys[i], rows[i]) for i in late)
+        except BaseException:
+            self.close()
+            raise
+        for worker in self.workers:
+            if worker.done():
+                worker.result()
+        return rows.reshape(chunk.shape)
+
+    def close(self) -> None:
+        """Stop the workers and wait for them: each stops after the stream it
+        holds, and one not yet started never starts."""
+        with self.cond:
+            self.window, self.ended = [], True
+            self.cond.notify_all()
+        for worker in self.workers:
+            if not worker.cancel():
+                worker.exception()
+
+
 def _normals(keys: np.ndarray, n: int) -> np.ndarray:
     """n standard normals from the Philox stream of each 128-bit key (the
-    last axis, two uint64 words) at counter 0: shape keys.shape[:-1] + (n,).
-    With at least PART_NORMALS normals for each, up to one thread per CPU
-    fills the streams: the calling thread and pooled workers (numpy's fill
-    releases the GIL) each take the next stream not yet taken.  Once none is
-    left, the caller waits for the streams workers hold for GRACE_STREAMS
-    times its own time per stream, then fills those still unfilled (their
-    worker's CPU taken by another process or by the host) into a copy of
-    the result, which it returns: a stalled worker costs the call a few
-    streams' time, and its late write lands in the array left behind.  An
-    error of the caller is raised once every worker has stopped, a worker's
-    if it has stopped by the end of the call."""
-    out = np.empty(keys.shape[:-1] + (n,))
-    keys, rows = keys.reshape(-1, 2).tolist(), out.reshape(-1, n)
-    threads = min(len(rows), rows.size // PART_NORMALS)
-    threads = min(threads, _cpus()) if threads > 1 else 1
-    if threads == 1:
-        _fill(keys, rows, range(len(rows)))
-        return out
-    lock, finished = threading.Lock(), threading.Event()
-    untaken, unfilled = list(range(len(rows) - 1, -1, -1)), set(range(len(rows)))
+    last axis, two uint64 words) at counter 0: shape keys.shape[:-1] + (n,),
+    the path fill's next chunk if these are its streams, else a fill of one."""
+    fill, shape = getattr(_local, "fill", None), keys.shape[:-1] + (n,)
+    if not (fill and fill.window and fill.window[0].shape == shape
+            and fill.window[0].keys == keys.reshape(-1, 2).tolist()):
+        fill = _Fill(iter([keys]), n)
+    return fill.take()
 
-    def streams():
-        """The streams one thread takes; asking for the next one marks the
-        last one filled."""
-        i = None
-        while True:
-            with lock:
-                unfilled.discard(i)
-                if not unfilled:
-                    finished.set()
-                i = untaken.pop() if untaken else None
-            if i is None:
-                return
-            yield i
 
-    futures = [_worker_pool(os.getpid()).submit(_fill, keys, rows, streams())
-               for _ in range(threads - 1)]
-    start = time.perf_counter()
+@contextmanager
+def _path_fill(seeds: np.ndarray, m: int, n_steps: int, chunk: int):
+    """One fill of the paths of seeds (a uint64 vector), chunk paths at a time,
+    open on this thread until the block exits: a brownian_path call whose
+    seeds, m and N are its next chunk's takes that chunk.  Once the block has
+    exited no worker of the fill is filling."""
+    fill = _local.fill = _Fill((_keys(seeds[i:i + chunk, None], _PATH_DOMAIN,
+                                      np.arange(1, m + 1, dtype=np.uint64))
+                                for i in range(0, len(seeds), chunk)), n_steps)
     try:
-        _fill(keys, rows, streams())
-    except BaseException:
-        with lock:
-            untaken.clear()
-        for future in futures:
-            future.exception()  # waits: each worker stops after the stream it holds
-        raise
-    # the caller's share of the streams is len(rows) / threads
-    if not finished.wait(GRACE_STREAMS * (time.perf_counter() - start) * threads / len(rows)):
-        with lock:
-            late = sorted(unfilled)
-        out = out.copy()  # the late rows are overwritten
-        _fill(keys, out.reshape(-1, n), late)
-    for future in futures:
-        if future.done():
-            future.result()
-    return out
+        yield
+    finally:
+        _local.fill = None
+        fill.close()
 
 
 def _path_seeds(seed: int, start: int, stop: int) -> np.ndarray:
@@ -316,6 +368,20 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     return GaussianPool(iv=path.iv, basis=basis, m=path.m, jmax=jmax, values=values)
 
 
+@lru_cache(maxsize=1)
+def _left_weights(weights: tuple, iv: Interval, n_steps: int, bits: bytes) -> tuple:
+    """Each weight on the left points of the n_steps-step grid of iv, or None
+    for a unit weight, read-only and fixed for a whole run (only the latest
+    are kept).  bits, those of iv and every coefficient, keep a hit exact
+    where == does not: -0.0 == 0.0, but the weight (-0.0,) is -0.0."""
+    left = iv.t + np.arange(n_steps) * (iv.length / n_steps)
+    values = [None if w.coeffs == (1.0,) else eval_weight(w, left, iv) for w in weights]
+    for value in values:
+        if value is not None:
+            value.setflags(write=False)
+    return tuple(values)
+
+
 def _work_array(work: list, shape: tuple, busy) -> np.ndarray:
     """A work array of the given shape that is not busy, made on first need;
     work never holds more than two."""
@@ -336,10 +402,10 @@ def path_iterated_integral(spec: IntegralSpec, path: WienerPath):
     same floating-point operations as building every factor in full, but a
     unit weight is neither evaluated nor multiplied (1.0 * x is exact), a
     time component multiplies by the scalar dt, and a non-unit weight is
-    evaluated once on the left grid: no batch-sized factor array is made
-    for a unit weight or a time component, and a call uses at most two
-    batch-sized work arrays.  A first-level unit-weight Wiener factor is the
-    increment row itself.
+    evaluated on the left grid once per run (see _left_weights): no
+    batch-sized factor array is made for a unit weight or a time component,
+    and a call uses at most two batch-sized work arrays.  A first-level
+    unit-weight Wiener factor is the increment row itself.
     """
     if spec.iv != path.iv:
         raise CompatibilityError("spec and path are on different intervals")
@@ -348,16 +414,10 @@ def path_iterated_integral(spec: IntegralSpec, path: WienerPath):
             f"spec uses component {spec.max_index} but path has m = {path.m}")
     iv, dt = spec.iv, path.dt
     shape = path.increments.shape[:-2] + (path.N,)
-    left = None
+    bits = np.array([iv.t, iv.T, *(c for w in spec.weights for c in w.coeffs)]).tobytes()
     work: list[np.ndarray] = []
     running = None
-    for i_l, w in zip(spec.indices, spec.weights):
-        if w.coeffs == (1.0,):
-            weight = None  # 1.0 * x is exact: nothing to evaluate or multiply
-        else:
-            if left is None:
-                left = iv.t + np.arange(path.N) * dt
-            weight = eval_weight(w, left, iv)
+    for i_l, weight in zip(spec.indices, _left_weights(spec.weights, iv, path.N, bits)):
         dw = dt if i_l == 0 else path.increments[..., i_l - 1, :]
         prefix = None
         if running is not None:

@@ -16,9 +16,9 @@ read once per run, and each chunk of paths is drawn by brownian_path from
 its seeds, as any caller would draw them (see stochastic).
 All aggregates use exact summation over an index-addressed sample array, so
 reports are bit-identical for a fixed seed.  Chunks of paths run one after
-another on the calling thread; within a chunk the path fill splits its
-normals over the CPUs the process may use (see stochastic), with the same
-bits on any number of CPUs.
+another on the calling thread, their normals from one fill per run, opened
+once the tensor is built: a worker per extra CPU fills the next chunk while
+this one is reduced (see stochastic), with the same bits on any CPU count.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ from .coefficients import CoefficientTensor, coefficient_tensor, parseval_residu
 from .errors import CapacityError, DomainError, NumericError, int_text, read_int, read_ints
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec
-from .stochastic import (MAX_SEED, _path_seeds, brownian_path, path_iterated_integral,
-                         zeta_from_path)
+from .stochastic import (MAX_SEED, _path_fill, _path_seeds, brownian_path,
+                         path_iterated_integral, zeta_from_path)
 
 
 # Normals budget of one chunk of paths: 2**16 is 8 paths at m = 2, N = 4096,
@@ -80,11 +80,12 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     chunk = max(1, CHUNK_NORMALS // (m * n_steps))
     seeds = _path_seeds(seed, 0, n_paths)
     diffs = np.empty(n_paths)
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        path = brownian_path(spec.iv, m, n_steps, seeds[start:stop])
-        approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
-        diffs[start:stop] = path_iterated_integral(spec, path) - approx
+    with _path_fill(seeds, m, n_steps, chunk):
+        for start in range(0, n_paths, chunk):
+            stop = min(start + chunk, n_paths)
+            path = brownian_path(spec.iv, m, n_steps, seeds[start:stop])
+            approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
+            diffs[start:stop] = path_iterated_integral(spec, path) - approx
     return diffs, tensor
 
 

@@ -1,9 +1,11 @@
 import math
 import os
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
 from unittest import mock
 
@@ -15,17 +17,19 @@ from hypothesis import strategies as st
 
 import itofourier.basis
 
-from itofourier import errors, stochastic
+from itofourier import errors, stochastic, validation
 from itofourier.basis import (LEGENDRE_MAX_DEGREE, BasisSystem, Interval, basis_matrix,
                               breakpoints, eval_basis, integrate_basis, jump_depth)
+from itofourier.coefficients import coefficient_tensor
 from itofourier.errors import (CapacityError, CompatibilityError, DomainError,
                                GridCompatibilityError)
-from itofourier.kernel import IntegralSpec, Weight, constant_spec
+from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight
 from itofourier.stochastic import (MAX_SEED, WienerPath, brownian_path, gaussian_pool,
                                    path_iterated_integral, path_seed, zeta_from_path)
+from itofourier.validation import sample_differences
 
 from oracles import (brownian_path_reference, gaussian_pool_reference, grid_sum_reference, jumps,
-                     key, path_seed_reference, stream)
+                     key, path_seed_reference, sample_differences_reference, stream)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -46,9 +50,9 @@ class RecordingPool:
         return self.futures[-1]
 
     def join(self) -> int:
-        """Wait for every worker submitted so far, and count them."""
-        for future in self.futures:
-            future.exception()
+        """Wait for every worker submitted so far, and count them (a worker
+        a fill cancelled before it started counts too)."""
+        wait(self.futures)
         return len(self.futures)
 
 
@@ -253,9 +257,9 @@ class TestSplitFill:
         fills, taken = [], []
         fill = stochastic._fill
 
-        def logged_fill(keys, rows, order):
+        def logged_fill(streams):
             fills.append(threading.current_thread() is threading.main_thread())
-            fill(keys, rows, (taken.append(i) or i for i in order))
+            fill(taken.append(tuple(pair[0])) or pair for pair in streams)
 
         monkeypatch.setattr(stochastic, "_fill", logged_fill)
         coords = [(2**64 - 1 - s, s % 3, s) for s in range(streams)]
@@ -264,7 +268,7 @@ class TestSplitFill:
         assert pool.join() == min(streams, cpus) - 1
         # the caller fills again only the streams workers still held
         assert fills.count(False) == min(streams, cpus) - 1 and True in fills
-        assert set(taken) == set(range(streams))
+        assert set(taken) == {tuple(k) for k in keys.tolist()}
         for row, coord in zip(rows, coords):
             assert np.array_equal(row, stream(*coord).standard_normal(4096))
 
@@ -278,14 +282,14 @@ class TestSplitFill:
         took, release = threading.Event(), threading.Event()
         fill = stochastic._fill
 
-        def stalling_fill(keys, rows, streams):
+        def stalling_fill(streams):
             if threading.current_thread() is threading.main_thread():
                 assert took.wait(10)
-                return fill(keys, rows, streams)
-            i = next(streams)
+                return fill(streams)
+            _, row = next(streams)
             took.set()
             assert release.wait(10)
-            rows[i] = np.nan
+            row[:] = np.nan
 
         monkeypatch.setattr(stochastic, "_fill", stalling_fill)
         keys = stochastic._keys(3, 1, np.arange(16, dtype=np.uint64))
@@ -298,21 +302,25 @@ class TestSplitFill:
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_error_on_any_thread_is_raised(self, failing, monkeypatch):
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
-        fill, done = stochastic._fill, []
+        fill, done, started = stochastic._fill, [], threading.Event()
 
-        def failing_fill(keys, rows, streams):
+        def failing_fill(streams):
             on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller:
+                assert started.wait(10)  # a worker not yet started is never started
+            else:
+                started.set()
             if on_caller == (failing == "caller"):
                 raise RuntimeError(failing)
             time.sleep(0.05)  # the other thread finishes after the failure
-            fill(keys, rows, streams)
-            done.append(len(rows))
+            fill(streams)
+            done.append(failing)
 
         monkeypatch.setattr(stochastic, "_fill", failing_fill)
         keys = stochastic._keys(3, 1, np.arange(16, dtype=np.uint64))
         with pytest.raises(RuntimeError, match=failing):
             stochastic._normals(keys, 4096)
-        assert done == [16]  # raised only once the other thread had stopped
+        assert done == [failing]  # raised only once the other thread had stopped
 
     def test_small_calls_start_no_thread(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_cpus", lambda: 4)
@@ -330,7 +338,6 @@ class TestSplitFill:
     def test_forked_child_fills_on_a_pool_of_its_own(self, monkeypatch):
         # the parent's pool has a live worker; a child inherits the pool but
         # not the thread, and a submit to it would wait forever
-        from itofourier.validation import sample_differences
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         spec = constant_spec(UNIT, (1, 2))
         want, _ = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, seed=9)
@@ -357,6 +364,152 @@ class TestSplitFill:
             os.waitpid(pid, 0)
             pytest.fail("the forked child did not finish within 60 s")
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestRunFill:
+    """One fill serves a whole run: a worker per extra CPU, started once,
+    fills the streams of the chunk brownian_path takes next and of the one
+    after it, and every chunk keeps the bits of the per-stream reference."""
+
+    @staticmethod
+    def _draw(seeds, m, n, chunk):
+        """The increments of the paths of seeds, drawn chunk by chunk by
+        brownian_path inside one path fill."""
+        with stochastic._path_fill(np.array(seeds, np.uint64), m, n, chunk):
+            return [brownian_path(UNIT, m, n, seeds[i:i + chunk]).increments
+                    for i in range(0, len(seeds), chunk)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("paths, chunk", [(10, 3), (10, 4), (6, 6), (7, 8)])
+    def test_chunks_are_the_reference_paths(self, paths, chunk, cpus, monkeypatch):
+        # a cutoff of one stream, so that every fill here has a worker per
+        # extra CPU; 10 paths in chunks of 3 and 4 end on a short chunk
+        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+        pool = RecordingPool()
+        monkeypatch.setattr(stochastic, "_worker_pool", pool)
+        seeds = [path_seed(5, i) for i in range(paths)]
+        drawn = self._draw(seeds, 2, 4096, chunk)
+        assert pool.join() == cpus - 1  # for the whole run, not per chunk
+        want = brownian_path_reference(UNIT, 2, 4096, seeds)
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
+
+    def test_many_workers_on_a_short_switch_interval(self, monkeypatch):
+        # five workers on a 2-CPU machine, the interpreter switching threads
+        # every 10 us: a stream taken twice or by no thread, or a row handed
+        # out before it is filled, breaks the reference bits
+        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 6)
+        pool = ThreadPoolExecutor(6)
+        monkeypatch.setattr(stochastic, "_worker_pool", lambda pid: pool)
+        seeds = [path_seed(9, i) for i in range(41)]
+        drawn, interval = [], sys.getswitchinterval()
+        run = threading.Thread(target=lambda: drawn.extend(self._draw(seeds, 2, 4096, 3)),
+                               daemon=True)
+        sys.setswitchinterval(1e-5)
+        try:
+            run.start()
+            run.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        pool.shutdown()
+        want = brownian_path_reference(UNIT, 2, 4096, seeds)
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
+
+    def test_a_stalled_worker_is_not_waited_for(self, monkeypatch):
+        # the worker stalls on its first stream until every chunk has been
+        # handed out: each chunk is handed out meanwhile with the reference
+        # bits, and the worker's late write reaches none of them
+        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        pool = RecordingPool()
+        monkeypatch.setattr(stochastic, "_worker_pool", pool)
+        took, release = threading.Event(), threading.Event()
+        fill = stochastic._fill
+
+        def stalling_fill(streams):
+            if threading.current_thread() is threading.main_thread():
+                return fill(streams)
+            _, row = next(streams)
+            took.set()
+            release.wait(10)
+            row[:] = np.nan
+            fill(streams)
+
+        monkeypatch.setattr(stochastic, "_fill", stalling_fill)
+        seeds = [path_seed(6, i) for i in range(10)]
+        drawn = []
+        with stochastic._path_fill(np.array(seeds, np.uint64), 2, 4096, 3):
+            assert took.wait(10)
+            for i in range(0, 10, 3):
+                drawn.append(brownian_path(UNIT, 2, 4096, seeds[i:i + 3]).increments)
+            release.set()
+        assert pool.join() == 1
+        want = brownian_path_reference(UNIT, 2, 4096, seeds)
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
+
+    def test_a_call_off_the_fill_fills_on_its_own(self, monkeypatch):
+        # calls whose seeds, m or N are not the next chunk's do not take it;
+        # three threads' worth of workers may take every pooled thread
+        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 3)
+        seeds = [path_seed(7, i) for i in range(9)]
+        want = brownian_path_reference(UNIT, 2, 4096, seeds)
+        with stochastic._path_fill(np.array(seeds, np.uint64), 2, 4096, 3):
+            for args, reference in (
+                    ((2, 4096, seeds[3:6]), want[3:6]),
+                    ((2, 4096, seeds[0]), want[0]),
+                    ((1, 4096, seeds[0:3]), want[0:3, :1]),
+                    ((2, 2048, seeds[0:3]), brownian_path_reference(UNIT, 2, 2048, seeds[0:3])),
+                    ((2, 4096, seeds[0:3]), want[0:3]),
+                    ((2, 4096, seeds[0:3]), want[0:3]),
+                    ((2, 4096, seeds[3:6]), want[3:6]),
+                    ((2, 4096, seeds[6:9]), want[6:9]),
+                    ((2, 4096, seeds[6:9]), want[6:9])):
+                got = brownian_path(UNIT, *args).increments
+                assert got.tobytes() == reference.tobytes(), args
+
+    def test_an_error_mid_run_closes_the_fill(self, monkeypatch):
+        # the reduction raises at chunk 3 while the worker is filling: once
+        # the error is out of sample_differences no thread is filling and
+        # the worker has stopped, and the next run is the reference sample
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        pool = RecordingPool()
+        monkeypatch.setattr(stochastic, "_worker_pool", pool)
+        filling, lock, fill = [], threading.Lock(), stochastic._fill
+
+        def slow_streams(streams):
+            for pair in streams:
+                with lock:
+                    filling.append(1)
+                yield pair
+                time.sleep(0.005)  # the worker is likely mid-stream at the error
+                with lock:
+                    filling.pop()
+
+        monkeypatch.setattr(stochastic, "_fill", lambda streams: fill(slow_streams(streams)))
+        expansion, calls = validation.truncated_expansion, []
+
+        def failing_expansion(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise RuntimeError("chunk 3")
+            return expansion(*args)
+
+        monkeypatch.setattr(validation, "truncated_expansion", failing_expansion)
+        spec = constant_spec(UNIT, (1, 2))
+        tensor = coefficient_tensor(spec, BasisSystem.LEGENDRE, (1, 1))
+        with pytest.raises(RuntimeError, match="chunk 3"):
+            sample_differences(spec, BasisSystem.LEGENDRE, (1, 1), 100, 4096, 8, tensor=tensor)
+        assert filling == [] and len(pool.futures) == 1
+        assert all(future.done() for future in pool.futures)
+        assert getattr(stochastic._local, "fill", None) is None
+        monkeypatch.undo()
+        diffs, _ = sample_differences(spec, BasisSystem.LEGENDRE, (1, 1), 100, 4096, 8,
+                                      tensor=tensor)
+        want = sample_differences_reference(spec, tensor, 100, 4096, 8, 8)
+        assert diffs.tobytes() == want.tobytes()
 
 
 class TestZetaFromPath:
@@ -617,6 +770,24 @@ class TestPathIteratedIntegral:
             tracemalloc.stop()
         # two batch-sized float64 work arrays, and 128 KB for the N-sized ones
         assert peak <= 2 * B * N * 8 + 128 * 1024
+
+    def test_weights_are_evaluated_once_per_run(self, monkeypatch):
+        # the non-unit weight of the mc-walsh spec is evaluated on the first
+        # of 13 chunks only; a spec equal but for a -0.0 coefficient, whose
+        # weight row is -0.0, is evaluated afresh
+        calls = []
+        monkeypatch.setattr(stochastic, "eval_weight",
+                            lambda w, *a: calls.append(w.coeffs) or eval_weight(w, *a))
+        stochastic._left_weights.cache_clear()
+        spec = IntegralSpec(UNIT, 3, (1, 2, 1),
+                            (Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))
+        sample_differences(spec, BasisSystem.WALSH, (3, 3, 3), 100, 4096, seed=2)
+        assert calls == [(1.0, 1.0)]
+        path = brownian_path(UNIT, 1, 8, seed=2)
+        for coeffs, evaluated in (((0.0,), 1), ((-0.0,), 1), ((-0.0,), 0), ((0.0,), 1)):
+            calls.clear()
+            path_iterated_integral(IntegralSpec(UNIT, 1, (1,), (Weight(coeffs),)), path)
+            assert len(calls) == evaluated, coeffs
 
     def test_compatibility_errors(self):
         path = brownian_path(UNIT, 1, 8, seed=1)
