@@ -299,6 +299,31 @@ class TestSplitFill:
         for i, row in enumerate(rows):
             assert np.array_equal(row, stream(3, 1, i).standard_normal(4096))
 
+    def test_a_caller_that_filled_no_stream_still_waits(self, monkeypatch):
+        # the worker takes both streams and fills each in about 50 ms; the
+        # caller, which fills neither, waits two of the fill's stream-times
+        # for the second instead of filling it again at once
+        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        took_both, caller_fills, fill = threading.Event(), [], stochastic._fill
+
+        def slow_fill(streams):
+            if threading.current_thread() is threading.main_thread():
+                assert took_both.wait(10)
+                caller_fills.append(1)
+                return fill(streams)
+            for count, pair in enumerate(streams, 1):
+                if count == 2:
+                    took_both.set()
+                time.sleep(0.05)
+                fill([pair])
+
+        monkeypatch.setattr(stochastic, "_fill", slow_fill)
+        rows = stochastic._normals(stochastic._keys(3, 1, np.arange(2, dtype=np.uint64)), 4096)
+        assert caller_fills == [1]
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, stream(3, 1, i).standard_normal(4096))
+
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_error_on_any_thread_is_raised(self, failing, monkeypatch):
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
