@@ -10,10 +10,11 @@ with the component 1..m as the index; the per-path seeds of a run are the
 four to a counter block, and brownian_path is the one constructor of a path
 or a batch of paths from their seeds.  Each thread keeps one Philox,
 re-keyed for each stream it fills and each read of the seed stream.  A
-fill of one call, or of a whole run's paths (_path_fill), may run on pooled
-worker threads too (see _Fill), with the same streams.  Pools can be
-enlarged and paths generated in any order or grouping without perturbing
-existing values, and identical seeds give bit-identical results.
+call fills its streams on the calling thread; the paths of a whole run
+(run_paths) may also be filled on worker threads of the run's own (see
+_Fill), with the same streams.  Pools can be enlarged and paths generated
+in any order or grouping without perturbing existing values, and identical
+seeds give bit-identical results.
 Paths, pools and the oracle take an optional leading batch axis, so one
 call handles a chunk of paths through the same code as one path.
 """
@@ -38,8 +39,11 @@ from .kernel import IntegralSpec, eval_weight
 _POOL_DOMAIN, _PATH_DOMAIN, _SEED_DOMAIN = 0, 1, 2
 # Seeds and path indices are integers in [0, MAX_SEED]: 64 bits of entropy
 MAX_SEED = 2**64 - 1
-# Fewest normals per thread of a split fill: waking a worker costs about the
-# time of 6000 normals, so a call of fewer than two threads' worth starts no
+# Normals budget of one chunk of a run's paths: 2**16 is 8 paths at m = 2,
+# N = 4096, about 1.3 MB of increments, pools and oracle working set
+CHUNK_NORMALS = 2**16
+# Fewest normals per thread of a run's fill: waking a worker costs about the
+# time of 6000 normals, so a chunk of fewer than two threads' worth starts no
 # thread
 PART_NORMALS = 12288
 # A caller with no stream of its chunk left to take waits this many times the
@@ -88,20 +92,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=1)
-def _worker_pool(pid: int):
-    """The fill workers of process pid: a forked child inherits the pool but
-    none of its threads.  Imported here, concurrent.futures and its logging
-    (about 0.7 MB) stay out of processes that never split a fill."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(os.cpu_count() or 1, "itofourier-normals")
-
-
 class _Chunk:
     """A chunk of a fill: keys, rows, next stream to take, streams held."""
 
     def __init__(self, keys: np.ndarray, n: int):
-        self.shape, self.keys = keys.shape[:-1] + (n,), keys.reshape(-1, 2).tolist()
+        self.keys = keys.reshape(-1, 2).tolist()
         self.rows, self.next, self.held = np.empty((len(self.keys), n)), 0, set()
 
 
@@ -109,21 +104,31 @@ class _Fill:
     """The normals, n to a stream, of chunks of streams (an iterator of key
     arrays), handed out in order by take on the thread that opened the fill.
     With PART_NORMALS normals of the first chunk for each of two threads, a
-    pooled worker per extra CPU (numpy's fill releases the GIL) takes the
-    next stream not yet taken of the next chunk or the one after it.  take
-    allocates the one after it, fills the streams of its chunk no worker
-    took, waits for those workers hold for GRACE_STREAMS times the fill's
-    mean time per stream, and fills those still held (their worker's CPU
-    taken by another process or the host) into a copy of the rows it hands
-    out: no rows are handed out twice, so a late write reaches no one."""
+    worker per extra CPU (numpy's fill releases the GIL), on an executor of
+    the fill's own, takes the next stream not yet taken of the next chunk or
+    the one after it.  take allocates the one after it, fills the streams of
+    its chunk no worker took, waits for those workers hold for GRACE_STREAMS
+    times the fill's mean time per stream, and fills those still held (their
+    worker's CPU taken by another process or the host) into a copy of the
+    rows it hands out: no rows are handed out twice, so a late write reaches
+    no one."""
 
     def __init__(self, chunks, n: int):
         self.chunks, self.cond = (_Chunk(keys, n) for keys in chunks), threading.Condition()
-        self.window, self.ended = [next(self.chunks)], False
+        self.window, self.ended, self.pool, self.workers = [next(self.chunks)], False, None, []
         self.spent, self.filled, streams = 0.0, 0, len(self.window[0].keys)
-        threads = min(streams, streams * n // PART_NORMALS)
-        self.workers = [_worker_pool(os.getpid()).submit(_fill, self._streams())
-                        for _ in range(min(threads, _cpus()) - 1 if threads > 1 else 0)]
+        threads = min(streams, streams * n // PART_NORMALS, _cpus())
+        if threads > 1:
+            # imported here, concurrent.futures and its logging (about 0.7 MB)
+            # stay out of processes that never start a worker
+            from concurrent.futures import ThreadPoolExecutor
+            self.pool = ThreadPoolExecutor(threads - 1, "itofourier-normals")
+            try:
+                for _ in range(threads - 1):
+                    self.workers.append(self.pool.submit(_fill, self._streams()))
+            except BaseException:
+                self.close()
+                raise
 
     def _streams(self, chunk=None):
         """The (key, row) pairs one thread fills: for take the rest of chunk,
@@ -148,67 +153,35 @@ class _Fill:
             yield c.keys[i], c.rows[i]
 
     def take(self) -> np.ndarray:
-        """The normals of the next chunk.  An error of this thread is raised
-        once every worker has stopped, a worker's if it has by the end."""
-        chunk, ahead = self.window[0], next(self.chunks, None) if self.workers else None
-        try:
-            with self.cond:
-                self.window += [ahead] if ahead else []
-                self.ended = ahead is None
-                self.cond.notify_all()
-            _fill(self._streams(chunk))
-            with self.cond:
-                self.window.pop(0)
-                self.cond.wait_for(lambda: not chunk.held,
-                                   GRACE_STREAMS * self.spent / max(self.filled, 1))
-                late, rows = sorted(chunk.held), chunk.rows
-            if late:
-                rows = rows.copy()  # the late rows are overwritten
-                _fill((chunk.keys[i], rows[i]) for i in late)
-        except BaseException:
-            self.close()
-            raise
-        for worker in self.workers:
-            if worker.done():
-                worker.result()
-        return rows.reshape(chunk.shape)
+        """The normals of the next chunk, a row per stream."""
+        chunk, ahead = self.window[0], next(self.chunks, None)
+        with self.cond:
+            self.window += [ahead] if ahead else []
+            self.ended = ahead is None
+            self.cond.notify_all()
+        _fill(self._streams(chunk))
+        with self.cond:
+            self.window.pop(0)
+            self.cond.wait_for(lambda: not chunk.held,
+                               GRACE_STREAMS * self.spent / max(self.filled, 1))
+            late, rows = sorted(chunk.held), chunk.rows
+        if late:
+            rows = rows.copy()  # the late rows are overwritten
+            _fill((chunk.keys[i], rows[i]) for i in late)
+        return rows
 
     def close(self) -> None:
-        """Stop the workers and wait for them: each stops after the stream it
-        holds, and one not yet started never starts."""
+        """Stop the workers, wait for their threads to end and raise the
+        error of any that failed: each stops after the stream it holds, and
+        one not yet started never starts."""
         with self.cond:
             self.window, self.ended = [], True
             self.cond.notify_all()
+        if self.pool:
+            self.pool.shutdown(cancel_futures=True)
         for worker in self.workers:
-            if not worker.cancel():
-                worker.exception()
-
-
-def _normals(keys: np.ndarray, n: int) -> np.ndarray:
-    """n standard normals from the Philox stream of each 128-bit key (the
-    last axis, two uint64 words) at counter 0: shape keys.shape[:-1] + (n,),
-    the path fill's next chunk if these are its streams, else a fill of one."""
-    fill, shape = getattr(_local, "fill", None), keys.shape[:-1] + (n,)
-    if not (fill and fill.window and fill.window[0].shape == shape
-            and fill.window[0].keys == keys.reshape(-1, 2).tolist()):
-        fill = _Fill(iter([keys]), n)
-    return fill.take()
-
-
-@contextmanager
-def _path_fill(seeds: np.ndarray, m: int, n_steps: int, chunk: int):
-    """One fill of the paths of seeds (a uint64 vector), chunk paths at a time,
-    open on this thread until the block exits: a brownian_path call whose
-    seeds, m and N are its next chunk's takes that chunk.  Once the block has
-    exited no worker of the fill is filling."""
-    fill = _local.fill = _Fill((_keys(seeds[i:i + chunk, None], _PATH_DOMAIN,
-                                      np.arange(1, m + 1, dtype=np.uint64))
-                                for i in range(0, len(seeds), chunk)), n_steps)
-    try:
-        yield
-    finally:
-        _local.fill = None
-        fill.close()
+            if not worker.cancelled():
+                worker.result()
 
 
 def _path_seeds(seed: int, start: int, stop: int) -> np.ndarray:
@@ -300,7 +273,7 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     values = np.empty((m + 1, jmax + 1))
     values[0] = _time_row(iv, jmax)
     keys = _keys(seed, _POOL_DOMAIN, np.arange(1, m + 1, dtype=np.uint64))
-    values[1:] = _normals(keys, jmax + 1)
+    _fill(zip(keys.tolist(), values[1:]))
     values.setflags(write=False)
     return GaussianPool(iv=iv, basis=basis, m=m, jmax=jmax, values=values)
 
@@ -316,12 +289,47 @@ def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
     single = np.ndim(seed) == 0
     seeds = [read_int("seed", s, 0, MAX_SEED) for s in ([seed] if single else seed)]
     errors.require_fits("paths", len(seeds) * m * N, "increments (m N per path)")
-    keys = _keys(np.array(seeds, np.uint64)[:, None], _PATH_DOMAIN,
-                 np.arange(1, m + 1, dtype=np.uint64))
-    increments = _normals(keys[0] if single else keys, N)
+    fill, _local.fill = getattr(_local, "fill", None), None
+    if fill:  # run_paths handed this call alone its next chunk
+        increments = fill.take()
+    else:
+        keys = _keys(np.array(seeds, np.uint64)[:, None], _PATH_DOMAIN,
+                     np.arange(1, m + 1, dtype=np.uint64))
+        increments = np.empty((len(seeds) * m, N))
+        _fill(zip(keys.reshape(-1, 2).tolist(), increments))
+    increments = increments.reshape((m, N) if single else (len(seeds), m, N))
     increments *= math.sqrt(iv.length / N)
     increments.setflags(write=False)
     return WienerPath(iv=iv, m=m, N=N, increments=increments)
+
+
+@contextmanager
+def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
+    """The paths 0..n_paths-1 of the run of seed, in chunks of
+    max(1, CHUNK_NORMALS // (m N)) paths: an iterator of (the index of the
+    chunk's first path, the chunk's batch of paths), each chunk drawn by
+    brownian_path from its slice of the per-path seeds, read once.  Their
+    normals come from one fill (see _Fill), opened as the block is entered
+    and closed as it exits, when no worker of it is filling any more."""
+    m, N, seed = read_int("m", m, lo=1), read_int("N", N, lo=1), read_int("seed", seed, 0, MAX_SEED)
+    errors.require_fits("paths", m * N, "increments (m N per path)")
+    n_paths = read_int("n_paths", n_paths, lo=1)
+    errors.require_fits("the run of n_paths", n_paths, "paths")
+    chunk = max(1, CHUNK_NORMALS // (m * N))
+    seeds, starts = _path_seeds(seed, 0, n_paths), range(0, n_paths, chunk)
+    components = np.arange(1, m + 1, dtype=np.uint64)
+    fill = _Fill((_keys(seeds[i:i + chunk, None], _PATH_DOMAIN, components) for i in starts), N)
+
+    def paths():
+        for i in starts:
+            _local.fill = fill  # for this brownian_path call alone to take
+            yield i, brownian_path(iv, m, N, seeds[i:i + chunk])
+
+    try:
+        yield paths()
+    finally:
+        _local.fill = None
+        fill.close()
 
 
 @lru_cache(maxsize=1)

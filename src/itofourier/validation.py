@@ -11,14 +11,13 @@ allowance = k**2 (T-t)**2 / N; it is reported, never silently absorbed.
 writes from one sample drawn by :func:`sample_differences`, so every bound
 and pass rule of a run is stated here, once.
 
-The seed of path i is word i of the run's stream of per-path seeds, all
-read once per run, and each chunk of paths is drawn by brownian_path from
-its seeds, as any caller would draw them (see stochastic).
+The paths of a run are those of stochastic.run_paths: path i from word i
+of the run's stream of per-path seeds, each chunk drawn by brownian_path.
 All aggregates use exact summation over an index-addressed sample array, so
 reports are bit-identical for a fixed seed.  Chunks of paths run one after
-another on the calling thread, their normals from one fill per run, opened
-once the tensor is built: a worker per extra CPU fills the next chunk while
-this one is reduced (see stochastic), with the same bits on any CPU count.
+another on the calling thread, their normals from the run's one fill,
+opened once the tensor is built: a worker per extra CPU fills the next
+chunk while this one is reduced, with the same bits on any CPU count.
 """
 from __future__ import annotations
 
@@ -32,13 +31,8 @@ from .coefficients import CoefficientTensor, coefficient_tensor, parseval_residu
 from .errors import CapacityError, DomainError, NumericError, int_text, read_int, read_ints
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec
-from .stochastic import (MAX_SEED, _path_fill, _path_seeds, brownian_path,
-                         path_iterated_integral, zeta_from_path)
-
-
-# Normals budget of one chunk of paths: 2**16 is 8 paths at m = 2, N = 4096,
-# about 1.3 MB of increments, pools and oracle working set
-CHUNK_NORMALS = 2**16
+# brownian_path is not called here: the benchmark's self-tests look it up here
+from .stochastic import brownian_path, path_iterated_integral, run_paths, zeta_from_path
 
 
 def grid_allowance(k: int, length: float, n_steps: int) -> float:
@@ -54,38 +48,29 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
                        ) -> tuple[np.ndarray, CoefficientTensor]:
     """Per-path differences D = pathwise integral - truncated expansion.
 
-    Chunks of max(1, CHUNK_NORMALS // (m N)) paths are one batched call
-    each of brownian_path, zeta_from_path, path_iterated_integral and
-    truncated_expansion.  Each path keeps its own derived seed, so the
-    sample does not depend on how paths are grouped into chunks beyond the
-    rounding of the batched contraction.  n_paths is held to [100,
-    errors.MAX_ENTRIES], n_steps to at least 1, the seed to [0, MAX_SEED]
-    and a given tensor to this spec, basis and orders before any path is
-    drawn.
+    Each chunk of paths of stochastic.run_paths is one batched call each of
+    zeta_from_path, path_iterated_integral and truncated_expansion.  Each
+    path keeps its own derived seed, so the sample does not depend on how
+    paths are grouped into chunks beyond the rounding of the batched
+    contraction.  n_paths is held to [100, errors.MAX_ENTRIES] and a given
+    tensor to this spec, basis and orders, and run_paths holds n_steps and
+    the seed, before any path is drawn.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")
     n_paths = read_int("n_paths", n_paths, lo=100)
     errors.require_fits("the sample of n_paths", n_paths, "paths")
-    n_steps = read_int("N", n_steps, lo=1)
-    seed = read_int("seed", seed, 0, MAX_SEED)
     orders_t = read_ints("orders", orders, lo=0)
-    m = spec.max_index
-    errors.require_fits("paths", m * n_steps, "increments (m N per path)")
     if tensor is None:
         tensor = coefficient_tensor(spec, basis, orders_t)
     elif tensor.spec != spec or tensor.basis is not basis or tensor.orders != orders_t:
         raise DomainError("tensor was built for a different integral spec, basis or orders")
     jmax = max(orders_t)
-    chunk = max(1, CHUNK_NORMALS // (m * n_steps))
-    seeds = _path_seeds(seed, 0, n_paths)
     diffs = np.empty(n_paths)
-    with _path_fill(seeds, m, n_steps, chunk):
-        for start in range(0, n_paths, chunk):
-            stop = min(start + chunk, n_paths)
-            path = brownian_path(spec.iv, m, n_steps, seeds[start:stop])
+    with run_paths(spec.iv, spec.max_index, n_steps, seed, n_paths) as paths:
+        for start, path in paths:
             approx = truncated_expansion(tensor, zeta_from_path(path, basis, jmax)).value
-            diffs[start:stop] = path_iterated_integral(spec, path) - approx
+            diffs[start:start + len(path.increments)] = path_iterated_integral(spec, path) - approx
     return diffs, tensor
 
 
@@ -150,6 +135,8 @@ def strong_error_estimate(diffs: np.ndarray, tensor: CoefficientTensor, n_steps:
     block: the sampled E[D^{2n}] against the degree-2n bound, whose residual
     is inflated by the grid allowance to fold in the grid bias.
     """
+    if not isinstance(diffs, np.ndarray) or diffs.ndim != 1 or diffs.size < 2:
+        raise DomainError("diffs must be a 1-D array of at least 2 differences")
     if n is not None:
         n = read_int("n", n, 1, 2)
     spec = tensor.spec

@@ -15,7 +15,7 @@ from itofourier.errors import CapacityError, DomainError, ItoFourierError
 from itofourier.kernel import CONSTANT_ONE, IntegralSpec, constant_spec
 from itofourier.partitions import pair_partitions, partition_count
 from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool, path_seed,
-                                   zeta_from_path)
+                                   run_paths, zeta_from_path)
 from itofourier.validation import (moment_bound_2n, moment_check, ms_error_bound,
                                    sample_differences, strong_error_estimate)
 
@@ -90,6 +90,11 @@ _INTEGER_ARGUMENTS = [
     ("jmax", lambda v: zeta_from_path(_PATH, LEGENDRE, v)),
     ("seed", lambda v: path_seed(v, 0)),
     ("path_index", lambda v: path_seed(1, v)),
+    # read as the block is entered, before any fill opens
+    ("m", lambda v: run_paths(UNIT, v, 4, 1, 1).__enter__()),
+    ("N", lambda v: run_paths(UNIT, 1, v, 1, 1).__enter__()),
+    ("seed", lambda v: run_paths(UNIT, 1, 4, v, 1).__enter__()),
+    ("n_paths", lambda v: run_paths(UNIT, 1, 4, 1, v).__enter__()),
     ("n_paths", lambda v: sample_differences(_SPEC_12, LEGENDRE, (0, 0), v, 16, 1)),
     ("N", lambda v: sample_differences(_SPEC_12, LEGENDRE, (0, 0), 100, v, 1)),
     ("seed", lambda v: sample_differences(_SPEC_12, LEGENDRE, (0, 0), 100, 16, v)),

@@ -5,7 +5,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
 from unittest import mock
 
@@ -34,26 +33,24 @@ from oracles import (brownian_path_reference, gaussian_pool_reference, grid_sum_
 UNIT = Interval(0.0, 1.0)
 
 
-class RecordingPool:
-    """Stands in for stochastic._worker_pool: submits to the real pool and
-    keeps each future, so that a test counts the workers a call asked for
-    and waits for those the call did not wait for."""
+def _rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The rows stochastic._fill writes for a (streams, 2) array of keys, n
+    normals to a row."""
+    rows = np.empty((len(keys), n))
+    stochastic._fill(zip(keys.tolist(), rows))
+    return rows
 
-    def __init__(self):
-        self.pool, self.futures = stochastic._worker_pool(os.getpid()), []
 
-    def __call__(self, pid):
-        return self
+def _opened_fills(monkeypatch) -> list:
+    """Every fill a run opens from now on, kept as the run opens it."""
+    fills, fill = [], stochastic._Fill
+    monkeypatch.setattr(stochastic, "_Fill", lambda *a: fills.append(fill(*a)) or fills[-1])
+    return fills
 
-    def submit(self, *args):
-        self.futures.append(self.pool.submit(*args))
-        return self.futures[-1]
 
-    def join(self) -> int:
-        """Wait for every worker submitted so far, and count them (a worker
-        a fill cancelled before it started counts too)."""
-        wait(self.futures)
-        return len(self.futures)
+def _fill_threads() -> list[str]:
+    """The names of the live threads of any fill."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("itofourier-normals")]
 
 
 class TestGaussianPool:
@@ -154,7 +151,7 @@ class TestStreamKeys:
     def test_key_is_the_coordinate_layout(self, seed, domain, index):
         keys = stochastic._keys(seed, domain, index)
         assert keys.dtype == np.uint64 and keys.tolist() == _words(key(seed, domain, index))
-        row = stochastic._normals(keys[None], 5)[0]
+        row = _rows(keys[None], 5)[0]
         assert np.array_equal(row, stream(seed, domain, index).standard_normal(5))
 
     @settings(max_examples=25, deadline=None)
@@ -190,17 +187,16 @@ class TestStreamKeys:
         # every row after the first starts at counter 0 with an empty buffer
         coords = [(3, 1, 1), (3, 1, 2), (2**64 - 1, 0, 5), (3, 1, 1)]
         keys = np.array([_words(key(*coord)) for coord in coords], np.uint64)
-        rows = stochastic._normals(keys, n)
-        assert rows.shape == (len(coords), n)
+        rows = _rows(keys, n)
         for row, coord in zip(rows, coords):
             assert np.array_equal(row, stream(*coord).standard_normal(n))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_one_philox_per_thread(self, cpus, monkeypatch):
-        # below the split cutoff a call fills on one thread; above it on a
-        # thread per CPU while each has PART_NORMALS normals.  Each thread
-        # builds one Philox on its first fill and re-keys it for every later
-        # stream, and path_seed borrows it
+        # a call outside a run fills on the calling thread; a run also on a
+        # worker per extra CPU while each has PART_NORMALS normals.  Each
+        # thread builds one Philox on its first fill and re-keys it for
+        # every later stream, and path_seed borrows it
         built, fills = [], []
         monkeypatch.setattr(stochastic, "_local", threading.local(), raising=False)
         monkeypatch.setattr(stochastic, "Philox", lambda **kw: built.append(kw) or Philox(**kw))
@@ -214,15 +210,36 @@ class TestStreamKeys:
         assert brownian_path(UNIT, 1, 9, seed=2).increments.tobytes() == \
             brownian_path_reference(UNIT, 1, 9, [2])[0].tobytes()
         assert len(built) == 1 and set(fills) == {threading.get_ident()}
-        pool = RecordingPool()
-        monkeypatch.setattr(stochastic, "_worker_pool", pool)
-        for seeds, N, threads in ((list(range(8)), 4096, cpus),
-                                  (0, stochastic.PART_NORMALS - 1, 1),
-                                  (0, stochastic.PART_NORMALS, min(cpus, 2))):
-            submitted = pool.join()
-            brownian_path(UNIT, 2, N, seeds)
-            assert pool.join() - submitted == threads - 1
-            assert len(built) == len(set(fills))
+        opened = _opened_fills(monkeypatch)
+        # 24 paths at m = 2, N = 4096: three chunks of 16 streams each
+        with stochastic.run_paths(UNIT, 2, 4096, 3, 24) as paths:
+            drawn = [path.increments for _, path in paths]
+        assert [len(run.workers) for run in opened] == [cpus - 1]
+        assert len(built) == len(set(fills)) <= cpus
+        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(3, i) for i in range(24)])
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
+
+    def test_no_call_outside_a_run_uses_a_worker(self, monkeypatch):
+        # on 4 CPUs, calls of many times PART_NORMALS normals per CPU fill on
+        # the calling thread alone, as small ones do, and start no thread
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 4)
+        fills, fill = [], stochastic._fill
+        monkeypatch.setattr(stochastic, "_fill",
+                            lambda *a: fills.append(threading.get_ident()) or fill(*a))
+        threads = threading.active_count()
+        seeds = [path_seed(4, i) for i in range(64)]
+        assert brownian_path(UNIT, 2, 4096, seeds).increments.tobytes() == \
+            brownian_path_reference(UNIT, 2, 4096, seeds).tobytes()
+        jmax = 2 * stochastic.PART_NORMALS - 1
+        assert gaussian_pool(UNIT, BasisSystem.LEGENDRE, 2, jmax, 9).values.tobytes() == \
+            gaussian_pool_reference(UNIT, 2, jmax, 9).tobytes()
+        gaussian_pool(UNIT, BasisSystem.LEGENDRE, 2, 31, seed=1)
+        gaussian_pool(UNIT, BasisSystem.WALSH, 3, 1023, seed=2)
+        brownian_path(UNIT, 1, 1, seed=3)
+        brownian_path(UNIT, 2, 4096, seed=4)
+        brownian_path(UNIT, 3, 16, list(range(5)))
+        assert set(fills) == {threading.get_ident()}
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_brownian_path_is_the_reference(self, m):
@@ -242,67 +259,84 @@ class TestStreamKeys:
             assert pool.values.tobytes() == gaussian_pool_reference(UNIT, m, jmax, seed).tobytes()
 
 
-class TestSplitFill:
-    """The streams of a call filled on worker threads are the streams filled
-    on the calling thread, bit for bit."""
+class TestRunFill:
+    """One fill serves a whole run: a worker per extra CPU, started once,
+    fills the streams of the chunk brownian_path takes next and of the one
+    after it, and every chunk keeps the bits of the per-stream reference."""
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("streams", [2, 3, 17])
-    def test_split_rows_are_the_reference_streams(self, streams, cpus, monkeypatch):
-        # a cutoff of one stream, so that every call here is split
+    @staticmethod
+    def _draw(monkeypatch, seed, paths, chunk):
+        """The increments of the run of seed, paths paths at m = 2,
+        N = 4096, drawn chunk paths at a time."""
+        monkeypatch.setattr(stochastic, "CHUNK_NORMALS", chunk * 2 * 4096)
+        with stochastic.run_paths(UNIT, 2, 4096, seed, paths) as chunks:
+            return [path.increments for _, path in chunks]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("paths, chunk", [(10, 3), (10, 4), (6, 6), (7, 8)])
+    def test_chunks_are_the_reference_paths(self, paths, chunk, cpus, monkeypatch):
+        # a cutoff of one stream, so that every fill here has a worker per
+        # extra CPU; 10 paths in chunks of 3 and 4 end on a short chunk
         monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
-        pool = RecordingPool()
-        monkeypatch.setattr(stochastic, "_worker_pool", pool)
-        fills, taken = [], []
-        fill = stochastic._fill
+        opened = _opened_fills(monkeypatch)
+        drawn = self._draw(monkeypatch, 5, paths, chunk)
+        assert [len(run.workers) for run in opened] == [cpus - 1]  # for the whole run
+        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(5, i) for i in range(paths)])
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
 
-        def logged_fill(streams):
-            fills.append(threading.current_thread() is threading.main_thread())
-            fill(taken.append(tuple(pair[0])) or pair for pair in streams)
-
-        monkeypatch.setattr(stochastic, "_fill", logged_fill)
-        coords = [(2**64 - 1 - s, s % 3, s) for s in range(streams)]
-        keys = np.array([_words(key(*coord)) for coord in coords], np.uint64)
-        rows = stochastic._normals(keys, 4096)
-        assert pool.join() == min(streams, cpus) - 1
-        # the caller fills again only the streams workers still held
-        assert fills.count(False) == min(streams, cpus) - 1 and True in fills
-        assert set(taken) == {tuple(k) for k in keys.tolist()}
-        for row, coord in zip(rows, coords):
-            assert np.array_equal(row, stream(*coord).standard_normal(4096))
+    def test_many_workers_on_a_short_switch_interval(self, monkeypatch):
+        # five workers on a 2-CPU machine, the interpreter switching threads
+        # every 10 us: a stream taken twice or by no thread, or a row handed
+        # out before it is filled, breaks the reference bits
+        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 6)
+        drawn, interval = [], sys.getswitchinterval()
+        run = threading.Thread(target=lambda: drawn.extend(self._draw(monkeypatch, 9, 41, 3)),
+                               daemon=True)
+        sys.setswitchinterval(1e-5)
+        try:
+            run.start()
+            run.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive() and _fill_threads() == []
+        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(9, i) for i in range(41)])
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
 
     def test_a_stalled_worker_is_not_waited_for(self, monkeypatch):
-        # the worker takes a stream and stalls; the caller fills that stream
-        # itself into the array it returns, which the worker's late write
-        # does not reach
+        # the worker stalls on its first stream until every chunk has been
+        # handed out: each chunk is handed out meanwhile with the reference
+        # bits, and the worker's late write reaches none of them
+        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
-        pool = RecordingPool()
-        monkeypatch.setattr(stochastic, "_worker_pool", pool)
+        monkeypatch.setattr(stochastic, "CHUNK_NORMALS", 3 * 2 * 4096)
+        opened = _opened_fills(monkeypatch)
         took, release = threading.Event(), threading.Event()
         fill = stochastic._fill
 
         def stalling_fill(streams):
             if threading.current_thread() is threading.main_thread():
-                assert took.wait(10)
                 return fill(streams)
             _, row = next(streams)
             took.set()
-            assert release.wait(10)
+            release.wait(10)
             row[:] = np.nan
+            fill(streams)
 
         monkeypatch.setattr(stochastic, "_fill", stalling_fill)
-        keys = stochastic._keys(3, 1, np.arange(16, dtype=np.uint64))
-        rows = stochastic._normals(keys, 4096)
-        release.set()
-        assert pool.join() == 1
-        for i, row in enumerate(rows):
-            assert np.array_equal(row, stream(3, 1, i).standard_normal(4096))
+        with stochastic.run_paths(UNIT, 2, 4096, 6, 10) as paths:
+            assert took.wait(10)
+            drawn = [path.increments for _, path in paths]
+            release.set()
+        assert [len(run.workers) for run in opened] == [1]
+        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(6, i) for i in range(10)])
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
 
     def test_a_caller_that_filled_no_stream_still_waits(self, monkeypatch):
-        # the worker takes both streams and fills each in about 50 ms; the
-        # caller, which fills neither, waits two of the fill's stream-times
-        # for the second instead of filling it again at once
+        # a run of one path: the worker takes both its streams and fills
+        # each in about 50 ms; the caller, which fills neither, waits two of
+        # the fill's stream-times for the second instead of filling it again
         monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         took_both, caller_fills, fill = threading.Event(), [], stochastic._fill
@@ -310,7 +344,8 @@ class TestSplitFill:
         def slow_fill(streams):
             if threading.current_thread() is threading.main_thread():
                 assert took_both.wait(10)
-                caller_fills.append(1)
+                streams = list(streams)
+                caller_fills.append(len(streams))
                 return fill(streams)
             for count, pair in enumerate(streams, 1):
                 if count == 2:
@@ -319,13 +354,16 @@ class TestSplitFill:
                 fill([pair])
 
         monkeypatch.setattr(stochastic, "_fill", slow_fill)
-        rows = stochastic._normals(stochastic._keys(3, 1, np.arange(2, dtype=np.uint64)), 4096)
-        assert caller_fills == [1]
-        for i, row in enumerate(rows):
-            assert np.array_equal(row, stream(3, 1, i).standard_normal(4096))
+        with stochastic.run_paths(UNIT, 2, 4096, 3, 1) as paths:
+            [(_, path)] = paths
+        assert caller_fills == [0]  # one call, for its own chunk, which had no stream left
+        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(3, 0)])
+        assert path.increments.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_error_on_any_thread_is_raised(self, failing, monkeypatch):
+        # a run of one chunk of 16 streams and one worker: the error leaves
+        # the run's block only once the other thread has stopped
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         fill, done, started = stochastic._fill, [], threading.Event()
 
@@ -342,166 +380,56 @@ class TestSplitFill:
             done.append(failing)
 
         monkeypatch.setattr(stochastic, "_fill", failing_fill)
-        keys = stochastic._keys(3, 1, np.arange(16, dtype=np.uint64))
         with pytest.raises(RuntimeError, match=failing):
-            stochastic._normals(keys, 4096)
-        assert done == [failing]  # raised only once the other thread had stopped
+            with stochastic.run_paths(UNIT, 2, 4096, 3, 8) as paths:
+                list(paths)
+        assert done == [failing] and _fill_threads() == []
 
-    def test_small_calls_start_no_thread(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "_cpus", lambda: 4)
-        monkeypatch.setattr(stochastic, "_worker_pool",
-                            lambda pid: pytest.fail("a pool was asked for"))
-        threads = threading.active_count()
-        gaussian_pool(UNIT, BasisSystem.LEGENDRE, 2, 31, seed=1)
-        gaussian_pool(UNIT, BasisSystem.WALSH, 3, 1023, seed=2)
-        brownian_path(UNIT, 1, 1, seed=3)
-        brownian_path(UNIT, 2, 4096, seed=4)
-        brownian_path(UNIT, 3, 16, list(range(5)))
-        assert threading.active_count() == threads
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
-    def test_forked_child_fills_on_a_pool_of_its_own(self, monkeypatch):
-        # the parent's pool has a live worker; a child inherits the pool but
-        # not the thread, and a submit to it would wait forever
-        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
-        spec = constant_spec(UNIT, (1, 2))
-        want, _ = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, seed=9)
-        assert stochastic._worker_pool.cache_info().currsize == 1
-        with warnings.catch_warnings():
-            # Python 3.12 warns that forking a process with threads may deadlock
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                got, _ = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, seed=9)
-                code = 0 if got.tobytes() == want.tobytes() else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.01)
-        else:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish within 60 s")
-        assert os.waitstatus_to_exitcode(status) == 0
-
-
-class TestRunFill:
-    """One fill serves a whole run: a worker per extra CPU, started once,
-    fills the streams of the chunk brownian_path takes next and of the one
-    after it, and every chunk keeps the bits of the per-stream reference."""
-
-    @staticmethod
-    def _draw(seeds, m, n, chunk):
-        """The increments of the paths of seeds, drawn chunk by chunk by
-        brownian_path inside one path fill."""
-        with stochastic._path_fill(np.array(seeds, np.uint64), m, n, chunk):
-            return [brownian_path(UNIT, m, n, seeds[i:i + chunk]).increments
-                    for i in range(0, len(seeds), chunk)]
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("paths, chunk", [(10, 3), (10, 4), (6, 6), (7, 8)])
-    def test_chunks_are_the_reference_paths(self, paths, chunk, cpus, monkeypatch):
-        # a cutoff of one stream, so that every fill here has a worker per
-        # extra CPU; 10 paths in chunks of 3 and 4 end on a short chunk
-        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
-        monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
-        pool = RecordingPool()
-        monkeypatch.setattr(stochastic, "_worker_pool", pool)
-        seeds = [path_seed(5, i) for i in range(paths)]
-        drawn = self._draw(seeds, 2, 4096, chunk)
-        assert pool.join() == cpus - 1  # for the whole run, not per chunk
-        want = brownian_path_reference(UNIT, 2, 4096, seeds)
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
-
-    def test_many_workers_on_a_short_switch_interval(self, monkeypatch):
-        # five workers on a 2-CPU machine, the interpreter switching threads
-        # every 10 us: a stream taken twice or by no thread, or a row handed
-        # out before it is filled, breaks the reference bits
-        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
-        monkeypatch.setattr(stochastic, "_cpus", lambda: 6)
-        pool = ThreadPoolExecutor(6)
-        monkeypatch.setattr(stochastic, "_worker_pool", lambda pid: pool)
-        seeds = [path_seed(9, i) for i in range(41)]
-        drawn, interval = [], sys.getswitchinterval()
-        run = threading.Thread(target=lambda: drawn.extend(self._draw(seeds, 2, 4096, 3)),
-                               daemon=True)
-        sys.setswitchinterval(1e-5)
-        try:
-            run.start()
-            run.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not run.is_alive()
-        pool.shutdown()
-        want = brownian_path_reference(UNIT, 2, 4096, seeds)
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
-
-    def test_a_stalled_worker_is_not_waited_for(self, monkeypatch):
-        # the worker stalls on its first stream until every chunk has been
-        # handed out: each chunk is handed out meanwhile with the reference
-        # bits, and the worker's late write reaches none of them
-        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
-        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
-        pool = RecordingPool()
-        monkeypatch.setattr(stochastic, "_worker_pool", pool)
-        took, release = threading.Event(), threading.Event()
-        fill = stochastic._fill
-
-        def stalling_fill(streams):
-            if threading.current_thread() is threading.main_thread():
-                return fill(streams)
-            _, row = next(streams)
-            took.set()
-            release.wait(10)
-            row[:] = np.nan
-            fill(streams)
-
-        monkeypatch.setattr(stochastic, "_fill", stalling_fill)
-        seeds = [path_seed(6, i) for i in range(10)]
-        drawn = []
-        with stochastic._path_fill(np.array(seeds, np.uint64), 2, 4096, 3):
-            assert took.wait(10)
-            for i in range(0, 10, 3):
-                drawn.append(brownian_path(UNIT, 2, 4096, seeds[i:i + 3]).increments)
-            release.set()
-        assert pool.join() == 1
-        want = brownian_path_reference(UNIT, 2, 4096, seeds)
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
-
-    def test_a_call_off_the_fill_fills_on_its_own(self, monkeypatch):
-        # calls whose seeds, m or N are not the next chunk's do not take it;
-        # three threads' worth of workers may take every pooled thread
+    def test_a_call_inside_a_run_fills_on_its_own(self, monkeypatch):
+        # calls between a run's chunks, even of the seeds of its next chunk,
+        # neither take a chunk of the run nor change one; two workers, so
+        # that every call here could split
         monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
         monkeypatch.setattr(stochastic, "_cpus", lambda: 3)
+        monkeypatch.setattr(stochastic, "CHUNK_NORMALS", 3 * 2 * 4096)
         seeds = [path_seed(7, i) for i in range(9)]
         want = brownian_path_reference(UNIT, 2, 4096, seeds)
-        with stochastic._path_fill(np.array(seeds, np.uint64), 2, 4096, 3):
+        drawn = []
+        with stochastic.run_paths(UNIT, 2, 4096, 7, 9) as paths:
             for args, reference in (
-                    ((2, 4096, seeds[3:6]), want[3:6]),
+                    ((2, 4096, seeds[0:3]), want[0:3]),
                     ((2, 4096, seeds[0]), want[0]),
                     ((1, 4096, seeds[0:3]), want[0:3, :1]),
-                    ((2, 2048, seeds[0:3]), brownian_path_reference(UNIT, 2, 2048, seeds[0:3])),
-                    ((2, 4096, seeds[0:3]), want[0:3]),
-                    ((2, 4096, seeds[0:3]), want[0:3]),
-                    ((2, 4096, seeds[3:6]), want[3:6]),
-                    ((2, 4096, seeds[6:9]), want[6:9]),
-                    ((2, 4096, seeds[6:9]), want[6:9])):
+                    ((2, 2048, seeds[0:3]), brownian_path_reference(UNIT, 2, 2048, seeds[0:3]))):
                 got = brownian_path(UNIT, *args).increments
                 assert got.tobytes() == reference.tobytes(), args
+            for start, path in paths:
+                drawn.append(path.increments)
+                got = brownian_path(UNIT, 2, 4096, seeds[start + 3:start + 6]).increments
+                assert got.tobytes() == want[start + 3:start + 6].tobytes()
+                assert gaussian_pool(UNIT, BasisSystem.WALSH, 2, 4095, start).values.tobytes() \
+                    == gaussian_pool_reference(UNIT, 2, 4095, start).tobytes()
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_no_fill_thread_outlives_its_run(self, cpus, monkeypatch):
+        # the run's workers fill on threads of their own, and all of them
+        # have ended by the time sample_differences returns
+        monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+        opened = _opened_fills(monkeypatch)
+        spec = constant_spec(UNIT, (1, 2))
+        diffs, tensor = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, 8)
+        assert [len(run.workers) for run in opened] == [cpus - 1]
+        assert _fill_threads() == []
+        want = sample_differences_reference(spec, tensor, 100, 4096, 8, 8)
+        assert diffs.tobytes() == want.tobytes()
 
     def test_an_error_mid_run_closes_the_fill(self, monkeypatch):
         # the reduction raises at chunk 3 while the worker is filling: once
-        # the error is out of sample_differences no thread is filling and
-        # the worker has stopped, and the next run is the reference sample
+        # the error is out of sample_differences no thread is filling, the
+        # worker's thread has ended, and the next run is the reference sample
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
-        pool = RecordingPool()
-        monkeypatch.setattr(stochastic, "_worker_pool", pool)
+        opened = _opened_fills(monkeypatch)
         filling, lock, fill = [], threading.Lock(), stochastic._fill
 
         def slow_streams(streams):
@@ -527,14 +455,45 @@ class TestRunFill:
         tensor = coefficient_tensor(spec, BasisSystem.LEGENDRE, (1, 1))
         with pytest.raises(RuntimeError, match="chunk 3"):
             sample_differences(spec, BasisSystem.LEGENDRE, (1, 1), 100, 4096, 8, tensor=tensor)
-        assert filling == [] and len(pool.futures) == 1
-        assert all(future.done() for future in pool.futures)
+        assert filling == [] and [len(run.workers) for run in opened] == [1]
+        assert all(worker.done() for worker in opened[0].workers)
+        assert _fill_threads() == []
         assert getattr(stochastic._local, "fill", None) is None
         monkeypatch.undo()
         diffs, _ = sample_differences(spec, BasisSystem.LEGENDRE, (1, 1), 100, 4096, 8,
                                       tensor=tensor)
         want = sample_differences_reference(spec, tensor, 100, 4096, 8, 8)
         assert diffs.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+    def test_forked_child_draws_the_same_sample(self, monkeypatch):
+        # a child forked after a run with a worker draws the same sample on
+        # a fill of its own
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        spec = constant_spec(UNIT, (1, 2))
+        want, _ = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, seed=9)
+        with warnings.catch_warnings():
+            # Python 3.12 warns that forking a process with threads may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got, _ = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, seed=9)
+                code = 0 if got.tobytes() == want.tobytes() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestZetaFromPath:

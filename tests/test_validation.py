@@ -167,6 +167,18 @@ class TestMomentCheck:
             with pytest.raises(DomainError, match="^n"):
                 strong_error_estimate(diffs, tensor, 64, n)
 
+    @pytest.mark.parametrize("diffs", [np.zeros(0), np.zeros(1), np.zeros((2, 50)), [0.0] * 100],
+                             ids=["empty", "one", "2-D", "list"])
+    def test_rejects_malformed_diffs(self, diffs):
+        # refused by name before any statistic: a sample of fewer than two
+        # has no standard error, and a 2-D array no float per path
+        tensor = coefficient_tensor(constant_spec(UNIT, (1, 2)), LEG, (0, 0))
+        with pytest.raises(DomainError, match="^diffs"):
+            strong_error_estimate(diffs, tensor, 64)
+        for n in (1, 2):
+            with pytest.raises(DomainError, match="^diffs"):
+                moment_check(diffs, tensor, 64, n)
+
 
 def test_grid_allowance_constant():
     assert grid_allowance(2, 1.0, 4096) == pytest.approx(4.0 / 4096.0)
@@ -179,11 +191,13 @@ class TestChunkedEngine:
         # of 4, their seeds read once from the seed stream and each chunk
         # drawn by the public path constructor
         calls = {}
-        for name in ("_path_seeds", "brownian_path", "zeta_from_path",
-                     "path_iterated_integral", "truncated_expansion"):
-            original = getattr(validation, name)
+        for module, name in ((stochastic, "_path_seeds"), (stochastic, "brownian_path"),
+                             (validation, "zeta_from_path"),
+                             (validation, "path_iterated_integral"),
+                             (validation, "truncated_expansion")):
+            original = getattr(module, name)
             calls[name] = []
-            monkeypatch.setattr(validation, name, lambda *a, _f=original, _n=name:
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name:
                                 calls[_n].append((a, _f(*a))) or calls[_n][-1][1])
         spec = constant_spec(UNIT, (1, 2))
         diffs, _ = sample_differences(spec, LEG, (0, 0), 100, 4096, seed=4)
@@ -205,7 +219,7 @@ class TestChunkedEngine:
         # read the seed stream across its blocks of four words
         spec = constant_spec(UNIT, (1, 2))
         tensor = coefficient_tensor(spec, LEG, (2, 1))
-        with mock.patch.object(validation, "CHUNK_NORMALS", chunk * 2 * 4096):
+        with mock.patch.object(stochastic, "CHUNK_NORMALS", chunk * 2 * 4096):
             diffs, _ = sample_differences(spec, LEG, (2, 1), 100, 4096, 2**64 - 1, tensor=tensor)
         expected = sample_differences_reference(spec, tensor, 100, 4096, 2**64 - 1, chunk)
         assert diffs.tobytes() == expected.tobytes()
@@ -221,14 +235,13 @@ class TestChunkedEngine:
         tensor = coefficient_tensor(spec, basis, orders)
         samples = []
         for cpus in (1, 2):
-            workers = []
-            pool = stochastic._worker_pool
+            fills = []
             monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
-            monkeypatch.setattr(stochastic, "_worker_pool",
-                                lambda pid: workers.append(1) or pool(pid))
+            monkeypatch.setattr(stochastic, "_Fill", lambda *a, _f=stochastic._Fill:
+                                fills.append(_f(*a)) or fills[-1])
             diffs, _ = sample_differences(spec, basis, orders, 100, 4096, 12, tensor=tensor)
             monkeypatch.undo()
-            assert len(workers) == cpus - 1
+            assert [len(fill.workers) for fill in fills] == [cpus - 1]
             samples.append(diffs.tobytes())
         assert samples[0] == samples[1]
 
@@ -246,9 +259,8 @@ class TestPrebuiltTensor:
         (coefficient_tensor(constant_spec(Interval(0.0, 2.0), (1, 2)), LEG, (2, 2)), (2, 2)),
     ], ids=["spec", "basis", "orders", "no-orders", "interval"])
     def test_foreign_tensor_named_before_any_path(self, tensor, orders, monkeypatch):
-        # reading a seed or drawing a path would fail
-        monkeypatch.setattr(validation, "_path_seeds", None)
-        monkeypatch.setattr(validation, "brownian_path", None)
+        # opening the run's paths would fail
+        monkeypatch.setattr(validation, "run_paths", None)
         with pytest.raises(DomainError, match="^tensor "):
             sample_differences(self.SPEC, LEG, orders, 100, 64, seed=1, tensor=tensor)
 
@@ -264,9 +276,9 @@ def _spec_strategy():
 def _sample(spec, basis, orders, tensor, seed, chunk_paths):
     """The differences of 100 paths of 64 steps, chunk_paths paths per chunk
     (None: the module default)."""
-    normals = validation.CHUNK_NORMALS if chunk_paths is None \
+    normals = stochastic.CHUNK_NORMALS if chunk_paths is None \
         else chunk_paths * spec.max_index * 64
-    with mock.patch.object(validation, "CHUNK_NORMALS", normals):
+    with mock.patch.object(stochastic, "CHUNK_NORMALS", normals):
         return sample_differences(spec, basis, orders, 100, 64, seed, tensor=tensor)[0]
 
 
