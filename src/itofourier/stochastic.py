@@ -115,17 +115,16 @@ class _Fill:
 
     def __init__(self, chunks, n: int):
         self.chunks, self.cond = (_Chunk(keys, n) for keys in chunks), threading.Condition()
-        self.window, self.ended, self.pool, self.workers = [next(self.chunks)], False, None, []
+        self.window, self.pool, self.workers = [next(self.chunks)], None, []
         self.spent, self.filled, streams = 0.0, 0, len(self.window[0].keys)
         threads = min(streams, streams * n // PART_NORMALS, _cpus())
         if threads > 1:
             # imported here, concurrent.futures and its logging (about 0.7 MB)
             # stay out of processes that never start a worker
             from concurrent.futures import ThreadPoolExecutor
-            self.pool = ThreadPoolExecutor(threads - 1, "itofourier-normals")
+            self.pool = pool = ThreadPoolExecutor(threads - 1, "itofourier-normals")
             try:
-                for _ in range(threads - 1):
-                    self.workers.append(self.pool.submit(_fill, self._streams()))
+                self.workers = [pool.submit(_fill, self._streams()) for _ in range(threads - 1)]
             except BaseException:
                 self.close()
                 raise
@@ -144,7 +143,7 @@ class _Fill:
                     self.cond.notify_all()
                 while not (c := next((k for k in ([chunk] if chunk else self.window)
                                       if k.next < len(k.keys)), None)):
-                    if chunk or self.ended:
+                    if chunk or not self.window:  # no chunk to come
                         return
                     self.cond.wait()
                 i, c.next = c.next, c.next + 1
@@ -153,11 +152,10 @@ class _Fill:
             yield c.keys[i], c.rows[i]
 
     def take(self) -> np.ndarray:
-        """The normals of the next chunk, a row per stream."""
+        """The normals of the next chunk, a row per stream, or a failed worker's error."""
         chunk, ahead = self.window[0], next(self.chunks, None)
         with self.cond:
             self.window += [ahead] if ahead else []
-            self.ended = ahead is None
             self.cond.notify_all()
         _fill(self._streams(chunk))
         with self.cond:
@@ -168,20 +166,23 @@ class _Fill:
         if late:
             rows = rows.copy()  # the late rows are overwritten
             _fill((chunk.keys[i], rows[i]) for i in late)
+        self.check()
         return rows
 
+    def check(self) -> None:
+        """Raise the error of any worker that has failed."""
+        for worker in self.workers:
+            if worker.done() and not worker.cancelled():
+                worker.result()
+
     def close(self) -> None:
-        """Stop the workers, wait for their threads to end and raise the
-        error of any that failed: each stops after the stream it holds, and
-        one not yet started never starts."""
+        """Stop the workers and wait for their threads to end: each stops
+        after the stream it holds, and one not yet started never starts."""
         with self.cond:
-            self.window, self.ended = [], True
+            self.window = []
             self.cond.notify_all()
         if self.pool:
             self.pool.shutdown(cancel_futures=True)
-        for worker in self.workers:
-            if not worker.cancelled():
-                worker.result()
 
 
 def _path_seeds(seed: int, start: int, stop: int) -> np.ndarray:
@@ -308,9 +309,10 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
     """The paths 0..n_paths-1 of the run of seed, in chunks of
     max(1, CHUNK_NORMALS // (m N)) paths: an iterator of (the index of the
     chunk's first path, the chunk's batch of paths), each chunk drawn by
-    brownian_path from its slice of the per-path seeds, read once.  Their
-    normals come from one fill (see _Fill), opened as the block is entered
-    and closed as it exits, when no worker of it is filling any more."""
+    brownian_path from its slice of the per-path seeds, read once.  With a
+    worker, their normals come from one fill (see _Fill) closed as the block
+    exits, when no worker is filling any more; a worker's error is raised
+    with the next chunk or as the block exits."""
     m, N, seed = read_int("m", m, lo=1), read_int("N", N, lo=1), read_int("seed", seed, 0, MAX_SEED)
     errors.require_fits("paths", m * N, "increments (m N per path)")
     n_paths = read_int("n_paths", n_paths, lo=1)
@@ -322,7 +324,7 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
 
     def paths():
         for i in starts:
-            _local.fill = fill  # for this brownian_path call alone to take
+            _local.fill = fill if fill.workers else None  # for this call alone to take
             yield i, brownian_path(iv, m, N, seeds[i:i + chunk])
 
     try:
@@ -330,6 +332,7 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
     finally:
         _local.fill = None
         fill.close()
+    fill.check()  # not as an error leaves the block: that error wins
 
 
 @lru_cache(maxsize=1)

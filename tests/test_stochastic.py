@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import sys
@@ -284,6 +285,88 @@ class TestRunFill:
         assert [len(run.workers) for run in opened] == [cpus - 1]  # for the whole run
         want = brownian_path_reference(UNIT, 2, 4096, [path_seed(5, i) for i in range(paths)])
         assert np.concatenate(drawn).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_steps, cpus, workers", [
+        (stochastic.PART_NORMALS - 1, 2, 0),  # fewer than PART_NORMALS for each of two
+        (stochastic.PART_NORMALS, 1, 0),
+        (stochastic.PART_NORMALS, 2, 1),
+        (stochastic.PART_NORMALS, 3, 1),
+        (3 * stochastic.PART_NORMALS, 3, 1),  # never more threads than streams
+    ])
+    def test_workers_follow_the_part_normals_rule(self, n_steps, cpus, workers, monkeypatch):
+        # a one-path run at m = 2 is one chunk of 2 streams; a run with no
+        # worker hands no chunk of its fill out, so it reads none ahead
+        monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+        if not workers:
+            monkeypatch.setattr(stochastic._Fill, "take", None)
+        opened = _opened_fills(monkeypatch)
+        with stochastic.run_paths(UNIT, 2, n_steps, 4, 1) as paths:
+            [(_, path)] = paths
+        assert [len(run.workers) for run in opened] == [workers]
+        want = brownian_path_reference(UNIT, 2, n_steps, [path_seed(4, 0)])
+        assert path.increments.tobytes() == want.tobytes()
+
+    def test_a_worker_error_is_raised_with_the_next_chunk(self, monkeypatch):
+        # the worker fails on its first stream: the first chunk handed out
+        # after the failure raises it, not the end of the run
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        opened = _opened_fills(monkeypatch)
+        fill = stochastic._fill
+
+        def failing_fill(streams):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker")
+            concurrent.futures.wait(opened[0].workers, 10)
+            fill(streams)
+
+        monkeypatch.setattr(stochastic, "_fill", failing_fill)
+        drawn = []
+        with pytest.raises(RuntimeError, match="worker"):
+            with stochastic.run_paths(UNIT, 2, 4096, 3, 40) as paths:
+                drawn.extend(path for _, path in paths)
+        assert drawn == [] and [len(run.workers) for run in opened] == [1]
+        assert _fill_threads() == []
+
+    def test_a_worker_error_after_the_last_chunk_is_raised_as_the_block_exits(self,
+                                                                               monkeypatch):
+        # a run of one chunk: the worker holds a stream until the chunk has
+        # been handed out (the caller fills it into a copy), then fails
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        took, release, fill = threading.Event(), threading.Event(), stochastic._fill
+
+        def late_failing_fill(streams):
+            if threading.current_thread() is threading.main_thread():
+                assert took.wait(10)
+                return fill(streams)
+            next(streams)
+            took.set()
+            release.wait(10)
+            raise RuntimeError("late")
+
+        monkeypatch.setattr(stochastic, "_fill", late_failing_fill)
+        with pytest.raises(RuntimeError, match="late"):
+            with stochastic.run_paths(UNIT, 2, 4096, 3, 8) as paths:
+                [(_, path)] = paths
+                release.set()
+        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(3, i) for i in range(8)])
+        assert path.increments.tobytes() == want.tobytes() and _fill_threads() == []
+
+    def test_an_error_of_the_block_wins_over_a_workers(self, monkeypatch):
+        # the worker has failed when the block raises an error of its own:
+        # that error leaves the run, and the worker's thread has ended
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        opened = _opened_fills(monkeypatch)
+
+        def failing_fill(streams):
+            raise RuntimeError("worker")
+
+        monkeypatch.setattr(stochastic, "_fill", failing_fill)
+        with pytest.raises(KeyError, match="block"):
+            with stochastic.run_paths(UNIT, 2, 4096, 3, 40):
+                concurrent.futures.wait(opened[0].workers, 10)
+                assert opened[0].workers[0].exception() is not None
+                raise KeyError("block")
+        assert _fill_threads() == []
 
     def test_many_workers_on_a_short_switch_interval(self, monkeypatch):
         # five workers on a 2-CPU machine, the interpreter switching threads

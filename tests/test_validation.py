@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from itofourier import stochastic, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor
-from itofourier.errors import DomainError, NumericError
+from itofourier.errors import CapacityError, DomainError, NumericError
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, kernel_l2_norm_sq
 from itofourier.stochastic import brownian_path, path_iterated_integral, path_seed
 from itofourier.validation import (grid_allowance, moment_check, sample_differences,
@@ -87,6 +87,15 @@ class TestStrongErrorEstimate:
             sample_differences(spec, LEG, (0, 0), 200, 64, seed=1)
         with pytest.raises(DomainError):
             sample_differences(constant_spec(UNIT, (1, 2)), LEG, (0, 0), 99, 64, seed=1)
+
+    @pytest.mark.parametrize("n_steps, seed, error", [
+        (0, 1, DomainError), (64, -1, DomainError), (64, 2**64, DomainError),
+        (10**8, 1, CapacityError)])  # m N = 2 * 10**8 increments a path
+    def test_run_arguments_are_read_before_the_tensor_is_built(self, n_steps, seed, error,
+                                                               monkeypatch):
+        monkeypatch.setattr(validation, "coefficient_tensor", None)
+        with pytest.raises(error, match="^N |^seed |^paths "):
+            sample_differences(constant_spec(UNIT, (1, 2)), LEG, (0, 0), 100, n_steps, seed)
 
     def test_reproducible_and_thread_invariant(self):
         spec = constant_spec(UNIT, (1, 2))
