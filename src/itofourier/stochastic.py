@@ -10,11 +10,11 @@ with the component 1..m as the index; the per-path seeds of a run are the
 four to a counter block, and brownian_path is the one constructor of a path
 or a batch of paths from their seeds.  Each thread keeps one Philox,
 re-keyed for each stream it fills and each read of the seed stream.  A
-call fills its streams on the calling thread; the paths of a whole run
-(run_paths) may also be filled on worker threads of the run's own (see
-_Fill), with the same streams.  Pools can be enlarged and paths generated
-in any order or grouping without perturbing existing values, and identical
-seeds give bit-identical results.
+call fills its streams on the calling thread, but a run (run_paths) with a
+worker passes its fill to its own brownian_path calls, filled also on its
+workers (see _Fill), with the same streams.  Pools can be enlarged and
+paths generated in any order or grouping without perturbing existing
+values, and identical seeds give bit-identical results.
 Paths, pools and the oracle take an optional leading batch axis, so one
 call handles a chunk of paths through the same code as one path.
 """
@@ -103,9 +103,8 @@ class _Chunk:
 class _Fill:
     """The normals, n to a stream, of chunks of streams (an iterator of key
     arrays), handed out in order by take on the thread that opened the fill.
-    With PART_NORMALS normals of the first chunk for each of two threads, a
-    worker per extra CPU (numpy's fill releases the GIL), on an executor of
-    the fill's own, takes the next stream not yet taken of the next chunk or
+    Its workers (numpy's fill releases the GIL), on an executor of the
+    fill's own, each take the next stream not yet taken of the next chunk or
     the one after it.  take allocates the one after it, fills the streams of
     its chunk no worker took, waits for those workers hold for GRACE_STREAMS
     times the fill's mean time per stream, and fills those still held (their
@@ -113,21 +112,18 @@ class _Fill:
     rows it hands out: no rows are handed out twice, so a late write reaches
     no one."""
 
-    def __init__(self, chunks, n: int):
+    def __init__(self, chunks, n: int, workers: int):
+        # imported here, concurrent.futures and its logging (about 0.7 MB)
+        # stay out of processes that never start a worker
+        from concurrent.futures import ThreadPoolExecutor
         self.chunks, self.cond = (_Chunk(keys, n) for keys in chunks), threading.Condition()
-        self.window, self.pool, self.workers = [next(self.chunks)], None, []
-        self.spent, self.filled, streams = 0.0, 0, len(self.window[0].keys)
-        threads = min(streams, streams * n // PART_NORMALS, _cpus())
-        if threads > 1:
-            # imported here, concurrent.futures and its logging (about 0.7 MB)
-            # stay out of processes that never start a worker
-            from concurrent.futures import ThreadPoolExecutor
-            self.pool = pool = ThreadPoolExecutor(threads - 1, "itofourier-normals")
-            try:
-                self.workers = [pool.submit(_fill, self._streams()) for _ in range(threads - 1)]
-            except BaseException:
-                self.close()
-                raise
+        self.window, self.spent, self.filled = [next(self.chunks)], 0.0, 0
+        self.pool = ThreadPoolExecutor(workers, "itofourier-normals")
+        try:
+            self.workers = [self.pool.submit(_fill, self._streams()) for _ in range(workers)]
+        except BaseException:
+            self.close()
+            raise
 
     def _streams(self, chunk=None):
         """The (key, row) pairs one thread fills: for take the rest of chunk,
@@ -181,8 +177,7 @@ class _Fill:
         with self.cond:
             self.window = []
             self.cond.notify_all()
-        if self.pool:
-            self.pool.shutdown(cancel_futures=True)
+        self.pool.shutdown(cancel_futures=True)
 
 
 def _path_seeds(seed: int, start: int, stop: int) -> np.ndarray:
@@ -279,19 +274,19 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     return GaussianPool(iv=iv, basis=basis, m=m, jmax=jmax, values=values)
 
 
-def brownian_path(iv: Interval, m: int, N: int, seed) -> WienerPath:
+def brownian_path(iv: Interval, m: int, N: int, seed, *, fill=None) -> WienerPath:
     """Uniform-grid Wiener increments, Normal(0, (T-t)/N) i.i.d. per entry.
 
     Component rows come from per-component streams, so entry (i, l) depends
     only on (seed, i, l).  A sequence of seeds gives a batch whose row b is
-    bit-identical to the path of seeds[b].
+    bit-identical to the path of seeds[b].  fill is run_paths' own: the
+    run's fill, whose next chunk is the streams of these seeds.
     """
     m, N = read_int("m", m, lo=1), read_int("N", N, lo=1)
     single = np.ndim(seed) == 0
     seeds = [read_int("seed", s, 0, MAX_SEED) for s in ([seed] if single else seed)]
     errors.require_fits("paths", len(seeds) * m * N, "increments (m N per path)")
-    fill, _local.fill = getattr(_local, "fill", None), None
-    if fill:  # run_paths handed this call alone its next chunk
+    if fill:
         increments = fill.take()
     else:
         keys = _keys(np.array(seeds, np.uint64)[:, None], _PATH_DOMAIN,
@@ -309,30 +304,29 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
     """The paths 0..n_paths-1 of the run of seed, in chunks of
     max(1, CHUNK_NORMALS // (m N)) paths: an iterator of (the index of the
     chunk's first path, the chunk's batch of paths), each chunk drawn by
-    brownian_path from its slice of the per-path seeds, read once.  With a
-    worker, their normals come from one fill (see _Fill) closed as the block
-    exits, when no worker is filling any more; a worker's error is raised
-    with the next chunk or as the block exits."""
+    brownian_path from its slice of the per-path seeds, read once, as the
+    block is entered.  With PART_NORMALS normals of the first chunk for each
+    of two threads, a worker per extra CPU starts then, on one fill (see
+    _Fill) passed to each of those calls; a worker's error is raised with
+    the next chunk or as the block exits, and no worker outlives the block.
+    A run with no worker opens no fill."""
     m, N, seed = read_int("m", m, lo=1), read_int("N", N, lo=1), read_int("seed", seed, 0, MAX_SEED)
     errors.require_fits("paths", m * N, "increments (m N per path)")
     n_paths = read_int("n_paths", n_paths, lo=1)
     errors.require_fits("the run of n_paths", n_paths, "paths")
     chunk = max(1, CHUNK_NORMALS // (m * N))
     seeds, starts = _path_seeds(seed, 0, n_paths), range(0, n_paths, chunk)
-    components = np.arange(1, m + 1, dtype=np.uint64)
-    fill = _Fill((_keys(seeds[i:i + chunk, None], _PATH_DOMAIN, components) for i in starts), N)
-
-    def paths():
-        for i in starts:
-            _local.fill = fill if fill.workers else None  # for this call alone to take
-            yield i, brownian_path(iv, m, N, seeds[i:i + chunk])
-
+    components, streams = np.arange(1, m + 1, dtype=np.uint64), min(chunk, n_paths) * m
+    threads = min(streams, streams * N // PART_NORMALS, _cpus())
+    fill = _Fill((_keys(seeds[i:i + chunk, None], _PATH_DOMAIN, components) for i in starts),
+                 N, threads - 1) if threads > 1 else None
     try:
-        yield paths()
+        yield ((i, brownian_path(iv, m, N, seeds[i:i + chunk], fill=fill)) for i in starts)
     finally:
-        _local.fill = None
-        fill.close()
-    fill.check()  # not as an error leaves the block: that error wins
+        if fill:
+            fill.close()
+    if fill:
+        fill.check()  # not as an error leaves the block: that error wins
 
 
 @lru_cache(maxsize=1)

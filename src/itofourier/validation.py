@@ -15,9 +15,9 @@ The paths of a run are those of stochastic.run_paths: path i from word i
 of the run's stream of per-path seeds, each chunk drawn by brownian_path.
 All aggregates use exact summation over an index-addressed sample array, so
 reports are bit-identical for a fixed seed.  Chunks of paths run one after
-another on the calling thread, in a run opened once the tensor is built;
-where a worker per extra CPU starts, it fills the next chunk while this
-one is reduced, with the same bits on any CPU count.
+another on the calling thread, in a run opened before the tensor is built:
+a worker per extra CPU, where one starts, fills the first chunk during the
+build and the next while this one is reduced, with the same bits.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .errors import CapacityError, DomainError, NumericError, int_text, read_int
 from .expansion import truncated_expansion
 from .kernel import IntegralSpec
 # brownian_path is not called here: the benchmark's self-tests look it up here
-from .stochastic import MAX_SEED, brownian_path, path_iterated_integral, run_paths, zeta_from_path
+from .stochastic import brownian_path, path_iterated_integral, run_paths, zeta_from_path
 
 
 def grid_allowance(k: int, length: float, n_steps: int) -> float:
@@ -52,23 +52,19 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     zeta_from_path, path_iterated_integral and truncated_expansion.  Each
     path keeps its own derived seed, so the sample does not depend on how
     paths are grouped into chunks beyond the rounding of the batched
-    contraction.  n_paths, n_steps, the seed and m n_steps are read before
-    the tensor is built, and a given tensor is held to this spec, basis and
-    orders before any path is drawn.
+    contraction.  A given tensor is held to this spec, basis and orders
+    before the run opens, which reads n_steps, the seed and m n_steps before
+    the tensor is built.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")
     n_paths = read_int("n_paths", n_paths, lo=100)
-    errors.require_fits("the sample of n_paths", n_paths, "paths")
-    n_steps, seed = read_int("N", n_steps, lo=1), read_int("seed", seed, 0, MAX_SEED)
     orders_t = read_ints("orders", orders, lo=0)
-    errors.require_fits("paths", spec.max_index * n_steps, "increments (m N per path)")
-    if tensor is None:
-        tensor = coefficient_tensor(spec, basis, orders_t)
-    elif tensor.spec != spec or tensor.basis is not basis or tensor.orders != orders_t:
+    if tensor and (tensor.spec, tensor.basis, tensor.orders) != (spec, basis, orders_t):
         raise DomainError("tensor was built for a different integral spec, basis or orders")
-    diffs = np.empty(n_paths)
     with run_paths(spec.iv, spec.max_index, n_steps, seed, n_paths) as paths:
+        tensor = tensor or coefficient_tensor(spec, basis, orders_t)
+        diffs = np.empty(n_paths)
         for start, path in paths:
             approx = truncated_expansion(tensor, zeta_from_path(path, basis, max(orders_t))).value
             diffs[start:start + len(path.increments)] = path_iterated_integral(spec, path) - approx

@@ -142,7 +142,7 @@ def test_one_constant_caps_every_size(tmp_path, monkeypatch):
         (lambda: zeta_from_path(path, BasisSystem.WALSH, 10),
          "simulation grid would hold 1100 basis values"),
         (lambda: sample_differences(constant_spec(UNIT, (1, 2)), LEGENDRE, (0, 0), 1001, 16, 1),
-         "the sample of n_paths would hold 1001 paths"),
+         "the run of n_paths would hold 1001 paths"),
         # 2 rows of 501 values, checked before numpy is asked for them
         (lambda: gaussian_pool(UNIT, LEGENDRE, 1, 500, 1), "pool would hold 1002 entries"),
         # 501 rows at 2 points; Haar jmax 2**48 used to ask numpy for 2 PiB

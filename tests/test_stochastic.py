@@ -195,9 +195,9 @@ class TestStreamKeys:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_one_philox_per_thread(self, cpus, monkeypatch):
         # a call outside a run fills on the calling thread; a run also on a
-        # worker per extra CPU while each has PART_NORMALS normals.  Each
-        # thread builds one Philox on its first fill and re-keys it for
-        # every later stream, and path_seed borrows it
+        # worker per extra CPU while each has PART_NORMALS normals, and on
+        # one CPU opens no fill.  Each thread builds one Philox on its first
+        # fill and re-keys it for every later stream, and path_seed borrows it
         built, fills = [], []
         monkeypatch.setattr(stochastic, "_local", threading.local(), raising=False)
         monkeypatch.setattr(stochastic, "Philox", lambda **kw: built.append(kw) or Philox(**kw))
@@ -215,7 +215,7 @@ class TestStreamKeys:
         # 24 paths at m = 2, N = 4096: three chunks of 16 streams each
         with stochastic.run_paths(UNIT, 2, 4096, 3, 24) as paths:
             drawn = [path.increments for _, path in paths]
-        assert [len(run.workers) for run in opened] == [cpus - 1]
+        assert [len(run.workers) for run in opened] == ([cpus - 1] if cpus > 1 else [])
         assert len(built) == len(set(fills)) <= cpus
         want = brownian_path_reference(UNIT, 2, 4096, [path_seed(3, i) for i in range(24)])
         assert np.concatenate(drawn).tobytes() == want.tobytes()
@@ -276,13 +276,14 @@ class TestRunFill:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("paths, chunk", [(10, 3), (10, 4), (6, 6), (7, 8)])
     def test_chunks_are_the_reference_paths(self, paths, chunk, cpus, monkeypatch):
-        # a cutoff of one stream, so that every fill here has a worker per
-        # extra CPU; 10 paths in chunks of 3 and 4 end on a short chunk
+        # a cutoff of one stream, so that every run here has a worker per
+        # extra CPU, and one fill for the whole run, or on one CPU none;
+        # 10 paths in chunks of 3 and 4 end on a short chunk
         monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         opened = _opened_fills(monkeypatch)
         drawn = self._draw(monkeypatch, 5, paths, chunk)
-        assert [len(run.workers) for run in opened] == [cpus - 1]  # for the whole run
+        assert [len(run.workers) for run in opened] == ([cpus - 1] if cpus > 1 else [])
         want = brownian_path_reference(UNIT, 2, 4096, [path_seed(5, i) for i in range(paths)])
         assert np.concatenate(drawn).tobytes() == want.tobytes()
 
@@ -295,14 +296,12 @@ class TestRunFill:
     ])
     def test_workers_follow_the_part_normals_rule(self, n_steps, cpus, workers, monkeypatch):
         # a one-path run at m = 2 is one chunk of 2 streams; a run with no
-        # worker hands no chunk of its fill out, so it reads none ahead
+        # worker opens no fill, so it reads no chunk ahead
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
-        if not workers:
-            monkeypatch.setattr(stochastic._Fill, "take", None)
         opened = _opened_fills(monkeypatch)
         with stochastic.run_paths(UNIT, 2, n_steps, 4, 1) as paths:
             [(_, path)] = paths
-        assert [len(run.workers) for run in opened] == [workers]
+        assert [len(run.workers) for run in opened] == ([workers] if workers else [])
         want = brownian_path_reference(UNIT, 2, n_steps, [path_seed(4, 0)])
         assert path.increments.tobytes() == want.tobytes()
 
@@ -541,12 +540,42 @@ class TestRunFill:
         assert filling == [] and [len(run.workers) for run in opened] == [1]
         assert all(worker.done() for worker in opened[0].workers)
         assert _fill_threads() == []
-        assert getattr(stochastic._local, "fill", None) is None
         monkeypatch.undo()
         diffs, _ = sample_differences(spec, BasisSystem.LEGENDRE, (1, 1), 100, 4096, 8,
                                       tensor=tensor)
         want = sample_differences_reference(spec, tensor, 100, 4096, 8, 8)
         assert diffs.tobytes() == want.tobytes()
+
+    def test_the_run_opens_before_the_tensor_is_built(self, monkeypatch):
+        # sample_differences opens its run first: its worker is already
+        # filling when coefficient_tensor is called.  When the build raises,
+        # that error leaves the call, not the failed worker's, and the
+        # worker's thread has ended
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        spec, seen, build = constant_spec(UNIT, (1, 2)), [], validation.coefficient_tensor
+        monkeypatch.setattr(validation, "coefficient_tensor",
+                            lambda *a: seen.append(_fill_threads()) or build(*a))
+        diffs, tensor = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, 8)
+        assert len(seen) == 1 and len(seen[0]) == 1 and _fill_threads() == []
+        want = sample_differences_reference(spec, tensor, 100, 4096, 8, 8)
+        assert diffs.tobytes() == want.tobytes()
+        opened, fill = _opened_fills(monkeypatch), stochastic._fill
+
+        def failing_fill(streams):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker")
+            fill(streams)
+
+        def failing_build(*args):
+            concurrent.futures.wait(opened[0].workers, 10)
+            assert isinstance(opened[0].workers[0].exception(), RuntimeError)
+            raise KeyError("tensor")
+
+        monkeypatch.setattr(stochastic, "_fill", failing_fill)
+        monkeypatch.setattr(validation, "coefficient_tensor", failing_build)
+        with pytest.raises(KeyError, match="tensor"):
+            sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, 8)
+        assert _fill_threads() == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
     def test_forked_child_draws_the_same_sample(self, monkeypatch):

@@ -206,8 +206,8 @@ class TestChunkedEngine:
                              (validation, "truncated_expansion")):
             original = getattr(module, name)
             calls[name] = []
-            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name:
-                                calls[_n].append((a, _f(*a))) or calls[_n][-1][1])
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **kw:
+                                calls[_n].append((a, _f(*a, **kw))) or calls[_n][-1][1])
         spec = constant_spec(UNIT, (1, 2))
         diffs, _ = sample_differences(spec, LEG, (0, 0), 100, 4096, seed=4)
         assert [a for a, _ in calls["_path_seeds"]] == [(4, 0, 100)]
@@ -239,20 +239,21 @@ class TestChunkedEngine:
          IntegralSpec(UNIT, 3, (1, 2, 1), (Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))),
     ], ids=["mc-legendre", "mc-walsh"])
     def test_sample_does_not_depend_on_the_cpu_count(self, basis, orders, spec, monkeypatch):
-        # the 13 chunks fill their normals on one thread on one CPU, and on
-        # two from one fill with one worker for the whole run
+        # the 13 chunks fill their normals on one thread, from no fill, on
+        # one CPU, and on two or three from one fill with a worker per extra
+        # CPU for the whole run
         tensor = coefficient_tensor(spec, basis, orders)
         samples = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             fills = []
             monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
             monkeypatch.setattr(stochastic, "_Fill", lambda *a, _f=stochastic._Fill:
                                 fills.append(_f(*a)) or fills[-1])
             diffs, _ = sample_differences(spec, basis, orders, 100, 4096, 12, tensor=tensor)
             monkeypatch.undo()
-            assert [len(fill.workers) for fill in fills] == [cpus - 1]
+            assert [len(fill.workers) for fill in fills] == ([cpus - 1] if cpus > 1 else [])
             samples.append(diffs.tobytes())
-        assert samples[0] == samples[1]
+        assert samples[0] == samples[1] == samples[2]
 
 
 class TestPrebuiltTensor:
