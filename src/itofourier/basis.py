@@ -9,7 +9,10 @@ right-continuously at their jump points.  Every jump of phi_0..phi_jmax is
 a multiple of (T-t)/2**D, D = :func:`jump_depth` (the bit length of jmax),
 so a simulation grid of N steps holds them all exactly when 2**D divides N,
 and each function is constant on the 2**D dyadic cells, which the
-coefficient quadrature takes as panels; :func:`breakpoints` lists its jumps.
+coefficient quadrature takes as panels.  A Haar row is read from the index
+of the point's dyadic cell of its level, a Walsh row from the bits of the
+point's cell; :func:`breakpoints` lists the jumps of one function, a Walsh
+function's as the cells where its values on the 2**D cells change.
 Integrals are closed form: every system's phi_0 is constant, so phi_j
 integrates to sqrt(T-t) for j = 0 and to zero otherwise.  Walsh factors are
 capped at 20, which bounds the jump grid at 2**20 dyadic points.
@@ -109,8 +112,8 @@ def _check_index(system: BasisSystem, j, name: str = "j") -> int:
 
 def _unit_coord(s: np.ndarray, iv: Interval) -> np.ndarray:
     u = (s - iv.t) / iv.length
-    if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
-        raise DomainError(f"point outside [{iv.t}, {iv.T}]")
+    if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):  # so a NaN fails
+        raise DomainError(f"s: point outside [{iv.t}, {iv.T}]")
     return np.clip(u, 0.0, 1.0)
 
 
@@ -133,11 +136,15 @@ def basis_rows(system: BasisSystem, j, s, iv: Interval) -> np.ndarray:
     """Values of the basis functions with the indices in the vector j at the
     points s, shape (len(j), len(s)): the one evaluator behind eval_basis and
     basis_matrix, so a single function and a matrix row agree bit for bit."""
-    j = np.asarray(j)
+    j, s = np.asarray(j), np.atleast_1d(np.asarray(s, dtype=float))
+    if j.ndim != 1 or not j.size:
+        raise DomainError(f"j: basis indices must be a nonempty vector, got shape {j.shape}")
+    if s.ndim != 1:
+        raise DomainError(f"s: points must be a scalar or a vector, got shape {s.shape}")
     _check_index(system, j.min())  # a float or bool array fails here, before the cast
     _check_index(system, j.max())
     j = j.astype(np.int64)
-    u = _unit_coord(np.atleast_1d(np.asarray(s, dtype=float)), iv)
+    u = _unit_coord(s, iv)
     root = math.sqrt(iv.length)
     if system is BasisSystem.LEGENDRE:
         scale = np.sqrt((2.0 * j + 1.0) / iv.length)
@@ -158,15 +165,12 @@ def basis_rows(system: BasisSystem, j, s, iv: Interval) -> np.ndarray:
         rows[odd] = amp * np.sin(phase[odd])
         rows[~odd] = amp * np.cos(phase[~odd])
     else:
-        # Haar level floor(log2 j), exact below 2**53
+        # Haar level n = floor(log2 j) is +amp on cell 2 (j - 2**n) of the 2**(n+1)
+        # dyadic cells and -amp on the next (cell counts from it), exactly
         n = np.frexp(np.maximum(j, 1))[1][:, None].astype(np.int64) - 1
-        pos = j[:, None] - 2**n + 1
-        left = (pos - 1) / 2.0**n
-        mid = left + 1.0 / 2.0 ** (n + 1)
-        right = pos / 2.0**n
+        cell = np.floor(u * 2.0 ** (n + 1)) - 2 * (j[:, None] - 2**n)
         amp = 2.0 ** (n / 2.0)
-        rows = np.where((u >= left) & (u < mid), amp,
-                        np.where((u >= mid) & (u < right), -amp, 0.0)) / root
+        rows = np.where(cell == 0, amp, np.where(cell == 1, -amp, 0.0)) / root
     rows[j == 0] = 1.0 / root
     return rows
 
@@ -200,20 +204,15 @@ def breakpoints(system: BasisSystem, j: int, iv: Interval) -> list[float]:
     if system not in _PIECEWISE_CONSTANT or j == 0:
         return []
     if system is BasisSystem.HAAR:
+        # the ends of the two cells of level n + 1 where basis_rows is nonzero
         n = j.bit_length() - 1
-        pos = j - (1 << n) + 1
-        left = (pos - 1) / 2.0**n
-        unit = np.array([left, left + 1.0 / 2.0 ** (n + 1), pos / 2.0**n])
+        unit = (2 * (j - (1 << n)) + np.arange(3)) / 2.0 ** (n + 1)
         unit = unit[(unit > 0.0) & (unit < 1.0)]
     else:
-        depth = j.bit_length()
-        i = np.arange(1, 1 << depth)
-        # at i / 2**depth the factors m >= depth - ctz(i) jump, i.e. those whose
-        # mask bit is at or below the lowest set bit of i; the product jumps
-        # where an odd number of them do
-        low = i & -i
-        flips = np.bitwise_count(_walsh_mask(j, depth) & (2 * low - 1))
-        unit = i[flips % 2 == 1] / 2.0**depth
+        # the jumps are where the values on the 2**D dyadic cells change
+        cells = 1 << j.bit_length()
+        row = basis_rows(system, [j], (np.arange(cells) + 0.5) / cells, Interval(0.0, 1.0))[0]
+        unit = (np.flatnonzero(np.diff(row)) + 1) / cells
     return (iv.t + unit * iv.length).tolist()
 
 

@@ -116,8 +116,8 @@ class IntegralSpec:
 def eval_weight(w: Weight, s, iv: Interval):
     """Horner evaluation of the weight polynomial at s in [t, T]."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < iv.t - 1e-12 * iv.length) or np.any(s_arr > iv.T + 1e-12 * iv.length):
-        raise DomainError(f"weight evaluated outside [{iv.t}, {iv.T}]")
+    if not np.all((s_arr >= iv.t - 1e-12 * iv.length) & (s_arr <= iv.T + 1e-12 * iv.length)):
+        raise DomainError(f"s: weight evaluated outside [{iv.t}, {iv.T}]")
     u = s_arr - iv.t
     acc = np.full_like(u, w.coeffs[-1])
     for c in reversed(w.coeffs[:-1]):

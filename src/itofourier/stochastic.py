@@ -331,11 +331,11 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
 
 @lru_cache(maxsize=1)
 def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
-               jmax: int) -> tuple[np.ndarray, int, np.ndarray]:
+               jmax: int) -> tuple[np.ndarray, int]:
     """Basis rows on the cells of the grid (a step at its left point; for
     Haar and Walsh a dyadic cell at its midpoint, which rounding keeps on the
-    cell), the steps per cell and the exact row 0, all fixed for a whole run
-    (only the latest plan is kept: one may hold errors.MAX_ENTRIES values).
+    cell) and the steps per cell, fixed for a whole run (only the latest plan
+    is kept: one may hold errors.MAX_ENTRIES values).
     Raises (and so caches nothing) if a basis jump is off the grid:
     the jumps are the multiples of (T - t) / 2**D that include (T - t) / 2**D
     itself, so all lie on the grid exactly when 2**D divides N."""
@@ -348,10 +348,8 @@ def _grid_plan(basis: BasisSystem, iv: Interval, n_steps: int,
     cells = 2**depth if dyadic else n_steps
     points = iv.t + (np.arange(cells) + (0.5 if dyadic else 0.0)) * (iv.length / cells)
     phi = basis_matrix(basis, jmax, points, iv)
-    row0 = _time_row(iv, jmax)
     phi.setflags(write=False)
-    row0.setflags(write=False)
-    return phi, n_steps // cells, row0
+    return phi, n_steps // cells
 
 
 def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianPool:
@@ -363,11 +361,11 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     """
     jmax = read_int("jmax", jmax, lo=0)
     errors.require_fits("simulation grid", path.N * (jmax + 1), "basis values (N (jmax + 1))")
-    phi, cell, row0 = _grid_plan(basis, path.iv, path.N, jmax)
+    phi, cell = _grid_plan(basis, path.iv, path.N, jmax)
     dw = path.increments
     dw = dw.reshape(dw.shape[:-1] + (-1, cell)).sum(axis=-1) if cell > 1 else dw
     values = np.empty(path.increments.shape[:-2] + (path.m + 1, jmax + 1))
-    values[..., 0, :] = row0
+    values[..., 0, :] = _time_row(path.iv, jmax)
     values[..., 1:, :] = dw @ phi.T
     values.setflags(write=False)
     return GaussianPool(iv=path.iv, basis=basis, m=path.m, jmax=jmax, values=values)
@@ -387,30 +385,18 @@ def _left_weights(weights: tuple, iv: Interval, n_steps: int, bits: bytes) -> tu
     return tuple(values)
 
 
-def _work_array(work: list, shape: tuple, busy) -> np.ndarray:
-    """A work array of the given shape that is not busy, made on first need;
-    work never holds more than two."""
-    for arr in work:
-        if arr is not busy:
-            return arr
-    work.append(np.empty(shape))
-    return work[-1]
-
-
 def path_iterated_integral(spec: IntegralSpec, path: WienerPath):
     """Ordered grid sum approximating the iterated integral along the path:
     a float, or a (B,) array for a batch of paths.
 
     Computes sum over l_k > ... > l_1 of prod psi_l(tau_{l_l}) dW^{(i_l)}
-    by cumulative prefix recursion in O(k N); time components use dt in
-    place of the Wiener increment.  Each level forms (psi dW) * prefix, the
-    same floating-point operations as building every factor in full, but a
-    unit weight is neither evaluated nor multiplied (1.0 * x is exact), a
-    time component multiplies by the scalar dt, and a non-unit weight is
-    evaluated on the left grid once per run (see _left_weights): no
-    batch-sized factor array is made for a unit weight or a time component,
-    and a call uses at most two batch-sized work arrays.  A first-level
-    unit-weight Wiener factor is the increment row itself.
+    by cumulative prefix recursion in O(k N); time components use the scalar
+    dt in place of the Wiener increment.  Level l multiplies its factor
+    psi dW (dW itself for a unit weight, whose 1.0 * x is exact) into the
+    exclusive prefix sum of level l - 1, in place; a non-unit weight is
+    evaluated on the left grid once per run (see _left_weights).  Each level
+    drops the previous level before it forms its factor, so a call holds at
+    most two batch-sized arrays at once.
     """
     if spec.iv != path.iv:
         raise CompatibilityError("spec and path are on different intervals")
@@ -420,27 +406,19 @@ def path_iterated_integral(spec: IntegralSpec, path: WienerPath):
     iv, dt = spec.iv, path.dt
     shape = path.increments.shape[:-2] + (path.N,)
     bits = np.array([iv.t, iv.T, *(c for w in spec.weights for c in w.coeffs)]).tobytes()
-    work: list[np.ndarray] = []
     running = None
     for i_l, weight in zip(spec.indices, _left_weights(spec.weights, iv, path.N, bits)):
-        dw = dt if i_l == 0 else path.increments[..., i_l - 1, :]
         prefix = None
         if running is not None:
-            prefix = _work_array(work, shape, running)
+            prefix = np.empty(shape)
             prefix[..., 0] = 0.0
             np.cumsum(running[..., :-1], axis=-1, out=prefix[..., 1:])
-        if weight is not None and i_l > 0:
-            # psi dW needs an array of its own; the prefix product goes into it
-            running = np.multiply(weight, dw, out=_work_array(work, shape, prefix))
-            if prefix is not None:
-                np.multiply(running, prefix, out=running)
+            del running
+        dw = dt if i_l == 0 else path.increments[..., i_l - 1, :]
+        factor = dw if weight is None else weight * dw
+        if prefix is not None:
+            running = np.multiply(factor, prefix, out=prefix)
         else:
-            factor = dw if weight is None else weight * dt
-            if prefix is not None:
-                running = np.multiply(prefix, factor, out=prefix)
-            elif i_l > 0:
-                running = dw
-            else:
-                running = _work_array(work, shape, None)
-                running[...] = factor
+            running = np.full(shape, factor) if i_l == 0 else factor
+        del factor
     return np.sum(running, axis=-1) if shape[:-1] else float(np.sum(running))

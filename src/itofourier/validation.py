@@ -89,8 +89,8 @@ def _moment_stats(diffs: np.ndarray, degree: int) -> tuple[float, float]:
 def ms_error_bound(k: int, residual: float) -> float:
     """Mean-square truncation bound k! * residual; the paper proves it for
     nonzero component indices only."""
-    if residual < 0.0:
-        raise DomainError("residual must be >= 0")
+    if not residual >= 0.0:  # so a NaN fails
+        raise DomainError(f"residual: must be >= 0, got {residual}")
     k = read_int("k", k, lo=1)
     if k > 20:
         raise CapacityError(f"k = {int_text(k)} exceeds the factorial guard (20)")
@@ -100,8 +100,8 @@ def ms_error_bound(k: int, residual: float) -> float:
 def moment_bound_2n(n: int, k: int, residual: float) -> float:
     """Degree-2n moment bound (k!)^{2n} (n(2n-1))^{n(k-1)} (2n-1)!! residual^n."""
     n, k = read_int("n", n, lo=1), read_int("k", k, lo=1)
-    if residual < 0.0:
-        raise DomainError("residual must be >= 0")
+    if not residual >= 0.0:  # so a NaN fails
+        raise DomainError(f"residual: must be >= 0, got {residual}")
     overflows = f"moment bound overflows for n={int_text(n)}, k={int_text(k)}"
     # k! and (2n - 1)!! below cost big-integer work without bound in k and n.
     # Their logs at k and n clamped to 10**6 bound them below; one over 710.8

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,12 +8,12 @@ import pytest
 
 import itofourier
 from itofourier import errors
-from itofourier.basis import (BasisSystem, Interval, basis_matrix, breakpoints, eval_basis,
-                              integrate_basis, jump_depth)
+from itofourier.basis import (BasisSystem, Interval, basis_matrix, basis_rows, breakpoints,
+                              eval_basis, integrate_basis, jump_depth)
 from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
                                      read_coefficient_table, write_coefficient_table)
 from itofourier.errors import CapacityError, DomainError, ItoFourierError
-from itofourier.kernel import CONSTANT_ONE, IntegralSpec, constant_spec
+from itofourier.kernel import CONSTANT_ONE, IntegralSpec, Weight, constant_spec, eval_weight
 from itofourier.partitions import pair_partitions, partition_count
 from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool, path_seed,
                                    run_paths, zeta_from_path)
@@ -64,6 +65,24 @@ def test_import_runs_openblas_on_one_thread():
         "tensor-orders-bool", "tensor-class-orders-bool", "sample-orders-float"])
 def test_integer_arguments_are_read_strictly(call, named):
     with pytest.raises(DomainError, match=f"^{named}: expected an integer, got"):
+        call()
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: eval_basis(LEGENDRE, 2, math.nan, UNIT), "s"),
+    (lambda: eval_basis(BasisSystem.TRIGONOMETRIC, 3, [0.2, math.nan], UNIT), "s"),
+    (lambda: eval_basis(BasisSystem.HAAR, 3, math.nan, UNIT), "s"),
+    (lambda: eval_basis(BasisSystem.WALSH, 3, math.nan, UNIT), "s"),
+    (lambda: basis_matrix(LEGENDRE, 3, [[0.2, 0.3]], UNIT), "s"),
+    (lambda: basis_rows(LEGENDRE, [], [0.3], UNIT), "j"),
+    (lambda: eval_weight(Weight((1.0, 2.0)), math.nan, UNIT), "s"),
+    (lambda: ms_error_bound(2, math.nan), "residual"),
+    (lambda: moment_bound_2n(2, 2, math.nan), "residual"),
+], ids=["legendre-nan", "trigonometric-nan", "haar-nan", "walsh-nan", "matrix-2d",
+        "rows-empty", "weight-nan", "ms-bound-nan", "moment-bound-nan"])
+def test_bad_points_and_residuals_are_domain_errors(call, named):
+    # a NaN fails every range check, and no malformed input reaches numpy
+    with pytest.raises(DomainError, match=f"^{named}: "):
         call()
 
 

@@ -226,6 +226,20 @@ class TestEval:
                 assert np.array_equal(eval_basis(system, j, pts, UNIT), want)
                 assert np.array_equal(mat[j], want)
 
+    @pytest.mark.parametrize("j", [2**30 + 12345, 2**47 + 1, 2**48, 2**48 + 2**47 + 3,
+                                   2**49 - 1])
+    def test_haar_oracle_at_deep_jumps(self, j):
+        # levels 30 to 48, at the support ends and midpoint, their float
+        # neighbours, and the interval ends
+        n, pos = haar_level_position(j)
+        cuts = np.array([(pos - 1) / 2.0**n, (2 * pos - 1) / 2.0 ** (n + 1), pos / 2.0**n])
+        pts = np.concatenate([[0.0, 1.0], cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
+        pts = pts[(pts >= 0.0) & (pts <= 1.0)]
+        want = oracle_unit(BasisSystem.HAAR, j, pts)
+        assert np.count_nonzero(want) >= 4
+        assert basis_rows(BasisSystem.HAAR, [0, j], pts, UNIT)[1].tobytes() == want.tobytes()
+        assert eval_basis(BasisSystem.HAAR, j, pts, UNIT).tobytes() == want.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(system=st.sampled_from(PIECEWISE), j=st.integers(0, 255),
            u=st.floats(0.0, 1.0))

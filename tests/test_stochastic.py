@@ -729,7 +729,7 @@ class TestZetaFromPath:
         for jmax in (0, 1, 5, 7, 31, 63):
             cells = 2**jump_depth(basis, jmax)
             for n_steps in (cells, 3 * cells, 4096):
-                phi, cell, _ = stochastic._grid_plan.__wrapped__(basis, iv, n_steps, jmax)
+                phi, cell = stochastic._grid_plan.__wrapped__(basis, iv, n_steps, jmax)
                 assert (phi.shape, cell) == ((jmax + 1, cells), n_steps // cells)
                 left = self._exact_left_rows(basis, jmax, iv, n_steps)
                 assert np.repeat(phi, cell, axis=1).tobytes() == left.tobytes()
@@ -851,7 +851,9 @@ class TestPathIteratedIntegral:
         ((1, 2), ((1.0,), (1.0,))),
         ((1, 2, 1), ((1.0,), (1.0, 1.0), (1.0,))),
         ((0, 1), ((1.0,), (1.0,))),
-    ], ids=["12", "121", "01"])
+        ((0, 1, 2), ((1.0, 1.0), (1.0,), (1.0, -1.0))),
+        ((2, 0, 1, 2), ((0.5, 2.0), (1.0, -1.0), (-2.0,), (3.0, 0.25))),
+    ], ids=["12", "121", "01", "012", "2012"])
     def test_batched_call_peaks_within_two_work_arrays(self, indices, weights):
         B, N = 8, 4096
         spec = IntegralSpec(iv=UNIT, k=len(indices), indices=indices,
@@ -864,7 +866,7 @@ class TestPathIteratedIntegral:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two batch-sized float64 work arrays, and 128 KB for the N-sized ones
+        # two batch-sized float64 arrays, and 128 KB for the N-sized ones
         assert peak <= 2 * B * N * 8 + 128 * 1024
 
     def test_weights_are_evaluated_once_per_run(self, monkeypatch):
