@@ -35,6 +35,9 @@ outputs() {  # outputs TREE DIR: every command on TREE's src/, its outputs in DI
   run() { PYTHONPATH="$tree/src" python -m itofourier "$@"; }
   run validate --config "$work/walsh.json" --orders 7,7,7 --paths 100 --steps 256 \
     --seed 11 --out "$dir/validate-walsh.json"
+  # the largest tensor compared: a Parseval mass of 32 768 squares
+  run validate --config "$work/walsh.json" --orders 31,31,31 --paths 100 --steps 256 \
+    --seed 11 --out "$dir/validate-walsh-31.json"
   run validate --config "$work/legendre.json" --orders 0,0 --paths 300 --steps 256 --n 2 \
     --seed 11 --out "$dir/validate-legendre.json"
   for table in legendre:3 trigonometric:4 haar:7 walsh:7; do

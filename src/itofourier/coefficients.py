@@ -42,6 +42,8 @@ MAX_NODES = 4096
 FORMAT_VERSION = "1"
 # table rows formatted or parsed per call: a block's text is about 100 kB
 BLOCK_ROWS = 2**12
+# squares per pass of sum_squared: 2**20 mantissa halves below 2**27 sum exactly
+SUM_BLOCK = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +130,26 @@ def coefficient_tensor(spec: IntegralSpec, basis: BasisSystem, orders) -> Coeffi
 
 
 def sum_squared(tensor: CoefficientTensor) -> float:
-    """Exact-order-independent sum of squared coefficients: one math.fsum
-    over blocks of 2**20 squares, so memory stays bounded at every size."""
+    """The sum of the squared coefficients, correctly rounded, as math.fsum
+    rounds it; inf if a square overflows, OverflowError if the sum does.
+    Each square is a 53-bit integer mantissa times 2**(e - 53); the
+    mantissas' 27- and 26-bit halves are summed per exponent e over blocks
+    of SUM_BLOCK squares, below 2**48 and so exact, and the total, a Python
+    int times 2**-1126, is rounded once by int true division."""
     flat = tensor.values.ravel()
-    blocks = (flat[i:i + 2**20] for i in range(0, flat.size, 2**20))
-    return math.fsum(itertools.chain.from_iterable((b * b).tolist() for b in blocks))
+    halves = np.zeros((2, 2098), np.int64)  # frexp exponents -1073..1024
+    for i in range(0, flat.size, SUM_BLOCK):
+        square = np.square(flat[i:i + SUM_BLOCK])
+        if not np.isfinite(square).all():
+            return math.inf
+        mantissa, exponent = np.frexp(square)
+        low, high = np.modf(mantissa * 2.0**27)
+        exponent += 1073
+        for half, part in zip(halves, (high, low * 2.0**26)):
+            half += np.bincount(exponent, weights=part, minlength=2098).astype(np.int64)
+    used = np.flatnonzero(halves.any(axis=0))
+    total = sum(((h << 26) + l) << e for e, h, l in zip(used.tolist(), *halves[:, used].tolist()))
+    return total / (1 << 1126)
 
 
 def parseval_residual(spec: IntegralSpec, tensor: CoefficientTensor) -> float:
@@ -149,7 +166,7 @@ def parseval_residual(spec: IntegralSpec, tensor: CoefficientTensor) -> float:
         total = kernel_l2_norm_sq(spec)
         try:
             mass = sum_squared(tensor)
-        except OverflowError:  # math.fsum of finite squares
+        except OverflowError:  # the exact sum of finite squares
             mass = math.inf
     for name, value in (("kernel norm", total), ("coefficient mass", mass)):
         if not math.isfinite(value):

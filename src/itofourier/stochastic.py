@@ -20,6 +20,7 @@ call handles a chunk of paths through the same code as one path.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -104,20 +105,24 @@ class _Fill:
     """The normals, n to a stream, of chunks of streams (an iterator of key
     arrays), handed out in order by take on the thread that opened the fill.
     Its workers (numpy's fill releases the GIL), on an executor of the
-    fill's own, each take the next stream not yet taken of the next chunk or
-    the one after it.  take allocates the one after it, fills the streams of
-    its chunk no worker took, waits for those workers hold for GRACE_STREAMS
-    times the fill's mean time per stream, and fills those still held (their
-    worker's CPU taken by another process or the host) into a copy of the
-    rows it hands out: no rows are handed out twice, so a late write reaches
-    no one."""
+    fill's own, each take the next stream not yet taken of the window: the
+    three chunks after the one last handed out, or one if a chunk (a path)
+    has more than CHUNK_NORMALS normals, so they keep filling while the
+    caller works between takes.  take allocates one chunk more, fills the
+    streams of its chunk no worker took, waits for those workers hold for
+    GRACE_STREAMS times the fill's mean time per stream, and fills those
+    still held (their worker's CPU taken by another process or the host)
+    into a copy of the rows it hands out: no rows are handed out twice, so
+    a late write reaches no one."""
 
     def __init__(self, chunks, n: int, workers: int):
         # imported here, concurrent.futures and its logging (about 0.7 MB)
         # stay out of processes that never start a worker
         from concurrent.futures import ThreadPoolExecutor
         self.chunks, self.cond = (_Chunk(keys, n) for keys in chunks), threading.Condition()
-        self.window, self.spent, self.filled = [next(self.chunks)], 0.0, 0
+        first = next(self.chunks)  # a chunk of one path may exceed CHUNK_NORMALS
+        rest = itertools.islice(self.chunks, 2 if first.rows.size <= CHUNK_NORMALS else 0)
+        self.window, self.spent, self.filled = [first, *rest], 0.0, 0
         self.pool = ThreadPoolExecutor(workers, "itofourier-normals")
         try:
             self.workers = [self.pool.submit(_fill, self._streams()) for _ in range(workers)]
@@ -307,9 +312,10 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
     brownian_path from its slice of the per-path seeds, read once, as the
     block is entered.  With PART_NORMALS normals of the first chunk for each
     of two threads, a worker per extra CPU starts then, on one fill (see
-    _Fill) passed to each of those calls; a worker's error is raised with
-    the next chunk or as the block exits, and no worker outlives the block.
-    A run with no worker opens no fill."""
+    _Fill) passed to each of those calls, and fills up to three chunks
+    ahead of the last one drawn; a worker's error is raised with the next
+    chunk or as the block exits, and no worker outlives the block.  A run
+    with no worker opens no fill."""
     m, N, seed = read_int("m", m, lo=1), read_int("N", N, lo=1), read_int("seed", seed, 0, MAX_SEED)
     errors.require_fits("paths", m * N, "increments (m N per path)")
     n_paths = read_int("n_paths", n_paths, lo=1)

@@ -13,11 +13,11 @@ and pass rule of a run is stated here, once.
 
 The paths of a run are those of stochastic.run_paths: path i from word i
 of the run's stream of per-path seeds, each chunk drawn by brownian_path.
-All aggregates use exact summation over an index-addressed sample array, so
-reports are bit-identical for a fixed seed.  Chunks of paths run one after
-another on the calling thread, in a run opened before the tensor is built:
-a worker per extra CPU, where one starts, fills the first chunk during the
-build and the next while this one is reduced, with the same bits.
+Every aggregate, the Parseval mass among them, is an exact sum rounded
+once, so reports are bit-identical for a fixed seed.  Chunks of paths run
+one after another on the calling thread, in a run opened before the tensor
+is built: a worker per extra CPU, where one starts, fills the first three
+chunks during the build and three ahead of this one while it is reduced.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     paths are grouped into chunks beyond the rounding of the batched
     contraction.  A given tensor is held to this spec, basis and orders
     before the run opens, which reads n_steps, the seed and m n_steps before
-    the tensor is built.
+    the tensor is built, while the run's worker fills the first chunks.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")

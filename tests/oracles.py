@@ -27,6 +27,8 @@ swept on a grid of equal panels, as README derives it.
 ``write_table_reference`` and ``read_table_reference`` write and read the
 coefficient table format one row per call, the form that the block writer
 and reader must match byte for byte and error for error.
+``sum_squared_reference`` is one ``math.fsum`` over every square, the
+correctly rounded sum that ``sum_squared`` must match bit for bit.
 """
 from __future__ import annotations
 
@@ -823,3 +825,11 @@ def read_table_reference(path) -> CoefficientTensor:
         values = np.fromiter(_row_values(rows, orders), dtype=float)
     values = np.ascontiguousarray(values.reshape([p + 1 for p in orders], order="F"))
     return CoefficientTensor(spec=spec, basis=basis, orders=orders, values=values)
+
+
+def sum_squared_reference(tensor: CoefficientTensor) -> float:
+    """The sum of the squared coefficients: one math.fsum over the squares,
+    read 2**20 at a time."""
+    flat = tensor.values.ravel()
+    blocks = (flat[i:i + 2**20] for i in range(0, flat.size, 2**20))
+    return math.fsum(itertools.chain.from_iterable((b * b).tolist() for b in blocks))

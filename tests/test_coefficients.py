@@ -6,6 +6,7 @@ import warnings
 import math
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight, 
 from itofourier.validation import moment_bound_2n, ms_error_bound
 
 from oracles import (exact_dyadic_coefficients, exact_legendre_coefficients, jumps,
-                     read_table_reference, trigonometric_error_bound, write_table_reference)
+                     read_table_reference, sum_squared_reference, trigonometric_error_bound,
+                     write_table_reference)
 
 UNIT = Interval(0.0, 1.0)
 HALF_ROOT3 = 1.0 / (2.0 * math.sqrt(3.0))
@@ -811,3 +813,41 @@ def test_sum_squared_matches_numpy():
         big = CoefficientTensor(spec=constant_spec(UNIT, (1,)), basis=BasisSystem.LEGENDRE,
                                 orders=(2**20,), values=vals)
         assert sum_squared(big) == math.fsum(float(v) * float(v) for v in vals), seed
+
+
+# the largest value whose square is finite
+_ROOT_MAX = math.sqrt(np.finfo(float).max)
+_roots = st.one_of(
+    st.floats(-_ROOT_MAX, _ROOT_MAX),  # zeros and subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308, 1e-154, 1.5e-154, 1e154, -_ROOT_MAX]),
+    st.floats(1e153, _ROOT_MAX),  # squares near the float range, sums past it
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 511)),  # 2**-1074..2**511
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_roots, min_size=1, max_size=40), block=st.sampled_from([1, 3, 7, 2**20]))
+def test_sum_squared_is_the_fsum_reference(values, block):
+    # every square finite: the correctly rounded sum, bit for bit, or both
+    # overflow; blocks of 1, 3 and 7 squares split most lists into several
+    tensor = CoefficientTensor(spec=constant_spec(UNIT, (1,)), basis=BasisSystem.LEGENDRE,
+                               orders=(len(values) - 1,), values=np.array(values))
+    try:
+        want = sum_squared_reference(tensor).hex()
+    except OverflowError:
+        want = "overflow"
+    with mock.patch.object(coefficients, "SUM_BLOCK", block):
+        try:
+            got = sum_squared(tensor).hex()
+        except OverflowError:
+            got = "overflow"
+    assert got == want
+
+
+def test_an_overflowing_square_gives_inf():
+    # even beside finite squares whose sum overflows
+    values = np.array([1.2e154, 1.2e154, 1e200, 1.0])
+    tensor = CoefficientTensor(spec=constant_spec(UNIT, (1,)), basis=BasisSystem.LEGENDRE,
+                               orders=(3,), values=values)
+    with np.errstate(over="ignore"):
+        assert sum_squared(tensor) == math.inf

@@ -262,8 +262,10 @@ class TestStreamKeys:
 
 class TestRunFill:
     """One fill serves a whole run: a worker per extra CPU, started once,
-    fills the streams of the chunk brownian_path takes next and of the one
-    after it, and every chunk keeps the bits of the per-stream reference."""
+    fills the streams of the chunk brownian_path takes next and of those
+    after it, three chunks beyond the chunk last taken (one for chunks of
+    more than CHUNK_NORMALS normals), and every chunk keeps the bits of the
+    per-stream reference."""
 
     @staticmethod
     def _draw(monkeypatch, seed, paths, chunk):
@@ -304,6 +306,28 @@ class TestRunFill:
         assert [len(run.workers) for run in opened] == ([workers] if workers else [])
         want = brownian_path_reference(UNIT, 2, n_steps, [path_seed(4, 0)])
         assert path.increments.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_steps, ahead", [
+        (4096, 3),  # 8-path chunks of CHUNK_NORMALS normals
+        (20480, 3),  # 1-path chunks of 40960 normals
+        (2**15 + 4096, 1),  # a path of more than CHUNK_NORMALS normals
+    ])
+    def test_workers_fill_the_look_ahead_and_no_further(self, n_steps, ahead, monkeypatch):
+        # before the first chunk is taken the worker fills the streams of
+        # the first ahead chunks, then waits; the run has more chunks
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        opened = _opened_fills(monkeypatch)
+        chunk = max(1, stochastic.CHUNK_NORMALS // (2 * n_steps))
+        paths = (ahead + 2) * chunk
+        with stochastic.run_paths(UNIT, 2, n_steps, 8, paths) as chunks:
+            [fill] = opened
+            with fill.cond:
+                assert fill.cond.wait_for(lambda: all(c.next == len(c.keys) and not c.held
+                                                      for c in fill.window), 10)
+                assert fill.filled == ahead * 2 * chunk and len(fill.window) == ahead
+            drawn = [path.increments for _, path in chunks]
+        want = brownian_path_reference(UNIT, 2, n_steps, [path_seed(8, i) for i in range(paths)])
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
 
     def test_a_worker_error_is_raised_with_the_next_chunk(self, monkeypatch):
         # the worker fails on its first stream: the first chunk handed out
