@@ -10,9 +10,9 @@ with the component 1..m as the index; the per-path seeds of a run are the
 four to a counter block, and brownian_path is the one constructor of a path
 or a batch of paths from their seeds.  Each thread keeps one Philox,
 re-keyed for each stream it fills and each read of the seed stream.  A
-call fills its streams on the calling thread, but a run (run_paths) with a
-worker passes its fill to its own brownian_path calls, filled also on its
-workers (see _Fill), with the same streams.  Pools can be enlarged and
+call fills its streams on the calling thread; a run (run_paths) fills each
+chunk's streams whole on one thread, its own or a worker (see _Fill), and
+passes them to its own brownian_path calls.  Pools can be enlarged and
 paths generated in any order or grouping without perturbing existing
 values, and identical seeds give bit-identical results.
 Paths, pools and the oracle take an optional leading batch axis, so one
@@ -20,7 +20,6 @@ call handles a chunk of paths through the same code as one path.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -43,14 +42,14 @@ MAX_SEED = 2**64 - 1
 # Normals budget of one chunk of a run's paths: 2**16 is 8 paths at m = 2,
 # N = 4096, about 1.3 MB of increments, pools and oracle working set
 CHUNK_NORMALS = 2**16
-# Fewest normals per thread of a run's fill: waking a worker costs about the
-# time of 6000 normals, so a chunk of fewer than two threads' worth starts no
-# thread
-PART_NORMALS = 12288
-# A caller with no stream of its chunk left to take waits this many times the
-# fill's mean time per stream for the streams workers hold: a worker on a CPU
-# as fast as the others finishes the one it holds within one
-GRACE_STREAMS = 2
+# Chunks a run's fill reads ahead, and so its most workers: at N = 4096,
+# three 8-path chunks, 1.5 MB; one where a chunk, of one path, has more than
+# CHUNK_NORMALS normals
+AHEAD = 3
+# A caller with no chunk left to claim waits this many times the fill's mean
+# time per chunk for one a worker holds: a worker on a CPU as fast as the
+# others finishes the one it holds within one
+GRACE_CHUNKS = 2
 
 
 def _keys(seeds, domain: int, indices) -> np.ndarray:
@@ -93,82 +92,75 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Chunk:
-    """A chunk of a fill: keys, rows, next stream to take, streams held."""
-
-    def __init__(self, keys: np.ndarray, n: int):
-        self.keys = keys.reshape(-1, 2).tolist()
-        self.rows, self.next, self.held = np.empty((len(self.keys), n)), 0, set()
-
-
 class _Fill:
-    """The normals, n to a stream, of chunks of streams (an iterator of key
-    arrays), handed out in order by take on the thread that opened the fill.
-    Its workers (numpy's fill releases the GIL), on an executor of the
-    fill's own, each take the next stream not yet taken of the window: the
-    three chunks after the one last handed out, or one if a chunk (a path)
-    has more than CHUNK_NORMALS normals, so they keep filling while the
-    caller works between takes.  take allocates one chunk more, fills the
-    streams of its chunk no worker took, waits for those workers hold for
-    GRACE_STREAMS times the fill's mean time per stream, and fills those
-    still held (their worker's CPU taken by another process or the host)
-    into a copy of the rows it hands out: no rows are handed out twice, so
-    a late write reaches no one."""
+    """The normals, n to a stream, of a run's chunks, an iterator of
+    (start, keys of the chunk's streams), each chunk filled whole by one
+    thread and handed out by take, on the thread that opened the fill, in
+    the order the chunks are filled.  Its workers (numpy's fill releases
+    the GIL), on an executor of the fill's own, each claim and fill the
+    next chunk while fewer than ahead chunks are filled or held by a
+    worker, so they keep filling while the caller works between takes."""
 
-    def __init__(self, chunks, n: int, workers: int):
-        # imported here, concurrent.futures and its logging (about 0.7 MB)
-        # stay out of processes that never start a worker
-        from concurrent.futures import ThreadPoolExecutor
-        self.chunks, self.cond = (_Chunk(keys, n) for keys in chunks), threading.Condition()
-        first = next(self.chunks)  # a chunk of one path may exceed CHUNK_NORMALS
-        rest = itertools.islice(self.chunks, 2 if first.rows.size <= CHUNK_NORMALS else 0)
-        self.window, self.spent, self.filled = [first, *rest], 0.0, 0
-        self.pool = ThreadPoolExecutor(workers, "itofourier-normals")
-        try:
-            self.workers = [self.pool.submit(_fill, self._streams()) for _ in range(workers)]
-        except BaseException:
-            self.close()
-            raise
+    def __init__(self, chunks, n: int, workers: int, ahead: int):
+        self.chunks, self.n, self.ahead, self.cond = chunks, n, ahead, threading.Condition()
+        self.ready, self.held, self.spent, self.filled = [], {}, 0.0, 0
+        self.pool, self.workers = None, []
+        if workers:
+            # imported here, concurrent.futures and its logging (about 0.7 MB)
+            # stay out of processes that never start a worker
+            from concurrent.futures import ThreadPoolExecutor
+            self.pool = ThreadPoolExecutor(workers, "itofourier-normals")
+            try:
+                self.workers = [self.pool.submit(self._work) for _ in range(workers)]
+            except BaseException:
+                self.close()
+                raise
 
-    def _streams(self, chunk=None):
-        """The (key, row) pairs one thread fills: for take the rest of chunk,
-        for a worker the window's next, waiting while it has none and more
-        may come.  Asking for the next pair marks the last filled, timed."""
-        c = None
+    def _rows(self, keys: np.ndarray) -> np.ndarray:
+        """The rows of the streams of keys, filled on this thread, timed."""
+        keys, start = keys.reshape(-1, 2), time.perf_counter()
+        rows = np.empty((len(keys), self.n))
+        _fill(zip(keys.tolist(), rows))
+        with self.cond:
+            self.spent += time.perf_counter() - start
+            self.filled += 1
+        return rows
+
+    def _work(self) -> None:
+        """A worker: claim, fill and hand on chunks until none is left."""
         while True:
             with self.cond:
-                if c:
-                    c.held.discard(i)
-                    self.spent += time.perf_counter() - start
-                    self.filled += 1
+                self.cond.wait_for(lambda: len(self.ready) + len(self.held) < self.ahead)
+                if not (claim := next(self.chunks, None)):
+                    return
+                self.held[claim[0]] = claim[1]
+            rows = self._rows(claim[1])
+            with self.cond:
+                if self.held.pop(claim[0], None) is not None:  # not taken over
+                    self.ready.append((claim[0], rows))
                     self.cond.notify_all()
-                while not (c := next((k for k in ([chunk] if chunk else self.window)
-                                      if k.next < len(k.keys)), None)):
-                    if chunk or not self.window:  # no chunk to come
-                        return
-                    self.cond.wait()
-                i, c.next = c.next, c.next + 1
-                c.held.add(i)
-            start = time.perf_counter()
-            yield c.keys[i], c.rows[i]
 
-    def take(self) -> np.ndarray:
-        """The normals of the next chunk, a row per stream, or a failed worker's error."""
-        chunk, ahead = self.window[0], next(self.chunks, None)
+    def take(self):
+        """The next chunk, (start, rows), None once every chunk has been
+        handed out, or a failed worker's error.  The chunk is one filled and
+        waiting, else the next not yet claimed, filled here, else, after a
+        wait of GRACE_CHUNKS times the fill's mean time per chunk, the first
+        one a worker still holds (its CPU taken by another process or the
+        host), taken over and filled here into rows of its own: no rows are
+        handed out twice, so the worker's late rows reach no one."""
         with self.cond:
-            self.window += [ahead] if ahead else []
-            self.cond.notify_all()
-        _fill(self._streams(chunk))
-        with self.cond:
-            self.window.pop(0)
-            self.cond.wait_for(lambda: not chunk.held,
-                               GRACE_STREAMS * self.spent / max(self.filled, 1))
-            late, rows = sorted(chunk.held), chunk.rows
-        if late:
-            rows = rows.copy()  # the late rows are overwritten
-            _fill((chunk.keys[i], rows[i]) for i in late)
+            claim = None if self.ready else next(self.chunks, None)
+            # a worker holds fewer chunks than there are, so one was filled
+            if not (claim or self.cond.wait_for(lambda: self.ready or not self.held,
+                                                GRACE_CHUNKS * self.spent / self.filled)):
+                start = next(iter(self.held))
+                claim = start, self.held.pop(start)
+            chunk = self.ready.pop(0) if self.ready else None
+            self.cond.notify_all()  # a worker may claim in the room made
+        if claim:
+            chunk = claim[0], self._rows(claim[1])
         self.check()
-        return rows
+        return chunk
 
     def check(self) -> None:
         """Raise the error of any worker that has failed."""
@@ -178,11 +170,13 @@ class _Fill:
 
     def close(self) -> None:
         """Stop the workers and wait for their threads to end: each stops
-        after the stream it holds, and one not yet started never starts."""
+        after the chunk it holds, whose rows no one takes, and one not yet
+        started never starts."""
         with self.cond:
-            self.window = []
+            self.chunks, self.ready, self.held = iter(()), [], {}
             self.cond.notify_all()
-        self.pool.shutdown(cancel_futures=True)
+        if self.pool:
+            self.pool.shutdown(cancel_futures=True)
 
 
 def _path_seeds(seed: int, start: int, stop: int) -> np.ndarray:
@@ -279,21 +273,20 @@ def gaussian_pool(iv: Interval, basis: BasisSystem, m: int, jmax: int,
     return GaussianPool(iv=iv, basis=basis, m=m, jmax=jmax, values=values)
 
 
-def brownian_path(iv: Interval, m: int, N: int, seed, *, fill=None) -> WienerPath:
+def brownian_path(iv: Interval, m: int, N: int, seed, *, _rows=None) -> WienerPath:
     """Uniform-grid Wiener increments, Normal(0, (T-t)/N) i.i.d. per entry.
 
     Component rows come from per-component streams, so entry (i, l) depends
     only on (seed, i, l).  A sequence of seeds gives a batch whose row b is
-    bit-identical to the path of seeds[b].  fill is run_paths' own: the
-    run's fill, whose next chunk is the streams of these seeds.
+    bit-identical to the path of seeds[b].  _rows is run_paths' own: the
+    normals of these seeds' streams, filled by the run's fill.
     """
     m, N = read_int("m", m, lo=1), read_int("N", N, lo=1)
     single = np.ndim(seed) == 0
     seeds = [read_int("seed", s, 0, MAX_SEED) for s in ([seed] if single else seed)]
     errors.require_fits("paths", len(seeds) * m * N, "increments (m N per path)")
-    if fill:
-        increments = fill.take()
-    else:
+    increments = _rows
+    if increments is None:
         keys = _keys(np.array(seeds, np.uint64)[:, None], _PATH_DOMAIN,
                      np.arange(1, m + 1, dtype=np.uint64))
         increments = np.empty((len(seeds) * m, N))
@@ -308,31 +301,32 @@ def brownian_path(iv: Interval, m: int, N: int, seed, *, fill=None) -> WienerPat
 def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
     """The paths 0..n_paths-1 of the run of seed, in chunks of
     max(1, CHUNK_NORMALS // (m N)) paths: an iterator of (the index of the
-    chunk's first path, the chunk's batch of paths), each chunk drawn by
+    chunk's first path, the chunk's batch of paths), each drawn by
     brownian_path from its slice of the per-path seeds, read once, as the
-    block is entered.  With PART_NORMALS normals of the first chunk for each
-    of two threads, a worker per extra CPU starts then, on one fill (see
-    _Fill) passed to each of those calls, and fills up to three chunks
-    ahead of the last one drawn; a worker's error is raised with the next
-    chunk or as the block exits, and no worker outlives the block.  A run
-    with no worker opens no fill."""
+    block is entered.  The chunks come in the order the run's fill (see
+    _Fill) hands them out, which varies between runs of the same seed, so
+    a consumer places each by its index.  The fill reads up to AHEAD
+    chunks ahead of the calling thread (one where a chunk has more than
+    CHUNK_NORMALS normals) and starts a worker per extra CPU, but fewer
+    workers than chunks and no more than it reads ahead.  A worker's error
+    is raised with the next chunk or as the block exits, and no worker
+    outlives the block."""
     m, N, seed = read_int("m", m, lo=1), read_int("N", N, lo=1), read_int("seed", seed, 0, MAX_SEED)
     errors.require_fits("paths", m * N, "increments (m N per path)")
     n_paths = read_int("n_paths", n_paths, lo=1)
     errors.require_fits("the run of n_paths", n_paths, "paths")
     chunk = max(1, CHUNK_NORMALS // (m * N))
     seeds, starts = _path_seeds(seed, 0, n_paths), range(0, n_paths, chunk)
-    components, streams = np.arange(1, m + 1, dtype=np.uint64), min(chunk, n_paths) * m
-    threads = min(streams, streams * N // PART_NORMALS, _cpus())
-    fill = _Fill((_keys(seeds[i:i + chunk, None], _PATH_DOMAIN, components) for i in starts),
-                 N, threads - 1) if threads > 1 else None
+    components = np.arange(1, m + 1, dtype=np.uint64)
+    ahead = AHEAD if m * N <= CHUNK_NORMALS else 1
+    fill = _Fill(((i, _keys(seeds[i:i + chunk, None], _PATH_DOMAIN, components)) for i in starts),
+                 N, min(_cpus(), len(starts), ahead + 1) - 1, ahead)
     try:
-        yield ((i, brownian_path(iv, m, N, seeds[i:i + chunk], fill=fill)) for i in starts)
+        yield ((i, brownian_path(iv, m, N, seeds[i:i + chunk], _rows=rows))
+               for i, rows in iter(fill.take, None))
     finally:
-        if fill:
-            fill.close()
-    if fill:
-        fill.check()  # not as an error leaves the block: that error wins
+        fill.close()
+    fill.check()  # not as an error leaves the block: that error wins
 
 
 @lru_cache(maxsize=1)

@@ -14,10 +14,11 @@ and pass rule of a run is stated here, once.
 The paths of a run are those of stochastic.run_paths: path i from word i
 of the run's stream of per-path seeds, each chunk drawn by brownian_path.
 Every aggregate, the Parseval mass among them, is an exact sum rounded
-once, so reports are bit-identical for a fixed seed.  Chunks of paths run
-one after another on the calling thread, in a run opened before the tensor
-is built: a worker per extra CPU, where one starts, fills the first three
-chunks during the build and three ahead of this one while it is reduced.
+once, so reports are bit-identical for a fixed seed.  Chunks of paths are
+reduced one after another on the calling thread, in the order the run hands
+them out, in a run opened before the tensor is built: a worker per extra
+CPU, where one starts, fills the first chunks during the build and keeps
+filling ahead while each chunk is reduced.
 """
 from __future__ import annotations
 
@@ -52,9 +53,11 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     zeta_from_path, path_iterated_integral and truncated_expansion.  Each
     path keeps its own derived seed, so the sample does not depend on how
     paths are grouped into chunks beyond the rounding of the batched
-    contraction.  A given tensor is held to this spec, basis and orders
-    before the run opens, which reads n_steps, the seed and m n_steps before
-    the tensor is built, while the run's worker fills the first chunks.
+    contraction, and each chunk's differences land at its first path's
+    index, in whatever order the run hands chunks out.  A given tensor is
+    held to this spec, basis and orders before the run opens, which reads
+    n_steps, the seed and m n_steps before the tensor is built, while the
+    run's workers fill the first chunks.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from itofourier import stochastic
 from itofourier.basis import BasisSystem, Interval
 from itofourier.cli import run_cli
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor, parseval_residual
@@ -182,7 +183,10 @@ def test_criterion_8_moment_bounds(criterion7_report):
             f"allowance; E[D^4]={moment['sample_moment']:.4f} <= {literal_bound:.2f}")
 
 
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
+    # what --threads once selected: the run's fill workers, none on one CPU
+    # and two on three (300 paths at m = 2, N = 256 are 3 chunks of up to
+    # 128); --threads is still passed, and accepted
     cfg = tmp_path / "spec.json"
     cfg.write_text(json.dumps({
         "spec": {"t": 0.0, "T": 1.0, "k": 2, "indices": [1, 2],
@@ -194,21 +198,28 @@ def test_criterion_9_cli_determinism(tmp_path):
         "validate": ["validate", "--config", str(cfg), "--orders", "1,1",
                      "--paths", "300", "--steps", "256", "--seed", "42", "--n", "2"],
     }
+    fills, fill = [], stochastic._Fill
+    monkeypatch.setattr(stochastic, "_Fill", lambda *a: fills.append(fill(*a)) or fills[-1])
+    runs = ((1, 1), (3, 8))  # (CPUs, --threads)
     for name, argv in commands.items():
         blobs = []
-        for threads, tag in ((1, "t1"), (8, "t8")):
-            out = tmp_path / f"{name}-{tag}.out"
+        for cpus, threads in runs:
+            monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+            out = tmp_path / f"{name}-{cpus}.out"
             code = run_cli(["--threads", str(threads)] + argv + ["--out", str(out)])
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], name
+    assert [len(run.workers) for run in fills] == [0, 2]  # the validate runs
     # approximate consumes the coeffs output
-    table = tmp_path / "coeffs-t1.out"
+    table = tmp_path / "coeffs-1.out"
     vals = []
-    for threads in (1, 8):
-        out = tmp_path / f"approx-{threads}.json"
+    for cpus, threads in runs:
+        monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
+        out = tmp_path / f"approx-{cpus}.json"
         assert run_cli(["--threads", str(threads), "approximate", "--table",
                         str(table), "--seed", "7", "--out", str(out)]) == 0
         vals.append(out.read_bytes())
     assert vals[0] == vals[1]
-    _report("criterion 9: all three subcommands byte-identical at --threads 1 and 8")
+    _report("criterion 9: all three subcommands byte-identical on 1 CPU (--threads 1) and "
+            "on 3 (--threads 8); validate's 3-chunk runs had 0 and 2 fill workers")

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -52,6 +53,17 @@ def _opened_fills(monkeypatch) -> list:
 def _fill_threads() -> list[str]:
     """The names of the live threads of any fill."""
     return [t.name for t in threading.enumerate() if t.name.startswith("itofourier-normals")]
+
+
+def _assert_run_is_the_reference(chunks, seed: int, paths: int, chunk: int,
+                                 n_steps: int = 4096) -> None:
+    """chunks, the (start, path) pairs a run of paths paths at m = 2 handed
+    out, chunk paths at a time: every chunk once, in any order, each with
+    the bits of the per-stream reference."""
+    assert sorted(start for start, _ in chunks) == list(range(0, paths, chunk))
+    drawn = np.concatenate([path.increments for _, path in sorted(chunks, key=lambda c: c[0])])
+    want = brownian_path_reference(UNIT, 2, n_steps, [path_seed(seed, i) for i in range(paths)])
+    assert drawn.tobytes() == want.tobytes()
 
 
 class TestGaussianPool:
@@ -195,9 +207,9 @@ class TestStreamKeys:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_one_philox_per_thread(self, cpus, monkeypatch):
         # a call outside a run fills on the calling thread; a run also on a
-        # worker per extra CPU while each has PART_NORMALS normals, and on
-        # one CPU opens no fill.  Each thread builds one Philox on its first
-        # fill and re-keys it for every later stream, and path_seed borrows it
+        # worker per extra CPU, and on one CPU on its fill with no worker.
+        # Each thread builds one Philox on its first fill and re-keys it for
+        # every later stream, and path_seed borrows it
         built, fills = [], []
         monkeypatch.setattr(stochastic, "_local", threading.local(), raising=False)
         monkeypatch.setattr(stochastic, "Philox", lambda **kw: built.append(kw) or Philox(**kw))
@@ -214,15 +226,14 @@ class TestStreamKeys:
         opened = _opened_fills(monkeypatch)
         # 24 paths at m = 2, N = 4096: three chunks of 16 streams each
         with stochastic.run_paths(UNIT, 2, 4096, 3, 24) as paths:
-            drawn = [path.increments for _, path in paths]
-        assert [len(run.workers) for run in opened] == ([cpus - 1] if cpus > 1 else [])
+            drawn = list(paths)
+        assert [len(run.workers) for run in opened] == [cpus - 1]
         assert len(built) == len(set(fills)) <= cpus
-        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(3, i) for i in range(24)])
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
+        _assert_run_is_the_reference(drawn, 3, 24, 8)
 
     def test_no_call_outside_a_run_uses_a_worker(self, monkeypatch):
-        # on 4 CPUs, calls of many times PART_NORMALS normals per CPU fill on
-        # the calling thread alone, as small ones do, and start no thread
+        # on 4 CPUs, calls of many chunks' normals fill on the calling thread
+        # alone, as small ones do, and start no thread
         monkeypatch.setattr(stochastic, "_cpus", lambda: 4)
         fills, fill = [], stochastic._fill
         monkeypatch.setattr(stochastic, "_fill",
@@ -231,7 +242,7 @@ class TestStreamKeys:
         seeds = [path_seed(4, i) for i in range(64)]
         assert brownian_path(UNIT, 2, 4096, seeds).increments.tobytes() == \
             brownian_path_reference(UNIT, 2, 4096, seeds).tobytes()
-        jmax = 2 * stochastic.PART_NORMALS - 1
+        jmax = 2 * stochastic.CHUNK_NORMALS - 1
         assert gaussian_pool(UNIT, BasisSystem.LEGENDRE, 2, jmax, 9).values.tobytes() == \
             gaussian_pool_reference(UNIT, 2, jmax, 9).tobytes()
         gaussian_pool(UNIT, BasisSystem.LEGENDRE, 2, 31, seed=1)
@@ -261,76 +272,94 @@ class TestStreamKeys:
 
 
 class TestRunFill:
-    """One fill serves a whole run: a worker per extra CPU, started once,
-    fills the streams of the chunk brownian_path takes next and of those
-    after it, three chunks beyond the chunk last taken (one for chunks of
-    more than CHUNK_NORMALS normals), and every chunk keeps the bits of the
-    per-stream reference."""
+    """One fill serves a whole run: a worker per extra CPU, up to one fewer
+    than the chunks and no more than the look-ahead, started once, claims
+    and fills whole chunks while fewer than AHEAD are filled or held, one
+    where a chunk has more than CHUNK_NORMALS normals; chunks are handed
+    out in the order they are filled, and every chunk keeps the bits of
+    the per-stream reference."""
 
     @staticmethod
     def _draw(monkeypatch, seed, paths, chunk):
-        """The increments of the run of seed, paths paths at m = 2,
+        """The (start, path) pairs of the run of seed, paths paths at m = 2,
         N = 4096, drawn chunk paths at a time."""
         monkeypatch.setattr(stochastic, "CHUNK_NORMALS", chunk * 2 * 4096)
         with stochastic.run_paths(UNIT, 2, 4096, seed, paths) as chunks:
-            return [path.increments for _, path in chunks]
+            return list(chunks)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("paths, chunk", [(10, 3), (10, 4), (6, 6), (7, 8)])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 6])
+    @pytest.mark.parametrize("paths, chunk", [(10, 3), (10, 4), (12, 1), (6, 6), (7, 8)])
     def test_chunks_are_the_reference_paths(self, paths, chunk, cpus, monkeypatch):
-        # a cutoff of one stream, so that every run here has a worker per
-        # extra CPU, and one fill for the whole run, or on one CPU none;
-        # 10 paths in chunks of 3 and 4 end on a short chunk
-        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        # one fill for the whole run, with a worker per extra CPU up to one
+        # fewer than the chunks and at most AHEAD; 10 paths in chunks of 3
+        # and 4 end on a short chunk, and a run of one chunk starts no worker
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         opened = _opened_fills(monkeypatch)
         drawn = self._draw(monkeypatch, 5, paths, chunk)
-        assert [len(run.workers) for run in opened] == ([cpus - 1] if cpus > 1 else [])
-        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(5, i) for i in range(paths)])
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
+        workers = min(cpus, -(-paths // chunk), stochastic.AHEAD + 1) - 1
+        assert [len(run.workers) for run in opened] == [workers]
+        _assert_run_is_the_reference(drawn, 5, paths, chunk)
 
-    @pytest.mark.parametrize("n_steps, cpus, workers", [
-        (stochastic.PART_NORMALS - 1, 2, 0),  # fewer than PART_NORMALS for each of two
-        (stochastic.PART_NORMALS, 1, 0),
-        (stochastic.PART_NORMALS, 2, 1),
-        (stochastic.PART_NORMALS, 3, 1),
-        (3 * stochastic.PART_NORMALS, 3, 1),  # never more threads than streams
+    @pytest.mark.parametrize("paths, n_steps, cpus, workers", [
+        (8, 4096, 2, 0),  # one chunk
+        (16, 4096, 1, 0),  # one CPU
+        (16, 4096, 2, 1),
+        (16, 4096, 3, 1),  # never as many workers as chunks
+        (24, 4096, 3, 2),
+        (100, 4096, 4, 3),
+        (100, 4096, 8, 3),  # no more workers than AHEAD
+        (1000, 32, 2, 0),  # one chunk of 1000 paths
+        (3, 2**15 + 1, 2, 1),  # one-path chunks over CHUNK_NORMALS
+        (3, 2**15 + 1, 3, 1),  # read one chunk ahead, so one worker
     ])
-    def test_workers_follow_the_part_normals_rule(self, n_steps, cpus, workers, monkeypatch):
-        # a one-path run at m = 2 is one chunk of 2 streams; a run with no
-        # worker opens no fill, so it reads no chunk ahead
+    def test_workers_follow_the_chunk_count_rule(self, paths, n_steps, cpus, workers,
+                                                 monkeypatch):
+        # every run opens one fill, on an executor only with a worker
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         opened = _opened_fills(monkeypatch)
-        with stochastic.run_paths(UNIT, 2, n_steps, 4, 1) as paths:
-            [(_, path)] = paths
-        assert [len(run.workers) for run in opened] == ([workers] if workers else [])
-        want = brownian_path_reference(UNIT, 2, n_steps, [path_seed(4, 0)])
-        assert path.increments.tobytes() == want.tobytes()
+        with stochastic.run_paths(UNIT, 2, n_steps, 4, paths) as chunks:
+            drawn = list(chunks)
+        [fill] = opened
+        assert len(fill.workers) == workers and (fill.pool is None) == (workers == 0)
+        chunk = max(1, stochastic.CHUNK_NORMALS // (2 * n_steps))
+        _assert_run_is_the_reference(drawn, 4, paths, chunk, n_steps)
 
-    @pytest.mark.parametrize("n_steps, ahead", [
-        (4096, 3),  # 8-path chunks of CHUNK_NORMALS normals
-        (20480, 3),  # 1-path chunks of 40960 normals
-        (2**15 + 4096, 1),  # a path of more than CHUNK_NORMALS normals
+    def test_a_run_without_a_worker_imports_no_executor(self):
+        # concurrent.futures and its logging stay out of a one-CPU process
+        code = ("import sys; from itofourier import stochastic, validation, kernel, basis;"
+                "stochastic._cpus = lambda: 1;"
+                "validation.sample_differences(kernel.constant_spec(basis.Interval(0.0, 1.0),"
+                " (1, 2)), basis.BasisSystem.LEGENDRE, (0, 0), 100, 4096, 3);"
+                "assert 'concurrent.futures' not in sys.modules")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @pytest.mark.parametrize("n_steps, cpus, ahead, workers", [
+        (4096, 2, 3, 1),  # 8-path chunks of CHUNK_NORMALS normals
+        (20480, 2, 3, 1),  # 1-path chunks of 40960 normals
+        (2**15 + 4096, 2, 1, 1),  # a path of more than CHUNK_NORMALS normals
+        (4096, 6, 3, 3),  # one chunk for each of three workers
+        (2**15 + 4096, 3, 1, 1),  # one worker for the one chunk ahead
     ])
-    def test_workers_fill_the_look_ahead_and_no_further(self, n_steps, ahead, monkeypatch):
-        # before the first chunk is taken the worker fills the streams of
-        # the first ahead chunks, then waits; the run has more chunks
-        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+    def test_workers_fill_the_look_ahead_and_no_further(self, n_steps, cpus, ahead, workers,
+                                                         monkeypatch):
+        # before the first chunk is taken the workers fill ahead chunks,
+        # then wait; the run has more chunks
+        monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         opened = _opened_fills(monkeypatch)
         chunk = max(1, stochastic.CHUNK_NORMALS // (2 * n_steps))
         paths = (ahead + 2) * chunk
         with stochastic.run_paths(UNIT, 2, n_steps, 8, paths) as chunks:
             [fill] = opened
+            assert len(fill.workers) == workers
             with fill.cond:
-                assert fill.cond.wait_for(lambda: all(c.next == len(c.keys) and not c.held
-                                                      for c in fill.window), 10)
-                assert fill.filled == ahead * 2 * chunk and len(fill.window) == ahead
-            drawn = [path.increments for _, path in chunks]
-        want = brownian_path_reference(UNIT, 2, n_steps, [path_seed(8, i) for i in range(paths)])
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
+                assert fill.cond.wait_for(lambda: len(fill.ready) == ahead and not fill.held, 10)
+                assert fill.filled == ahead
+            drawn = list(chunks)
+        _assert_run_is_the_reference(drawn, 8, paths, chunk, n_steps)
 
     def test_a_worker_error_is_raised_with_the_next_chunk(self, monkeypatch):
-        # the worker fails on its first stream: the first chunk handed out
+        # the worker fails on its first chunk: the first chunk handed out
         # after the failure raises it, not the end of the run
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         opened = _opened_fills(monkeypatch)
@@ -352,8 +381,8 @@ class TestRunFill:
 
     def test_a_worker_error_after_the_last_chunk_is_raised_as_the_block_exits(self,
                                                                                monkeypatch):
-        # a run of one chunk: the worker holds a stream until the chunk has
-        # been handed out (the caller fills it into a copy), then fails
+        # a run of two chunks: the worker holds one until both have been
+        # handed out (the caller takes it over), then fails
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         took, release, fill = threading.Event(), threading.Event(), stochastic._fill
 
@@ -361,18 +390,17 @@ class TestRunFill:
             if threading.current_thread() is threading.main_thread():
                 assert took.wait(10)
                 return fill(streams)
-            next(streams)
             took.set()
             release.wait(10)
             raise RuntimeError("late")
 
         monkeypatch.setattr(stochastic, "_fill", late_failing_fill)
         with pytest.raises(RuntimeError, match="late"):
-            with stochastic.run_paths(UNIT, 2, 4096, 3, 8) as paths:
-                [(_, path)] = paths
+            with stochastic.run_paths(UNIT, 2, 4096, 3, 16) as paths:
+                drawn = list(paths)
                 release.set()
-        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(3, i) for i in range(8)])
-        assert path.increments.tobytes() == want.tobytes() and _fill_threads() == []
+        _assert_run_is_the_reference(drawn, 3, 16, 8)
+        assert _fill_threads() == []
 
     def test_an_error_of_the_block_wins_over_a_workers(self, monkeypatch):
         # the worker has failed when the block raises an error of its own:
@@ -392,11 +420,12 @@ class TestRunFill:
         assert _fill_threads() == []
 
     def test_many_workers_on_a_short_switch_interval(self, monkeypatch):
-        # five workers on a 2-CPU machine, the interpreter switching threads
-        # every 10 us: a stream taken twice or by no thread, or a row handed
-        # out before it is filled, breaks the reference bits
-        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        # three workers (AHEAD, with _cpus at six), the interpreter
+        # switching threads every 10 us: a chunk claimed twice or by no
+        # thread, or rows handed out before they are filled, break the
+        # reference bits
         monkeypatch.setattr(stochastic, "_cpus", lambda: 6)
+        opened = _opened_fills(monkeypatch)
         drawn, interval = [], sys.getswitchinterval()
         run = threading.Thread(target=lambda: drawn.extend(self._draw(monkeypatch, 9, 41, 3)),
                                daemon=True)
@@ -407,69 +436,71 @@ class TestRunFill:
         finally:
             sys.setswitchinterval(interval)
         assert not run.is_alive() and _fill_threads() == []
-        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(9, i) for i in range(41)])
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
+        assert [len(fill.workers) for fill in opened] == [stochastic.AHEAD]
+        _assert_run_is_the_reference(drawn, 9, 41, 3)
 
-    def test_a_stalled_worker_is_not_waited_for(self, monkeypatch):
-        # the worker stalls on its first stream until every chunk has been
-        # handed out: each chunk is handed out meanwhile with the reference
-        # bits, and the worker's late write reaches none of them
-        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+    def test_a_stalled_workers_chunk_is_taken_over_after_the_grace(self, monkeypatch):
+        # the worker stalls on its first chunk until the caller has filled
+        # the other three, waited out the grace and taken the stalled one
+        # over; the worker's late rows, written before the caller's last
+        # take, reach no chunk, and no chunk is handed out twice
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         monkeypatch.setattr(stochastic, "CHUNK_NORMALS", 3 * 2 * 4096)
         opened = _opened_fills(monkeypatch)
-        took, release = threading.Event(), threading.Event()
-        fill = stochastic._fill
+        took, release, fill, caller_fills = threading.Event(), threading.Event(), \
+            stochastic._fill, []
 
         def stalling_fill(streams):
             if threading.current_thread() is threading.main_thread():
-                return fill(streams)
-            _, row = next(streams)
+                caller_fills.append(1)
+                fill(streams)
+                if len(caller_fills) == 4:  # the chunk taken over
+                    release.set()
+                    concurrent.futures.wait(opened[0].workers, 10)
+                return
+            streams = list(streams)
             took.set()
             release.wait(10)
-            row[:] = np.nan
+            for _, row in streams:
+                row[:] = np.nan
             fill(streams)
 
         monkeypatch.setattr(stochastic, "_fill", stalling_fill)
         with stochastic.run_paths(UNIT, 2, 4096, 6, 10) as paths:
             assert took.wait(10)
-            drawn = [path.increments for _, path in paths]
-            release.set()
-        assert [len(run.workers) for run in opened] == [1]
-        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(6, i) for i in range(10)])
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
+            drawn = list(paths)
+        assert [len(run.workers) for run in opened] == [1] and len(caller_fills) == 4
+        assert opened[0].workers[0].done()
+        _assert_run_is_the_reference(drawn, 6, 10, 3)
 
-    def test_a_caller_that_filled_no_stream_still_waits(self, monkeypatch):
-        # a run of one path: the worker takes both its streams and fills
-        # each in about 50 ms; the caller, which fills neither, waits two of
-        # the fill's stream-times for the second instead of filling it again
-        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+    def test_a_caller_waits_out_the_grace_before_taking_over(self, monkeypatch):
+        # a run of two chunks: the worker fills one in about 120 ms, the
+        # caller the other in about 80 ms; the caller then waits up to two of
+        # the fill's chunk-times for the worker's chunk instead of filling
+        # it again
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
-        took_both, caller_fills, fill = threading.Event(), [], stochastic._fill
+        started, caller_fills, fill = threading.Event(), [], stochastic._fill
 
         def slow_fill(streams):
             if threading.current_thread() is threading.main_thread():
-                assert took_both.wait(10)
-                streams = list(streams)
-                caller_fills.append(len(streams))
-                return fill(streams)
-            for count, pair in enumerate(streams, 1):
-                if count == 2:
-                    took_both.set()
-                time.sleep(0.05)
-                fill([pair])
+                assert started.wait(10)
+                caller_fills.append(1)
+                time.sleep(0.08)
+            else:
+                started.set()
+                time.sleep(0.12)
+            fill(streams)
 
         monkeypatch.setattr(stochastic, "_fill", slow_fill)
-        with stochastic.run_paths(UNIT, 2, 4096, 3, 1) as paths:
-            [(_, path)] = paths
-        assert caller_fills == [0]  # one call, for its own chunk, which had no stream left
-        want = brownian_path_reference(UNIT, 2, 4096, [path_seed(3, 0)])
-        assert path.increments.tobytes() == want.tobytes()
+        with stochastic.run_paths(UNIT, 2, 4096, 3, 16) as paths:
+            drawn = list(paths)
+        assert caller_fills == [1]  # its own chunk, not the worker's again
+        _assert_run_is_the_reference(drawn, 3, 16, 8)
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_error_on_any_thread_is_raised(self, failing, monkeypatch):
-        # a run of one chunk of 16 streams and one worker: the error leaves
-        # the run's block only once the other thread has stopped
+        # a run of two chunks and one worker: the error leaves the run's
+        # block only once the other thread has stopped
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         fill, done, started = stochastic._fill, [], threading.Event()
 
@@ -487,15 +518,13 @@ class TestRunFill:
 
         monkeypatch.setattr(stochastic, "_fill", failing_fill)
         with pytest.raises(RuntimeError, match=failing):
-            with stochastic.run_paths(UNIT, 2, 4096, 3, 8) as paths:
+            with stochastic.run_paths(UNIT, 2, 4096, 3, 16) as paths:
                 list(paths)
         assert done == [failing] and _fill_threads() == []
 
     def test_a_call_inside_a_run_fills_on_its_own(self, monkeypatch):
-        # calls between a run's chunks, even of the seeds of its next chunk,
-        # neither take a chunk of the run nor change one; two workers, so
-        # that every call here could split
-        monkeypatch.setattr(stochastic, "PART_NORMALS", 4096)
+        # calls between a run's chunks, even of the seeds of another of its
+        # chunks, neither take a chunk of the run nor change one; two workers
         monkeypatch.setattr(stochastic, "_cpus", lambda: 3)
         monkeypatch.setattr(stochastic, "CHUNK_NORMALS", 3 * 2 * 4096)
         seeds = [path_seed(7, i) for i in range(9)]
@@ -510,12 +539,47 @@ class TestRunFill:
                 got = brownian_path(UNIT, *args).increments
                 assert got.tobytes() == reference.tobytes(), args
             for start, path in paths:
-                drawn.append(path.increments)
-                got = brownian_path(UNIT, 2, 4096, seeds[start + 3:start + 6]).increments
-                assert got.tobytes() == want[start + 3:start + 6].tobytes()
+                drawn.append((start, path))
+                other = (start + 3) % 9
+                got = brownian_path(UNIT, 2, 4096, seeds[other:other + 3]).increments
+                assert got.tobytes() == want[other:other + 3].tobytes()
                 assert gaussian_pool(UNIT, BasisSystem.WALSH, 2, 4095, start).values.tobytes() \
                     == gaussian_pool_reference(UNIT, 2, 4095, start).tobytes()
-        assert np.concatenate(drawn).tobytes() == want.tobytes()
+        _assert_run_is_the_reference(drawn, 7, 9, 3)
+
+    def test_chunks_handed_out_of_order_keep_the_sample(self, monkeypatch):
+        # the worker claims chunk 0 while the tensor is built and stalls on
+        # it until the caller has filled three chunks of its own, so those
+        # are handed out first: each chunk's differences still land at its
+        # start, and the sample is the reference bit for bit
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        spec, seed = constant_spec(UNIT, (1, 2)), 13
+        first = path_seed(seed, 0)
+        claimed, release, caller_fills, order = threading.Event(), threading.Event(), [], []
+        fill, build, draw = stochastic._fill, validation.coefficient_tensor, \
+            stochastic.brownian_path
+
+        def stalling_fill(streams):
+            streams = list(streams)
+            if threading.current_thread() is threading.main_thread():
+                caller_fills.append(1)
+                if len(caller_fills) == 3:
+                    release.set()
+            elif streams[0][0][0] == first:
+                claimed.set()
+                assert release.wait(10)
+            fill(streams)
+
+        monkeypatch.setattr(stochastic, "_fill", stalling_fill)
+        monkeypatch.setattr(validation, "coefficient_tensor",
+                            lambda *a: claimed.wait(10) and build(*a))
+        monkeypatch.setattr(stochastic, "brownian_path",
+                            lambda *a, **kw: order.append(int(a[3][0])) or draw(*a, **kw))
+        diffs, tensor = sample_differences(spec, BasisSystem.LEGENDRE, (1, 1), 100, 4096, seed)
+        starts = [[path_seed(seed, i) for i in range(100)].index(s) for s in order]
+        assert sorted(starts) == list(range(0, 100, 8)) and starts.index(0) >= 3
+        want = sample_differences_reference(spec, tensor, 100, 4096, seed, 8)
+        assert diffs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_no_fill_thread_outlives_its_run(self, cpus, monkeypatch):

@@ -211,14 +211,19 @@ class TestChunkedEngine:
         spec = constant_spec(UNIT, (1, 2))
         diffs, _ = sample_differences(spec, LEG, (0, 0), 100, 4096, seed=4)
         assert [a for a, _ in calls["_path_seeds"]] == [(4, 0, 100)]
-        assert [len(a[3]) for a, _ in calls["brownian_path"]] == [8] * 12 + [4]
         for name in ("brownian_path", "zeta_from_path", "path_iterated_integral",
                      "truncated_expansion"):
             assert len(calls[name]) == 13, name
         assert diffs.shape == (100,)
-        # path i of the sample is the path of path_seed(seed, i)
-        drawn = np.concatenate([path.increments for _, path in calls["brownian_path"]])
-        want = brownian_path(UNIT, 2, 4096, [path_seed(4, i) for i in range(100)])
+        # chunks are handed out in the order they are filled: by its first
+        # seed, chunk c is paths 8c.., and path i of the sample is the path
+        # of path_seed(seed, i)
+        seeds = [path_seed(4, i) for i in range(100)]
+        drawn = sorted(calls["brownian_path"], key=lambda call: seeds.index(call[0][3][0]))
+        assert [len(a[3]) for a, _ in drawn] == [8] * 12 + [4]
+        assert [seeds.index(a[3][0]) for a, _ in drawn] == list(range(0, 100, 8))
+        drawn = np.concatenate([path.increments for _, path in drawn])
+        want = brownian_path(UNIT, 2, 4096, seeds)
         assert drawn.tobytes() == want.increments.tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 3, 8])
@@ -239,9 +244,8 @@ class TestChunkedEngine:
          IntegralSpec(UNIT, 3, (1, 2, 1), (Weight((1.0,)), Weight((1.0, 1.0)), Weight((1.0,))))),
     ], ids=["mc-legendre", "mc-walsh"])
     def test_sample_does_not_depend_on_the_cpu_count(self, basis, orders, spec, monkeypatch):
-        # the 13 chunks fill their normals on one thread, from no fill, on
-        # one CPU, and on two or three from one fill with a worker per extra
-        # CPU for the whole run
+        # the 13 chunks fill their normals from one fill for the whole run,
+        # with a worker per extra CPU: on one CPU none
         tensor = coefficient_tensor(spec, basis, orders)
         samples = []
         for cpus in (1, 2, 3):
@@ -251,7 +255,7 @@ class TestChunkedEngine:
                                 fills.append(_f(*a)) or fills[-1])
             diffs, _ = sample_differences(spec, basis, orders, 100, 4096, 12, tensor=tensor)
             monkeypatch.undo()
-            assert [len(fill.workers) for fill in fills] == ([cpus - 1] if cpus > 1 else [])
+            assert [len(fill.workers) for fill in fills] == [cpus - 1]
             samples.append(diffs.tobytes())
         assert samples[0] == samples[1] == samples[2]
 
