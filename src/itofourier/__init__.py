@@ -26,7 +26,7 @@ from .errors import (ArityError, BasisIndexError, CapacityError, CompatibilityEr
                      NumericError, UnsupportedMultiplicityError)
 from .expansion import ExpansionResult, truncated_expansion
 from .kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_norm_sq
-from .partitions import PairPartition, pair_partitions, partition_count
+from .partitions import PairPartition, pair_partitions
 from .stochastic import (GaussianPool, WienerPath, brownian_path, gaussian_pool,
                          path_iterated_integral, path_seed, zeta_from_path)
 from .validation import (moment_bound_2n, moment_check, ms_error_bound,
@@ -66,7 +66,6 @@ __all__ = [
     "breakpoints", "brownian_path", "coefficient_tensor", "constant_spec",
     "eval_basis", "eval_weight", "gaussian_pool", "integrate_basis", "kernel_l2_norm_sq",
     "moment_bound_2n", "moment_check", "ms_error_bound", "pair_partitions", "parse_basis",
-    "parseval_residual", "partition_count", "path_iterated_integral", "path_seed",
-    "read_coefficient_table", "strong_error_estimate", "truncated_expansion",
-    "write_coefficient_table", "zeta_from_path",
+    "parseval_residual", "path_iterated_integral", "path_seed", "read_coefficient_table",
+    "strong_error_estimate", "truncated_expansion", "write_coefficient_table", "zeta_from_path",
 ]

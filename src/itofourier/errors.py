@@ -6,9 +6,9 @@ idiomatic ``except ValueError`` / ``except IndexError`` handlers.
 """
 import numpy as np
 
-# Entries one coefficient tensor or table, quadrature sweep array, batch of
-# path increments, simulation grid or validation sample may hold; every check
-# reads errors.MAX_ENTRIES when it runs, so lowering it lowers them all
+# Entries one coefficient tensor or table, quadrature sweep array, basis
+# matrix, batch of path increments or pools, expansion head or validation
+# sample may hold; every check reads errors.MAX_ENTRIES when it runs
 MAX_ENTRIES = 10**8
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientTensor
-from .errors import CompatibilityError, UnsupportedMultiplicityError
+from .errors import CompatibilityError, UnsupportedMultiplicityError, require_fits
 from .stochastic import GaussianPool
 
 MAX_MULTIPLICITY = 10
@@ -88,6 +88,8 @@ def truncated_expansion(tensor: CoefficientTensor, pool: GaussianPool) -> Expans
             f"multiplicity {k} exceeds supported cap {MAX_MULTIPLICITY}")
     _check_compatible(tensor, pool)
     pools = pool.values if pool.values.ndim == 3 else pool.values[None]
+    require_fits("expansion head", len(pools) * math.prod(tensor.values.shape[:-1]),
+                 "entries (B |C| / n_last)")
     rows = [pools[:, spec.indices[level], :n] for level, n in enumerate(tensor.values.shape)]
     value = _wick(tensor.values, rows, spec.indices)
     return ExpansionResult(value=value if pool.values.ndim == 3 else float(value[0]),

@@ -22,8 +22,6 @@ import numpy as np
 @lru_cache(maxsize=4)
 def gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
     x, w = np.polynomial.legendre.leggauss(nodes)
     x.setflags(write=False)
     w.setflags(write=False)

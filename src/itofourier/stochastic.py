@@ -298,24 +298,25 @@ def brownian_path(iv: Interval, m: int, N: int, seed, *, _rows=None) -> WienerPa
 
 
 @contextmanager
-def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int):
+def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int, width: int = 1):
     """The paths 0..n_paths-1 of the run of seed, in chunks of
-    max(1, CHUNK_NORMALS // (m N)) paths: an iterator of (the index of the
-    chunk's first path, the chunk's batch of paths), each drawn by
-    brownian_path from its slice of the per-path seeds, read once, as the
-    block is entered.  The chunks come in the order the run's fill (see
-    _Fill) hands them out, which varies between runs of the same seed, so
-    a consumer places each by its index.  The fill reads up to AHEAD
-    chunks ahead of the calling thread (one where a chunk has more than
-    CHUNK_NORMALS normals) and starts a worker per extra CPU, but fewer
-    workers than chunks and no more than it reads ahead.  A worker's error
-    is raised with the next chunk or as the block exits, and no worker
-    outlives the block."""
+    max(1, min(CHUNK_NORMALS // (m N), errors.MAX_ENTRIES // width)) paths,
+    width the entries per path of the consumer's widest batch array: an
+    iterator of (the index of the chunk's first path, the chunk's batch of
+    paths), each drawn by brownian_path from its slice of the per-path
+    seeds, read once, as the block is entered.  The chunks come in the
+    order the run's fill (see _Fill) hands them out, which varies between
+    runs of the same seed, so a consumer places each by its index.  The
+    fill reads up to AHEAD chunks ahead of the calling thread (one where a
+    chunk has more than CHUNK_NORMALS normals) and starts a worker per extra
+    CPU, but fewer workers than chunks and no more than it reads ahead.  A
+    worker's error is raised with the next chunk or as the block exits, and
+    no worker outlives the block."""
     m, N, seed = read_int("m", m, lo=1), read_int("N", N, lo=1), read_int("seed", seed, 0, MAX_SEED)
     errors.require_fits("paths", m * N, "increments (m N per path)")
-    n_paths = read_int("n_paths", n_paths, lo=1)
+    n_paths, width = read_int("n_paths", n_paths, lo=1), read_int("width", width, lo=1)
     errors.require_fits("the run of n_paths", n_paths, "paths")
-    chunk = max(1, CHUNK_NORMALS // (m * N))
+    chunk = max(1, min(CHUNK_NORMALS // (m * N), errors.MAX_ENTRIES // width))
     seeds, starts = _path_seeds(seed, 0, n_paths), range(0, n_paths, chunk)
     components = np.arange(1, m + 1, dtype=np.uint64)
     ahead = AHEAD if m * N <= CHUNK_NORMALS else 1
@@ -360,11 +361,12 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     sum_l phi_j(tau_l) dW_l, summed by cell; the grid holds all basis jumps.
     """
     jmax = read_int("jmax", jmax, lo=0)
-    errors.require_fits("simulation grid", path.N * (jmax + 1), "basis values (N (jmax + 1))")
+    shape = path.increments.shape[:-2] + (path.m + 1, jmax + 1)
+    errors.require_fits("pool", math.prod(shape), "entries (B (m + 1) (jmax + 1))")
     phi, cell = _grid_plan(basis, path.iv, path.N, jmax)
     dw = path.increments
     dw = dw.reshape(dw.shape[:-1] + (-1, cell)).sum(axis=-1) if cell > 1 else dw
-    values = np.empty(path.increments.shape[:-2] + (path.m + 1, jmax + 1))
+    values = np.empty(shape)
     values[..., 0, :] = _time_row(path.iv, jmax)
     values[..., 1:, :] = dw @ phi.T
     values.setflags(write=False)

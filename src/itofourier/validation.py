@@ -65,7 +65,10 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     orders_t = read_ints("orders", orders, lo=0)
     if tensor and (tensor.spec, tensor.basis, tensor.orders) != (spec, basis, orders_t):
         raise DomainError("tensor was built for a different integral spec, basis or orders")
-    with run_paths(spec.iv, spec.max_index, n_steps, seed, n_paths) as paths:
+    # entries per path of a chunk's widest arrays: its pools, and the expansion's head
+    width = max((spec.max_index + 1) * (max(orders_t, default=0) + 1),
+                math.prod(o + 1 for o in orders_t[:-1]))
+    with run_paths(spec.iv, spec.max_index, n_steps, seed, n_paths, width) as paths:
         tensor = tensor or coefficient_tensor(spec, basis, orders_t)
         diffs = np.empty(n_paths)
         for start, path in paths:

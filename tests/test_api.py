@@ -12,11 +12,12 @@ from itofourier.basis import (BasisSystem, Interval, basis_matrix, basis_rows, b
                               eval_basis, integrate_basis, jump_depth)
 from itofourier.coefficients import (CoefficientTensor, coefficient_tensor,
                                      read_coefficient_table, write_coefficient_table)
-from itofourier.errors import CapacityError, DomainError, ItoFourierError
+from itofourier.errors import CapacityError, DomainError, ItoFourierError, NumericError
+from itofourier.expansion import truncated_expansion
 from itofourier.kernel import CONSTANT_ONE, IntegralSpec, Weight, constant_spec, eval_weight
-from itofourier.partitions import pair_partitions, partition_count
-from itofourier.stochastic import (WienerPath, brownian_path, gaussian_pool, path_seed,
-                                   run_paths, zeta_from_path)
+from itofourier.partitions import pair_partitions
+from itofourier.stochastic import (GaussianPool, WienerPath, brownian_path, gaussian_pool,
+                                   path_seed, run_paths, zeta_from_path)
 from itofourier.validation import (moment_bound_2n, moment_check, ms_error_bound,
                                    sample_differences, strong_error_estimate)
 
@@ -124,9 +125,6 @@ _INTEGER_ARGUMENTS = [
     ("n", lambda v: moment_bound_2n(v, 2, 0.1)),
     ("k", lambda v: moment_bound_2n(1, v, 0.1)),
     ("k", lambda v: ms_error_bound(v, 0.1)),
-    # r = 2: C(10**5000, 2), at r = 1, is a count below the 10**10000 cap
-    ("k", lambda v: partition_count(v, 2)),
-    ("r", lambda v: partition_count(4, v)),
     ("k", lambda v: pair_partitions(v, 1)),
     ("r", lambda v: pair_partitions(4, v)),
 ]
@@ -144,11 +142,28 @@ def test_every_integer_argument_is_read_strictly(named, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: IntegralSpec.from_json([1, 2]), DomainError, "integral spec JSON must be an object"),
+    (lambda: CoefficientTensor(spec=constant_spec(UNIT, (1,)), basis=LEGENDRE, orders=(1,),
+                               values=np.zeros(3)), DomainError, r"values shape \(3,\) != \(2,\)"),
+    (lambda: CoefficientTensor(spec=constant_spec(UNIT, (1,)), basis=LEGENDRE, orders=(1,),
+                               values=np.array([0.5, np.nan])), NumericError, "non-finite"),
+    (lambda: GaussianPool(iv=UNIT, basis=LEGENDRE, m=1, jmax=1,
+                          values=np.array([[1.0, 0.0], [np.inf, 0.0]])), DomainError,
+     "pool contains non-finite entries"),
+], ids=["spec-json-not-object", "tensor-shape", "tensor-nan", "pool-inf"])
+def test_malformed_objects_named(call, error, named):
+    with pytest.raises(error, match=named):
+        call()
+
+
 def test_one_constant_caps_every_size(tmp_path, monkeypatch):
     table = tmp_path / "table.csv"
     write_coefficient_table(table, coefficient_tensor(constant_spec(UNIT, (1, 2)), LEGENDRE,
                                                       (40, 40)))
-    path = brownian_path(UNIT, 1, 100, seed=5)
+    batch = brownian_path(UNIT, 1, 2, seed=range(300))
+    tensor = coefficient_tensor(constant_spec(UNIT, (1, 2)), LEGENDRE, (9, 9))
+    pools = zeta_from_path(brownian_path(UNIT, 2, 2, seed=range(150)), LEGENDRE, 9)
     monkeypatch.setattr(errors, "MAX_ENTRIES", 1000)
     for call, named in [
         (lambda: coefficient_tensor(constant_spec(UNIT, (1, 2)), LEGENDRE, (40, 40)),
@@ -158,8 +173,10 @@ def test_one_constant_caps_every_size(tmp_path, monkeypatch):
          "legendre quadrature array would hold 1722 entries"),
         (lambda: read_coefficient_table(table), "tensor would hold 1681 entries"),
         (lambda: brownian_path(UNIT, 2, 501, seed=1), "paths would hold 1002 increments"),
-        (lambda: zeta_from_path(path, BasisSystem.WALSH, 10),
-         "simulation grid would hold 1100 basis values"),
+        # 300 pools of 2 rows of 2 values, on a Haar plan of 2 cells
+        (lambda: zeta_from_path(batch, BasisSystem.HAAR, 1), "pool would hold 1200 entries"),
+        # the first contraction of 150 pools: 150 times 10 entries
+        (lambda: truncated_expansion(tensor, pools), "expansion head would hold 1500 entries"),
         (lambda: sample_differences(constant_spec(UNIT, (1, 2)), LEGENDRE, (0, 0), 1001, 16, 1),
          "the run of n_paths would hold 1001 paths"),
         # 2 rows of 501 values, checked before numpy is asked for them
@@ -170,3 +187,13 @@ def test_one_constant_caps_every_size(tmp_path, monkeypatch):
     ]:
         with pytest.raises(CapacityError, match=named + ".* > cap 1000$"):
             call()
+
+
+def test_a_dyadic_pool_is_capped_by_its_size_not_its_grid(monkeypatch):
+    # N (jmax + 1) = 1200 basis values would exceed the cap, but the Haar plan
+    # has 2 cells and the pool 2 rows of 2 values
+    path = brownian_path(UNIT, 1, 600, seed=5)
+    monkeypatch.setattr(errors, "MAX_ENTRIES", 1000)
+    pool = zeta_from_path(path, BasisSystem.HAAR, 1)
+    halves = path.increments.reshape(2, 300).sum(axis=1)
+    assert pool.values[1] == pytest.approx([halves.sum(), halves[0] - halves[1]])

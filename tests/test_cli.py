@@ -141,6 +141,16 @@ class TestApproximate:
         assert got["value"] == expected.value  # bit-exact via 17-digit table
         assert got["terms_evaluated"] == expected.terms_evaluated
 
+    def test_writes_to_stdout_without_out(self, config_path, tmp_path, capsys):
+        table, out = tmp_path / "c.csv", tmp_path / "value.json"
+        assert run_cli(["coeffs", "--config", config_path, "--orders", "2,1",
+                        "--out", str(table)]) == 0
+        assert run_cli(["approximate", "--table", str(table), "--seed", "3",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(["approximate", "--table", str(table), "--seed", "3"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_seed_required(self, config_path, tmp_path, capsys):
         table_path = tmp_path / "c.csv"
         run_cli(["coeffs", "--config", config_path, "--orders", "1,1",
@@ -276,6 +286,24 @@ class TestErrors:
         assert run_cli(["validate", "--config", str(cfg), "--orders", "0,0", "--paths",
                         "100", "--steps", "16"]) == 1
         assert capsys.readouterr().err.startswith("error: config: ")
+
+    @pytest.mark.parametrize("text, orders, named", [
+        (None, "0,0", "config: file not found: "),
+        ("[1, 2]", "0,0", "config: top-level JSON value must be an object"),
+        ('{"basis": "legendre"}', "0,0", "config.spec: required field is missing"),
+        ("", ",", "orders: at least one truncation order is required"),
+    ], ids=["file-missing", "not-an-object", "spec-missing", "orders-empty"])
+    def test_config_document_named(self, config_path, tmp_path, capsys, text, orders, named):
+        # text None: no file at all; empty: the fixture's config
+        cfg = tmp_path / "cfg.json"
+        if text:
+            cfg.write_text(text)
+        config = config_path if text == "" else str(cfg)
+        out = tmp_path / "c.csv"
+        assert run_cli(["coeffs", "--config", config, "--orders", orders,
+                        "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_field_named(self, tmp_path, capsys):
         doc = {"spec": {"t": 0, "T": 1, "k": 1, "indices": [1],
@@ -436,11 +464,16 @@ class TestErrors:
          "line 2 must be the column header 'j1,j2,value', got 'this is not the column header'"),
         (lambda lines: lines[:1] + lines[2:],
          "line 2 must be the column header 'j1,j2,value', got '0,0,"),
+        (lambda lines: [lines[0].replace('"basis": "legendre", ', '')] + lines[1:],
+         "coefficient table header missing 'basis'"),
+        (lambda lines: [lines[0].replace('"format_version": "1"', '"format_version": "2"')]
+         + lines[1:], "unsupported table format version '2'"),
     ], ids=["row-index", "row-value", "header-not-object", "orders-str", "orders-int",
             "orders-float", "orders-negative", "orders-over-4300-digits", "basis-int", "rows-swapped",
             "row-duplicated", "index-out-of-range", "index-zero-padded", "row-extra",
             "row-missing", "value-nan", "value-inf", "orders-length", "weight-nan",
-            "column-header-wrong", "column-header-missing"])
+            "column-header-wrong", "column-header-missing", "header-field-missing",
+            "format-version-unknown"])
     def test_malformed_table_named(self, config_path, tmp_path, capsys, edit, named):
         table = tmp_path / "c.csv"
         assert run_cli(["coeffs", "--config", config_path, "--orders", "1,1",
@@ -452,7 +485,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("orders, paths, steps, what", [
         ("0,0", 100, 2**16, "increments"),
-        ("16,16", 100, 4096, "basis values"),
+        ("16,16", 100, 4096, "basis matrix"),
         ("0,0", 10**12, 4096, "paths"),
     ], ids=["steps", "grid", "paths"])
     def test_simulation_over_cap_rejected(self, config_path, tmp_path, capsys, monkeypatch,

@@ -402,6 +402,26 @@ class TestRunFill:
         _assert_run_is_the_reference(drawn, 3, 16, 8)
         assert _fill_threads() == []
 
+    def test_a_failed_second_submit_leaves_no_worker(self, monkeypatch):
+        # two workers (_cpus at three): the first starts, the second cannot
+        # be submitted; the error leaves the block, and the first worker's
+        # thread has ended
+        from concurrent.futures import ThreadPoolExecutor
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 3)
+        submitted, submit = [], ThreadPoolExecutor.submit
+
+        def second_fails(pool, fn):
+            if submitted:
+                raise RuntimeError("submit")
+            submitted.append(fn)
+            return submit(pool, fn)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", second_fails)
+        with pytest.raises(RuntimeError, match="submit"):
+            with stochastic.run_paths(UNIT, 2, 4096, 3, 40):
+                pass
+        assert len(submitted) == 1 and _fill_threads() == []
+
     def test_an_error_of_the_block_wins_over_a_workers(self, monkeypatch):
         # the worker has failed when the block raises an error of its own:
         # that error leaves the run, and the worker's thread has ended
@@ -726,12 +746,14 @@ class TestZetaFromPath:
         ok = brownian_path(UNIT, 1, 8, seed=5)
         zeta_from_path(ok, BasisSystem.HAAR, 2)
 
-    def test_grid_is_capped_before_it_is_planned(self, monkeypatch):
-        path = brownian_path(UNIT, 1, 100, seed=5)
+    def test_pool_is_capped_before_the_grid_is_planned(self, monkeypatch):
+        # 300 pools of 2 rows of 11 values; the grid's own plan is capped
+        # by basis_matrix as it is planned
+        batch = brownian_path(UNIT, 1, 16, seed=range(300))
         monkeypatch.setattr(errors, "MAX_ENTRIES", 1000)
         monkeypatch.setattr(stochastic, "jump_depth", None)  # planning would fail
-        with pytest.raises(CapacityError, match="cap 1000"):
-            zeta_from_path(path, BasisSystem.WALSH, 10)
+        with pytest.raises(CapacityError, match="pool would hold 6600 entries .* cap 1000"):
+            zeta_from_path(batch, BasisSystem.WALSH, 10)
 
     def test_run_constant_basis_work_done_once(self, monkeypatch):
         calls = []

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itofourier import stochastic, validation
+from itofourier import errors, stochastic, validation
 from itofourier.basis import BasisSystem, Interval
 from itofourier.coefficients import CoefficientTensor, coefficient_tensor
 from itofourier.errors import CapacityError, DomainError, NumericError
@@ -258,6 +259,28 @@ class TestChunkedEngine:
             assert [len(fill.workers) for fill in fills] == [cpus - 1]
             samples.append(diffs.tobytes())
         assert samples[0] == samples[1] == samples[2]
+
+
+class TestBoundedRun:
+    """A chunk's pools and expansion head fit errors.MAX_ENTRIES, so a run's
+    tracemalloc peak stays within the README's 2.5 times the cap's bytes at
+    any number of paths; at N = 1 a chunk's increments bound neither."""
+
+    @pytest.mark.parametrize("indices, orders, n_paths", [
+        ((1,), (20,), 2000), ((1,), (20,), 65536),  # the pools bind: 42 entries a path
+        ((1, 1, 1), (31, 31, 31), 200), ((1, 1, 1), (31, 31, 31), 8000),  # the head: 1024
+    ], ids=["pools-2000", "pools-65536", "head-200", "head-8000"])
+    def test_peak_is_bounded_by_the_cap(self, indices, orders, n_paths, monkeypatch):
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 10**6)
+        tracemalloc.start()
+        try:
+            diffs, _ = sample_differences(constant_spec(UNIT, indices), LEG, orders, n_paths,
+                                          1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diffs.shape == (n_paths,) and np.all(np.isfinite(diffs))
+        assert peak <= 2.5 * 8 * errors.MAX_ENTRIES, f"{peak / 1e6:.1f} MB"
 
 
 class TestPrebuiltTensor:
