@@ -40,6 +40,12 @@ outputs() {  # outputs TREE DIR: every command on TREE's src/, its outputs in DI
     --seed 11 --out "$dir/validate-walsh-31.json"
   run validate --config "$work/legendre.json" --orders 0,0 --paths 300 --steps 256 --n 2 \
     --seed 11 --out "$dir/validate-legendre.json"
+  # the benchmark's mc-walsh and mc-legendre runs: 13 and 38 chunks of 8
+  # paths at N = 4096, filled by the calling thread and the run's worker
+  run validate --config "$work/walsh.json" --orders 31,31,31 --paths 100 --steps 4096 \
+    --seed 11 --out "$dir/validate-mc-walsh.json"
+  run validate --config "$work/legendre.json" --orders 0,0 --paths 300 --steps 4096 --n 2 \
+    --seed 11 --out "$dir/validate-mc-legendre.json"
   for table in legendre:3 trigonometric:4 haar:7 walsh:7; do
     local basis="${table%:*}" order="${table#*:}"
     run coeffs --config "$work/spec.json" --basis "$basis" --orders "$order,$order,$order" \

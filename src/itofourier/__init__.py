@@ -18,6 +18,8 @@ __version__ = "0.3.2"
 
 import ctypes
 
+from numpy._core import _multiarray_umath
+
 from .basis import BasisSystem, Interval, breakpoints, eval_basis, integrate_basis, parse_basis
 from .coefficients import (CoefficientTensor, coefficient_tensor, parseval_residual,
                            read_coefficient_table, write_coefficient_table)
@@ -34,19 +36,15 @@ from .validation import (moment_bound_2n, moment_check, ms_error_bound,
 
 
 def _openblas():
-    """numpy's OpenBLAS, among the libraries this process has loaded, and the
-    name of its set_num_threads; None without /proc/self/maps or with another
-    BLAS (MKL, Accelerate)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-    except OSError:
-        return None
-    for lib in map(ctypes.CDLL, sorted(paths)):
-        for name in ("scipy_openblas_set_num_threads64_",  # the numpy >= 2.0 wheels
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                return lib, name
+    """numpy's OpenBLAS and the name of its set_num_threads, looked up on a
+    handle of numpy's core extension module, which on Linux also finds the
+    symbols of the libraries it links; None where it finds no such symbol,
+    as with another BLAS (MKL, Accelerate)."""
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for name in ("scipy_openblas_set_num_threads64_",  # the numpy >= 2.0 wheels
+                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            return lib, name
     return None
 
 

@@ -131,11 +131,11 @@ def kernel_l2_norm_sq(spec: IntegralSpec) -> float:
     Squared polynomial weights integrate in closed form, so the iterated
     simplex integral is evaluated symbolically level by level.
     """
-    poly = np.polynomial.Polynomial
-    acc = poly([1.0])
+    P = np.polynomial.polynomial
+    acc = np.ones(1)
     for w in spec.weights:
-        acc = (poly(list(w.coeffs)) ** 2 * acc).integ()
-    return float(acc(spec.iv.length))
+        acc = P.polyint(P.polymul(P.polypow(w.coeffs, 2), acc))
+    return float(P.polyval(spec.iv.length, acc))
 
 
 def constant_spec(iv: Interval, indices) -> IntegralSpec:

@@ -11,7 +11,7 @@ four to a counter block, and brownian_path is the one constructor of a path
 or a batch of paths from their seeds.  Each thread keeps one Philox,
 re-keyed for each stream it fills and each read of the seed stream.  A
 call fills its streams on the calling thread; a run (run_paths) fills each
-chunk's streams whole on one thread, its own or a worker (see _Fill), and
+chunk's streams whole on one thread, its own or its worker (see _Fill), and
 passes them to its own brownian_path calls.  Pools can be enlarged and
 paths generated in any order or grouping without perturbing existing
 values, and identical seeds give bit-identical results.
@@ -42,13 +42,12 @@ MAX_SEED = 2**64 - 1
 # Normals budget of one chunk of a run's paths: 2**16 is 8 paths at m = 2,
 # N = 4096, about 1.3 MB of increments, pools and oracle working set
 CHUNK_NORMALS = 2**16
-# Chunks a run's fill reads ahead, and so its most workers: at N = 4096,
-# three 8-path chunks, 1.5 MB; one where a chunk, of one path, has more than
-# CHUNK_NORMALS normals
+# Chunks a run's fill reads ahead: at N = 4096, three 8-path chunks, 1.5 MB;
+# one where a chunk, of one path, has more than CHUNK_NORMALS normals
 AHEAD = 3
 # A caller with no chunk left to claim waits this many times the fill's mean
-# time per chunk for one a worker holds: a worker on a CPU as fast as the
-# others finishes the one it holds within one
+# time per chunk for the one the worker holds: a worker on a CPU as fast as
+# the caller's finishes the one it holds within one
 GRACE_CHUNKS = 2
 
 
@@ -96,25 +95,18 @@ class _Fill:
     """The normals, n to a stream, of a run's chunks, an iterator of
     (start, keys of the chunk's streams), each chunk filled whole by one
     thread and handed out by take, on the thread that opened the fill, in
-    the order the chunks are filled.  Its workers (numpy's fill releases
-    the GIL), on an executor of the fill's own, each claim and fill the
-    next chunk while fewer than ahead chunks are filled or held by a
-    worker, so they keep filling while the caller works between takes."""
+    the order the chunks are filled.  Its worker, if it has one (a daemon
+    thread, so none left by a failed opening holds the process open; numpy's
+    fill releases the GIL), claims and fills the next chunk while fewer than
+    ahead are filled and waiting, so it fills while the caller works."""
 
-    def __init__(self, chunks, n: int, workers: int, ahead: int):
+    def __init__(self, chunks, n: int, worker: bool, ahead: int):
         self.chunks, self.n, self.ahead, self.cond = chunks, n, ahead, threading.Condition()
-        self.ready, self.held, self.spent, self.filled = [], {}, 0.0, 0
-        self.pool, self.workers = None, []
-        if workers:
-            # imported here, concurrent.futures and its logging (about 0.7 MB)
-            # stay out of processes that never start a worker
-            from concurrent.futures import ThreadPoolExecutor
-            self.pool = ThreadPoolExecutor(workers, "itofourier-normals")
-            try:
-                self.workers = [self.pool.submit(self._work) for _ in range(workers)]
-            except BaseException:
-                self.close()
-                raise
+        self.ready, self.held, self.spent, self.filled, self.error = [], None, 0.0, 0, None
+        self.worker = threading.Thread(target=self._work, name="itofourier-normals",
+                                       daemon=True) if worker else None
+        if self.worker:
+            self.worker.start()
 
     def _rows(self, keys: np.ndarray) -> np.ndarray:
         """The rows of the streams of keys, filled on this thread, timed."""
@@ -127,56 +119,57 @@ class _Fill:
         return rows
 
     def _work(self) -> None:
-        """A worker: claim, fill and hand on chunks until none is left."""
-        while True:
-            with self.cond:
-                self.cond.wait_for(lambda: len(self.ready) + len(self.held) < self.ahead)
-                if not (claim := next(self.chunks, None)):
-                    return
-                self.held[claim[0]] = claim[1]
-            rows = self._rows(claim[1])
-            with self.cond:
-                if self.held.pop(claim[0], None) is not None:  # not taken over
-                    self.ready.append((claim[0], rows))
-                    self.cond.notify_all()
+        """The worker: claim, fill and hand on chunks, until none is left."""
+        try:
+            while True:
+                with self.cond:
+                    self.cond.wait_for(lambda: len(self.ready) < self.ahead)
+                    if not (claim := next(self.chunks, None)):
+                        return
+                    self.held = claim
+                rows = self._rows(claim[1])
+                with self.cond:
+                    if self.held is claim:  # not taken over
+                        self.held = None
+                        self.ready.append((claim[0], rows))
+                        self.cond.notify_all()
+        except BaseException as exc:
+            self.error = exc
 
     def take(self):
         """The next chunk, (start, rows), None once every chunk has been
-        handed out, or a failed worker's error.  The chunk is one filled and
+        handed out, or the worker's error.  The chunk is one filled and
         waiting, else the next not yet claimed, filled here, else, after a
-        wait of GRACE_CHUNKS times the fill's mean time per chunk, the first
-        one a worker still holds (its CPU taken by another process or the
+        wait of GRACE_CHUNKS times the fill's mean time per chunk, the one
+        the worker still holds (its CPU taken by another process or the
         host), taken over and filled here into rows of its own: no rows are
         handed out twice, so the worker's late rows reach no one."""
         with self.cond:
             claim = None if self.ready else next(self.chunks, None)
-            # a worker holds fewer chunks than there are, so one was filled
-            if not (claim or self.cond.wait_for(lambda: self.ready or not self.held,
+            # the worker holds fewer chunks than there are, so one was filled
+            if not (claim or self.cond.wait_for(lambda: self.ready or self.held is None,
                                                 GRACE_CHUNKS * self.spent / self.filled)):
-                start = next(iter(self.held))
-                claim = start, self.held.pop(start)
+                claim, self.held = self.held, None
             chunk = self.ready.pop(0) if self.ready else None
-            self.cond.notify_all()  # a worker may claim in the room made
+            self.cond.notify_all()  # the worker may claim in the room made
         if claim:
             chunk = claim[0], self._rows(claim[1])
         self.check()
         return chunk
 
     def check(self) -> None:
-        """Raise the error of any worker that has failed."""
-        for worker in self.workers:
-            if worker.done() and not worker.cancelled():
-                worker.result()
+        """Raise the worker's error, if it has failed."""
+        if self.error is not None:
+            raise self.error
 
     def close(self) -> None:
-        """Stop the workers and wait for their threads to end: each stops
-        after the chunk it holds, whose rows no one takes, and one not yet
-        started never starts."""
+        """Stop the worker and wait for its thread to end: it stops after
+        the chunk it holds, whose rows no one takes."""
         with self.cond:
-            self.chunks, self.ready, self.held = iter(()), [], {}
+            self.chunks, self.ready, self.held = iter(()), [], None
             self.cond.notify_all()
-        if self.pool:
-            self.pool.shutdown(cancel_futures=True)
+        if self.worker:
+            self.worker.join()
 
 
 def _path_seeds(seed: int, start: int, stop: int) -> np.ndarray:
@@ -308,10 +301,10 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int, width: int 
     order the run's fill (see _Fill) hands them out, which varies between
     runs of the same seed, so a consumer places each by its index.  The
     fill reads up to AHEAD chunks ahead of the calling thread (one where a
-    chunk has more than CHUNK_NORMALS normals) and starts a worker per extra
-    CPU, but fewer workers than chunks and no more than it reads ahead.  A
-    worker's error is raised with the next chunk or as the block exits, and
-    no worker outlives the block."""
+    chunk has more than CHUNK_NORMALS normals), and starts one worker if
+    the process may use more than one CPU and the run has more than one
+    chunk.  The worker's error is raised with the next chunk or as the
+    block exits, and the worker does not outlive the block."""
     m, N, seed = read_int("m", m, lo=1), read_int("N", N, lo=1), read_int("seed", seed, 0, MAX_SEED)
     errors.require_fits("paths", m * N, "increments (m N per path)")
     n_paths, width = read_int("n_paths", n_paths, lo=1), read_int("width", width, lo=1)
@@ -321,7 +314,7 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int, width: int 
     components = np.arange(1, m + 1, dtype=np.uint64)
     ahead = AHEAD if m * N <= CHUNK_NORMALS else 1
     fill = _Fill(((i, _keys(seeds[i:i + chunk, None], _PATH_DOMAIN, components)) for i in starts),
-                 N, min(_cpus(), len(starts), ahead + 1) - 1, ahead)
+                 N, _cpus() > 1 and len(starts) > 1, ahead)
     try:
         yield ((i, brownian_path(iv, m, N, seeds[i:i + chunk], _rows=rows))
                for i, rows in iter(fill.take, None))
@@ -368,7 +361,7 @@ def zeta_from_path(path: WienerPath, basis: BasisSystem, jmax: int) -> GaussianP
     dw = dw.reshape(dw.shape[:-1] + (-1, cell)).sum(axis=-1) if cell > 1 else dw
     values = np.empty(shape)
     values[..., 0, :] = _time_row(path.iv, jmax)
-    values[..., 1:, :] = dw @ phi.T
+    np.matmul(dw, phi.T, out=values[..., 1:, :])
     values.setflags(write=False)
     return GaussianPool(iv=path.iv, basis=basis, m=path.m, jmax=jmax, values=values)
 

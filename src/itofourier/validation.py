@@ -16,9 +16,9 @@ of the run's stream of per-path seeds, each chunk drawn by brownian_path.
 Every aggregate, the Parseval mass among them, is an exact sum rounded
 once, so reports are bit-identical for a fixed seed.  Chunks of paths are
 reduced one after another on the calling thread, in the order the run hands
-them out, in a run opened before the tensor is built: a worker per extra
-CPU, where one starts, fills the first chunks during the build and keeps
-filling ahead while each chunk is reduced.
+them out, in a run opened before the tensor is built: the run's one
+worker, where one starts, fills the first chunks during the build and
+keeps filling ahead while each chunk is reduced.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ def sample_differences(spec: IntegralSpec, basis: BasisSystem, orders, n_paths: 
     index, in whatever order the run hands chunks out.  A given tensor is
     held to this spec, basis and orders before the run opens, which reads
     n_steps, the seed and m n_steps before the tensor is built, while the
-    run's workers fill the first chunks.
+    run's worker fills the first chunks.
     """
     if any(i < 1 for i in spec.indices):
         raise DomainError("validation requires all component indices >= 1")

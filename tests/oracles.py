@@ -29,6 +29,11 @@ coefficient table format one row per call, the form that the block writer
 and reader must match byte for byte and error for error.
 ``sum_squared_reference`` is one ``math.fsum`` over every square, the
 correctly rounded sum that ``sum_squared`` must match bit for bit.
+``kernel_l2_norm_sq_reference`` integrates the squared kernel level by
+level on ``np.polynomial.Polynomial`` objects, the form that
+``kernel_l2_norm_sq`` must match bit for bit.  ``exact_ms_reference`` is
+the mean-square error of a truncated expansion for any component pattern,
+a direct sum over the position permutations that keep the pattern.
 """
 from __future__ import annotations
 
@@ -47,7 +52,7 @@ from itofourier.coefficients import (FORMAT_VERSION, CoefficientTensor, _column_
                                      _read_orders)
 from itofourier.errors import ArityError, DomainError, UnsupportedMultiplicityError
 from itofourier.expansion import ExpansionResult, _check_compatible, truncated_expansion
-from itofourier.kernel import IntegralSpec, eval_weight
+from itofourier.kernel import IntegralSpec, eval_weight, kernel_l2_norm_sq
 from itofourier.quadrature import cumulative_matrix, gauss_rule, panel_grid
 from itofourier.stochastic import (GaussianPool, WienerPath, path_iterated_integral,
                                    zeta_from_path)
@@ -833,3 +838,30 @@ def sum_squared_reference(tensor: CoefficientTensor) -> float:
     flat = tensor.values.ravel()
     blocks = (flat[i:i + 2**20] for i in range(0, flat.size, 2**20))
     return math.fsum(itertools.chain.from_iterable((b * b).tolist() for b in blocks))
+
+
+def kernel_l2_norm_sq_reference(spec: IntegralSpec) -> float:
+    """The squared kernel norm: each level's squared weight times the level
+    before, integrated from t, as np.polynomial.Polynomial objects."""
+    poly = np.polynomial.Polynomial
+    acc = poly([1.0])
+    for w in spec.weights:
+        acc = (poly(list(w.coeffs)) ** 2 * acc).integ()
+    return float(acc(spec.iv.length))
+
+
+def exact_ms_reference(tensor: CoefficientTensor) -> float:
+    """E[(J - J_p)**2] of the truncated expansion of tensor, for any pattern
+    of components: ||K||**2 - sum over sigma in G of <C, sigma C>, G the
+    permutations of the k positions that keep the component pattern, each
+    term one np.vdot of C and its axes permuted by sigma.  The orders must
+    be equal within each group of equal components."""
+    indices, values = tensor.spec.indices, tensor.values
+    mass = 0.0
+    for perm in itertools.permutations(range(tensor.spec.k)):
+        if all(indices[p] == indices[a] for a, p in enumerate(perm)):
+            permuted = np.transpose(values, perm)
+            if permuted.shape != values.shape:
+                raise ValueError("orders differ within a group of equal components")
+            mass += float(np.vdot(values, permuted))
+    return kernel_l2_norm_sq(tensor.spec) - mass

@@ -46,8 +46,9 @@ def test_import_runs_openblas_on_one_thread():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     if int(out) == -1:
-        pytest.skip("no loaded library named openblas with a set_num_threads symbol: "
-                    "numpy's BLAS is another one, or the platform has no /proc/self/maps")
+        pytest.skip("no OpenBLAS set_num_threads symbol on a handle of numpy's core "
+                    "extension module: numpy's BLAS is another one, or the platform's "
+                    "symbol lookup does not search the libraries the module links")
     assert int(out) == 1
 
 

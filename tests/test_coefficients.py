@@ -24,9 +24,9 @@ from itofourier.errors import BasisIndexError, CapacityError, DomainError, Numer
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_norm_sq
 from itofourier.validation import moment_bound_2n, ms_error_bound
 
-from oracles import (exact_dyadic_coefficients, exact_legendre_coefficients, jumps,
-                     read_table_reference, sum_squared_reference, trigonometric_error_bound,
-                     write_table_reference)
+from oracles import (exact_dyadic_coefficients, exact_legendre_coefficients, exact_ms_reference,
+                     jumps, read_table_reference, sum_squared_reference,
+                     trigonometric_error_bound, write_table_reference)
 
 UNIT = Interval(0.0, 1.0)
 HALF_ROOT3 = 1.0 / (2.0 * math.sqrt(3.0))
@@ -414,6 +414,59 @@ class TestParseval:
         t = coefficient_tensor(spec, BasisSystem.LEGENDRE, (0, 0))
         with pytest.raises(DomainError):
             parseval_residual(other, t)
+
+
+def _weights(*polys) -> tuple:
+    return tuple(Weight(tuple(map(float, poly))) for poly in polys)
+
+
+class TestExactMsReference:
+    """The test oracle of the exact mean-square error for any component
+    pattern, ||K||^2 - sum over G of <C, sigma C> (ROADMAP item 2)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 3), basis=st.sampled_from(list(BasisSystem)),
+           polys=st.lists(st.lists(st.sampled_from([-1.0, 0.5, 1.0, 2.0]), min_size=1,
+                                   max_size=3), min_size=3, max_size=3),
+           orders=st.lists(st.integers(0, 4), min_size=3, max_size=3))
+    def test_is_the_parseval_residual_when_all_components_differ(self, k, basis, polys,
+                                                                 orders):
+        spec = IntegralSpec(iv=UNIT, k=k, indices=tuple(range(1, k + 1)),
+                            weights=_weights(*polys[:k]))
+        tensor = coefficient_tensor(spec, basis, orders[:k])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a residual clamped to 0
+            parseval = parseval_residual(spec, tensor)
+        assert exact_ms_reference(tensor) == pytest.approx(
+            parseval, abs=1e-13 * kernel_l2_norm_sq(spec))
+
+    @pytest.mark.parametrize("indices, polys, basis, orders, parseval, exact", [
+        ((1, 1), ([1, -3], [1, -3]), BasisSystem.TRIGONOMETRIC, (4, 4), 0.14191, 0.16386),
+        ((1, 1), ([0, 1], [1, -2, 3]), BasisSystem.TRIGONOMETRIC, (2, 2), 0.06241, 0.04010),
+        ((1, 2, 1), ([1], [0, 1], [1]), BasisSystem.LEGENDRE, (1, 1, 1), 0.02624, 0.02580),
+        ((1, 1, 1), ([1], [0, 1], [1, -2, 3]), BasisSystem.HAAR, (1, 1, 1), 0.07421, 0.01252),
+        ((1, 1), ([1], [1]), BasisSystem.LEGENDRE, (0, 0), 0.25, 0.0),
+    ], ids=["trig-1-3s", "trig-s-quadratic", "legendre-121", "haar-111", "legendre-unit"])
+    def test_roadmap_item_2_rows(self, indices, polys, basis, orders, parseval, exact):
+        # the Parseval residual misses the exact error in both directions
+        spec = IntegralSpec(iv=UNIT, k=len(indices), indices=indices, weights=_weights(*polys))
+        tensor = coefficient_tensor(spec, basis, orders)
+        assert parseval_residual(spec, tensor) == pytest.approx(parseval, abs=5e-6)
+        assert exact_ms_reference(tensor) == pytest.approx(exact, abs=5e-6)
+
+    @pytest.mark.parametrize("basis, order, k", [
+        (BasisSystem.LEGENDRE, 2, 3), (BasisSystem.TRIGONOMETRIC, 3, 4),
+        (BasisSystem.HAAR, 3, 3), (BasisSystem.WALSH, 3, 2),
+    ], ids=["legendre-2^3", "trigonometric-3^4", "haar-3^3", "walsh-3^2"])
+    def test_equal_components_and_weights_closed_form(self, basis, order, k):
+        # every component and weight equal, psi = 1 + 2s, c_j the 1-D
+        # coefficients of psi: ((int psi^2)^k - (sum c_j^2)^k) / k!
+        psi = _weights([1, 2])
+        tensor = coefficient_tensor(IntegralSpec(UNIT, k, (1,) * k, psi * k), basis, (order,) * k)
+        line = IntegralSpec(UNIT, 1, (1,), psi)
+        c = coefficient_tensor(line, basis, (order,)).values
+        closed = (kernel_l2_norm_sq(line) ** k - float(np.sum(c * c)) ** k) / math.factorial(k)
+        assert abs(exact_ms_reference(tensor) - closed) <= 2e-14
 
 
 class TestErrorBounds:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itofourier.basis import Interval
 from itofourier.errors import ArityError, DomainError
 from itofourier.kernel import IntegralSpec, Weight, constant_spec, eval_weight, kernel_l2_norm_sq
-from oracles import eval_kernel
+from oracles import eval_kernel, kernel_l2_norm_sq_reference
 
 UNIT = Interval(0.0, 1.0)
 
@@ -137,3 +139,16 @@ class TestKernelNorm:
         outer = np.asarray(eval_weight(w2, s, UNIT)) ** 2 * inner_cum
         brute = np.trapezoid(outer, s)
         assert kernel_l2_norm_sq(spec) == pytest.approx(brute, abs=5e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+                            min_size=1, max_size=8),
+           t=st.floats(-3.0, 3.0), length=st.floats(0.01, 5.0))
+    def test_polynomial_objects_give_the_same_bits(self, weights, t, length):
+        # k <= 8, degrees <= 3, any interval: the folded coefficient arrays
+        # round as the Polynomial objects do, bit for bit
+        iv = Interval(t, t + length)
+        spec = IntegralSpec(iv=iv, k=len(weights), indices=(1,) * len(weights),
+                            weights=tuple(Weight(tuple(w)) for w in weights))
+        got, want = kernel_l2_norm_sq(spec), kernel_l2_norm_sq_reference(spec)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

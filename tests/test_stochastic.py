@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import os
 import subprocess
@@ -206,10 +205,11 @@ class TestStreamKeys:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_one_philox_per_thread(self, cpus, monkeypatch):
-        # a call outside a run fills on the calling thread; a run also on a
-        # worker per extra CPU, and on one CPU on its fill with no worker.
-        # Each thread builds one Philox on its first fill and re-keys it for
-        # every later stream, and path_seed borrows it
+        # a call outside a run fills on the calling thread; a run also on its
+        # one worker where the process may use more than one CPU, and on one
+        # CPU on its fill with no worker.  Each thread builds one Philox on
+        # its first fill and re-keys it for every later stream, and
+        # path_seed borrows it
         built, fills = [], []
         monkeypatch.setattr(stochastic, "_local", threading.local(), raising=False)
         monkeypatch.setattr(stochastic, "Philox", lambda **kw: built.append(kw) or Philox(**kw))
@@ -227,8 +227,8 @@ class TestStreamKeys:
         # 24 paths at m = 2, N = 4096: three chunks of 16 streams each
         with stochastic.run_paths(UNIT, 2, 4096, 3, 24) as paths:
             drawn = list(paths)
-        assert [len(run.workers) for run in opened] == [cpus - 1]
-        assert len(built) == len(set(fills)) <= cpus
+        assert [run.worker is not None for run in opened] == [cpus > 1]
+        assert len(built) == len(set(fills)) <= min(cpus, 2)
         _assert_run_is_the_reference(drawn, 3, 24, 8)
 
     def test_no_call_outside_a_run_uses_a_worker(self, monkeypatch):
@@ -272,12 +272,12 @@ class TestStreamKeys:
 
 
 class TestRunFill:
-    """One fill serves a whole run: a worker per extra CPU, up to one fewer
-    than the chunks and no more than the look-ahead, started once, claims
-    and fills whole chunks while fewer than AHEAD are filled or held, one
-    where a chunk has more than CHUNK_NORMALS normals; chunks are handed
-    out in the order they are filled, and every chunk keeps the bits of
-    the per-stream reference."""
+    """One fill serves a whole run: one worker, started once where the
+    process may use more than one CPU and the run has more than one chunk,
+    claims and fills whole chunks while fewer than AHEAD are filled and
+    waiting, one where a chunk has more than CHUNK_NORMALS normals; chunks
+    are handed out in the order they are filled, and every chunk keeps the
+    bits of the per-stream reference."""
 
     @staticmethod
     def _draw(monkeypatch, seed, paths, chunk):
@@ -290,70 +290,85 @@ class TestRunFill:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 6])
     @pytest.mark.parametrize("paths, chunk", [(10, 3), (10, 4), (12, 1), (6, 6), (7, 8)])
     def test_chunks_are_the_reference_paths(self, paths, chunk, cpus, monkeypatch):
-        # one fill for the whole run, with a worker per extra CPU up to one
-        # fewer than the chunks and at most AHEAD; 10 paths in chunks of 3
-        # and 4 end on a short chunk, and a run of one chunk starts no worker
+        # one fill for the whole run, with one worker on more than one CPU
+        # for more than one chunk; 10 paths in chunks of 3 and 4 end on a
+        # short chunk, and a run of one chunk starts no worker
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         opened = _opened_fills(monkeypatch)
         drawn = self._draw(monkeypatch, 5, paths, chunk)
-        workers = min(cpus, -(-paths // chunk), stochastic.AHEAD + 1) - 1
-        assert [len(run.workers) for run in opened] == [workers]
+        assert [run.worker is not None for run in opened] == [cpus > 1 and paths > chunk]
         _assert_run_is_the_reference(drawn, 5, paths, chunk)
 
     @pytest.mark.parametrize("paths, n_steps, cpus, workers", [
         (8, 4096, 2, 0),  # one chunk
         (16, 4096, 1, 0),  # one CPU
         (16, 4096, 2, 1),
-        (16, 4096, 3, 1),  # never as many workers as chunks
-        (24, 4096, 3, 2),
-        (100, 4096, 4, 3),
-        (100, 4096, 8, 3),  # no more workers than AHEAD
+        (16, 4096, 3, 1),
+        (24, 4096, 3, 1),
+        (100, 4096, 4, 1),
+        (100, 4096, 8, 1),  # one worker on any number of CPUs
         (1000, 32, 2, 0),  # one chunk of 1000 paths
         (3, 2**15 + 1, 2, 1),  # one-path chunks over CHUNK_NORMALS
-        (3, 2**15 + 1, 3, 1),  # read one chunk ahead, so one worker
+        (3, 2**15 + 1, 3, 1),  # read one chunk ahead
     ])
     def test_workers_follow_the_chunk_count_rule(self, paths, n_steps, cpus, workers,
                                                  monkeypatch):
-        # every run opens one fill, on an executor only with a worker
+        # every run opens one fill, with a worker thread or none
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         opened = _opened_fills(monkeypatch)
         with stochastic.run_paths(UNIT, 2, n_steps, 4, paths) as chunks:
             drawn = list(chunks)
         [fill] = opened
-        assert len(fill.workers) == workers and (fill.pool is None) == (workers == 0)
+        assert (fill.worker is not None) == (workers == 1)
         chunk = max(1, stochastic.CHUNK_NORMALS // (2 * n_steps))
         _assert_run_is_the_reference(drawn, 4, paths, chunk, n_steps)
 
-    def test_a_run_without_a_worker_imports_no_executor(self):
-        # concurrent.futures and its logging stay out of a one-CPU process
+    def test_six_cpus_start_one_worker_thread(self, monkeypatch):
+        # the run's one worker is a plain thread of the fill's own, however
+        # many CPUs the process may use
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 6)
+        opened = _opened_fills(monkeypatch)
+        with stochastic.run_paths(UNIT, 2, 4096, 6, 100) as chunks:
+            [fill] = opened
+            assert type(fill.worker) is threading.Thread
+            assert _fill_threads() == ["itofourier-normals"]
+            drawn = list(chunks)
+        assert _fill_threads() == [] and not fill.worker.is_alive()
+        _assert_run_is_the_reference(drawn, 6, 100, 8)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_run_imports_no_executor(self, cpus):
+        # concurrent.futures and its logging stay out of the process, with
+        # or without the run's worker
         code = ("import sys; from itofourier import stochastic, validation, kernel, basis;"
-                "stochastic._cpus = lambda: 1;"
+                f"stochastic._cpus = lambda: {cpus};"
                 "validation.sample_differences(kernel.constant_spec(basis.Interval(0.0, 1.0),"
                 " (1, 2)), basis.BasisSystem.LEGENDRE, (0, 0), 100, 4096, 3);"
                 "assert 'concurrent.futures' not in sys.modules")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
-    @pytest.mark.parametrize("n_steps, cpus, ahead, workers", [
-        (4096, 2, 3, 1),  # 8-path chunks of CHUNK_NORMALS normals
-        (20480, 2, 3, 1),  # 1-path chunks of 40960 normals
-        (2**15 + 4096, 2, 1, 1),  # a path of more than CHUNK_NORMALS normals
-        (4096, 6, 3, 3),  # one chunk for each of three workers
-        (2**15 + 4096, 3, 1, 1),  # one worker for the one chunk ahead
+    @pytest.mark.parametrize("n_steps, cpus, ahead", [
+        (4096, 2, 3),  # 8-path chunks of CHUNK_NORMALS normals
+        (20480, 2, 3),  # 1-path chunks of 40960 normals
+        (2**15 + 4096, 2, 1),  # a path of more than CHUNK_NORMALS normals
+        (4096, 6, 3),  # one worker fills all three
+        (2**15 + 4096, 3, 1),  # the one chunk ahead
     ])
-    def test_workers_fill_the_look_ahead_and_no_further(self, n_steps, cpus, ahead, workers,
+    def test_workers_fill_the_look_ahead_and_no_further(self, n_steps, cpus, ahead,
                                                          monkeypatch):
-        # before the first chunk is taken the workers fill ahead chunks,
-        # then wait; the run has more chunks
+        # before the first chunk is taken the worker fills ahead chunks,
+        # then waits; the run has more chunks
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         opened = _opened_fills(monkeypatch)
         chunk = max(1, stochastic.CHUNK_NORMALS // (2 * n_steps))
         paths = (ahead + 2) * chunk
         with stochastic.run_paths(UNIT, 2, n_steps, 8, paths) as chunks:
             [fill] = opened
-            assert len(fill.workers) == workers
+            assert fill.worker is not None
             with fill.cond:
-                assert fill.cond.wait_for(lambda: len(fill.ready) == ahead and not fill.held, 10)
+                assert fill.cond.wait_for(lambda: len(fill.ready) == ahead
+                                          and fill.held is None, 10)
                 assert fill.filled == ahead
             drawn = list(chunks)
         _assert_run_is_the_reference(drawn, 8, paths, chunk, n_steps)
@@ -368,7 +383,7 @@ class TestRunFill:
         def failing_fill(streams):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("worker")
-            concurrent.futures.wait(opened[0].workers, 10)
+            opened[0].worker.join(10)
             fill(streams)
 
         monkeypatch.setattr(stochastic, "_fill", failing_fill)
@@ -376,7 +391,7 @@ class TestRunFill:
         with pytest.raises(RuntimeError, match="worker"):
             with stochastic.run_paths(UNIT, 2, 4096, 3, 40) as paths:
                 drawn.extend(path for _, path in paths)
-        assert drawn == [] and [len(run.workers) for run in opened] == [1]
+        assert drawn == [] and [run.worker is not None for run in opened] == [True]
         assert _fill_threads() == []
 
     def test_a_worker_error_after_the_last_chunk_is_raised_as_the_block_exits(self,
@@ -402,25 +417,22 @@ class TestRunFill:
         _assert_run_is_the_reference(drawn, 3, 16, 8)
         assert _fill_threads() == []
 
-    def test_a_failed_second_submit_leaves_no_worker(self, monkeypatch):
-        # two workers (_cpus at three): the first starts, the second cannot
-        # be submitted; the error leaves the block, and the first worker's
-        # thread has ended
-        from concurrent.futures import ThreadPoolExecutor
-        monkeypatch.setattr(stochastic, "_cpus", lambda: 3)
-        submitted, submit = [], ThreadPoolExecutor.submit
+    def test_a_worker_that_cannot_start_leaves_no_thread(self, monkeypatch):
+        # the worker thread's start raises, as when the system has no
+        # thread to give: the error leaves the block, and no fill thread is
+        # left
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        started = []
 
-        def second_fails(pool, fn):
-            if submitted:
-                raise RuntimeError("submit")
-            submitted.append(fn)
-            return submit(pool, fn)
+        def failing_start(thread):
+            started.append(thread.name)
+            raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", second_fails)
-        with pytest.raises(RuntimeError, match="submit"):
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        with pytest.raises(RuntimeError, match="start new thread"):
             with stochastic.run_paths(UNIT, 2, 4096, 3, 40):
                 pass
-        assert len(submitted) == 1 and _fill_threads() == []
+        assert started == ["itofourier-normals"] and _fill_threads() == []
 
     def test_an_error_of_the_block_wins_over_a_workers(self, monkeypatch):
         # the worker has failed when the block raises an error of its own:
@@ -434,17 +446,16 @@ class TestRunFill:
         monkeypatch.setattr(stochastic, "_fill", failing_fill)
         with pytest.raises(KeyError, match="block"):
             with stochastic.run_paths(UNIT, 2, 4096, 3, 40):
-                concurrent.futures.wait(opened[0].workers, 10)
-                assert opened[0].workers[0].exception() is not None
+                opened[0].worker.join(10)
+                assert opened[0].error is not None
                 raise KeyError("block")
         assert _fill_threads() == []
 
-    def test_many_workers_on_a_short_switch_interval(self, monkeypatch):
-        # three workers (AHEAD, with _cpus at six), the interpreter
-        # switching threads every 10 us: a chunk claimed twice or by no
-        # thread, or rows handed out before they are filled, break the
-        # reference bits
-        monkeypatch.setattr(stochastic, "_cpus", lambda: 6)
+    def test_the_worker_and_the_caller_on_a_short_switch_interval(self, monkeypatch):
+        # the worker and the caller, the interpreter switching threads every
+        # 10 us: a chunk claimed twice or by no thread, or rows handed out
+        # before they are filled, break the reference bits
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         opened = _opened_fills(monkeypatch)
         drawn, interval = [], sys.getswitchinterval()
         run = threading.Thread(target=lambda: drawn.extend(self._draw(monkeypatch, 9, 41, 3)),
@@ -456,7 +467,7 @@ class TestRunFill:
         finally:
             sys.setswitchinterval(interval)
         assert not run.is_alive() and _fill_threads() == []
-        assert [len(fill.workers) for fill in opened] == [stochastic.AHEAD]
+        assert [fill.worker is not None for fill in opened] == [True]
         _assert_run_is_the_reference(drawn, 9, 41, 3)
 
     def test_a_stalled_workers_chunk_is_taken_over_after_the_grace(self, monkeypatch):
@@ -476,7 +487,7 @@ class TestRunFill:
                 fill(streams)
                 if len(caller_fills) == 4:  # the chunk taken over
                     release.set()
-                    concurrent.futures.wait(opened[0].workers, 10)
+                    opened[0].worker.join(10)
                 return
             streams = list(streams)
             took.set()
@@ -489,8 +500,8 @@ class TestRunFill:
         with stochastic.run_paths(UNIT, 2, 4096, 6, 10) as paths:
             assert took.wait(10)
             drawn = list(paths)
-        assert [len(run.workers) for run in opened] == [1] and len(caller_fills) == 4
-        assert opened[0].workers[0].done()
+        assert [run.worker is not None for run in opened] == [True] and len(caller_fills) == 4
+        assert not opened[0].worker.is_alive()
         _assert_run_is_the_reference(drawn, 6, 10, 3)
 
     def test_a_caller_waits_out_the_grace_before_taking_over(self, monkeypatch):
@@ -544,7 +555,7 @@ class TestRunFill:
 
     def test_a_call_inside_a_run_fills_on_its_own(self, monkeypatch):
         # calls between a run's chunks, even of the seeds of another of its
-        # chunks, neither take a chunk of the run nor change one; two workers
+        # chunks, neither take a chunk of the run nor change one; one worker
         monkeypatch.setattr(stochastic, "_cpus", lambda: 3)
         monkeypatch.setattr(stochastic, "CHUNK_NORMALS", 3 * 2 * 4096)
         seeds = [path_seed(7, i) for i in range(9)]
@@ -603,13 +614,13 @@ class TestRunFill:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_no_fill_thread_outlives_its_run(self, cpus, monkeypatch):
-        # the run's workers fill on threads of their own, and all of them
-        # have ended by the time sample_differences returns
+        # the run's worker fills on a thread of its own, which has ended by
+        # the time sample_differences returns
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
         opened = _opened_fills(monkeypatch)
         spec = constant_spec(UNIT, (1, 2))
         diffs, tensor = sample_differences(spec, BasisSystem.LEGENDRE, (0, 0), 100, 4096, 8)
-        assert [len(run.workers) for run in opened] == [cpus - 1]
+        assert [run.worker is not None for run in opened] == [True]
         assert _fill_threads() == []
         want = sample_differences_reference(spec, tensor, 100, 4096, 8, 8)
         assert diffs.tobytes() == want.tobytes()
@@ -645,8 +656,8 @@ class TestRunFill:
         tensor = coefficient_tensor(spec, BasisSystem.LEGENDRE, (1, 1))
         with pytest.raises(RuntimeError, match="chunk 3"):
             sample_differences(spec, BasisSystem.LEGENDRE, (1, 1), 100, 4096, 8, tensor=tensor)
-        assert filling == [] and [len(run.workers) for run in opened] == [1]
-        assert all(worker.done() for worker in opened[0].workers)
+        assert filling == [] and [run.worker is not None for run in opened] == [True]
+        assert not opened[0].worker.is_alive()
         assert _fill_threads() == []
         monkeypatch.undo()
         diffs, _ = sample_differences(spec, BasisSystem.LEGENDRE, (1, 1), 100, 4096, 8,
@@ -675,8 +686,8 @@ class TestRunFill:
             fill(streams)
 
         def failing_build(*args):
-            concurrent.futures.wait(opened[0].workers, 10)
-            assert isinstance(opened[0].workers[0].exception(), RuntimeError)
+            opened[0].worker.join(10)
+            assert isinstance(opened[0].error, RuntimeError)
             raise KeyError("tensor")
 
         monkeypatch.setattr(stochastic, "_fill", failing_fill)
@@ -754,6 +765,21 @@ class TestZetaFromPath:
         monkeypatch.setattr(stochastic, "jump_depth", None)  # planning would fail
         with pytest.raises(CapacityError, match="pool would hold 6600 entries .* cap 1000"):
             zeta_from_path(batch, BasisSystem.WALSH, 10)
+
+    def test_a_batch_of_pools_peaks_at_the_pool(self):
+        # the Wiener rows are written into the pool itself, with no product
+        # array beside it: 8192 pools of Legendre 20 at N = 1, the grid
+        # planned before; the peak is the pool and the one-byte-an-entry
+        # mask of its finiteness check
+        paths = brownian_path(UNIT, 1, 1, [path_seed(3, i) for i in range(8192)])
+        zeta_from_path(paths, BasisSystem.LEGENDRE, 20)
+        tracemalloc.start()
+        try:
+            pool = zeta_from_path(paths, BasisSystem.LEGENDRE, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pool.values.nbytes * 9 // 8 + 4096, (peak, pool.values.nbytes)
 
     def test_run_constant_basis_work_done_once(self, monkeypatch):
         calls = []

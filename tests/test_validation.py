@@ -246,7 +246,7 @@ class TestChunkedEngine:
     ], ids=["mc-legendre", "mc-walsh"])
     def test_sample_does_not_depend_on_the_cpu_count(self, basis, orders, spec, monkeypatch):
         # the 13 chunks fill their normals from one fill for the whole run,
-        # with a worker per extra CPU: on one CPU none
+        # with one worker on more than one CPU: on one CPU none
         tensor = coefficient_tensor(spec, basis, orders)
         samples = []
         for cpus in (1, 2, 3):
@@ -256,7 +256,7 @@ class TestChunkedEngine:
                                 fills.append(_f(*a)) or fills[-1])
             diffs, _ = sample_differences(spec, basis, orders, 100, 4096, 12, tensor=tensor)
             monkeypatch.undo()
-            assert [len(fill.workers) for fill in fills] == [cpus - 1]
+            assert [fill.worker is not None for fill in fills] == [cpus > 1]
             samples.append(diffs.tobytes())
         assert samples[0] == samples[1] == samples[2]
 
