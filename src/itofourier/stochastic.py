@@ -11,10 +11,10 @@ four to a counter block, and brownian_path is the one constructor of a path
 or a batch of paths from their seeds.  Each thread keeps one Philox,
 re-keyed for each stream it fills and each read of the seed stream.  A
 call fills its streams on the calling thread; a run (run_paths) fills each
-chunk's streams whole on one thread, its own or its worker (see _Fill), and
-passes them to its own brownian_path calls.  Pools can be enlarged and
-paths generated in any order or grouping without perturbing existing
-values, and identical seeds give bit-identical results.
+chunk's streams whole on its own thread or its worker (see _Fill: a chunk
+taken over is filled on both) for its own brownian_path calls.  Pools can
+be enlarged and paths generated in any order or grouping without
+perturbing existing values, and identical seeds give bit-identical results.
 Paths, pools and the oracle take an optional leading batch axis, so one
 call handles a chunk of paths through the same code as one path.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,10 +44,6 @@ CHUNK_NORMALS = 2**16
 # Chunks a run's fill reads ahead: at N = 4096, three 8-path chunks, 1.5 MB;
 # one where a chunk, of one path, has more than CHUNK_NORMALS normals
 AHEAD = 3
-# A caller with no chunk left to claim waits this many times the fill's mean
-# time per chunk for the one the worker holds: a worker on a CPU as fast as
-# the caller's finishes the one it holds within one
-GRACE_CHUNKS = 2
 
 
 def _keys(seeds, domain: int, indices) -> np.ndarray:
@@ -98,24 +93,21 @@ class _Fill:
     the order the chunks are filled.  Its worker, if it has one (a daemon
     thread, so none left by a failed opening holds the process open; numpy's
     fill releases the GIL), claims and fills the next chunk while fewer than
-    ahead are filled and waiting, so it fills while the caller works."""
+    ahead are filled and waiting, so it fills while the caller works; it is
+    the one thread that ever waits on cond."""
 
     def __init__(self, chunks, n: int, worker: bool, ahead: int):
         self.chunks, self.n, self.ahead, self.cond = chunks, n, ahead, threading.Condition()
-        self.ready, self.held, self.spent, self.filled, self.error = [], None, 0.0, 0, None
+        self.ready, self.held, self.error = [], None, None
         self.worker = threading.Thread(target=self._work, name="itofourier-normals",
                                        daemon=True) if worker else None
         if self.worker:
             self.worker.start()
 
     def _rows(self, keys: np.ndarray) -> np.ndarray:
-        """The rows of the streams of keys, filled on this thread, timed."""
-        keys, start = keys.reshape(-1, 2), time.perf_counter()
-        rows = np.empty((len(keys), self.n))
-        _fill(zip(keys.tolist(), rows))
-        with self.cond:
-            self.spent += time.perf_counter() - start
-            self.filled += 1
+        """The rows of the streams of keys, filled on this thread."""
+        rows = np.empty((keys.size // 2, self.n))
+        _fill(zip(keys.reshape(-1, 2).tolist(), rows))
         return rows
 
     def _work(self) -> None:
@@ -132,23 +124,19 @@ class _Fill:
                     if self.held is claim:  # not taken over
                         self.held = None
                         self.ready.append((claim[0], rows))
-                        self.cond.notify_all()
         except BaseException as exc:
             self.error = exc
 
     def take(self):
         """The next chunk, (start, rows), None once every chunk has been
-        handed out, or the worker's error.  The chunk is one filled and
-        waiting, else the next not yet claimed, filled here, else, after a
-        wait of GRACE_CHUNKS times the fill's mean time per chunk, the one
-        the worker still holds (its CPU taken by another process or the
-        host), taken over and filled here into rows of its own: no rows are
-        handed out twice, so the worker's late rows reach no one."""
+        handed out, or the worker's error; it never waits.  The chunk is
+        one filled and waiting, else the next not yet claimed, else the one
+        the worker still holds, taken over at once; the last two are filled
+        here, the one taken over into rows of its own, so the worker's late
+        rows reach no one and a run fills at most one chunk twice."""
         with self.cond:
             claim = None if self.ready else next(self.chunks, None)
-            # the worker holds fewer chunks than there are, so one was filled
-            if not (claim or self.cond.wait_for(lambda: self.ready or self.held is None,
-                                                GRACE_CHUNKS * self.spent / self.filled)):
+            if not (self.ready or claim):  # every chunk claimed
                 claim, self.held = self.held, None
             chunk = self.ready.pop(0) if self.ready else None
             self.cond.notify_all()  # the worker may claim in the room made
@@ -213,7 +201,8 @@ class GaussianPool:
         shape = (self.m + 1, self.jmax + 1)
         if self.values.ndim not in (2, 3) or self.values.shape[-2:] != shape:
             raise DomainError(f"pool values must have shape {shape} after an optional batch axis")
-        if not np.all(np.isfinite(self.values)):
+        # min and max are finite exactly when every entry is: no pool-sized mask
+        if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
             raise DomainError("pool contains non-finite entries")
 
 
@@ -303,8 +292,9 @@ def run_paths(iv: Interval, m: int, N: int, seed: int, n_paths: int, width: int 
     fill reads up to AHEAD chunks ahead of the calling thread (one where a
     chunk has more than CHUNK_NORMALS normals), and starts one worker if
     the process may use more than one CPU and the run has more than one
-    chunk.  The worker's error is raised with the next chunk or as the
-    block exits, and the worker does not outlive the block."""
+    chunk; the calling thread never waits for it, and takes its chunk over
+    once every chunk is claimed.  Its error is raised with the next chunk
+    or as the block exits, and it does not outlive the block."""
     m, N, seed = read_int("m", m, lo=1), read_int("N", N, lo=1), read_int("seed", seed, 0, MAX_SEED)
     errors.require_fits("paths", m * N, "increments (m N per path)")
     n_paths, width = read_int("n_paths", n_paths, lo=1), read_int("width", width, lo=1)

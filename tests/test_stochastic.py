@@ -106,6 +106,17 @@ class TestGaussianPool:
         with pytest.raises(DomainError):
             gaussian_pool(UNIT, BasisSystem.LEGENDRE, 1, -1, seed=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape, at", [((3, 4), (1, 2)), ((5, 3, 4), (2, 1, 3))])
+    def test_any_non_finite_entry_is_refused(self, bad, shape, at):
+        # one bad entry between finite ones, of one pool or a batch (an
+        # empty batch is test_expansion's B = 0 case)
+        values = np.ones(shape)
+        values[at] = bad
+        with pytest.raises(DomainError, match="pool contains non-finite entries"):
+            stochastic.GaussianPool(iv=UNIT, basis=BasisSystem.LEGENDRE, m=2, jmax=3,
+                                    values=values)
+
 
 class TestBrownianPath:
     def test_deterministic(self):
@@ -358,18 +369,24 @@ class TestRunFill:
     def test_workers_fill_the_look_ahead_and_no_further(self, n_steps, cpus, ahead,
                                                          monkeypatch):
         # before the first chunk is taken the worker fills ahead chunks,
-        # then waits; the run has more chunks
+        # then waits (no one is notified, so the test polls); the run has
+        # more chunks
         monkeypatch.setattr(stochastic, "_cpus", lambda: cpus)
-        opened = _opened_fills(monkeypatch)
+        opened, worker_fills, fill = _opened_fills(monkeypatch), [], stochastic._fill
+        monkeypatch.setattr(stochastic, "_fill", lambda streams: worker_fills.append(
+            threading.current_thread() is not threading.main_thread()) or fill(streams))
         chunk = max(1, stochastic.CHUNK_NORMALS // (2 * n_steps))
         paths = (ahead + 2) * chunk
         with stochastic.run_paths(UNIT, 2, n_steps, 8, paths) as chunks:
-            [fill] = opened
-            assert fill.worker is not None
-            with fill.cond:
-                assert fill.cond.wait_for(lambda: len(fill.ready) == ahead
-                                          and fill.held is None, 10)
-                assert fill.filled == ahead
+            [run] = opened
+            assert run.worker is not None
+            deadline = time.monotonic() + 10
+            while not (len(run.ready) == ahead and run.held is None) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.001)
+            with run.cond:
+                assert len(run.ready) == ahead and run.held is None
+                assert worker_fills == [True] * ahead
             drawn = list(chunks)
         _assert_run_is_the_reference(drawn, 8, paths, chunk, n_steps)
 
@@ -470,11 +487,11 @@ class TestRunFill:
         assert [fill.worker is not None for fill in opened] == [True]
         _assert_run_is_the_reference(drawn, 9, 41, 3)
 
-    def test_a_stalled_workers_chunk_is_taken_over_after_the_grace(self, monkeypatch):
+    def test_a_stalled_workers_late_rows_reach_no_chunk(self, monkeypatch):
         # the worker stalls on its first chunk until the caller has filled
-        # the other three, waited out the grace and taken the stalled one
-        # over; the worker's late rows, written before the caller's last
-        # take, reach no chunk, and no chunk is handed out twice
+        # the other three and taken the stalled one over; the worker's late
+        # rows, written before the caller's last take returns, reach no
+        # chunk, and no chunk is handed out twice
         monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
         monkeypatch.setattr(stochastic, "CHUNK_NORMALS", 3 * 2 * 4096)
         opened = _opened_fills(monkeypatch)
@@ -504,29 +521,47 @@ class TestRunFill:
         assert not opened[0].worker.is_alive()
         _assert_run_is_the_reference(drawn, 6, 10, 3)
 
-    def test_a_caller_waits_out_the_grace_before_taking_over(self, monkeypatch):
-        # a run of two chunks: the worker fills one in about 120 ms, the
-        # caller the other in about 80 ms; the caller then waits up to two of
-        # the fill's chunk-times for the worker's chunk instead of filling
-        # it again
-        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
-        started, caller_fills, fill = threading.Event(), [], stochastic._fill
+    def test_the_caller_takes_the_last_chunk_over_without_waiting(self, monkeypatch):
+        # the worker stalls on its first chunk until the run's last chunk
+        # has been handed out: the calling thread fills the other three,
+        # then takes the stalled one over at once, and never waits on the
+        # fill's condition
+        class CountingCondition(threading.Condition):
+            """A condition that counts the waits the main thread makes on it."""
+            caller_waits = 0
 
-        def slow_fill(streams):
+            def wait(self, timeout=None):
+                self.caller_waits += threading.current_thread() is threading.main_thread()
+                return super().wait(timeout)
+
+            def wait_for(self, predicate, timeout=None):
+                self.caller_waits += threading.current_thread() is threading.main_thread()
+                return super().wait_for(predicate, timeout)
+
+        monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+        monkeypatch.setattr(stochastic, "CHUNK_NORMALS", 3 * 2 * 4096)
+        monkeypatch.setattr(threading, "Condition", CountingCondition)
+        opened = _opened_fills(monkeypatch)
+        took, release, fill, caller_fills = threading.Event(), threading.Event(), \
+            stochastic._fill, []
+
+        def stalling_fill(streams):
             if threading.current_thread() is threading.main_thread():
-                assert started.wait(10)
                 caller_fills.append(1)
-                time.sleep(0.08)
             else:
-                started.set()
-                time.sleep(0.12)
+                took.set()
+                assert release.wait(10)
             fill(streams)
 
-        monkeypatch.setattr(stochastic, "_fill", slow_fill)
-        with stochastic.run_paths(UNIT, 2, 4096, 3, 16) as paths:
+        monkeypatch.setattr(stochastic, "_fill", stalling_fill)
+        with stochastic.run_paths(UNIT, 2, 4096, 6, 10) as paths:
+            assert took.wait(10)
             drawn = list(paths)
-        assert caller_fills == [1]  # its own chunk, not the worker's again
-        _assert_run_is_the_reference(drawn, 3, 16, 8)
+            release.set()
+        [run] = opened
+        assert type(run.cond) is CountingCondition and run.cond.caller_waits == 0
+        assert len(caller_fills) == 4 and not run.worker.is_alive()
+        _assert_run_is_the_reference(drawn, 6, 10, 3)
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_error_on_any_thread_is_raised(self, failing, monkeypatch):
@@ -768,9 +803,9 @@ class TestZetaFromPath:
 
     def test_a_batch_of_pools_peaks_at_the_pool(self):
         # the Wiener rows are written into the pool itself, with no product
-        # array beside it: 8192 pools of Legendre 20 at N = 1, the grid
-        # planned before; the peak is the pool and the one-byte-an-entry
-        # mask of its finiteness check
+        # array beside it, and its finiteness check makes no mask of it:
+        # 8192 pools of Legendre 20 at N = 1, the grid planned before; the
+        # peak is the pool
         paths = brownian_path(UNIT, 1, 1, [path_seed(3, i) for i in range(8192)])
         zeta_from_path(paths, BasisSystem.LEGENDRE, 20)
         tracemalloc.start()
@@ -779,7 +814,7 @@ class TestZetaFromPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= pool.values.nbytes * 9 // 8 + 4096, (peak, pool.values.nbytes)
+        assert peak <= pool.values.nbytes + 4096, (peak, pool.values.nbytes)
 
     def test_run_constant_basis_work_done_once(self, monkeypatch):
         calls = []

@@ -263,7 +263,7 @@ class TestChunkedEngine:
 
 class TestBoundedRun:
     """A chunk's pools and expansion head fit errors.MAX_ENTRIES, so a run's
-    tracemalloc peak stays within the README's 2.5 times the cap's bytes at
+    tracemalloc peak stays within the README's 2.0 times the cap's bytes at
     any number of paths; at N = 1 a chunk's increments bound neither."""
 
     @pytest.mark.parametrize("indices, orders, n_paths", [
@@ -280,7 +280,7 @@ class TestBoundedRun:
         finally:
             tracemalloc.stop()
         assert diffs.shape == (n_paths,) and np.all(np.isfinite(diffs))
-        assert peak <= 2.5 * 8 * errors.MAX_ENTRIES, f"{peak / 1e6:.1f} MB"
+        assert peak <= 2.0 * 8 * errors.MAX_ENTRIES, f"{peak / 1e6:.1f} MB"
 
 
 class TestPrebuiltTensor:
