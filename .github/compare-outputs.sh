@@ -46,11 +46,13 @@ outputs() {  # outputs TREE DIR: every command on TREE's src/, its outputs in DI
     --seed 11 --out "$dir/validate-mc-walsh.json"
   run validate --config "$work/legendre.json" --orders 0,0 --paths 300 --steps 4096 --n 2 \
     --seed 11 --out "$dir/validate-mc-legendre.json"
-  for table in legendre:3 trigonometric:4 haar:7 walsh:7; do
-    local basis="${table%:*}" order="${table#*:}"
+  # Haar and Walsh 31**3: tables of eight blocks whose values repeat, so
+  # that most rows take a value formatted and parsed once for many rows
+  for table in legendre:3 trigonometric:4 haar:7 walsh:7 haar:31 walsh:31; do
+    local basis="${table%:*}" order="${table#*:}" name="${table/:/-}"
     run coeffs --config "$work/spec.json" --basis "$basis" --orders "$order,$order,$order" \
-      --out "$dir/coeffs-$basis.csv"
-    run approximate --table "$dir/coeffs-$basis.csv" --seed 7 --out "$dir/approximate-$basis.json"
+      --out "$dir/coeffs-$name.csv"
+    run approximate --table "$dir/coeffs-$name.csv" --seed 7 --out "$dir/approximate-$name.json"
   done
 }
 version() { PYTHONPATH="$1/src" python -c "import itofourier; print(itofourier.__version__)"; }

@@ -17,8 +17,11 @@ the plan meets an error bound stated in advance (README, "Numerical notes").
 Tensors are indexed ``values[j_1, ..., j_k]``; serialized rows iterate with
 j_1 fastest-varying.  :func:`_row_blocks` is the one statement of that row
 order and :func:`_column_header` of the CSV header on line 2: the table
-writer and reader both use them.  The error bounds built
-on the residual live in :mod:`validation`, beside the pass rules they serve.
+writer and reader both use them.  Both take half a block of rows at a time:
+the writer formats each distinct value of it once, keyed by its bits so
+that -0.0 keeps its sign, and fills a ``%s`` template with the texts; the
+reader parses each distinct value text once.  The error bounds built on the
+residual live in :mod:`validation`, beside the pass rules they serve.
 """
 from __future__ import annotations
 
@@ -40,7 +43,10 @@ from .quadrature import PanelGrid, panel_grid
 # time and O(n**2) memory; Legendre (1000, 1000) at k = 2 needs 2003
 MAX_NODES = 4096
 FORMAT_VERSION = "1"
-# table rows formatted or parsed per call: a block's text is about 100 kB
+# table rows per block, about 100 kB of text.  The writer and the reader
+# take half a block at a time: a half block's distinct texts, one Python
+# string each, take up to 1.5 blocks when no value repeats, and the writer
+# peaks at about 4 blocks, the reader at 6.5 beyond the tensor it returns
 BLOCK_ROWS = 2**12
 # squares per pass of sum_squared: 2**20 mantissa halves below 2**27 sum exactly
 SUM_BLOCK = 2**20
@@ -210,25 +216,33 @@ def _heads(sizes, start, stop) -> str:
 
 
 def _row_blocks(orders):
-    """(start, stop, index columns of rows start..stop-1) for every block of
-    BLOCK_ROWS table rows, j_1 fastest: the one statement of the row order,
-    which never holds a large table at once."""
+    """(start, stop, index columns of rows start..stop-1) for every half
+    block (BLOCK_ROWS // 2 table rows), j_1 fastest: the one statement of
+    the row order, which never holds a large table at once."""
     sizes = [p + 1 for p in orders]
     total = math.prod(sizes)
-    for start in range(0, total, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, total)
+    rows = max(BLOCK_ROWS // 2, 1)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
         yield start, stop, _heads(sizes, start, stop)
 
 
 def _row_values(heads, rows) -> np.ndarray:
-    """The values of a block of rows, checked against their index columns in
-    one pass per check; a block that fails one is checked again row by row
-    to name the first row out of place, missing, extra or not finite."""
+    """The values of a run of rows, each distinct value text parsed once,
+    checked against their index columns over the whole run at once; a run
+    that fails a check is checked again row by row to name the first row out
+    of place, missing, extra or not finite."""
     try:
-        if len(rows) == len(heads) and all(map(str.startswith, rows, heads)):
-            values = np.fromiter(map(float, map(str.removeprefix, rows, heads)), float, len(rows))
-            if np.isfinite(values).all():
-                return values
+        if len(rows) == len(heads):
+            texts = list(map(str.removeprefix, rows, heads))
+            # a row that starts with its head loses all of it, any other row
+            # nothing: the rows lose the heads' length only if all start so
+            if sum(map(len, rows)) - sum(map(len, texts)) == sum(map(len, heads)):
+                distinct = dict.fromkeys(texts)
+                parsed = dict(zip(distinct, map(float, distinct)))
+                values = np.fromiter(map(parsed.__getitem__, texts), float, len(rows))
+                if np.isfinite(values).all():
+                    return values
     except ValueError:
         pass
     for head, row in itertools.zip_longest(heads, rows):
@@ -245,7 +259,7 @@ def _row_values(heads, rows) -> np.ndarray:
 def write_coefficient_table(path, tensor: CoefficientTensor) -> None:
     """Write the documented table format: one JSON header line, a CSV column
     header, then one row per tuple (j_1 fastest) with 17-significant-digit
-    values (binary round-trip exact), one block of rows per write."""
+    values (binary round-trip exact), one half block of rows per write."""
     header = {"format_version": FORMAT_VERSION, "spec": tensor.spec.to_json(),
               "basis": tensor.basis.value, "orders": list(tensor.orders)}
     flat = tensor.values.T.flat  # j_1 fastest
@@ -253,7 +267,12 @@ def write_coefficient_table(path, tensor: CoefficientTensor) -> None:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.write(_column_header(tensor.spec.k) + "\n")
         for start, stop, heads in _row_blocks(tensor.orders):
-            fh.write(heads.replace("\n", "%.17g\n") % tuple(flat[start:stop].tolist()))
+            # distinct bits, not values: -0.0 == 0.0 but writes "-0"
+            bits = np.asarray(flat[start:stop], float).view(np.int64)
+            keys, inverse = np.unique(bits, return_inverse=True)
+            texts = ("%.17g\n" * keys.size % tuple(keys.view(float).tolist())).split("\n")
+            values = np.array(texts, object)[inverse].tolist()
+            fh.write(heads.replace("\n", "%s\n") % tuple(values))
 
 
 def read_coefficient_table(path) -> CoefficientTensor:

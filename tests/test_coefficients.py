@@ -639,27 +639,24 @@ class TestTableFormat:
         "whitespace": lambda rows, i: rows.__setitem__(i, f" \t{rows[i]}  "),
     }
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_blocks_match_the_row_reference(self, data):
+    def _matches_the_row_reference(self, data, elements):
         # at any block size, the block writer writes the reference's bytes,
-        # and on any edit of a row (the first and last rows of a block among
-        # them) the block reader reads the same values or names the same row
-        special = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
-                                   -1e308, 0.1, 1 / 3])
-        finite = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+        # and on any edit of a row (the first and last rows of a run of
+        # _row_blocks among them) the block reader reads the same values or
+        # names the same row
         k = data.draw(st.integers(1, 4), "k")
         orders = tuple(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
-        values = data.draw(arrays(np.float64, tuple(p + 1 for p in orders), elements=finite))
+        values = data.draw(arrays(np.float64, tuple(p + 1 for p in orders), elements=elements))
         tensor = CoefficientTensor(spec=constant_spec(UNIT, (1,) * k),
                                    basis=BasisSystem.LEGENDRE, orders=orders, values=values)
         block = data.draw(st.sampled_from([1, 2, 3, 5, coefficients.BLOCK_ROWS]), "block")
         n = values.size
-        edges = sorted({0, n - 1} | {j for b in range(block, n, block) for j in (b - 1, b)})
-        i = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, n - 1)), "row")
-        edit = data.draw(st.sampled_from(sorted(self.ROW_EDITS)), "edit")
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(coefficients, "BLOCK_ROWS", block)
+            starts = [start for start, _, _ in coefficients._row_blocks(orders) if start]
+            edges = sorted({0, n - 1} | {j for b in starts for j in (b - 1, b)})
+            i = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, n - 1)), "row")
+            edit = data.draw(st.sampled_from(sorted(self.ROW_EDITS)), "edit")
             path, ref = Path(tmp) / "table.csv", Path(tmp) / "reference.csv"
             write_coefficient_table(path, tensor)
             write_table_reference(ref, tensor)
@@ -676,6 +673,42 @@ class TestTableFormat:
                 except DomainError as exc:
                     outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_the_row_reference(self, data):
+        special = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+                                   -1e308, 0.1, 1 / 3])
+        self._matches_the_row_reference(
+            data, st.one_of(special, st.floats(allow_nan=False, allow_infinity=False)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_repeated_values_match_the_row_reference(self, data):
+        # values from a pool of at most 3 that holds 0.0 and -0.0, so every
+        # run of rows repeats values: each distinct value is formatted and
+        # each distinct text parsed once, and -0.0 still writes "-0"
+        other = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   max_size=1), "other")
+        self._matches_the_row_reference(data, st.sampled_from([0.0, -0.0, *other]))
+
+    def test_a_value_is_any_text_that_float_reads_as_finite(self, tmp_path):
+        # index columns must match the writer's text, but a value may be
+        # spelt any way float() reads: the block reader, which parses each
+        # distinct text once, reads what the row reference reads
+        spellings = {"1_0": 10.0, " 0.5": 0.5, "+0.5": 0.5, "5E-1": 0.5, "0.50000": 0.5,
+                     "\u0660.5": 0.5}
+        spec = constant_spec(UNIT, (1, 2))
+        path = tmp_path / "table.csv"
+        write_coefficient_table(path, coefficient_tensor(spec, BasisSystem.LEGENDRE, (3, 2)))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        texts = [*spellings] * 2
+        rows = [line.rsplit(",", 1)[0] + "," + text for line, text in zip(lines[2:], texts)]
+        assert len(rows) == len(lines) - 2 == 12
+        path.write_text("\n".join(lines[:2] + rows) + "\n", encoding="utf-8")
+        want = np.array([spellings[text] for text in texts]).reshape((4, 3), order="F")
+        for read in (read_coefficient_table, read_table_reference):
+            assert read(path).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("orders, rows", [
         ((7,), ["0", "1", "2", "3", "4", "5", "6", "7"]),
@@ -704,14 +737,33 @@ class TestTableFormat:
             [header, ",".join(f"j{l + 1}" for l in range(k)) + ",value"]
             + [f"{r},{v}" for r, v in zip(rows, texts)]) + "\n"
 
-    @pytest.mark.parametrize("orders", [(2**16 - 1,), (2**13 - 1, 7)], ids=["k1", "k2-long-slice"])
-    def test_tables_are_written_and_read_a_block_at_a_time(self, tmp_path, orders):
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_])
+    def test_tensors_of_other_dtypes_write_the_reference_bytes(self, tmp_path, dtype):
+        # the writer keys values by their float64 bits, so it converts a
+        # tensor built by hand from another dtype first, as "%.17g" does
+        values = np.array([[-0.0, 1.0, 0.5], [2.0**60, 1.0, -3.0]]).astype(dtype)
+        tensor = CoefficientTensor(spec=constant_spec(UNIT, (1, 2)), basis=BasisSystem.HAAR,
+                                   orders=(1, 2), values=values)
+        path, ref = tmp_path / "table.csv", tmp_path / "reference.csv"
+        write_coefficient_table(path, tensor)
+        write_table_reference(ref, tensor)
+        assert path.read_text() == ref.read_text()
+        assert np.array_equal(read_coefficient_table(path).values, values.astype(float))
+
+    @pytest.mark.parametrize("orders, distinct", [
+        ((2**16 - 1,), None), ((2**13 - 1, 7), None), ((2**16 - 1,), 1000),
+    ], ids=["k1", "k2-long-slice", "k1-repeated"])
+    def test_tables_are_written_and_read_a_block_at_a_time(self, tmp_path, orders, distinct):
         # tables of 16 blocks, a k = 1 table and a k = 2 table whose j_2
-        # slices are two blocks long: the writer holds at most 6 blocks'
-        # text at once, and the reader 10 beyond the tensor it returns (or
-        # the tensor twice, while it reshapes), so neither holds the text
+        # slices are two blocks long, each value distinct, and a k = 1 table
+        # of 1 000 distinct values: the writer holds at most 6 blocks' text
+        # at once, and the reader 10 beyond the tensor it returns (or the
+        # tensor twice, while it reshapes), so neither holds the text
         spec = constant_spec(UNIT, (1,) * len(orders))
-        values = np.random.default_rng(1).standard_normal([p + 1 for p in orders])
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal([p + 1 for p in orders])
+        if distinct:
+            values = rng.choice(values.ravel()[:distinct], values.shape)
         tensor = CoefficientTensor(spec=spec, basis=BasisSystem.LEGENDRE, orders=orders,
                                    values=values)
         path = tmp_path / "table.csv"
